@@ -64,6 +64,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _partition(text: str) -> GroupPartition:
     try:
         return GroupPartition(tuple(int(x) for x in text.split(",")))
@@ -79,7 +86,7 @@ def _add_system_flags(p: argparse.ArgumentParser, need_B: bool = True) -> None:
     p.add_argument("--d", type=int, required=True, help="repair fan-in")
     p.add_argument("--k", type=int, required=True, help="reconstruction degree")
     p.add_argument("--t", type=int, required=True, help="simultaneous repairs per batch")
-    p.add_argument("--B", type=_fraction, default=None, help="object size (default: k)")
+    p.add_argument("--B", type=_positive_fraction, default=None, help="object size (default: k)")
     p.add_argument("--n", type=int, default=None, help="node count (default: d + t)")
 
 

@@ -44,6 +44,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
+    DecodeAmbiguityError,
     DecodeError,
     FieldElement,
     FieldMatrix,
@@ -220,13 +221,23 @@ def _apply_column(obj: ObjectMatrix, column: Sequence[FieldElement]) -> tuple[Fi
 
 
 def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
-    """Object recovery that tolerates wrong payloads by subset consensus.
+    """Object recovery that tolerates wrong payloads.
 
-    Every kappa-subset is solved; a candidate qualifies when it disagrees
-    with at most ``max_polluters`` of the given blocks.  With at least
-    kappa + max_polluters honest blocks the true object is the unique
-    qualifying candidate; otherwise AMBIGUOUS is returned rather than a
-    possibly wrong object.
+    Returns the unique object that disagrees with at most
+    ``max_polluters`` of the given blocks; when there is none, or more
+    than one, AMBIGUOUS is returned rather than a possibly wrong object.
+    With at least kappa + max_polluters honest blocks the true object is
+    that unique answer.
+
+    When 2*max_polluters <= len(blocks) - kappa and the blocks carry
+    Reed-Solomon columns (1, x, x^2, ...) at distinct points x, each
+    object row is decoded on its own with ``rs_decode`` on the code of
+    those points, in O(len(blocks)^2) field operations per row; the bad
+    blocks are the union of the positions where a decoded row disagrees.
+    Otherwise (too many polluters for a unique answer to be guaranteed,
+    kappa = 1, or other columns) every kappa-subset of the blocks is
+    solved and each distinct candidate checked against all blocks, which
+    costs C(len(blocks), kappa) solves.
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
@@ -236,6 +247,10 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     if len(blocks) < kappa:
         raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
     ordered = sorted(blocks, key=lambda b: b.node_id)
+    if 2 * max_polluters <= len(ordered) - kappa:
+        code = _points_code(ordered, kappa)
+        if code is not None:
+            return _collect_by_rows(code, ordered, max_polluters)
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
@@ -253,6 +268,36 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     if len(qualified) == 1:
         return qualified[0]
     return AMBIGUOUS
+
+
+def _points_code(blocks: Sequence[NodeBlock], kappa: int) -> Optional[RsCode]:
+    """The RS code with block i at point column[1], if every column is
+    (1, x, ..., x^(kappa-1)) at distinct points x; otherwise None."""
+    if kappa < 2 or len(blocks) == kappa:
+        return None
+    points = tuple(b.column[1] for b in blocks)
+    if len({p.value for p in points}) != len(points):
+        return None
+    code = RsCode(points[0].field, len(points), kappa, points)
+    if any(b.column != code.column(i) for i, b in enumerate(blocks)):
+        return None
+    return code
+
+
+def _collect_by_rows(code: RsCode, blocks: Sequence[NodeBlock], max_polluters: int):
+    rows = []
+    bad: set[int] = set()
+    for r in range(len(blocks[0].payload)):
+        try:
+            row = rs_decode(code, [(i, b.payload[r]) for i, b in enumerate(blocks)])
+        except DecodeAmbiguityError:
+            return AMBIGUOUS
+        word = code.encode(row)
+        bad.update(i for i, b in enumerate(blocks) if word[i] != b.payload[r])
+        rows.append(row)
+    if len(bad) > max_polluters:
+        return AMBIGUOUS
+    return ObjectMatrix(FieldMatrix.from_rows(code.field, rows))
 
 
 # --- collaborative repair ---

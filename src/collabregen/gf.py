@@ -3,9 +3,9 @@
 Elements are polynomial-basis bit vectors reduced modulo a fixed primitive
 polynomial per field size, so bit patterns are reproducible across runs.
 Includes dense matrices over a field (Gaussian elimination solve) and
-Reed-Solomon codes with joint erasure/error decoding by exhaustive
-interpolation over message-sized subsets, certified against the distance
-bound n_s + 2*n_b <= n - kappa.
+Reed-Solomon codes with joint erasure/error decoding by Gao's algorithm,
+O(n^2) field operations per word, certified against the distance bound
+n_s + 2*n_b <= n - kappa.
 
 Everything here is pure and deterministic; fields and elements are
 immutable and freely shareable across threads.
@@ -14,8 +14,6 @@ immutable and freely shareable across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 # One primitive polynomial per supported m; x is a generator of the
@@ -37,11 +35,6 @@ PRIMITIVE_POLYNOMIALS: dict[int, int] = {
     15: 0x8003,            # x^15 + x + 1
     16: 0x1100B,           # x^16 + x^12 + x^3 + x + 1
 }
-
-# Exhaustive-subset decoding is meant for desk-scale codes; beyond this
-# many subsets we refuse rather than silently hang.
-_MAX_DECODE_SUBSETS = 200_000
-
 
 class FieldMismatchError(ValueError):
     """Operands belong to different fields."""
@@ -451,15 +444,21 @@ def rs_decode(
     code: RsCode,
     received: Iterable[tuple[int, Optional[FieldElement]]],
 ) -> tuple[FieldElement, ...]:
-    """Decode erasures and errors by exhaustive subset interpolation.
+    """Decode erasures and errors with Gao's algorithm.
 
     ``received`` lists (position, symbol) pairs; a symbol of ``ERASED``
-    (None) or an absent position counts as an erasure.  Every
-    kappa-subset of the available symbols is interpolated; a candidate is
-    accepted only if it is certified, i.e. the implied erasure/error
-    counts satisfy n_s + 2*n_b <= n - kappa, which makes it unique.  With
-    no certified candidate a DecodeAmbiguityError is raised, so a
-    corruption beyond the bound is flagged rather than silently decoded.
+    (None) or an absent position counts as an erasure.  The N available
+    symbols form an (N, kappa) Reed-Solomon code on their points, which
+    Gao's algorithm (Gao 2003, "A new algorithm for decoding Reed-Solomon
+    codes") decodes up to (N - kappa)/2 errors in O(N^2) field operations:
+    interpolate the received word, run the extended Euclidean algorithm
+    on it and the vanishing polynomial of the points until the remainder
+    has degree below (N + kappa)/2, and divide the remainder by its
+    cofactor.  The result is accepted only if it is certified, i.e. the
+    implied erasure/error counts satisfy n_s + 2*n_b <= n - kappa, which
+    makes it the unique codeword in that radius.  Otherwise a
+    DecodeAmbiguityError is raised, so a corruption beyond the bound is
+    flagged rather than silently decoded.
     """
     f = code.field
     seen: dict[int, int] = {}
@@ -473,65 +472,94 @@ def rs_decode(
         if pos in seen:
             raise ValueError(f"duplicate position {pos}")
         seen[pos] = sym.value
-    avail = sorted(seen.items())
     kappa = code.kappa
-    if len(avail) < kappa:
+    if len(seen) < kappa:
         raise InsufficientSymbolsError(
-            f"{len(avail)} symbols available, need at least {kappa}"
+            f"{len(seen)} symbols available, need at least {kappa}"
         )
-    if comb(len(avail), kappa) > _MAX_DECODE_SUBSETS:
-        raise ValueError("code too large for exhaustive subset decoding")
-
-    n_s = code.n - len(avail)
+    n_s = code.n - len(seen)
     radius = code.n - kappa
-    points = [p.value for p in code.evaluation_points]
-
-    candidates: dict[tuple[int, ...], int] = {}
-    for subset in combinations(avail, kappa):
-        msg = _interpolate(f, [(points[pos], val) for pos, val in subset])
-        if msg is not None:
-            candidates[msg] = candidates.get(msg, 0) + 1
-
-    certified: list[tuple[int, ...]] = []
-    for msg in candidates:
-        word = code.encode([FieldElement(v, f) for v in msg])
-        errs = sum(1 for pos, val in avail if word[pos].value != val)
+    points = [code.evaluation_points[pos].value for pos in seen]
+    values = list(seen.values())
+    msg = _gao(f, points, values, kappa)
+    if msg is not None:
+        errs = sum(1 for x, y in zip(points, values) if _poly_eval(f, msg, x) != y)
         if n_s + 2 * errs <= radius:
-            certified.append(msg)
-    if len(certified) == 1:
-        return tuple(FieldElement(v, f) for v in certified[0])
-    if len(certified) > 1:  # impossible for a true RS code; guard anyway
-        raise DecodeAmbiguityError("multiple certified candidates")
-    raise DecodeAmbiguityError(
-        f"no candidate within n_s + 2*n_b <= {radius} "
-        f"(n_s={n_s}, {len(candidates)} subset solutions)"
-    )
+            return tuple(FieldElement(v, f) for v in msg + [0] * (kappa - len(msg)))
+    raise DecodeAmbiguityError(f"no codeword within n_s + 2*n_b <= {radius} (n_s={n_s})")
 
 
-def _interpolate(f: GF, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, ...]]:
-    """Coefficients of the unique degree < len(pairs) polynomial, or None."""
-    k = len(pairs)
-    n = k
-    aug = []
-    for x, y in pairs:
-        row = [0] * (n + 1)
-        xp = 1
-        for j in range(n):
-            row[j] = xp
-            xp = f.mul(xp, x)
-        row[n] = y
-        aug.append(row)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None  # duplicate points; cannot happen for distinct x
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = f.inv(aug[col][col])
-        aug[col] = [f.mul(inv_p, v) for v in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v ^ f.mul(factor, pv) for v, pv in zip(aug[r], prow)]
-    return tuple(aug[i][n] for i in range(n))
+# Polynomials below are int coefficient lists over one field, lowest
+# degree first, with no trailing zeros (the zero polynomial is []).
+
+
+def _gao(f: GF, points: list[int], values: list[int], kappa: int) -> Optional[list[int]]:
+    """Gao's decoder: the message polynomial within (N - kappa)/2 errors
+    of ``values`` at ``points``, or None when there is none."""
+    g0 = [1]  # prod (x - a_i)
+    for a in points:
+        g0 = _poly_mul(f, g0, [a, 1])
+    g1: list[int] = []  # interpolant: sum_i y_i * L_i(x)
+    for a, y in zip(points, values):
+        if y:
+            basis = _poly_divmod(f, g0, [a, 1])[0]  # prod_{j != i} (x - a_j)
+            w = f.div(y, _poly_eval(f, basis, a))
+            g1 = _poly_add(g1, [f.mul(w, c) for c in basis])
+    # partial extended Euclid: r = u*g0 + v*g1, until deg r < (N + kappa)/2
+    r0, r1, v0, v1 = g0, g1, [], [1]
+    while 2 * (len(r1) - 1) >= len(points) + kappa:
+        q, rem = _poly_divmod(f, r0, r1)
+        r0, r1, v0, v1 = r1, rem, v1, _poly_add(v0, _poly_mul(f, q, v1))
+    msg, rem = _poly_divmod(f, r1, v1)
+    if rem or len(msg) > kappa:
+        return None
+    return msg
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, c in enumerate(b):
+        out[i] ^= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_mul(f: GF, a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] ^= f.mul(c, d)
+    return out
+
+
+def _poly_divmod(f: GF, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the nonzero b."""
+    rem = a[:]
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    quot = [0] * (len(rem) - db)
+    lead = b[-1]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            c = f.div(c, lead)
+            quot[i - db] = c
+            for j, d in enumerate(b):
+                rem[i - db + j] ^= f.mul(c, d)
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_eval(f: GF, a: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = f.mul(acc, x) ^ c
+    return acc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -151,6 +151,9 @@ class ScenarioConfig:
     policy: RepairPolicy = RepairPolicy.KEEP_RESPONDERS
 
     def __post_init__(self):
+        g = self.generations
+        if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+            raise ValueError(f"generations must be a nonnegative integer, got {g!r}")
         self.mitigation = Mitigation(self.mitigation)
         self.policy = RepairPolicy(self.policy)
         self.behaviors = {int(k): Behavior(v) for k, v in self.behaviors.items()}
@@ -161,9 +164,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        raw = json.loads(text)
-        code = CodeSetup(**raw.pop("code", {}))
-        return cls(code=code, **raw)
+        """Parse a config; malformed ones raise ValueError naming the fault."""
+        raw = _json_object(json.loads(text), "scenario config", cls)
+        code = _json_object(raw.pop("code", {}), "code", CodeSetup)
+        return cls(code=CodeSetup(**code), **raw)
 
     def to_json(self) -> str:
         doc = {
@@ -189,6 +193,16 @@ class ScenarioConfig:
             "policy": self.policy.value,
         }
         return json.dumps(doc, indent=2)
+
+
+def _json_object(raw, what: str, target) -> dict:
+    """``raw`` as keyword arguments for the dataclass ``target``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(target)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return raw
 
 
 @dataclass(frozen=True)

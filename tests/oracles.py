@@ -1,11 +1,22 @@
-"""Brute-force reference implementations used to check the search code.
+"""Brute-force reference implementations used to check the fast code.
 
 These deliberately share nothing with the package internals: plain
 enumeration of collector partitions and adversary placements, with the
-cut sum evaluated termwise.
+cut sum evaluated termwise; and exhaustive-subset Reed-Solomon decoding
+and object collection, built only on the public field and matrix API.
+The decoders cost C(N, kappa) solves, so keep them to small codes.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
+
+from collabregen.exactcode import AMBIGUOUS, ObjectMatrix
+from collabregen.gf import (
+    DecodeAmbiguityError,
+    FieldElement,
+    FieldMatrix,
+    InsufficientSymbolsError,
+)
 
 
 def compositions(k, t, g=None):
@@ -54,3 +65,64 @@ def oracle_value(p, adv, fixed_g):
             if best is None or value < best:
                 best = value
     return best
+
+
+def _solve_subset(columns, rhs_rows):
+    """X with columns^T X = rhs for kappa columns of length kappa."""
+    f = columns[0][0].field
+    a = FieldMatrix.from_rows(f, columns)
+    return a.solve(FieldMatrix.from_rows(f, rhs_rows))
+
+
+def oracle_rs_decode(code, received):
+    """Exhaustive-subset decoding: interpolate every kappa-subset of the
+    available symbols and return the unique candidate with
+    n_s + 2*n_b <= n - kappa, else raise DecodeAmbiguityError."""
+    avail = sorted((pos, sym.value) for pos, sym in received if sym is not None)
+    kappa = code.kappa
+    if len(avail) < kappa:
+        raise InsufficientSymbolsError(f"{len(avail)} symbols, need {kappa}")
+    n_s = code.n - len(avail)
+    candidates = set()
+    for subset in combinations(avail, kappa):
+        cols = [code.column(pos) for pos, _ in subset]
+        x = _solve_subset(cols, [[val] for _, val in subset])
+        candidates.add(tuple(e.value for e in x.column(0)))
+    certified = []
+    for msg in candidates:
+        word = code.encode([FieldElement(v, code.field) for v in msg])
+        errs = sum(1 for pos, val in avail if word[pos].value != val)
+        if n_s + 2 * errs <= code.n - kappa:
+            certified.append(msg)
+    if len(certified) != 1:
+        raise DecodeAmbiguityError(f"{len(certified)} certified candidates")
+    return tuple(FieldElement(v, code.field) for v in certified[0])
+
+
+def oracle_collect_robust(blocks, max_polluters):
+    """Subset consensus: the unique object solved from some kappa blocks
+    that disagrees with at most ``max_polluters`` blocks, else AMBIGUOUS."""
+    kappa = len(blocks[0].column)
+    qualified = set()
+    for subset in combinations(blocks, kappa):
+        o_t = _solve_subset([b.column for b in subset], [b.payload for b in subset])
+        obj = ObjectMatrix(o_t.transpose())
+        rows = obj.pieces.int_rows()
+        bad = 0
+        for b in blocks:
+            want = [_dot(obj.pieces.field, row, b.column) for row in rows]
+            bad += want != [p.value for p in b.payload]
+        if bad <= max_polluters:
+            qualified.add(tuple(v for row in rows for v in row))
+    if len(qualified) != 1:
+        return AMBIGUOUS
+    (flat,) = qualified
+    f = blocks[0].column[0].field
+    return ObjectMatrix(FieldMatrix(f, len(flat) // kappa, kappa, flat))
+
+
+def _dot(f, row, column):
+    acc = 0
+    for r, c in zip(row, column):
+        acc ^= f.mul(r, c.value)
+    return acc

@@ -64,6 +64,13 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--d", "3", "--k", "5", "--t", "1")
         assert code == 1
 
+    def test_nonpositive_object_size_exits_one(self, capsys):
+        for size in ("0", "-2"):
+            code, out, err = run(
+                capsys, "bounds", "--d", "3", "--k", "3", "--t", "2", "--B", size,
+            )
+            assert code == 1 and out == "" and "--B: must be positive" in err
+
 
 class TestTradeoff:
     def test_csv_schema_and_determinism(self, capsys):
@@ -177,3 +184,25 @@ class TestSimulate:
     def test_missing_config_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 1
+
+    def malformed(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(path), "--out", str(out_path)
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        return err
+
+    def test_top_level_array_exits_one(self, capsys, tmp_path):
+        err = self.malformed(capsys, tmp_path, "[1, 2]")
+        assert "must be a JSON object" in err
+
+    def test_unknown_key_exits_one(self, capsys, tmp_path):
+        err = self.malformed(capsys, tmp_path, '{"bogus": 1}')
+        assert "unknown scenario config key(s): bogus" in err
+
+    def test_negative_generations_exits_one(self, capsys, tmp_path):
+        err = self.malformed(capsys, tmp_path, '{"generations": -3}')
+        assert "generations must be a nonnegative integer" in err

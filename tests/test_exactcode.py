@@ -22,7 +22,8 @@ from collabregen.exactcode import (
     encode_object,
     progressive_repair_with_digests,
 )
-from collabregen.gf import FieldMatrix, RsCode, field
+from collabregen.gf import FieldElement, FieldMatrix, RsCode, field
+from oracles import oracle_collect_robust
 
 GF8 = field(3)
 
@@ -127,6 +128,71 @@ class TestCollectRobust:
         _, _, blocks = demo_setup()
         with pytest.raises(ValueError):
             collect_robust(blocks[:2], max_polluters=0)
+
+
+@st.composite
+def polluted_reads(draw, inside: bool):
+    """An object (often all-zero), the blocks read, up to one more of them
+    polluted than the radius (read - kappa) // 2, and a max_polluters
+    within that radius or beyond it: (obj, read, polluted, max_polluters)."""
+    f = field(draw(st.sampled_from([3, 4])))
+    n = draw(st.integers(4, min(f.order - 1, 8)))
+    kappa = draw(st.integers(1, n - 1))
+    t = draw(st.integers(1, 3))
+    code = RsCode.with_power_points(f, n, kappa, first_power=draw(st.integers(0, 2)))
+    symbol = st.integers(0, f.order - 1)
+    values = draw(
+        st.one_of(st.just([0] * (t * kappa)), st.lists(symbol, min_size=t * kappa, max_size=t * kappa))
+    )
+    obj = ObjectMatrix(FieldMatrix(f, t, kappa, values))
+    blocks = encode_object(obj, code)
+    order = draw(st.permutations(range(n)))
+    read = [blocks[i] for i in order[: draw(st.integers(kappa + inside, n))]]
+    radius = (len(read) - kappa) // 2
+    polluted = draw(st.integers(0, min(len(read), radius + 1)))
+    for i in range(polluted):
+        masks = draw(st.lists(symbol, min_size=t, max_size=t).filter(any))
+        b = read[i]
+        payload = tuple(FieldElement(p.value ^ x, f) for p, x in zip(b.payload, masks))
+        read[i] = NodeBlock(b.node_id, b.column, payload)
+    if inside:
+        max_polluters = draw(st.integers(0, radius))
+    else:
+        max_polluters = draw(st.integers(radius + 1, len(read)))
+    return obj, draw(st.permutations(read)), polluted, max_polluters
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["within-radius", "beyond-radius"])
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_collect_robust_matches_subset_consensus_oracle(inside, data):
+    obj, read, polluted, max_polluters = data.draw(polluted_reads(inside))
+    got = collect_robust(read, max_polluters)
+    want = oracle_collect_robust(read, max_polluters)
+    if want is AMBIGUOUS:
+        assert got is AMBIGUOUS
+    else:
+        assert got is not AMBIGUOUS and got.pieces == want.pieces
+    if polluted <= max_polluters and len(read) - polluted >= obj.kappa + max_polluters:
+        assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
+
+class TestCollectRobustColumns:
+    def test_scaled_columns_stay_exact(self):
+        # columns x_i * (1, x_i, x_i^2) are MDS but not Reed-Solomon
+        # columns (1, y, y^2) at the distinct points y = x_i^2, so
+        # per-row decoding must not apply; the answer is still the object
+        code, obj, blocks = demo_setup(seed=12)
+        rng = random.Random(3)
+        scaled = []
+        for b in blocks:
+            x = b.column[1]
+            column = tuple(x * c for c in b.column)
+            payload = tuple(x * p for p in b.payload)
+            scaled.append(NodeBlock(b.node_id, column, payload))
+        scaled[4] = corrupt(scaled[4], rng)
+        got = collect_robust(scaled, max_polluters=1)
+        assert got is not AMBIGUOUS and got.pieces == obj.pieces
 
 
 class TestHonestRepair:

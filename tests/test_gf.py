@@ -2,10 +2,12 @@
 
 Oracles used here are independent of the table-driven implementation:
 carry-less multiply with long division for products, exhaustive search
-for inverses, and subset-consistency checks for decoding.
+for inverses, and subset-consistency checks and the exhaustive-subset
+decoder (``oracles.oracle_rs_decode``) for decoding.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -29,6 +31,7 @@ from collabregen.gf import (
     rs_decode,
     rs_encode,
 )
+from oracles import oracle_rs_decode
 
 
 def slow_mul(a: int, b: int, m: int) -> int:
@@ -263,3 +266,91 @@ class TestRsCode:
         word = rs_encode(self.code, msg)
         with pytest.raises(InsufficientSymbolsError):
             rs_decode(self.code, [(0, word[0]), (1, word[1])])
+
+
+def decode_or_flag(decode, code, received):
+    try:
+        return decode(code, received)
+    except DecodeAmbiguityError:
+        return "flagged"
+
+
+@st.composite
+def noisy_words(draw):
+    """A code at arbitrary distinct points (0 included), a message (often
+    all-zero), and its word with erasures and up to one error past the
+    radius, as (code, message, received, within_radius)."""
+    m = draw(st.sampled_from([2, 3, 4, 5]))
+    f = field(m)
+    n = draw(st.integers(2, min(f.order, 9)))
+    kappa = draw(st.integers(1, n - 1))
+    points = draw(st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n, unique=True))
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    symbol = st.integers(0, f.order - 1)
+    values = draw(
+        st.one_of(st.just([0] * kappa), st.lists(symbol, min_size=kappa, max_size=kappa))
+    )
+    message = tuple(f.element(v) for v in values)
+    word = list(rs_encode(code, message))
+    n_s = draw(st.integers(0, n - kappa))
+    n_b = draw(st.integers(0, min(n - n_s, (n - kappa - n_s) // 2 + 1)))
+    order = draw(st.permutations(range(n)))
+    for pos in order[:n_s]:
+        word[pos] = ERASED
+    for pos in order[n_s:n_s + n_b]:
+        word[pos] = f.element(word[pos].value ^ draw(st.integers(1, f.order - 1)))
+    received = [(pos, word[pos]) for pos in order]
+    return code, message, received, n_s + 2 * n_b <= n - kappa
+
+
+class TestRsDecodeDifferential:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(noisy_words())
+    def test_matches_exhaustive_oracle(self, case):
+        code, message, received, within = case
+        got = decode_or_flag(rs_decode, code, received)
+        assert got == decode_or_flag(oracle_rs_decode, code, received)
+        if within:
+            assert got == message
+
+    def test_all_zero_word_with_errors(self):
+        code = RsCode.with_power_points(GF8, 7, 3, first_power=1)
+        word = [GF8.zero] * 7
+        word[2], word[5] = e8(3), e8(6)
+        assert rs_decode(code, list(enumerate(word))) == (GF8.zero,) * 3
+
+
+class TestLargeCodes:
+    """Sizes beyond exhaustive-subset decoding: C(20,10) = 184,756 subsets
+    took 72 s, C(24,12) = 2.7 million exceeded its cap, (255,223) is out
+    of reach.  Each decode gets a wall-clock budget far above its cost."""
+
+    @pytest.mark.parametrize(
+        "m, n, kappa, errors, budget_s",
+        [(8, 20, 10, 2, 1.0), (8, 24, 12, 6, 1.0), (8, 255, 223, 16, 3.0)],
+    )
+    def test_decodes_true_message_within_budget(self, m, n, kappa, errors, budget_s):
+        f = field(m)
+        rng = random.Random(n)
+        code = RsCode.with_power_points(f, n, kappa, first_power=1)
+        message = tuple(f.element(rng.randrange(f.order)) for _ in range(kappa))
+        word = list(rs_encode(code, message))
+        for pos in rng.sample(range(n), errors):
+            word[pos] = f.element(word[pos].value ^ rng.randrange(1, f.order))
+        start = time.perf_counter()
+        got = rs_decode(code, list(enumerate(word)))
+        elapsed = time.perf_counter() - start
+        assert got == message
+        assert elapsed < budget_s, f"({n},{kappa}) took {elapsed:.3f}s"
+
+    def test_one_error_past_radius_flagged(self):
+        # (24,12) with 7 errors: 2 * 7 > n - kappa = 12, and no other
+        # codeword lies within 6 of this word, so it must be flagged
+        f = field(8)
+        rng = random.Random(7)
+        code = RsCode.with_power_points(f, 24, 12, first_power=1)
+        word = list(rs_encode(code, tuple(f.element(rng.randrange(256)) for _ in range(12))))
+        for pos in range(7):
+            word[pos] = f.element(word[pos].value ^ 1)
+        with pytest.raises(DecodeAmbiguityError):
+            rs_decode(code, list(enumerate(word)))
