@@ -14,19 +14,11 @@ import time
 from pathlib import Path
 
 from collabregen.capacity import AdversaryKind, AdversaryProfile, SystemParams
-from collabregen.cli import CSV_HEADER
-from collabregen.tradeoff import SweepConfig, default_alpha_grid, sweep_curve
+from collabregen.tradeoff import SweepConfig, curve_to_csv, default_alpha_grid, sweep_curve
 
 
 def write_curve(path: Path, points) -> None:
-    lines = [CSV_HEADER]
-    for cp in points:
-        partition = "|".join(str(u) for u in cp.witness_partition.groups)
-        lines.append(
-            f"{cp.alpha_norm:.9g},{cp.beta_norm:.9g},"
-            f"{cp.beta_prime_norm:.9g},{cp.gamma_norm:.9g},{partition}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(curve_to_csv(points))
     print(f"wrote {path} ({len(points)} points)")
 
 

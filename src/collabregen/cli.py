@@ -42,9 +42,7 @@ from .scenarios import (
     simulate_generations,
     stats_to_csv,
 )
-from .tradeoff import SweepConfig, default_alpha_grid, sweep_curve
-
-CSV_HEADER = "alpha_norm,beta_norm,beta_prime_norm,gamma_norm,partition"
+from .tradeoff import CSV_HEADER, SweepConfig, curve_to_csv, default_alpha_grid, sweep_curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,21 +246,7 @@ def _cmd_tradeoff(args) -> int:
     points = sweep_curve(cfg)
     if not points:
         raise InfeasibleError("no feasible storage level in the requested grid")
-    lines = [CSV_HEADER]
-    for cp in points:
-        partition = "|".join(str(u) for u in cp.witness_partition.groups)
-        lines.append(
-            ",".join(
-                (
-                    format(cp.alpha_norm, ".9g"),
-                    format(cp.beta_norm, ".9g"),
-                    format(cp.beta_prime_norm, ".9g"),
-                    format(cp.gamma_norm, ".9g"),
-                    partition,
-                )
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, curve_to_csv(points))
     return 0
 
 

@@ -484,21 +484,38 @@ def collaborative_repair(
     return new_blocks, report
 
 
-def _pick_contacts(
-    order: Sequence[NodeBlock],
-    behaviors: Mapping[int, Behavior],
+def _contacts(
+    live: Sequence[NodeBlock],
+    j: int,
     kappa: int,
-    responsive_target: int,
+    behaviors: Mapping[int, Behavior],
+    policy: RepairPolicy,
+    assumed: int,
 ) -> tuple[list[NodeBlock], list[NodeBlock]]:
-    """Walk the preference order until enough responsive nodes are hit.
+    """(contacted, responders) of the newcomer that repairs row ``j``.
 
-    Returns (contacted, responders).  The contacted list includes
-    selfish nodes discovered along the way, at least kappa entries.
+    A trusting keep-responders repair contacts the first kappa nodes of
+    its stripe.  Otherwise it walks the stripe until it has hit kappa
+    responsive nodes, or kappa + 2 per assumed polluter (at most every
+    responsive live node).  The contacted list includes selfish nodes
+    discovered along the way, at least kappa entries.
     """
+    order = _stripe(live, j, kappa)
+    if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
+        contacted = order[:kappa]
+        return contacted, [
+            b for b in contacted if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
+        ]
+    target = kappa
+    if assumed:
+        responsive = sum(
+            1 for b in live if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
+        )
+        target = min(kappa + 2 * assumed, responsive)
     contacted: list[NodeBlock] = []
     responders: list[NodeBlock] = []
     for b in order:
-        if len(responders) >= responsive_target and len(contacted) >= kappa:
+        if len(responders) >= target and len(contacted) >= kappa:
             break
         contacted.append(b)
         if _behavior(behaviors, b.node_id) is not Behavior.SELFISH:
@@ -508,25 +525,10 @@ def _pick_contacts(
 
 def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, rng, report):
     t, kappa = len(live[0].payload), code.kappa
-    responsive_live = [
-        b for b in live if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-    ]
-    base_target = min(kappa + 2 * assumed, len(responsive_live)) if assumed else kappa
 
-    contacts: dict[int, list[NodeBlock]] = {}
     responders: dict[int, list[NodeBlock]] = {}
     for j, f in enumerate(failed):
-        order = _stripe(live, j, kappa)
-        if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
-            contacted = order[:kappa]
-            resp = [
-                b for b in contacted
-                if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-            ]
-        else:
-            target = base_target if assumed else kappa
-            contacted, resp = _pick_contacts(order, behaviors, kappa, target)
-        contacts[f], responders[f] = contacted, resp
+        contacted, responders[f] = _contacts(live, j, kappa, behaviors, policy, assumed)
         report.contacted[f] = tuple(b.node_id for b in contacted)
 
     # Phase 1: each newcomer downloads its own row from its responders.
@@ -619,22 +621,10 @@ def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed
     """Fallback when a newcomer is Byzantine: everyone fetches the whole
     object (every row from every contact) and repairs alone."""
     t, kappa = len(live[0].payload), code.kappa
-    responsive_live = [
-        b for b in live if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-    ]
-    target = min(kappa + 2 * assumed, len(responsive_live)) if assumed else kappa
 
     new_blocks = []
     for j, f in enumerate(failed):
-        order = _stripe(live, j, kappa)
-        if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
-            contacted = order[:kappa]
-            responders = [
-                b for b in contacted
-                if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-            ]
-        else:
-            contacted, responders = _pick_contacts(order, behaviors, kappa, target)
+        contacted, responders = _contacts(live, j, kappa, behaviors, policy, assumed)
         report.contacted[f] = tuple(b.node_id for b in contacted)
         if len(responders) < kappa:
             raise RepairFailureError(

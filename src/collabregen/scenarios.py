@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .capacity import fraction_str
@@ -33,6 +34,10 @@ from .exactcode import (
 from .gf import FieldElement, RsCode, field
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CodeSetup:
     """Code parameters for a scenario run."""
@@ -42,6 +47,12 @@ class CodeSetup:
     kappa: int = 3
     t: int = 2
     first_power: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_int(value):
+                raise ValueError(f"code.{f.name} must be an integer, got {value!r}")
 
     def build(self) -> RsCode:
         return RsCode.with_power_points(field(self.m), self.n, self.kappa, self.first_power)
@@ -151,16 +162,32 @@ class ScenarioConfig:
     policy: RepairPolicy = RepairPolicy.KEEP_RESPONDERS
 
     def __post_init__(self):
-        g = self.generations
-        if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+        g, assumed = self.generations, self.assumed_polluters
+        if not (_is_int(g) and g >= 0):
             raise ValueError(f"generations must be a nonnegative integer, got {g!r}")
+        if assumed is not None and not (_is_int(assumed) and assumed >= 0):
+            raise ValueError(f"assumed_polluters must be a nonnegative integer, got {assumed!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.pollute_collection, bool):
+            raise ValueError(
+                f"pollute_collection must be true or false, got {self.pollute_collection!r}"
+            )
+        schedule = self.failure_schedule
+        if schedule is not None and not (  # whole-list type scans stay cheap for long schedules
+            type(schedule) in (list, tuple)
+            and set(map(type, schedule)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(schedule))) <= {int}
+        ):
+            raise ValueError(f"failure_schedule must be a list of node id lists, got {schedule!r}")
         self.mitigation = Mitigation(self.mitigation)
         self.policy = RepairPolicy(self.policy)
-        self.behaviors = {int(k): Behavior(v) for k, v in self.behaviors.items()}
-        self.behavior_overrides = {
-            int(g): {int(k): Behavior(v) for k, v in m.items()}
-            for g, m in self.behavior_overrides.items()
-        }
+        self.behaviors = _int_keyed(self.behaviors, "behaviors", Behavior)
+        self.behavior_overrides = _int_keyed(
+            self.behavior_overrides,
+            "behavior_overrides",
+            lambda m: _int_keyed(m, "an entry", Behavior),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -193,6 +220,16 @@ class ScenarioConfig:
             "policy": self.policy.value,
         }
         return json.dumps(doc, indent=2)
+
+
+def _int_keyed(raw, what: str, convert) -> dict:
+    """``raw`` as {int(key): convert(value)}; raises ValueError naming ``what``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    try:
+        return {int(k): convert(v) for k, v in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _json_object(raw, what: str, target) -> dict:

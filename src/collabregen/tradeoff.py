@@ -2,10 +2,17 @@
 
 ``worst_case_capacity`` minimizes the cut bound over every admissible
 data-collector partition and, under an adversary, over every placement
-of the misbehaving-newcomer budget.  It is a dynamic program over
-(prefix sum of group sizes, groups used, remaining budget) and returns a
-minimizing witness, with ties broken toward the lexicographically
-smallest partition.
+of the misbehaving-newcomer budget, and returns a minimizing witness,
+ties broken toward the lexicographically smallest partition.  One
+search serves it (on Fractions) and the optimizer (on floats), with a
+strategy picked from the shape of the search:
+
+* single-node groups (``fixed_g == k``): a sort of each position's
+  saving from one misbehaver, or a loop over positions and budget left
+  when a group can hold more than one;
+* no budget and a free group count: a loop over prefix sums;
+* otherwise a memoised DP over (prefix sum of group sizes, groups used,
+  budget left), groups used in the key only when ``fixed_g`` is set.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
@@ -20,7 +27,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Sequence
 
 from .capacity import (
@@ -59,6 +65,19 @@ class CurvePoint:
     gamma_norm: float
     witness_partition: GroupPartition
     witness_allocation: Optional[tuple[int, ...]]
+
+
+CSV_HEADER = "alpha_norm,beta_norm,beta_prime_norm,gamma_norm,partition"
+
+
+def curve_to_csv(points: Sequence[CurvePoint]) -> str:
+    """The curve as CSV under CSV_HEADER, numbers to 9 significant digits."""
+    lines = [CSV_HEADER]
+    for cp in points:
+        numbers = (cp.alpha_norm, cp.beta_norm, cp.beta_prime_norm, cp.gamma_norm)
+        partition = "|".join(str(u) for u in cp.witness_partition.groups)
+        lines.append(",".join([*(format(x, ".9g") for x in numbers), partition]))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -120,23 +139,142 @@ def characteristic_bandwidth_box(
     return (mbr_beta, max(hi_beta, mbr_beta)), (mbr_bp, max(hi_bp, mbr_bp))
 
 
-def _validate_search(
+def _cut_search(
     p: SystemParams, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
-) -> tuple[int, int, int, int]:
-    """Returns (factor, among_live, per_group_max, total) for the search."""
-    if fixed_g is not None:
-        if not (fixed_g >= 1 and fixed_g <= p.k <= fixed_g * p.t):
-            raise ParameterError(
-                f"fixed group count g={fixed_g} incompatible with k={p.k}, t={p.t}"
-            )
-    if adversary is None:
-        return 1, 0, 0, 0
-    if adversary.per_group is not None:
+):
+    """The worst-case search for one structure, validated once (see the
+    module docstring): ``search(alpha, beta, beta_prime) -> (value,
+    groups, allocation)``; raises InfeasibleError if nothing is admissible."""
+    k, t = p.k, p.t
+    if fixed_g is not None and not (1 <= fixed_g <= k <= fixed_g * t):
         raise ParameterError(
-            "worst-case search allocates the budget itself; pass per_group=None"
+            f"fixed group count g={fixed_g} incompatible with k={k}, t={t}"
         )
-    _check_among_live(p, adversary)
-    return adversary.factor, adversary.among_live, adversary.per_group_max, adversary.total
+    f, among, maxa, total = 1, 0, 0, 0
+    if adversary is not None:
+        if adversary.per_group is not None:
+            raise ParameterError(
+                "worst-case search allocates the budget itself; pass per_group=None"
+            )
+        _check_among_live(p, adversary)
+        f, among, maxa = adversary.factor, adversary.among_live, adversary.per_group_max
+        total = adversary.total
+    coeffs = [max(0, p.d - f * among - s) for s in range(k)]  # beta's factor at prefix s
+    cap = min(maxa, (t - 1) // f)  # the most misbehavers one group can hold
+
+    if fixed_g == k:
+        if total > k * cap:
+            raise InfeasibleError("adversary budget exceeds what single-node groups can hold")
+        ones = (1,) * k
+
+        def single_nodes(alpha, beta, beta_prime):
+            full = (t - 1) * beta_prime
+            values = [min(alpha, c * beta + full) for c in coeffs]
+            value = sum(values)
+            if not total:
+                return value, ones, (0,) * k
+            alloc = [0] * k
+            if cap == 1:
+                # Ties go to the later positions: a stable sort keeps them last.
+                hit = (t - f - 1) * beta_prime
+                deltas = [v - min(alpha, c * beta + hit) for v, c in zip(values, coeffs)]
+                chosen = sorted(range(k), key=deltas.__getitem__)[-total:]
+                for i in chosen:
+                    alloc[i] = 1
+                return value - sum([deltas[i] for i in chosen]), ones, tuple(alloc)
+            # best[r]: the minimum over the last positions with r misbehavers
+            # placed there, at most cap in each; choice[r] is its smallest argmin.
+            collab = [(t - f * a - 1) * beta_prime for a in range(cap + 1)]
+            best: list = [0]
+            choices = []
+            for i in range(k - 1, -1, -1):
+                live = coeffs[i] * beta
+                terms = [min(alpha, live + c) for c in collab]
+                rest = (k - 1 - i) * cap
+                size = min(total, rest + cap) + 1
+                nxt, choice = [None] * size, [0] * size
+                for r in range(size):
+                    a = r - rest if r > rest else 0
+                    low, arg = terms[a] + best[r - a], a
+                    for a in range(a + 1, (r if r < cap else cap) + 1):
+                        cand = terms[a] + best[r - a]
+                        if cand < low:
+                            low, arg = cand, a
+                    nxt[r], choice[r] = low, arg
+                best = nxt
+                choices.append(choice)
+            r = total
+            for i, choice in enumerate(reversed(choices)):
+                alloc[i] = choice[r]
+                r -= alloc[i]
+            return best[total], ones, tuple(alloc)
+
+        return single_nodes
+
+    if not total and fixed_g is None:
+
+        def partitions(alpha, beta, beta_prime):
+            collab = [c * beta_prime for c in range(t)]
+            value: list = [None] * k + [0]
+            choice = [0] * k
+            for s in range(k - 1, -1, -1):
+                live = coeffs[s] * beta
+                low = None
+                for u in range(1, min(t, k - s) + 1):
+                    cand = u * min(alpha, live + collab[t - u]) + value[s + u]
+                    if low is None or cand < low:
+                        low, arg = cand, u
+                value[s] = low
+                choice[s] = arg
+            groups, s = [], 0
+            while s < k:
+                groups.append(choice[s])
+                s += choice[s]
+            return value[0], tuple(groups), (0,) * len(groups)
+
+        return partitions
+
+    step = 0 if fixed_g is None else 1  # groups used stays 0 when g is free
+
+    def general(alpha, beta, beta_prime):
+        # memo[(prefix, groups used, budget left)] = (value, (u, a))
+        memo: dict[tuple[int, int, int], tuple] = {(k, fixed_g or 0, 0): (0, None)}
+        collab = [c * beta_prime for c in range(t)]
+
+        def best(key: tuple[int, int, int]):
+            s, parts, r = key
+            u_lo, u_hi = 1, min(t, k - s)
+            if fixed_g is not None:  # the groups left must fit the nodes left
+                rest = fixed_g - parts - 1
+                u_lo, u_hi = max(u_lo, k - s - rest * t), min(u_hi, k - s - rest)
+            live = coeffs[s] * beta
+            low = arg = None
+            for u in range(u_lo, u_hi + 1):
+                room = cap * (k - s - u if fixed_g is None else rest)  # in the groups to come
+                for a in range(max(0, r - room), min(maxa, r, (t - u) // f) + 1):
+                    child = (s + u, parts + step, r - a)
+                    sub = memo[child][0] if child in memo else best(child)
+                    if sub is None:
+                        continue
+                    cand = u * min(alpha, live + collab[t - f * a - u]) + sub
+                    if low is None or cand < low:
+                        low, arg = cand, (u, a)
+            memo[key] = (low, arg)
+            return low
+
+        value = best((0, 0, total))
+        if value is None:
+            raise InfeasibleError("no admissible partition/allocation for this search")
+        groups, alloc = [], []
+        s, parts, r = 0, 0, total
+        while s < k:
+            u, a = memo[(s, parts, r)][1]
+            groups.append(u)
+            alloc.append(a)
+            s, parts, r = s + u, parts + step, r - a
+        return value, tuple(groups), tuple(alloc)
+
+    return general
 
 
 def worst_case_capacity(
@@ -151,214 +289,9 @@ def worst_case_capacity(
     InfeasibleError when no admissible partition/allocation exists
     (e.g. the budget cannot be placed under the per-group cap).
     """
-    f, among, maxa, total = _validate_search(p, adversary, fixed_g)
-    k, t, d = p.k, p.t, p.d
-    alpha, beta, beta_prime = p.alpha, p.beta, p.beta_prime
-
-    def term(s: int, u: int, a: int) -> Fraction:
-        bw = max(0, d - f * among - s) * beta + max(0, t - f * a - u) * beta_prime
-        return u * min(alpha, bw)
-
-    @cache
-    def best(s: int, parts: int, r: int) -> Optional[Fraction]:
-        if s == k:
-            if r == 0 and (fixed_g is None or parts == fixed_g):
-                return Fraction(0)
-            return None
-        if fixed_g is not None and parts >= fixed_g:
-            return None
-        result: Optional[Fraction] = None
-        for u in range(1, min(t, k - s) + 1):
-            if fixed_g is not None:
-                rem_groups = fixed_g - parts - 1
-                rem_k = k - s - u
-                if rem_k < rem_groups or rem_k > rem_groups * t:
-                    continue
-            a_hi = min(maxa, r)
-            if adversary is not None and f:
-                a_hi = min(a_hi, (t - u) // f)
-            for a in range(a_hi + 1):
-                sub = best(s + u, parts + 1, r - a)
-                if sub is None:
-                    continue
-                cand = term(s, u, a) + sub
-                if result is None or cand < result:
-                    result = cand
-        return result
-
-    value = best(0, 0, total)
-    if value is None:
-        raise InfeasibleError("no admissible partition/allocation for this search")
-
-    groups: list[int] = []
-    alloc: list[int] = []
-    s, parts, r = 0, 0, total
-    while s < k:
-        target = best(s, parts, r)
-        for u in range(1, min(t, k - s) + 1):
-            if fixed_g is not None:
-                rem_groups = fixed_g - parts - 1
-                rem_k = k - s - u
-                if rem_k < rem_groups or rem_k > rem_groups * t:
-                    continue
-            a_hi = min(maxa, r)
-            if adversary is not None and f:
-                a_hi = min(a_hi, (t - u) // f)
-            chosen = None
-            for a in range(a_hi + 1):
-                sub = best(s + u, parts + 1, r - a)
-                if sub is not None and term(s, u, a) + sub == target:
-                    chosen = a
-                    break
-            if chosen is not None:
-                groups.append(u)
-                alloc.append(chosen)
-                s, parts, r = s + u, parts + 1, r - chosen
-                break
-        else:  # pragma: no cover - reconstruction always succeeds
-            raise AssertionError("witness reconstruction failed")
-    best.cache_clear()
-    witness_alloc = tuple(alloc) if adversary is not None else None
-    return value, GroupPartition(tuple(groups)), witness_alloc
-
-
-class _Evaluator:
-    """Capacity value for fixed search structure, fast enough for grids.
-
-    Arithmetic is type-generic: called with floats inside the optimizer
-    and with Fractions when exactness is wanted.
-    """
-
-    def __init__(
-        self,
-        p: SystemParams,
-        adversary: Optional[AdversaryProfile],
-        fixed_g: Optional[int],
-    ):
-        self.f, self.among, self.maxa, self.total = _validate_search(p, adversary, fixed_g)
-        self.k, self.t, self.d = p.k, p.t, p.d
-        self.fixed_g = fixed_g
-        self.has_adv = adversary is not None and self.total > 0
-        if self.has_adv and fixed_g == p.k:
-            if self.t - self.f < 1:
-                raise InfeasibleError("budget cannot be placed in single-node groups")
-            if self.total > p.k * min(self.maxa, (self.t - 1) // self.f):
-                raise InfeasibleError("adversary budget exceeds what groups can hold")
-        if fixed_g == p.k:
-            self._mode = "ones"
-        elif not self.has_adv and fixed_g is None:
-            self._mode = "partitions"
-        else:
-            self._mode = "general"
-
-    def value(self, alpha, beta, beta_prime):
-        if self._mode == "ones":
-            return self._ones(alpha, beta, beta_prime)
-        if self._mode == "partitions":
-            return self._partitions(alpha, beta, beta_prime)
-        return self._general(alpha, beta, beta_prime)
-
-    def _ones(self, alpha, beta, beta_prime):
-        d_eff = self.d - self.f * self.among
-        full = (self.t - 1) * beta_prime
-        values = [
-            min(alpha, max(0, d_eff - i) * beta + full) for i in range(self.k)
-        ]
-        total_v = sum(values)
-        if not self.has_adv:
-            return total_v
-        if self.maxa == 1:
-            hit = max(0, self.t - self.f - 1) * beta_prime
-            deltas = [
-                v - min(alpha, max(0, d_eff - i) * beta + hit)
-                for i, v in enumerate(values)
-            ]
-            deltas.sort()
-            return total_v - sum(deltas[-self.total :])
-        return self._ones_budget_dp(alpha, beta, beta_prime, d_eff)
-
-    def _ones_budget_dp(self, alpha, beta, beta_prime, d_eff):
-        a_cap = min(self.maxa, (self.t - 1) // self.f)
-        INF = float("inf")
-        value = [INF] * (self.total + 1)
-        value[0] = 0
-        for i in range(self.k - 1, -1, -1):
-            live = max(0, d_eff - i) * beta
-            terms = [
-                min(alpha, live + max(0, self.t - self.f * a - 1) * beta_prime)
-                for a in range(a_cap + 1)
-            ]
-            nxt = [INF] * (self.total + 1)
-            for r in range(self.total + 1):
-                best = INF
-                for a in range(min(a_cap, r) + 1):
-                    prev = value[r - a]
-                    if prev is not INF:
-                        cand = terms[a] + prev
-                        if cand < best:
-                            best = cand
-                nxt[r] = best
-            value = nxt
-        if value[self.total] is INF:
-            raise InfeasibleError("adversary budget cannot be placed")
-        return value[self.total]
-
-    def _partitions(self, alpha, beta, beta_prime):
-        k, t = self.k, self.t
-        d_eff = self.d - self.f * self.among
-        value = [None] * (k + 1)
-        value[k] = 0
-        for s in range(k - 1, -1, -1):
-            live = max(0, d_eff - s) * beta
-            best = None
-            for u in range(1, min(t, k - s) + 1):
-                cand = u * min(alpha, live + (t - u) * beta_prime) + value[s + u]
-                if best is None or cand < best:
-                    best = cand
-            value[s] = best
-        return value[0]
-
-    def _general(self, alpha, beta, beta_prime):
-        k, t, d = self.k, self.t, self.d
-        f, among, maxa, total = self.f, self.among, self.maxa, self.total
-        fixed_g = self.fixed_g
-        memo: dict[tuple[int, int, int], object] = {}
-
-        def best(s, parts, r):
-            if s == k:
-                if r == 0 and (fixed_g is None or parts == fixed_g):
-                    return 0
-                return None
-            if fixed_g is not None and parts >= fixed_g:
-                return None
-            key = (s, parts, r)
-            if key in memo:
-                return memo[key]
-            result = None
-            for u in range(1, min(t, k - s) + 1):
-                if fixed_g is not None:
-                    rem_groups = fixed_g - parts - 1
-                    rem_k = k - s - u
-                    if rem_k < rem_groups or rem_k > rem_groups * t:
-                        continue
-                a_hi = min(maxa, r)
-                if self.has_adv and f:
-                    a_hi = min(a_hi, (t - u) // f)
-                live = max(0, d - f * among - s) * beta
-                for a in range(a_hi + 1):
-                    sub = best(s + u, parts + 1, r - a)
-                    if sub is None:
-                        continue
-                    cand = u * min(alpha, live + max(0, t - f * a - u) * beta_prime) + sub
-                    if result is None or cand < result:
-                        result = cand
-            memo[key] = result
-            return result
-
-        out = best(0, 0, total)
-        if out is None:
-            raise InfeasibleError("no admissible partition/allocation for this search")
-        return out
+    search = _cut_search(p, adversary, fixed_g)
+    value, groups, alloc = search(p.alpha, p.beta, p.beta_prime)
+    return value, GroupPartition(groups), None if adversary is None else alloc
 
 
 def supremum_capacity(
@@ -397,7 +330,7 @@ def default_alpha_grid(
     return [lo + step * i for i in range(points)]
 
 
-def _grid_search(ev, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
+def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     """Refined grid minimization of gamma over the feasible region.
 
     ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
@@ -407,7 +340,7 @@ def _grid_search(ev, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     (b_min, b_max), (p_min, p_max) = bounds
 
     def feasible(b, bp):
-        return ev.value(alpha, b, bp) >= feas_floor
+        return search(alpha, b, bp)[0] >= feas_floor
 
     best = None  # (gamma, beta, beta_prime)
     if warm is not None and b_min <= warm[0] <= b_max and p_min <= warm[1] <= p_max:
@@ -480,7 +413,7 @@ def optimize_gamma(
     if supremum_capacity(base, adversary, fixed_g) < p.B:
         raise InfeasibleError("capacity cannot reach the object size at this alpha")
 
-    ev = _Evaluator(base, adversary, fixed_g)
+    search = _cut_search(base, adversary, fixed_g)
     alpha_f, B_f = float(alpha), float(p.B)
 
     best = None
@@ -488,7 +421,7 @@ def optimize_gamma(
         (lo_b, hi_b), (lo_p, hi_p) = bandwidth_box
         bounds = ((float(lo_b), float(hi_b)), (float(lo_p), float(hi_p)))
         best = _grid_search(
-            ev, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
+            search, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
         )
         if best is None:
             raise InfeasibleError(
@@ -502,7 +435,7 @@ def optimize_gamma(
         for _ in range(_MAX_BOX_EXPANSIONS):
             bounds = ((0.0, beta_hi), (0.0, bp_hi))
             best = _grid_search(
-                ev, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
+                search, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
             )
             if best is not None:
                 near_edge_b = best[1] > beta_hi * 0.98

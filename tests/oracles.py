@@ -43,9 +43,11 @@ def allocations(g, total, maxa):
             yield (a,) + rest
 
 
-def oracle_value(p, adv, fixed_g):
-    """Minimum cut bound by exhaustive enumeration; None when the
-    adversary budget cannot be placed feasibly."""
+def oracle_search(p, adv, fixed_g):
+    """(value, groups, allocation) of the minimum cut bound by exhaustive
+    enumeration, ties going to the lexicographically smallest sequence
+    u_0, a_0, u_1, a_1, ...; None when the adversary budget cannot be
+    placed feasibly."""
     f = adv.factor if adv else 1
     among = adv.among_live if adv else 0
     maxa = adv.per_group_max if adv else 0
@@ -62,9 +64,22 @@ def oracle_value(p, adv, fixed_g):
                 bw += max(0, p.t - f * a - u) * p.beta_prime
                 value += u * min(p.alpha, bw)
                 prefix += u
-            if best is None or value < best:
-                best = value
+            if best is None or value < best[0] or (
+                value == best[0] and _interleave(groups, alloc) < _interleave(*best[1:])
+            ):
+                best = (value, groups, alloc)
     return best
+
+
+def _interleave(groups, alloc):
+    return tuple(x for pair in zip(groups, alloc) for x in pair)
+
+
+def oracle_value(p, adv, fixed_g):
+    """Minimum cut bound by exhaustive enumeration; None when the
+    adversary budget cannot be placed feasibly."""
+    best = oracle_search(p, adv, fixed_g)
+    return None if best is None else best[0]
 
 
 def _solve_subset(columns, rhs_rows):

@@ -1,8 +1,16 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from collabregen.cli import CSV_HEADER, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -106,6 +114,23 @@ class TestTradeoff:
         assert len(attacked) == len(baseline) == 3
         assert all(a >= b for a, b in zip(attacked, baseline))
 
+    def test_sweep_script_writes_the_cli_csv(self, capsys, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        script = ROOT / "scripts" / "run_tradeoff_sweeps.py"
+        subprocess.run(
+            [sys.executable, str(script), "--points", "2", "--outdir", str(tmp_path)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        assert len(list(tmp_path.glob("*.csv"))) == 8
+        code, out, _ = run(
+            capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
+            "--fixed-g", "32", "--alpha-points", "2",
+        )
+        assert code == 0
+        assert (tmp_path / "attack_baseline_g32.csv").read_bytes() == out.encode()
+
     def test_infeasible_grid_exits_two(self, capsys):
         code, _, err = run(
             capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
@@ -206,3 +231,21 @@ class TestSimulate:
     def test_negative_generations_exits_one(self, capsys, tmp_path):
         err = self.malformed(capsys, tmp_path, '{"generations": -3}')
         assert "generations must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"behaviors": [1]}',
+            '{"behavior_overrides": [1]}',
+            '{"behavior_overrides": {"0": [1]}}',
+            '{"failure_schedule": 5}',
+            '{"failure_schedule": [5]}',
+            '{"assumed_polluters": "x", "behaviors": {"1": "polluting"}}',
+            '{"code": {"m": "8"}}',
+            '{"seed": [1]}',
+            '{"pollute_collection": "yes"}',
+        ],
+    )
+    def test_mistyped_field_exits_one(self, capsys, tmp_path, text):
+        err = self.malformed(capsys, tmp_path, text)
+        assert next(iter(json.loads(text))) in err  # the message names the field

@@ -18,7 +18,7 @@ from collabregen.capacity import (
 )
 from collabregen.tradeoff import (
     SweepConfig,
-    _Evaluator,
+    _cut_search,
     default_alpha_grid,
     optimize_gamma,
     supremum_capacity,
@@ -27,7 +27,7 @@ from collabregen.tradeoff import (
 )
 
 
-from oracles import oracle_value
+from oracles import oracle_search, oracle_value
 
 
 def params(k, d, t, B=0, alpha=0, beta=0, beta_prime=0):
@@ -120,20 +120,31 @@ class TestWorstCaseCapacity:
         assert check == value
 
 
-class TestEvaluatorAgreesWithExactSearch:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+class TestSearchAgreesWithOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
-    def test_fast_paths_match_dp(self, data):
+    def test_exact_and_float_search_match_oracle(self, data):
         k = data.draw(st.integers(2, 8))
         t = data.draw(st.integers(2, 4))
         d = data.draw(st.integers(k, k + 4))
-        mode = data.draw(st.sampled_from(["ones-noadv", "ones-selfish", "ones-polluting", "worst"]))
+        modes = ["ones-noadv", "ones-selfish", "ones-polluting", "ones-capped", "worst", "dp"]
+        mode = data.draw(st.sampled_from(modes))
         fixed_g = k if mode.startswith("ones") else None
         adv = None
         if mode == "ones-selfish":
             adv = selfish(1, maxa=1, total=data.draw(st.integers(0, k)))
         elif mode == "ones-polluting" and t >= 3:
             adv = polluting(min(1, d // 2), maxa=1, total=data.draw(st.integers(0, k)))
+        elif mode == "ones-capped":  # more than one per group: the budget loop
+            t = data.draw(st.integers(3, 5))
+            maxa = data.draw(st.integers(2, 3))
+            mk = data.draw(st.sampled_from([selfish, polluting]))
+            adv = mk(1, maxa=maxa, total=data.draw(st.integers(0, k * maxa)))
+        elif mode == "dp":  # a budget or a group count below k: the memoised DP
+            fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+            mk = data.draw(st.sampled_from([selfish, polluting]))
+            adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(0, 2)),
+                     total=data.draw(st.integers(0, 4)))
         p = params(
             k=k,
             d=d,
@@ -142,14 +153,16 @@ class TestEvaluatorAgreesWithExactSearch:
             beta=data.draw(st.fractions(min_value=0, max_value=2, max_denominator=8)),
             beta_prime=data.draw(st.fractions(min_value=0, max_value=2, max_denominator=8)),
         )
+        expected = oracle_search(p, adv, fixed_g)
         try:
-            ev = _Evaluator(p, adv, fixed_g)
+            search = _cut_search(p, adv, fixed_g)
+            value, groups, alloc = search(p.alpha, p.beta, p.beta_prime)
         except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                worst_case_capacity(p, adv, fixed_g)
+            assert expected is None
             return
-        value, _, _ = worst_case_capacity(p, adv, fixed_g)
-        assert ev.value(p.alpha, p.beta, p.beta_prime) == value
+        assert (value, groups, alloc) == expected  # the value is oracle_value's
+        approx, _, _ = search(float(p.alpha), float(p.beta), float(p.beta_prime))
+        assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
 
 
 class TestOptimizer:
