@@ -11,15 +11,21 @@ strategy picked from the shape of the search:
   saving from one misbehaver, or a loop over positions and budget left
   when a group can hold more than one;
 * no budget and a free group count: a loop over prefix sums;
-* otherwise a memoised DP over (prefix sum of group sizes, groups used,
-  budget left), groups used in the key only when ``fixed_g`` is set.
+* otherwise a DP over (prefix sum of group sizes, groups used, budget
+  left), filled from the longest prefix down, groups used in the key
+  only when ``fixed_g`` is set.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
-The capacity is concave and piecewise linear in (beta, beta'), so the
-feasible set is convex and upward closed; a coarse grid with iterated
-local refinement converges.  Grid searching runs on floats for speed;
-every returned point is re-certified with exact rational arithmetic.
+A 21 x 21 grid over the search window is refined around its best cell
+for a few rounds.  The float search is built from sums, nonnegative
+multiples and minimums, so it never falls as beta or beta' grows, even
+under rounding: the feasible cells form a staircase, which each round
+walks with at most one search per row and column (the single-node sort
+subtracts savings, monotone only in exact arithmetic; no case is known
+where rounding breaks the staircase).  Grid searching runs on floats
+for speed; every returned point is re-certified with exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -169,7 +175,7 @@ def _cut_search(
 
         def single_nodes(alpha, beta, beta_prime):
             full = (t - 1) * beta_prime
-            values = [min(alpha, c * beta + full) for c in coeffs]
+            values = [x if (x := c * beta + full) < alpha else alpha for c in coeffs]
             value = sum(values)
             if not total:
                 return value, ones, (0,) * k
@@ -177,7 +183,10 @@ def _cut_search(
             if cap == 1:
                 # Ties go to the later positions: a stable sort keeps them last.
                 hit = (t - f - 1) * beta_prime
-                deltas = [v - min(alpha, c * beta + hit) for v, c in zip(values, coeffs)]
+                deltas = [
+                    v - (x if (x := c * beta + hit) < alpha else alpha)
+                    for v, c in zip(values, coeffs)
+                ]
                 chosen = sorted(range(k), key=deltas.__getitem__)[-total:]
                 for i in chosen:
                     alloc[i] = 1
@@ -189,7 +198,7 @@ def _cut_search(
             choices = []
             for i in range(k - 1, -1, -1):
                 live = coeffs[i] * beta
-                terms = [min(alpha, live + c) for c in collab]
+                terms = [x if (x := live + c) < alpha else alpha for c in collab]
                 rest = (k - 1 - i) * cap
                 size = min(total, rest + cap) + 1
                 nxt, choice = [None] * size, [0] * size
@@ -221,7 +230,8 @@ def _cut_search(
                 live = coeffs[s] * beta
                 low = None
                 for u in range(1, min(t, k - s) + 1):
-                    cand = u * min(alpha, live + collab[t - u]) + value[s + u]
+                    x = live + collab[t - u]
+                    cand = u * (x if x < alpha else alpha) + value[s + u]
                     if low is None or cand < low:
                         low, arg = cand, u
                 value[s] = low
@@ -237,32 +247,42 @@ def _cut_search(
     step = 0 if fixed_g is None else 1  # groups used stays 0 when g is free
 
     def general(alpha, beta, beta_prime):
-        # memo[(prefix, groups used, budget left)] = (value, (u, a))
+        # memo[(prefix, groups used, budget left)] = (value, (u, a)), filled
+        # from the longest prefix down (recursing once per group would
+        # overflow Python's stack at large k).  Each prefix takes every
+        # state within the group and budget bounds: a few more than the
+        # start reaches, and their children all lie within the bounds too.
         memo: dict[tuple[int, int, int], tuple] = {(k, fixed_g or 0, 0): (0, None)}
         collab = [c * beta_prime for c in range(t)]
-
-        def best(key: tuple[int, int, int]):
-            s, parts, r = key
-            u_lo, u_hi = 1, min(t, k - s)
-            if fixed_g is not None:  # the groups left must fit the nodes left
-                rest = fixed_g - parts - 1
-                u_lo, u_hi = max(u_lo, k - s - rest * t), min(u_hi, k - s - rest)
+        for s in range(k - 1, -1, -1):
             live = coeffs[s] * beta
-            low = arg = None
-            for u in range(u_lo, u_hi + 1):
-                room = cap * (k - s - u if fixed_g is None else rest)  # in the groups to come
-                for a in range(max(0, r - room), min(maxa, r, (t - u) // f) + 1):
-                    child = (s + u, parts + step, r - a)
-                    sub = memo[child][0] if child in memo else best(child)
-                    if sub is None:
-                        continue
-                    cand = u * min(alpha, live + collab[t - f * a - u]) + sub
-                    if low is None or cand < low:
-                        low, arg = cand, (u, a)
-            memo[key] = (low, arg)
-            return low
+            # (groups used, most groups before, most after): the budget
+            # spent and the budget left are at most cap per group
+            if fixed_g is None:
+                layer = [(0, s, k - s)]
+            else:  # the groups left must fit the nodes left
+                lo, hi = max(-(-s // t), fixed_g - k + s), min(s, fixed_g + (s - k) // t)
+                layer = [(parts, parts, fixed_g - parts) for parts in range(lo, hi + 1)]
+            for parts, before, after in layer:
+                u_lo, u_hi = 1, min(t, k - s)
+                if fixed_g is not None:
+                    rest = fixed_g - parts - 1
+                    u_lo, u_hi = max(u_lo, k - s - rest * t), min(u_hi, k - s - rest)
+                for r in range(max(0, total - cap * before), min(total, cap * after) + 1):
+                    low = arg = None
+                    for u in range(u_lo, u_hi + 1):
+                        room = cap * (k - s - u if fixed_g is None else rest)  # in the groups to come
+                        for a in range(max(0, r - room), min(maxa, r, (t - u) // f) + 1):
+                            sub = memo[(s + u, parts + step, r - a)][0]
+                            if sub is None:
+                                continue
+                            x = live + collab[t - f * a - u]
+                            cand = u * (x if x < alpha else alpha) + sub
+                            if low is None or cand < low:
+                                low, arg = cand, (u, a)
+                    memo[(s, parts, r)] = (low, arg)
 
-        value = best((0, 0, total))
+        value = memo.get((0, 0, total), (None,))[0]
         if value is None:
             raise InfeasibleError("no admissible partition/allocation for this search")
         groups, alloc = [], []
@@ -334,8 +354,13 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     """Refined grid minimization of gamma over the feasible region.
 
     ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
-    are clipped back into it.  Refining stops once the grid spacing
-    bounds the gamma error below the requested relative tolerance."""
+    are clipped back into it.  Each round returns the feasible cell of
+    smallest (gamma, row-major index), the cell a scan in gamma order
+    would meet first.  Since ``search`` is non-decreasing in both
+    bandwidths, the feasible cells are upward closed and a staircase
+    walk finds that cell in at most len(bs) + len(ps) searches.
+    Refining stops once the grid spacing bounds the gamma error below
+    the requested relative tolerance."""
     feas_floor = B * (1.0 - 1e-12)
     (b_min, b_max), (p_min, p_max) = bounds
 
@@ -358,21 +383,25 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
             ps = [p_hi]
         else:
             ps = [p_lo]
-        cands = sorted(
-            ((d * b + (t - 1) * bp, b, bp) for b in bs for bp in ps),
-            key=lambda c: c[0],
-        )
-        found = None
-        for gamma, b, bp in cands:
-            if best is not None and gamma >= best[0]:
-                break
-            if feasible(b, bp):
-                found = (gamma, b, bp)
-                break
-        if found is None and best is None:
+        # Staircase walk from (smallest b, largest bp): a feasible cell
+        # steps down in bp, an infeasible one right in b.  A cell that
+        # cannot beat the best so far in (gamma, row-major index), the
+        # order of a stable sort by gamma, is passed as if feasible and
+        # not searched; a best from before this round wins all its ties.
+        row = None  # of the last cell found this round
+        i, j = 0, len(ps) - 1
+        while i < len(bs) and j >= 0:
+            b, bp = bs[i], ps[j]
+            gamma = d * b + (t - 1) * bp
+            if best is not None and (gamma > best[0] or gamma == best[0] and i != row):
+                j -= 1
+            elif feasible(b, bp):
+                best, row = (gamma, b, bp), i
+                j -= 1
+            else:
+                i += 1
+        if best is None:
             return None  # window holds nothing feasible
-        if found is not None:
-            best = found
         sb = (b_hi - b_lo) / (pts - 1)
         sp = (p_hi - p_lo) / (pts - 1) if len(ps) > 1 else 0.0
         err = d * sb + (t - 1) * sp

@@ -4,13 +4,16 @@ These deliberately share nothing with the package internals: plain
 enumeration of collector partitions and adversary placements, with the
 cut sum evaluated termwise; and exhaustive-subset Reed-Solomon decoding
 and object collection, built only on the public field and matrix API.
-The decoders cost C(N, kappa) solves, so keep them to small codes.
+The decoders cost C(N, kappa) solves, so keep them to small codes.  The
+grid optimizer's oracle scans every cell of each refinement round in
+gamma order; it shares only the grid-size constants with the package.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
 
 from collabregen.exactcode import AMBIGUOUS, ObjectMatrix
+from collabregen.tradeoff import _GRID_POINTS, _MAX_REFINEMENTS, _MIN_REFINEMENTS
 from collabregen.gf import (
     DecodeAmbiguityError,
     FieldElement,
@@ -141,3 +144,60 @@ def _dot(f, row, column):
     for r, c in zip(row, column):
         acc ^= f.mul(r, c.value)
     return acc
+
+
+def oracle_grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
+    """Refined grid minimization of gamma over the feasible region, each
+    round scanning every grid cell in gamma order (a stable sort, so ties
+    go to the smaller row-major index) until one is feasible.
+
+    ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
+    are clipped back into it.  Refining stops once the grid spacing
+    bounds the gamma error below the requested relative tolerance."""
+    feas_floor = B * (1.0 - 1e-12)
+    (b_min, b_max), (p_min, p_max) = bounds
+
+    def feasible(b, bp):
+        return search(alpha, b, bp)[0] >= feas_floor
+
+    best = None  # (gamma, beta, beta_prime)
+    if warm is not None and b_min <= warm[0] <= b_max and p_min <= warm[1] <= p_max:
+        if feasible(*warm):
+            best = (d * warm[0] + (t - 1) * warm[1], warm[0], warm[1])
+
+    b_lo, b_hi = b_min, b_max
+    p_lo, p_hi = p_min, p_max
+    pts = _GRID_POINTS
+    for round_no in range(_MAX_REFINEMENTS + 1):
+        bs = [b_lo + (b_hi - b_lo) * i / (pts - 1) for i in range(pts)]
+        if t > 1 and p_hi > p_lo:
+            ps = [p_lo + (p_hi - p_lo) * i / (pts - 1) for i in range(pts)]
+        elif t > 1 and p_hi > 0:
+            ps = [p_hi]
+        else:
+            ps = [p_lo]
+        cands = sorted(
+            ((d * b + (t - 1) * bp, b, bp) for b in bs for bp in ps),
+            key=lambda c: c[0],
+        )
+        found = None
+        for gamma, b, bp in cands:
+            if best is not None and gamma >= best[0]:
+                break
+            if feasible(b, bp):
+                found = (gamma, b, bp)
+                break
+        if found is None and best is None:
+            return None  # window holds nothing feasible
+        if found is not None:
+            best = found
+        sb = (b_hi - b_lo) / (pts - 1)
+        sp = (p_hi - p_lo) / (pts - 1) if len(ps) > 1 else 0.0
+        err = d * sb + (t - 1) * sp
+        if round_no >= _MIN_REFINEMENTS and best[0] > 0 and err <= tolerance * best[0]:
+            break
+        b_lo = max(b_min, best[1] - 2 * sb)
+        b_hi = min(b_max, best[1] + 2 * sb)
+        p_lo = max(p_min, best[2] - 2 * sp)
+        p_hi = min(p_max, best[2] + 2 * sp)
+    return best

@@ -172,7 +172,7 @@ def test_criterion_4_selfish_minimum_storage_bounds():
 
 
 def test_criterion_5a_collaboration_dominance():
-    with criterion(5, "(a) larger repair batches dominate, 64-point grid", 120.0):
+    with criterion(5, "(a) larger repair batches dominate, 64-point grid", 30.0):
         wide = params(k=32, d=48, t=1, B=32)
         grid = default_alpha_grid(wide, points=64)
         curves = {}
@@ -181,7 +181,7 @@ def test_criterion_5a_collaboration_dominance():
             curves[t] = sweep_curve(
                 SweepConfig(params(k=32, d=48, t=t, B=32), alpha_grid=grid, tolerance=OPT_TOL)
             )
-            assert time.perf_counter() - t0 < 120.0, f"t={t} sweep over budget"
+            assert time.perf_counter() - t0 < 30.0, f"t={t} sweep over budget"
             assert len(curves[t]) == 64
         for c1, c4, c8 in zip(curves[1], curves[4], curves[8]):
             assert c8.gamma_norm <= c4.gamma_norm * (1 + DOMINANCE_SLACK)
@@ -197,7 +197,7 @@ def _fixed_g_sweep(total=None, kind=AdversaryKind.SELFISH, grid=None):
 
 
 def test_criterion_5b_5c_adversarial_dominance():
-    with criterion(5, "(b)(c) attacked curves dominate, g=32 fixed", 240.0):
+    with criterion(5, "(b)(c) attacked curves dominate, g=32 fixed", 30.0):
         p = params(k=32, d=48, t=4, B=32)
         grid = default_alpha_grid(p, points=64)
         sweeps = {}
@@ -210,7 +210,7 @@ def test_criterion_5b_5c_adversarial_dominance():
         ):
             t0 = time.perf_counter()
             sweeps[name] = _fixed_g_sweep(total, kind, grid)
-            assert time.perf_counter() - t0 < 120.0, f"{name} sweep over budget"
+            assert time.perf_counter() - t0 < 30.0, f"{name} sweep over budget"
             assert len(sweeps[name]) == 64
         for i in range(64):
             base = sweeps["base"][i].gamma_norm

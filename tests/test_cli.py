@@ -131,6 +131,24 @@ class TestTradeoff:
         assert code == 0
         assert (tmp_path / "attack_baseline_g32.csv").read_bytes() == out.encode()
 
+    def test_large_k_adversary_sweep_exits_zero(self):
+        # The worst-case DP once recursed one level per group and ended
+        # this run in a RecursionError traceback.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "collabregen", "tradeoff", "--d", "1300", "--k", "1200",
+             "--t", "2", "--adversary", "selfish", "--L0", "0", "--lmax", "1",
+             "--Ltotal", "1", "--alpha-points", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 2
+        assert lines[1].endswith("|".join(["1"] * 1200))
+
     def test_infeasible_grid_exits_two(self, capsys):
         code, _, err = run(
             capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",

@@ -11,14 +11,20 @@ from collabregen.capacity import (
     AdversaryProfile,
     GroupPartition,
     InfeasibleError,
+    ParameterError,
     SystemParams,
     mbr_point,
     mincut_single,
     msr_point,
 )
+from collabregen import tradeoff
 from collabregen.tradeoff import (
+    _GRID_POINTS,
+    _MAX_REFINEMENTS,
     SweepConfig,
     _cut_search,
+    _grid_search,
+    characteristic_bandwidth_box,
     default_alpha_grid,
     optimize_gamma,
     supremum_capacity,
@@ -27,7 +33,7 @@ from collabregen.tradeoff import (
 )
 
 
-from oracles import oracle_search, oracle_value
+from oracles import oracle_grid_search, oracle_search, oracle_value
 
 
 def params(k, d, t, B=0, alpha=0, beta=0, beta_prime=0):
@@ -165,6 +171,137 @@ class TestSearchAgreesWithOracle:
         assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
 
 
+def search_window(p, adv, open_box, grow=1):
+    """The float bounds optimize_gamma hands to _grid_search: the
+    characteristic window, or the open box after ``grow`` doublings."""
+    if open_box:
+        beta_hi = 2.0 * float(mbr_point(p)[1]) * grow
+        bp_hi = 2.0 * float(msr_point(p)[2]) * grow if p.t > 1 else 0.0
+        return (0.0, beta_hi), (0.0, bp_hi)
+    (lo_b, hi_b), (lo_p, hi_p) = characteristic_bandwidth_box(p, adv)
+    return (float(lo_b), float(hi_b)), (float(lo_p), float(hi_p))
+
+
+class TestGridWalkMatchesSortedScan:
+    """The staircase walk of _grid_search returns what scanning every grid
+    cell in gamma order returns (oracles.oracle_grid_search)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_real_searches(self, data):
+        k = data.draw(st.integers(2, 7))
+        t = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(k, k + 4))
+        mode = data.draw(st.sampled_from(["free", "ones", "ones-capped", "dp"]))
+        fixed_g, adv = None, None
+        if mode == "ones":  # the sort over single-node groups (cap 1)
+            fixed_g = k
+            mk = data.draw(st.sampled_from([None, selfish, polluting]))
+            if mk is not None and t >= 3:
+                adv = mk(1, maxa=1, total=data.draw(st.integers(0, k)))
+        elif mode == "ones-capped":  # the budget loop (cap 2..3)
+            fixed_g, t = k, data.draw(st.integers(3, 5))
+            maxa = data.draw(st.integers(2, 3))
+            mk = data.draw(st.sampled_from([selfish, polluting]))
+            adv = mk(1, maxa=maxa, total=data.draw(st.integers(0, k * maxa)))
+        elif mode == "dp":  # a budget with groups of any size: the DP
+            t = data.draw(st.integers(2, 4))
+            fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+            mk = polluting if t >= 3 and data.draw(st.booleans()) else selfish
+            adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
+                     total=data.draw(st.integers(1, 3)))
+        p = params(k=k, d=d, t=t, B=k)
+        level = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        alpha = 1 + level * (mbr_point(p)[0] - 1)
+        try:
+            search = _cut_search(p.with_point(alpha, 0, 0), adv, fixed_g)
+            search(1.0, 0.0, 0.0)
+        except InfeasibleError:  # a budget that cannot be placed
+            return
+        grow = 2 ** data.draw(st.integers(0, 2))
+        try:
+            bounds = search_window(p, adv, data.draw(st.booleans()), grow)
+        except (InfeasibleError, ParameterError):  # no characteristic window
+            bounds = search_window(p, adv, True, grow)
+        warm = None
+        if data.draw(st.booleans()):
+            (b_lo, b_hi), (p_lo, p_hi) = bounds
+            x, y = data.draw(st.tuples(*[st.floats(0, 1.1)] * 2))
+            warm = (b_lo + x * (b_hi - b_lo), p_lo + y * (p_hi - p_lo))
+        tolerance = data.draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
+        args = (search, float(alpha), float(p.B), d, t, bounds, warm, tolerance)
+        assert _grid_search(*args) == oracle_grid_search(*args)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_threshold_sets_with_gamma_ties(self, data):
+        # Feasible cells: the union of the quadrants above a few corners.  On
+        # a dyadic grid with integer weights, gamma ties are exact and common;
+        # a beta scale far above the beta' one ties whole rows.
+        d = data.draw(st.integers(1, 3))
+        t = data.draw(st.integers(1, 4))
+        scale = st.sampled_from([-3, 0, 2, 60])
+        sb, sp = (2.0 ** e for e in data.draw(st.tuples(scale, scale)))
+        point = st.tuples(st.integers(0, 20), st.integers(0, 20))
+        corners = [(x * sb, y * sp)
+                   for x, y in data.draw(st.lists(point, min_size=1, max_size=4))]
+
+        def search(alpha, b, bp):
+            hit = any(b >= x and bp >= y for x, y in corners)
+            return (1.0 if hit else 0.0), (), ()
+
+        warm = data.draw(st.one_of(st.none(), point))
+        if warm is not None:
+            warm = (warm[0] * sb, warm[1] * sp)
+        bounds = ((0.0, 20 * sb), (0.0, 20 * sp))
+        tolerance = data.draw(st.sampled_from([1e-1, 1e-4]))
+        args = (search, 0.0, 1.0, d, t, bounds, warm, tolerance)
+        assert _grid_search(*args) == oracle_grid_search(*args)
+
+    def test_ties_go_to_the_smaller_row_major_index(self):
+        # gamma = b + bp; corners (1, 3) and (3, 1) tie at gamma 4, and the
+        # smaller beta comes first in row-major order.
+        def search(alpha, b, bp):
+            return (1.0 if (b >= 1 and bp >= 3) or (b >= 3 and bp >= 1) else 0.0), (), ()
+
+        bounds = ((0.0, 20.0), (0.0, 20.0))
+        best = _grid_search(search, 0.0, 1.0, 1, 2, bounds, tolerance=1.0)
+        assert best == (4.0, 1.0, 3.0)
+        assert best == oracle_grid_search(search, 0.0, 1.0, 1, 2, bounds, tolerance=1.0)
+
+    @pytest.mark.parametrize("case", ["collab_t4", "collab_t1", "selfish16_g32", "dp_warm"])
+    def test_float_searches_per_round(self, case, monkeypatch):
+        # With the round limit at n, the first n rounds run exactly as with
+        # any higher limit, so the count differences are per-round counts.
+        t = {"collab_t1": 1, "dp_warm": 2}.get(case, 4)
+        p = params(k=32, d=48, t=t, B=32)
+        adv = fixed_g = warm = None
+        if case == "selfish16_g32":
+            adv, fixed_g = selfish(1, maxa=1, total=16), 32
+        elif case == "dp_warm":
+            adv = selfish(1, maxa=1, total=8)
+        alpha = F(5, 4)
+        search = _cut_search(p.with_point(alpha, 0, 0), adv, fixed_g)
+        bounds = search_window(p, adv, open_box=fixed_g is None)
+        if case == "dp_warm":
+            lower = _cut_search(p.with_point(F(6, 5), 0, 0), adv, fixed_g)
+            warm = _grid_search(lower, 1.2, 32.0, 48, t, bounds)[1:]
+        counts = []
+        for rounds in range(_MAX_REFINEMENTS + 1):
+            monkeypatch.setattr(tradeoff, "_MAX_REFINEMENTS", rounds)
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return search(*args)
+
+            _grid_search(counted, 1.25, 32.0, 48, t, bounds, warm=warm)
+            counts.append(len(calls))
+        per_round = [counts[0] - (warm is not None)]
+        per_round += [b - a for a, b in zip(counts, counts[1:])]
+        assert 0 < max(per_round) <= _GRID_POINTS + (_GRID_POINTS if t > 1 else 1)
+
+
 class TestOptimizer:
     def setup_method(self):
         self.p = params(k=32, d=48, t=4, B=32)
@@ -249,3 +386,15 @@ class TestSweep:
     def test_supremum_blocks_hopeless_alpha(self):
         p = params(k=4, d=5, t=2, B=4, alpha=F(3, 4))
         assert supremum_capacity(p) == 3
+
+
+def test_large_k_search_does_not_recurse():
+    # The DP once recursed one level per group: RecursionError at k=1200.
+    # With beta' = 0 the budget costs nothing and single-node groups are
+    # the worst case, each term min(alpha, (d - s) * beta).
+    p = params(k=1200, d=1300, t=2, B=1200, alpha=1, beta=F(1, 1000), beta_prime=0)
+    value, part, alloc = worst_case_capacity(p, selfish(0, maxa=1, total=1))
+    assert value == sum(min(F(1), F(1300 - s, 1000)) for s in range(1200))
+    assert value == worst_case_capacity(p)[0]  # the prefix-sum strategy
+    assert part == GroupPartition.all_ones(1200)
+    assert alloc == (0,) * 1199 + (1,)  # ties to the smallest a, placed last
