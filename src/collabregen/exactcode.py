@@ -50,6 +50,7 @@ from .gf import (
     FieldMatrix,
     GF,
     RsCode,
+    dot,
     rs_decode,
 )
 
@@ -165,29 +166,18 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
         raise ValueError("object and code use different fields")
     f = code.field
     rows = obj.pieces.int_rows()
-    blocks = []
-    for pos in range(code.n):
-        col = code.column(pos)
-        col_vals = [c.value for c in col]
-        payload = []
-        for row in rows:
-            acc = 0
-            for coeff, cv in zip(row, col_vals):
-                if coeff and cv:
-                    acc ^= f.mul(coeff, cv)
-            payload.append(FieldElement(acc, f))
-        blocks.append(NodeBlock(pos + 1, col, tuple(payload)))
-    return blocks
+    return [
+        NodeBlock(pos + 1, code.column(pos), tuple(_eval_row(f, row, col) for row in rows))
+        for pos, col in enumerate(code.column_values)
+    ]
 
 
 def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     f = blocks[0].payload[0].field
-    kappa = len(blocks[0].column)
-    cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks]).transpose()
+    # columns^T . O^T = payload rows: the block columns are the rows
+    cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
     rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
-    # columns^T . O^T = payload rows
-    o_t = cols.transpose().solve(rhs)
-    return ObjectMatrix(o_t.transpose())
+    return ObjectMatrix(cols.solve(rhs).transpose())
 
 
 def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
@@ -209,15 +199,8 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
 
 def _apply_column(obj: ObjectMatrix, column: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     f = obj.pieces.field
-    col_vals = [c.value for c in column]
-    out = []
-    for row in obj.pieces.int_rows():
-        acc = 0
-        for coeff, cv in zip(row, col_vals):
-            if coeff and cv:
-                acc ^= f.mul(coeff, cv)
-        out.append(FieldElement(acc, f))
-    return tuple(out)
+    col = [c.value for c in column]
+    return tuple(_eval_row(f, row, col) for row in obj.pieces.int_rows())
 
 
 def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
@@ -388,7 +371,7 @@ class RepairReport:
 
 
 def _behavior(behaviors: Mapping[int, Behavior], node_id: int) -> Behavior:
-    return Behavior(behaviors.get(node_id, Behavior.HONEST))
+    return behaviors.get(node_id, Behavior.HONEST)
 
 
 def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
@@ -418,12 +401,13 @@ def _row_answer(
     return true
 
 
-def _decode_row(code: RsCode, equations: dict[int, FieldElement]) -> tuple[FieldElement, ...]:
+def _decode_row(code: RsCode, equations: dict[int, FieldElement]) -> list[int]:
     """Solve one object row from (position -> evaluation) equations."""
     try:
-        return rs_decode(code, sorted(equations.items()))
+        row = rs_decode(code, sorted(equations.items()))
     except DecodeError as exc:
         raise RepairFailureError(f"row decoding failed: {exc}") from exc
+    return [v.value for v in row]
 
 
 def collaborative_repair(
@@ -439,13 +423,13 @@ def collaborative_repair(
     """Two-phase repair of ``failed_ids`` from the live blocks.
 
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
-    id they replace) to Behavior; missing ids are honest.
+    id they replace) to a Behavior or its string; missing ids are honest.
     ``assumed_polluters`` is the number of polluting live nodes the
     repair procedure plans for (downloads escalate by two contacts per
     assumed polluter); it defaults to the actual count in ``behaviors``,
     and 0 disables the escalation entirely (a trusting repair).
     """
-    behaviors = dict(behaviors or {})
+    behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     rng = random.Random(seed)
     live = sorted(live_blocks, key=lambda b: b.node_id)
     if len({b.node_id for b in live}) != len(live):
@@ -580,7 +564,7 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
         key = (carrier, beneficiary)
         report.exchanges[key] = report.exchanges.get(key, 0) + 1
 
-    rows: dict[int, tuple[FieldElement, ...]] = {}
+    rows: dict[int, list[int]] = {}
     for j, f in enumerate(failed):
         if len(equations[f]) < kappa:
             raise RepairFailureError(f"row of node {f} has too few equations")
@@ -591,16 +575,10 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
     cross_ledger = report.completion if relays else report.exchanges
     payloads: dict[int, list[Optional[FieldElement]]] = {f: [None] * t for f in failed}
     for j, f in enumerate(failed):
-        own_col = code.column(f - 1)
-        payloads[f][j] = _eval_row(rows[f], own_col)
-        for i, peer in enumerate(failed):
-            if peer == f:
-                continue
-            piece = _eval_row(rows[f], code.column(peer - 1))
-            payloads[peer][j] = piece
-            if t > 1:
-                key = (f, peer)
-                cross_ledger[key] = cross_ledger.get(key, 0) + 1
+        for peer in failed:
+            payloads[peer][j] = _eval_row(code.field, rows[f], code.column_values[peer - 1])
+            if peer != f:
+                cross_ledger[(f, peer)] = cross_ledger.get((f, peer), 0) + 1
 
     return [
         NodeBlock(f, code.column(f - 1), tuple(payloads[f]))  # type: ignore[arg-type]
@@ -608,13 +586,9 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
     ]
 
 
-def _eval_row(row: Sequence[FieldElement], column: Sequence[FieldElement]) -> FieldElement:
-    f = row[0].field
-    acc = 0
-    for r, c in zip(row, column):
-        if r.value and c.value:
-            acc ^= f.mul(r.value, c.value)
-    return FieldElement(acc, f)
+def _eval_row(f: GF, row: Sequence[int], column: Sequence[int]) -> FieldElement:
+    """The piece an object row contributes to a block at ``column``."""
+    return FieldElement(dot(f, row, column), f)
 
 
 def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed, rng, report):
@@ -639,11 +613,11 @@ def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed
                 eqs[b.position] = ans
                 report.downloads[f][b.node_id] = report.downloads[f].get(b.node_id, 0) + 1
             rows.append(_decode_row(code, eqs))
-        column = code.column(f - 1)
-        payload = tuple(_eval_row(row, column) for row in rows)
+        column = code.column_values[f - 1]
+        payload = tuple(_eval_row(code.field, row, column) for row in rows)
         if _behavior(behaviors, f) is Behavior.POLLUTING:
             payload = tuple(_wrong_symbol(p, rng) for p in payload)
-        new_blocks.append(NodeBlock(f, column, payload))
+        new_blocks.append(NodeBlock(f, code.column(f - 1), payload))
     return new_blocks
 
 
@@ -666,7 +640,7 @@ def progressive_repair_with_digests(
     merely to outvote bad ones.  Fails only when the live set is
     exhausted without a verified assembly.
     """
-    behaviors = dict(behaviors or {})
+    behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     rng = random.Random(seed)
     live = sorted(live_blocks, key=lambda b: b.node_id)
     if not live:
@@ -720,7 +694,7 @@ def progressive_repair_with_digests(
         for f in failed:
             report.contacted[f] = tuple(b.node_id for b in live[:contact_count])
         result = _try_verified_assembly(
-            code, failed, byz, needed, equations, digests, kappa, t, report
+            code, failed, byz, needed, equations, digests, kappa, report
         )
         if result is not None:
             # a polluting newcomer stores garbage even after a verified repair
@@ -745,23 +719,24 @@ def progressive_repair_with_digests(
         contact_count += 1
 
 
-def _try_verified_assembly(code, failed, byz, needed, equations, digests, kappa, t, report):
+def _try_verified_assembly(code, failed, byz, needed, equations, digests, kappa, report):
     position_sets = [set(eqs.keys()) for eqs in equations.values()]
     positions = sorted(set.intersection(*position_sets)) if position_sets else []
     if len(positions) < kappa:
         return None
     honest = [f for f in failed if f not in byz]
     for subset in combinations(positions, kappa):
-        rows: dict[tuple[int, int], tuple[FieldElement, ...]] = {}
+        rows: dict[tuple[int, int], list[int]] = {}
         ok = True
         for f in failed:
             for r in needed[f]:
                 eqs = equations[(f, r)]
                 try:
-                    rows[(f, r)] = rs_decode(code, [(p, eqs[p]) for p in subset])
+                    row = rs_decode(code, [(p, eqs[p]) for p in subset])
                 except DecodeError:
                     ok = False
                     break
+                rows[(f, r)] = [v.value for v in row]
             if not ok:
                 break
         if not ok:
@@ -775,14 +750,12 @@ def _try_verified_assembly(code, failed, byz, needed, equations, digests, kappa,
         blocks = []
         verified = True
         for f in failed:
-            column = code.column(f - 1)
-            payload: list[Optional[FieldElement]] = [None] * t
-            for i, peer in enumerate(failed):
-                if (f, i) in rows:
-                    payload[i] = _eval_row(rows[(f, i)], column)
-                else:
-                    payload[i] = _eval_row(rows[(peer, i)], column)
-            block = NodeBlock(f, column, tuple(payload))  # type: ignore[arg-type]
+            column = code.column_values[f - 1]
+            payload = tuple(
+                _eval_row(code.field, rows[(f, i) if (f, i) in rows else (peer, i)], column)
+                for i, peer in enumerate(failed)
+            )
+            block = NodeBlock(f, code.column(f - 1), payload)
             if not digests.verify(block):
                 verified = False
                 break

@@ -2,10 +2,13 @@
 
 Elements are polynomial-basis bit vectors reduced modulo a fixed primitive
 polynomial per field size, so bit patterns are reproducible across runs.
-Includes dense matrices over a field (Gaussian elimination solve) and
-Reed-Solomon codes with joint erasure/error decoding by Gao's algorithm,
-O(n^2) field operations per word, certified against the distance bound
-n_s + 2*n_b <= n - kappa.
+Below the element API, values are ints and a product is one lookup in the
+field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
+column application and matrix products, and ``_interpolate`` is Gao's
+interpolation step, O(N^2) lookups.  Includes dense matrices over a field
+(Gaussian elimination solve) and Reed-Solomon codes with joint
+erasure/error decoding by Gao's algorithm, O(n^2) field operations per
+word, certified against the distance bound n_s + 2*n_b <= n - kappa.
 
 Everything here is pure and deterministic; fields and elements are
 immutable and freely shareable across threads.
@@ -14,6 +17,7 @@ immutable and freely shareable across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 # One primitive polynomial per supported m; x is a generator of the
@@ -148,6 +152,17 @@ def field(m: int) -> GF:
         f = GF(m)
         _FIELD_CACHE[m] = f
     return f
+
+
+def dot(f: GF, a: Iterable[int], b: Iterable[int]) -> int:
+    """sum_i a_i * b_i over f: one exp[log a + log b] lookup per nonzero
+    term (the exp table is doubled, so a sum of two logs needs no modulo)."""
+    exp, log = f._exp, f._log
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc ^= exp[log[x] + log[y]]
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,18 +331,8 @@ class FieldMatrix:
         f = self.field
         a, b = self._data, other._data
         n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = 0
-                for s in range(k):
-                    av = arow[s]
-                    if av:
-                        bv = b[s * m + j]
-                        if bv:
-                            acc ^= f.mul(av, bv)
-                out[i * m + j] = acc
+        bcols = [b[j::m] for j in range(m)]
+        out = [dot(f, a[i * k:(i + 1) * k], bcol) for i in range(n) for bcol in bcols]
         return FieldMatrix(f, n, m, out)
 
     def solve(self, rhs: "FieldMatrix") -> "FieldMatrix":
@@ -339,6 +344,7 @@ class FieldMatrix:
         if rhs.rows != self.rows:
             raise ValueError("right-hand side row count does not match")
         f = self.field
+        exp, log, size = f._exp, f._log, f.order - 1
         n, w = self.rows, rhs.cols
         aug = [
             self._data[i * n:(i + 1) * n] + rhs._data[i * w:(i + 1) * w]
@@ -350,13 +356,12 @@ class FieldMatrix:
                 raise SingularMatrixError(f"singular at column {col}")
             if pivot != col:
                 aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = f.inv(aug[col][col])
-            aug[col] = [f.mul(inv_p, v) for v in aug[col]]
-            prow = aug[col]
+            scale = size - log[aug[col][col]]  # log of the pivot's inverse
+            prow = aug[col] = [exp[scale + log[v]] if v else 0 for v in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [v ^ f.mul(factor, pv) for v, pv in zip(aug[r], prow)]
+                    lf = log[aug[r][col]]
+                    aug[r] = [v ^ exp[lf + log[pv]] if pv else v for v, pv in zip(aug[r], prow)]
         data = [aug[i][n + j] for i in range(n) for j in range(w)]
         return FieldMatrix(f, n, w, data)
 
@@ -414,26 +419,25 @@ class RsCode:
     def generator_matrix(self) -> FieldMatrix:
         return FieldMatrix.vandermonde(self.evaluation_points, self.kappa)
 
+    @cached_property
+    def column_values(self) -> tuple[tuple[int, ...], ...]:
+        """The generator columns as ints, one per position, built once per code."""
+        return tuple(zip(*self.generator_matrix().int_rows()))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(v, self.field) for v in c) for c in self.column_values)
+
     def column(self, position: int) -> tuple[FieldElement, ...]:
         """Column of the generator matrix at a 0-based codeword position."""
-        x = self.evaluation_points[position]
-        return tuple(x ** j for j in range(self.kappa))
+        return self._columns[position]
 
     def encode(self, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         if len(message) != self.kappa:
             raise ValueError(f"message must have {self.kappa} symbols")
         f = self.field
         msg = [m.value for m in message]
-        out = []
-        for p in self.evaluation_points:
-            acc = 0
-            xp = 1
-            for coeff in msg:
-                if coeff:
-                    acc ^= f.mul(coeff, xp)
-                xp = f.mul(xp, p.value)
-            out.append(FieldElement(acc, f))
-        return tuple(out)
+        return tuple(FieldElement(dot(f, msg, col), f) for col in self.column_values)
 
 
 def rs_encode(code: RsCode, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -458,7 +462,8 @@ def rs_decode(
     implied erasure/error counts satisfy n_s + 2*n_b <= n - kappa, which
     makes it the unique codeword in that radius.  Otherwise a
     DecodeAmbiguityError is raised, so a corruption beyond the bound is
-    flagged rather than silently decoded.
+    flagged rather than silently decoded.  With exactly kappa symbols
+    the interpolant is the message, certified with no errors.
     """
     f = code.field
     seen: dict[int, int] = {}
@@ -481,33 +486,59 @@ def rs_decode(
     radius = code.n - kappa
     points = [code.evaluation_points[pos].value for pos in seen]
     values = list(seen.values())
-    msg = _gao(f, points, values, kappa)
-    if msg is not None:
-        errs = sum(1 for x, y in zip(points, values) if _poly_eval(f, msg, x) != y)
-        if n_s + 2 * errs <= radius:
-            return tuple(FieldElement(v, f) for v in msg + [0] * (kappa - len(msg)))
-    raise DecodeAmbiguityError(f"no codeword within n_s + 2*n_b <= {radius} (n_s={n_s})")
+    g0, msg = _interpolate(f, points, values)
+    # with exactly kappa symbols Euclid takes no step and the interpolant
+    # agrees with every symbol: it is the message, with no errors to count
+    if len(points) > kappa:
+        msg = _gao(f, g0, msg, kappa)
+        if msg is None or n_s + 2 * sum(
+            _poly_eval(f, msg, x) != y for x, y in zip(points, values)
+        ) > radius:
+            raise DecodeAmbiguityError(f"no codeword within n_s + 2*n_b <= {radius} (n_s={n_s})")
+    return tuple(FieldElement(v, f) for v in msg + [0] * (kappa - len(msg)))
 
 
 # Polynomials below are int coefficient lists over one field, lowest
 # degree first, with no trailing zeros (the zero polynomial is []).
+# Products are exp[log a + log b] lookups guarded against a zero factor,
+# whose log entry is a placeholder.
 
 
-def _gao(f: GF, points: list[int], values: list[int], kappa: int) -> Optional[list[int]]:
-    """Gao's decoder: the message polynomial within (N - kappa)/2 errors
-    of ``values`` at ``points``, or None when there is none."""
-    g0 = [1]  # prod (x - a_i)
-    for a in points:
-        g0 = _poly_mul(f, g0, [a, 1])
-    g1: list[int] = []  # interpolant: sum_i y_i * L_i(x)
+def _interpolate(f: GF, points: list[int], values: list[int]) -> tuple[list[int], list[int]]:
+    """(g0, g1): the master polynomial g0 = prod_i (x - a_i) of the N
+    distinct ``points`` and the interpolant g1, of degree < N, of
+    ``values`` there, in O(N^2) table lookups.  g1 = sum_i y_i q_i / q_i(a_i)
+    for q_i = g0 / (x - a_i): one synthetic division per point gives q_i
+    and, by Horner's rule in the same pass, q_i(a_i)."""
+    exp, log, size = f._exp, f._log, f.order - 1
+    g0 = [1]
+    for a in points:  # g0 *= x + a
+        la = log[a]
+        g0 = [lo ^ exp[la + log[hi]] if a and hi else lo for lo, hi in zip([0] + g0, g0 + [0])]
+    n = len(points)
+    g1 = [0] * n
     for a, y in zip(points, values):
-        if y:
-            basis = _poly_divmod(f, g0, [a, 1])[0]  # prod_{j != i} (x - a_j)
-            w = f.div(y, _poly_eval(f, basis, a))
-            g1 = _poly_add(g1, [f.mul(w, c) for c in basis])
+        if not y:
+            continue
+        la, q = log[a], [0] * n
+        q[-1] = c = h = 1  # q_i is monic; h runs Horner's rule on it
+        for k in range(n - 1, 0, -1):
+            q[k - 1] = c = g0[k] ^ exp[la + log[c]] if a and c else g0[k]
+            h = exp[la + log[h]] ^ c if a and h else c
+        lw = (log[y] - log[h]) % size  # log of y / q_i(a_i)
+        g1 = [g ^ exp[lw + log[c]] if c else g for g, c in zip(g1, q)]
+    while g1 and not g1[-1]:
+        g1.pop()
+    return g0, g1
+
+
+def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:
+    """Gao's decoder on the master polynomial g0 of N points and the
+    interpolant g1 of a received word: the message polynomial within
+    (N - kappa)/2 errors of the word, or None when there is none."""
     # partial extended Euclid: r = u*g0 + v*g1, until deg r < (N + kappa)/2
     r0, r1, v0, v1 = g0, g1, [], [1]
-    while 2 * (len(r1) - 1) >= len(points) + kappa:
+    while 2 * (len(r1) - 1) >= len(g0) - 1 + kappa:
         q, rem = _poly_divmod(f, r0, r1)
         r0, r1, v0, v1 = r1, rem, v1, _poly_add(v0, _poly_mul(f, q, v1))
     msg, rem = _poly_divmod(f, r1, v1)
@@ -529,29 +560,34 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_mul(f: GF, a: list[int], b: list[int]) -> list[int]:
     """Product of two nonzero polynomials."""
+    exp, log = f._exp, f._log
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
+            lc = log[c]
             for j, d in enumerate(b):
-                out[i + j] ^= f.mul(c, d)
+                if d:
+                    out[i + j] ^= exp[lc + log[d]]
     return out
 
 
 def _poly_divmod(f: GF, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by the nonzero b."""
+    exp, log, size = f._exp, f._log, f.order - 1
     rem = a[:]
     db = len(b) - 1
     if len(rem) <= db:
         return [], rem
     quot = [0] * (len(rem) - db)
-    lead = b[-1]
+    llead = log[b[-1]]
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c:
-            c = f.div(c, lead)
-            quot[i - db] = c
-            for j, d in enumerate(b):
-                rem[i - db + j] ^= f.mul(c, d)
+            lq = (log[c] - llead) % size
+            quot[i - db] = exp[lq]
+            for j, d in enumerate(b, i - db):
+                if d:
+                    rem[j] ^= exp[lq + log[d]]
     rem = rem[:db]
     while rem and not rem[-1]:
         rem.pop()
@@ -559,7 +595,8 @@ def _poly_divmod(f: GF, a: list[int], b: list[int]) -> tuple[list[int], list[int
 
 
 def _poly_eval(f: GF, a: list[int], x: int) -> int:
-    acc = 0
+    exp, log = f._exp, f._log
+    lx, acc = log[x], 0
     for c in reversed(a):
-        acc = f.mul(acc, x) ^ c
+        acc = exp[lx + log[acc]] ^ c if x and acc else c
     return acc

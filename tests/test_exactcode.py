@@ -16,6 +16,8 @@ from collabregen.exactcode import (
     ObjectMatrix,
     RepairFailureError,
     RepairPolicy,
+    _apply_column,
+    _eval_row,
     collaborative_repair,
     collect,
     collect_robust,
@@ -193,6 +195,65 @@ class TestCollectRobustColumns:
         scaled[4] = corrupt(scaled[4], rng)
         got = collect_robust(scaled, max_polluters=1)
         assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
+
+def naive_apply(obj, column):
+    """Each object row times the column, by FieldElement arithmetic."""
+    f = obj.pieces.field
+    out = []
+    for r in range(obj.t):
+        acc = f.zero
+        for x, c in zip(obj.row(r), column):
+            acc = acc + x * c
+        out.append(acc)
+    return tuple(out)
+
+
+@st.composite
+def objects_and_columns(draw):
+    """An object over GF(2^m), m = 2..8, with zero entries drawn often, a
+    code at arbitrary distinct points, and one more arbitrary column."""
+    f = field(draw(st.integers(2, 8)))
+    symbol = st.one_of(st.just(0), st.integers(0, f.order - 1))
+    n = draw(st.integers(2, min(f.order, 8)))
+    kappa = draw(st.integers(1, n - 1))
+    t = draw(st.integers(1, 3))
+    points = draw(st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n, unique=True))
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    values = draw(st.lists(symbol, min_size=t * kappa, max_size=t * kappa))
+    column = tuple(f.element(v) for v in draw(st.lists(symbol, min_size=kappa, max_size=kappa)))
+    return ObjectMatrix(FieldMatrix(f, t, kappa, values)), code, column
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(objects_and_columns())
+def test_kernel_paths_match_naive_products(case):
+    obj, code, column = case
+    f = code.field
+    want = naive_apply(obj, column)
+    assert _apply_column(obj, column) == want
+    col = [c.value for c in column]
+    assert tuple(_eval_row(f, row, col) for row in obj.pieces.int_rows()) == want
+    blocks = encode_object(obj, code)
+    assert [b.node_id for b in blocks] == list(range(1, code.n + 1))
+    for pos, b in enumerate(blocks):
+        assert b.column == code.column(pos)
+        assert b.payload == naive_apply(obj, b.column)
+
+
+def test_string_behaviors_act_like_enums():
+    code, obj, blocks = demo_setup(seed=23)
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+    for as_enum in ({1: Behavior.POLLUTING}, {6: Behavior.SELFISH}, {7: Behavior.POLLUTING}):
+        as_str = {i: b.value for i, b in as_enum.items()}
+        runs = [
+            lambda bs: collaborative_repair(code, blocks[:5], [6, 7], bs, seed=4),
+            lambda bs: progressive_repair_with_digests(code, blocks[:5], [6, 7], bs, table, seed=4),
+        ]
+        for run in runs:
+            new_enum, report_enum = run(as_enum)
+            new_str, report_str = run(as_str)
+            assert new_str == new_enum and report_str == report_enum
 
 
 class TestHonestRepair:

@@ -9,11 +9,13 @@ decoder (``oracles.oracle_rs_decode``) for decoding.
 import random
 import time
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabregen import gf
 from collabregen.gf import (
     ERASED,
     DecodeAmbiguityError,
@@ -24,6 +26,7 @@ from collabregen.gf import (
     PRIMITIVE_POLYNOMIALS,
     RsCode,
     SingularMatrixError,
+    dot,
     field,
     gf_inv,
     gf_mul,
@@ -354,3 +357,140 @@ class TestLargeCodes:
             word[pos] = f.element(word[pos].value ^ 1)
         with pytest.raises(DecodeAmbiguityError):
             rs_decode(code, list(enumerate(word)))
+
+
+# --- the table-driven kernel against naive FieldElement arithmetic ---
+
+FIELD_EXPONENTS = st.integers(2, 8)
+
+
+def symbols(f):
+    """Field values with zero drawn often, so the zero guards are hit."""
+    return st.one_of(st.just(0), st.integers(0, f.order - 1))
+
+
+def naive_dot(f, a, b):
+    acc = f.zero
+    for x, y in zip(a, b):
+        acc = acc + f.element(x) * f.element(y)
+    return acc.value
+
+
+def naive_matmul(a, b):
+    return [
+        [naive_dot(a.field, a.int_rows()[i], b.transpose().int_rows()[j]) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+class TestKernelMatchesNaive:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(FIELD_EXPONENTS, st.data())
+    def test_dot(self, m, data):
+        f = field(m)
+        size = data.draw(st.integers(0, 10))
+        a = data.draw(st.lists(symbols(f), min_size=size, max_size=size))
+        b = data.draw(st.lists(symbols(f), min_size=size, max_size=size))
+        assert dot(f, a, b) == naive_dot(f, a, b)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(FIELD_EXPONENTS, st.data())
+    def test_poly_eval(self, m, data):
+        f = field(m)
+        coeffs = data.draw(st.lists(symbols(f), max_size=8))
+        x = data.draw(symbols(f))
+        want = naive_dot(f, coeffs, [(f.element(x) ** j).value for j in range(len(coeffs))])
+        assert gf._poly_eval(f, coeffs, x) == want
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(FIELD_EXPONENTS, st.data())
+    def test_encode(self, m, data):
+        f = field(m)
+        n = data.draw(st.integers(2, min(f.order, 10)))
+        kappa = data.draw(st.integers(1, n - 1))
+        points = data.draw(
+            st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n, unique=True)
+        )
+        code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+        message = data.draw(st.lists(symbols(f), min_size=kappa, max_size=kappa))
+        powers = [[f.element(p) ** j for j in range(kappa)] for p in points]
+        want = [naive_dot(f, message, [x.value for x in col]) for col in powers]
+        assert [s.value for s in code.encode([f.element(v) for v in message])] == want
+        assert code.column_values == tuple(tuple(x.value for x in col) for col in powers)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(FIELD_EXPONENTS, st.data())
+    def test_matmul_and_solve(self, m, data):
+        f = field(m)
+        n, k, w = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a = FieldMatrix(f, n, k, data.draw(st.lists(symbols(f), min_size=n * k, max_size=n * k)))
+        b = FieldMatrix(f, k, w, data.draw(st.lists(symbols(f), min_size=k * w, max_size=k * w)))
+        assert (a @ b).int_rows() == naive_matmul(a, b)
+        square = FieldMatrix(f, k, k, data.draw(st.lists(symbols(f), min_size=k * k, max_size=k * k)))
+        try:
+            x = square.solve(b)
+        except SingularMatrixError:
+            return
+        assert naive_matmul(square, x) == b.int_rows()
+
+
+@st.composite
+def kappa_symbol_words(draw):
+    """A code whose points include 0, and exactly kappa received symbols,
+    the one at point 0 among them, often all zero; the other positions
+    are erased or absent.  As (code, received)."""
+    f = field(draw(st.sampled_from([2, 3, 4, 5])))
+    n = draw(st.integers(2, min(f.order, 9)))
+    kappa = draw(st.integers(1, n - 1))
+    points = draw(st.lists(st.integers(1, f.order - 1), min_size=n - 1, max_size=n - 1, unique=True))
+    zero_at = draw(st.integers(0, n - 1))
+    points.insert(zero_at, 0)
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    others = draw(st.permutations([i for i in range(n) if i != zero_at]))
+    kept = [zero_at] + others[: kappa - 1]
+    values = draw(st.one_of(st.just([0] * kappa), st.lists(symbols(f), min_size=kappa, max_size=kappa)))
+    received = [(pos, f.element(v)) for pos, v in zip(kept, values)]
+    received += [(pos, ERASED) for pos in others[kappa - 1:] if draw(st.booleans())]
+    return code, draw(st.permutations(received))
+
+
+def count_recounts(decode, code, received):
+    """(result or "flagged", number of symbols the error recount evaluated)."""
+    with mock.patch.object(gf, "_poly_eval", wraps=gf._poly_eval) as spy:
+        got = decode_or_flag(decode, code, received)
+    return got, spy.call_count
+
+
+class TestExactKappaPath:
+    """Exactly kappa symbols return the interpolant; more still go through
+    Gao's Euclid steps and the error recount."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(kappa_symbol_words())
+    def test_interpolant_matches_exhaustive_oracle(self, case):
+        code, received = case
+        got, recounted = count_recounts(rs_decode, code, received)
+        assert got == oracle_rs_decode(code, received)
+        assert recounted == 0
+        word = rs_encode(code, got)
+        assert all(word[pos] == sym for pos, sym in received if sym is not None)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(noisy_words())
+    def test_more_symbols_are_recounted(self, case):
+        code, _, received, _ = case
+        available = sum(1 for _, sym in received if sym is not None)
+        got, recounted = count_recounts(rs_decode, code, received)
+        assert got == decode_or_flag(oracle_rs_decode, code, received)
+        if available > code.kappa and got != "flagged":
+            assert recounted == available
+
+    def test_beyond_radius_with_extra_symbols_flagged(self):
+        # (8,2) over GF(16) at points 0..7, 5 symbols, 2 of them wrong:
+        # n_s + 2*n_b = 3 + 4 > 6, and no codeword is within the radius
+        f = field(4)
+        code = RsCode(f, 8, 2, tuple(f.element(p) for p in range(8)))
+        word = rs_encode(code, (f.element(5), f.element(3)))
+        received = [(pos, f.element(word[pos].value ^ (pos < 2))) for pos in range(5)]
+        assert decode_or_flag(oracle_rs_decode, code, received) == "flagged"
+        assert decode_or_flag(rs_decode, code, received) == "flagged"
