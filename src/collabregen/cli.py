@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +67,16 @@ def _positive_fraction(text: str) -> Fraction:
     value = _fraction(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
     return value
 
 
@@ -344,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha-points", dest="alpha_points", type=int, default=64)
     p.add_argument("--alpha-min", dest="alpha_min", type=_fraction, default=None)
     p.add_argument("--alpha-max", dest="alpha_max", type=_fraction, default=None)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.add_argument("--free-range", dest="free_range", action="store_true",
                    help="search beta, beta' >= 0 even with --fixed-g")
     p.add_argument("--out", default="-")

@@ -458,12 +458,12 @@ def rs_decode(
     interpolate the received word, run the extended Euclidean algorithm
     on it and the vanishing polynomial of the points until the remainder
     has degree below (N + kappa)/2, and divide the remainder by its
-    cofactor.  The result is accepted only if it is certified, i.e. the
-    implied erasure/error counts satisfy n_s + 2*n_b <= n - kappa, which
-    makes it the unique codeword in that radius.  Otherwise a
-    DecodeAmbiguityError is raised, so a corruption beyond the bound is
-    flagged rather than silently decoded.  With exactly kappa symbols
-    the interpolant is the message, certified with no errors.
+    cofactor.  Every result it returns is certified: its erasure/error
+    counts satisfy n_s + 2*n_b <= n - kappa (see ``_gao``), which makes
+    it the unique codeword in that radius.  When no codeword is that
+    close a DecodeAmbiguityError is raised, so a corruption beyond the
+    bound is flagged rather than silently decoded.  With exactly kappa
+    symbols the interpolant is the message, certified with no errors.
     """
     f = code.field
     seen: dict[int, int] = {}
@@ -482,8 +482,6 @@ def rs_decode(
         raise InsufficientSymbolsError(
             f"{len(seen)} symbols available, need at least {kappa}"
         )
-    n_s = code.n - len(seen)
-    radius = code.n - kappa
     points = [code.evaluation_points[pos].value for pos in seen]
     values = list(seen.values())
     g0, msg = _interpolate(f, points, values)
@@ -491,10 +489,11 @@ def rs_decode(
     # agrees with every symbol: it is the message, with no errors to count
     if len(points) > kappa:
         msg = _gao(f, g0, msg, kappa)
-        if msg is None or n_s + 2 * sum(
-            _poly_eval(f, msg, x) != y for x, y in zip(points, values)
-        ) > radius:
-            raise DecodeAmbiguityError(f"no codeword within n_s + 2*n_b <= {radius} (n_s={n_s})")
+        if msg is None:
+            n_s = code.n - len(points)
+            raise DecodeAmbiguityError(
+                f"no codeword within n_s + 2*n_b <= {code.n - kappa} (n_s={n_s})"
+            )
     return tuple(FieldElement(v, f) for v in msg + [0] * (kappa - len(msg)))
 
 
@@ -536,7 +535,11 @@ def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]
     """Gao's decoder on the master polynomial g0 of N points and the
     interpolant g1 of a received word: the message polynomial within
     (N - kappa)/2 errors of the word, or None when there is none."""
-    # partial extended Euclid: r = u*g0 + v*g1, until deg r < (N + kappa)/2
+    # partial extended Euclid: r = u*g0 + v*g1, until deg r < (N + kappa)/2.
+    # The message needs no error recount: deg v1 = N - deg r0 <= (N - kappa)/2
+    # when Euclid stops, and r1 = v1*g1 at every point, so msg = r1/v1 can
+    # disagree with the word only at roots of v1, at most (N - kappa)/2 of
+    # them; that is n_s + 2*n_b <= n - kappa.
     r0, r1, v0, v1 = g0, g1, [], [1]
     while 2 * (len(r1) - 1) >= len(g0) - 1 + kappa:
         q, rem = _poly_divmod(f, r0, r1)
@@ -592,11 +595,3 @@ def _poly_divmod(f: GF, a: list[int], b: list[int]) -> tuple[list[int], list[int
     while rem and not rem[-1]:
         rem.pop()
     return quot, rem
-
-
-def _poly_eval(f: GF, a: list[int], x: int) -> int:
-    exp, log = f._exp, f._log
-    lx, acc = log[x], 0
-    for c in reversed(a):
-        acc = exp[lx + log[acc]] ^ c if x and acc else c
-    return acc

@@ -169,6 +169,8 @@ class ScenarioConfig:
             raise ValueError(f"assumed_polluters must be a nonnegative integer, got {assumed!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.object_id, str):
+            raise ValueError(f"object_id must be a string, got {self.object_id!r}")
         if not isinstance(self.pollute_collection, bool):
             raise ValueError(
                 f"pollute_collection must be true or false, got {self.pollute_collection!r}"

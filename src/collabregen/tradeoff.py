@@ -4,8 +4,9 @@
 data-collector partition and, under an adversary, over every placement
 of the misbehaving-newcomer budget, and returns a minimizing witness,
 ties broken toward the lexicographically smallest partition.  One
-search serves it (on Fractions) and the optimizer (on floats), with a
-strategy picked from the shape of the search:
+search serves it (on ints: the rational point scaled by the lcm of its
+denominators) and the optimizer (on floats), with a strategy picked
+from the shape of the search:
 
 * single-node groups (``fixed_g == k``): a sort of each position's
   saving from one misbehaver, or a loop over positions and budget left
@@ -24,8 +25,9 @@ under rounding: the feasible cells form a staircase, which each round
 walks with at most one search per row and column (the single-node sort
 subtracts savings, monotone only in exact arithmetic; no case is known
 where rounding breaks the staircase).  Grid searching runs on floats
-for speed; every returned point is re-certified with exact rational
-arithmetic.
+for speed; every returned point is re-certified exactly by
+``worst_case_capacity``, which scales the rational point to integers
+(the bound is homogeneous of degree 1) and divides the result once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .capacity import (
@@ -308,10 +311,24 @@ def worst_case_capacity(
     allocation is None when no adversary is given.  Raises
     InfeasibleError when no admissible partition/allocation exists
     (e.g. the budget cannot be placed under the per-group cap).
+
+    The search runs exactly, on Python ints.  Every term of the bound is
+    u * min(c*beta + m*beta', alpha) with nonnegative integers u, c, m,
+    and the bound is their sum, so it is homogeneous of degree 1 in
+    (alpha, beta, beta').  Scaling all three by L, the lcm of their
+    denominators, multiplies every candidate by L and keeps every strict
+    comparison that picks an argmin or breaks a tie; the search on the
+    scaled ints returns L times the value, with the same witness.
     """
     search = _cut_search(p, adversary, fixed_g)
-    value, groups, alloc = search(p.alpha, p.beta, p.beta_prime)
-    return value, GroupPartition(groups), None if adversary is None else alloc
+    a, b, bp = p.alpha, p.beta, p.beta_prime
+    scale = lcm(a.denominator, b.denominator, bp.denominator)
+    value, groups, alloc = search(
+        a.numerator * (scale // a.denominator),
+        b.numerator * (scale // b.denominator),
+        bp.numerator * (scale // bp.denominator),
+    )
+    return Fraction(value, scale), GroupPartition(groups), None if adversary is None else alloc
 
 
 def supremum_capacity(

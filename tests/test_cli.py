@@ -149,6 +149,14 @@ class TestTradeoff:
         assert lines[0] == CSV_HEADER and len(lines) == 2
         assert lines[1].endswith("|".join(["1"] * 1200))
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-4", "x"])
+    def test_bad_tolerance_exits_one(self, capsys, tol):
+        code, out, err = run(
+            capsys, "tradeoff", "--d", "4", "--k", "3", "--t", "2",
+            "--alpha-points", "2", f"--tol={tol}",
+        )
+        assert code == 1 and out == "" and "--tol" in err
+
     def test_infeasible_grid_exits_two(self, capsys):
         code, _, err = run(
             capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
@@ -262,6 +270,7 @@ class TestSimulate:
             '{"code": {"m": "8"}}',
             '{"seed": [1]}',
             '{"pollute_collection": "yes"}',
+            '{"object_id": 5}',
         ],
     )
     def test_mistyped_field_exits_one(self, capsys, tmp_path, text):

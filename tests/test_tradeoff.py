@@ -126,31 +126,44 @@ class TestWorstCaseCapacity:
         assert check == value
 
 
+SEARCH_MODES = {
+    "single_nodes": ("ones-noadv", "ones-selfish", "ones-polluting", "ones-capped"),
+    "partitions": ("worst",),
+    "general": ("dp",),  # the memoised DP; the prefix loop when no budget and g is free
+}
+
+
+def draw_search_shape(data, modes=sum(SEARCH_MODES.values(), ())):
+    """(k, d, t, adversary, fixed_g) for one of ``modes``; the default
+    covers every strategy of _cut_search."""
+    k = data.draw(st.integers(2, 8))
+    t = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(k, k + 4))
+    mode = data.draw(st.sampled_from(modes))
+    fixed_g = k if mode.startswith("ones") else None
+    adv = None
+    if mode == "ones-selfish":
+        adv = selfish(1, maxa=1, total=data.draw(st.integers(0, k)))
+    elif mode == "ones-polluting" and t >= 3:
+        adv = polluting(min(1, d // 2), maxa=1, total=data.draw(st.integers(0, k)))
+    elif mode == "ones-capped":  # more than one per group: the budget loop
+        t = data.draw(st.integers(3, 5))
+        maxa = data.draw(st.integers(2, 3))
+        mk = data.draw(st.sampled_from([selfish, polluting]))
+        adv = mk(1, maxa=maxa, total=data.draw(st.integers(0, k * maxa)))
+    elif mode == "dp":  # a budget or a group count below k: the memoised DP
+        fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+        mk = data.draw(st.sampled_from([selfish, polluting]))
+        adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(0, 2)),
+                 total=data.draw(st.integers(0, 4)))
+    return k, d, t, adv, fixed_g
+
+
 class TestSearchAgreesWithOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_exact_and_float_search_match_oracle(self, data):
-        k = data.draw(st.integers(2, 8))
-        t = data.draw(st.integers(2, 4))
-        d = data.draw(st.integers(k, k + 4))
-        modes = ["ones-noadv", "ones-selfish", "ones-polluting", "ones-capped", "worst", "dp"]
-        mode = data.draw(st.sampled_from(modes))
-        fixed_g = k if mode.startswith("ones") else None
-        adv = None
-        if mode == "ones-selfish":
-            adv = selfish(1, maxa=1, total=data.draw(st.integers(0, k)))
-        elif mode == "ones-polluting" and t >= 3:
-            adv = polluting(min(1, d // 2), maxa=1, total=data.draw(st.integers(0, k)))
-        elif mode == "ones-capped":  # more than one per group: the budget loop
-            t = data.draw(st.integers(3, 5))
-            maxa = data.draw(st.integers(2, 3))
-            mk = data.draw(st.sampled_from([selfish, polluting]))
-            adv = mk(1, maxa=maxa, total=data.draw(st.integers(0, k * maxa)))
-        elif mode == "dp":  # a budget or a group count below k: the memoised DP
-            fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
-            mk = data.draw(st.sampled_from([selfish, polluting]))
-            adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(0, 2)),
-                     total=data.draw(st.integers(0, 4)))
+        k, d, t, adv, fixed_g = draw_search_shape(data)
         p = params(
             k=k,
             d=d,
@@ -169,6 +182,51 @@ class TestSearchAgreesWithOracle:
         assert (value, groups, alloc) == expected  # the value is oracle_value's
         approx, _, _ = search(float(p.alpha), float(p.beta), float(p.beta_prime))
         assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
+
+
+LARGE_PRIMES = (999_999_937, 1_000_000_007, 1_000_000_009, 2**31 - 1, 2**61 - 1)
+
+
+def exact_operands():
+    """Nonnegative rationals whose common denominator is large: zeros,
+    large coprime denominators, float-derived values down to 2**-60 and
+    one subnormal, and simple values nudged by 1 + 1/10**9 (as the
+    optimizer's certification does)."""
+    return st.one_of(
+        st.just(F(0)),
+        st.builds(lambda q, x: F(round(x * q), q), st.sampled_from(LARGE_PRIMES),
+                  st.floats(0, 3)),
+        st.floats(2.0**-60, 3).map(F),
+        st.sampled_from([F(2.0**-60), F(5e-324)]),
+        st.fractions(0, 3, max_denominator=8).map(lambda x: x * (1 + F(1, 10**9))),
+    )
+
+
+class TestScaledIntSearch:
+    """worst_case_capacity runs the search on the point scaled to ints;
+    it must return what the same search returns on Fractions."""
+
+    @pytest.mark.parametrize("strategy", SEARCH_MODES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_fraction_search(self, strategy, data):
+        k, d, t, adv, fixed_g = draw_search_shape(data, SEARCH_MODES[strategy])
+        p = params(
+            k=k, d=d, t=t,
+            alpha=data.draw(exact_operands()),
+            beta=data.draw(exact_operands()),
+            beta_prime=data.draw(exact_operands()),
+        )
+        try:
+            want = _cut_search(p, adv, fixed_g)(p.alpha, p.beta, p.beta_prime)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                worst_case_capacity(p, adv, fixed_g)
+            return
+        value, part, alloc = worst_case_capacity(p, adv, fixed_g)
+        assert type(value) is F and value == want[0]
+        assert part.groups == want[1]
+        assert alloc == (None if adv is None else want[2])
 
 
 def search_window(p, adv, open_box, grow=1):
