@@ -410,6 +410,34 @@ def _decode_row(code: RsCode, equations: dict[int, FieldElement]) -> list[int]:
     return [v.value for v in row]
 
 
+def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
+    """The checked inputs both repair entry points start from: behaviors
+    as enums, the seeded RNG, live blocks by id, failed ids sorted, and a
+    report with a download ledger per newcomer that measures the honest
+    ones."""
+    behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
+    live = sorted(live_blocks, key=lambda b: b.node_id)
+    live_ids = {b.node_id for b in live}
+    if len(live_ids) != len(live):
+        raise ValueError("duplicate live node ids")
+    if not live:
+        raise RepairFailureError("no live nodes")
+    t = len(live[0].payload)
+    failed = sorted(int(i) for i in failed_ids)
+    if len(failed) != t:
+        raise ValueError(f"expected {t} failed ids, got {len(failed)}")
+    if len(set(failed)) != t:
+        raise ValueError("duplicate failed ids")
+    if live_ids.intersection(failed):
+        raise ValueError("failed ids overlap live nodes")
+    if len(live) < code.kappa:
+        raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
+    report = RepairReport(unit_pieces=Fraction(t * code.kappa, code.kappa))
+    report.measured = tuple(f for f in failed if _behavior(behaviors, f) is Behavior.HONEST)
+    report.downloads = {f: {} for f in failed}
+    return behaviors, random.Random(seed), live, failed, report
+
+
 def collaborative_repair(
     code: RsCode,
     live_blocks: Sequence[NodeBlock],
@@ -429,35 +457,15 @@ def collaborative_repair(
     assumed polluter); it defaults to the actual count in ``behaviors``,
     and 0 disables the escalation entirely (a trusting repair).
     """
-    behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
-    rng = random.Random(seed)
-    live = sorted(live_blocks, key=lambda b: b.node_id)
-    if len({b.node_id for b in live}) != len(live):
-        raise ValueError("duplicate live node ids")
-    if not live:
-        raise RepairFailureError("no live nodes")
-    t = len(live[0].payload)
-    kappa = code.kappa
-    failed = sorted(int(i) for i in failed_ids)
-    if len(failed) != t:
-        raise ValueError(f"expected {t} failed ids, got {len(failed)}")
-    if set(failed) & {b.node_id for b in live}:
-        raise ValueError("failed ids overlap live nodes")
-    if len(live) < kappa:
-        raise RepairFailureError(f"{len(live)} live nodes, need at least {kappa}")
-
+    behaviors, rng, live, failed, report = _start_repair(
+        code, live_blocks, failed_ids, behaviors, seed
+    )
     polluting_live = sum(
         1 for b in live if _behavior(behaviors, b.node_id) is Behavior.POLLUTING
     )
     assumed = polluting_live if assumed_polluters is None else assumed_polluters
 
-    report = RepairReport(unit_pieces=Fraction(t * kappa, kappa))
-    byz_newcomers = [f for f in failed if _behavior(behaviors, f) is not Behavior.HONEST]
-    report.measured = tuple(f for f in failed if f not in byz_newcomers)
-    for f in failed:
-        report.downloads[f] = {}
-
-    if byz_newcomers:
+    if len(report.measured) < len(failed):  # a Byzantine newcomer
         new_blocks = _repair_without_collaboration(
             code, live, failed, behaviors, policy, assumed, rng, report
         )
@@ -640,26 +648,13 @@ def progressive_repair_with_digests(
     merely to outvote bad ones.  Fails only when the live set is
     exhausted without a verified assembly.
     """
-    behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
-    rng = random.Random(seed)
-    live = sorted(live_blocks, key=lambda b: b.node_id)
-    if not live:
-        raise RepairFailureError("no live nodes")
-    t = len(live[0].payload)
-    kappa = code.kappa
-    failed = sorted(int(i) for i in failed_ids)
-    if len(failed) != t:
-        raise ValueError(f"expected {t} failed ids, got {len(failed)}")
+    behaviors, rng, live, failed, report = _start_repair(
+        code, live_blocks, failed_ids, behaviors, seed
+    )
     if not digests.covers(failed):
         raise ValueError("digest table does not cover the failed nodes")
-    if len(live) < kappa:
-        raise RepairFailureError(f"{len(live)} live nodes, need at least {kappa}")
-
-    report = RepairReport(unit_pieces=Fraction(t * kappa, kappa))
-    byz = {f for f in failed if _behavior(behaviors, f) is not Behavior.HONEST}
-    report.measured = tuple(f for f in failed if f not in byz)
-    for f in failed:
-        report.downloads[f] = {}
+    t, kappa = len(failed), code.kappa
+    byz = set(failed) - set(report.measured)
 
     # rows each newcomer must solve itself: its own, plus rows owned by
     # Byzantine peers (their pieces will not arrive via collaboration)

@@ -26,12 +26,13 @@ from .exactcode import (
     ObjectMatrix,
     RepairFailureError,
     RepairPolicy,
+    _wrong_symbol,
     collaborative_repair,
     collect,
     encode_object,
     progressive_repair_with_digests,
 )
-from .gf import FieldElement, RsCode, field
+from .gf import RsCode, field
 
 
 def _is_int(value) -> bool:
@@ -190,6 +191,18 @@ class ScenarioConfig:
             "behavior_overrides",
             lambda m: _int_keyed(m, "an entry", Behavior),
         )
+        if min(self.behavior_overrides, default=0) < 0:
+            raise ValueError(
+                "behavior_overrides: generations must be nonnegative,"
+                f" got {sorted(self.behavior_overrides)}"
+            )
+        n = self.code.n
+        maps = [("behaviors", self.behaviors)]
+        maps += [(f"behavior_overrides[{g}]", m) for g, m in self.behavior_overrides.items()]
+        for what, m in maps:
+            strays = sorted(i for i in m if not 1 <= i <= n)
+            if strays:
+                raise ValueError(f"{what}: node ids {strays} outside 1..{n}")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -342,13 +355,13 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
                 beta_av=float(report.beta_av),
                 beta_prime=float(report.beta_prime),
                 gamma=float(report.gamma),
-                reconstruction_ok=_reconstruction_ok(cfg, code, obj, stored, behaviors, rng),
+                reconstruction_ok=_reconstruction_ok(cfg, obj, stored, behaviors, rng),
             )
         )
     return stats
 
 
-def _reconstruction_ok(cfg, code, obj, stored, behaviors, rng) -> bool:
+def _reconstruction_ok(cfg, obj, stored, behaviors, rng) -> bool:
     """Whether a collector reading the lowest-id nodes gets the object back."""
     ids = sorted(stored)[: cfg.code.kappa]
     answers = []
@@ -358,11 +371,7 @@ def _reconstruction_ok(cfg, code, obj, stored, behaviors, rng) -> bool:
             cfg.pollute_collection
             and behaviors.get(i, Behavior.HONEST) is Behavior.POLLUTING
         ):
-            f = code.field
-            payload = tuple(
-                FieldElement(p.value ^ rng.randrange(1, f.order), f)
-                for p in block.payload
-            )
+            payload = tuple(_wrong_symbol(p, rng) for p in block.payload)
             block = NodeBlock(block.node_id, block.column, payload)
         answers.append(block)
     try:

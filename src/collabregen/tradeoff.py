@@ -8,9 +8,8 @@ search serves it (on ints: the rational point scaled by the lcm of its
 denominators) and the optimizer (on floats), with a strategy picked
 from the shape of the search:
 
-* single-node groups (``fixed_g == k``): a sort of each position's
-  saving from one misbehaver, or a loop over positions and budget left
-  when a group can hold more than one;
+* single-node groups (``fixed_g == k``): a closed form, the budget
+  filling the last positions first;
 * no budget and a free group count: a loop over prefix sums;
 * otherwise a DP over (prefix sum of group sizes, groups used, budget
   left), filled from the longest prefix down, groups used in the key
@@ -22,10 +21,8 @@ A 21 x 21 grid over the search window is refined around its best cell
 for a few rounds.  The float search is built from sums, nonnegative
 multiples and minimums, so it never falls as beta or beta' grows, even
 under rounding: the feasible cells form a staircase, which each round
-walks with at most one search per row and column (the single-node sort
-subtracts savings, monotone only in exact arithmetic; no case is known
-where rounding breaks the staircase).  Grid searching runs on floats
-for speed; every returned point is re-certified exactly by
+walks with at most one search per row and column.  Grid searching runs
+on floats for speed; every returned point is re-certified exactly by
 ``worst_case_capacity``, which scales the rational point to integers
 (the bound is homogeneous of degree 1) and divides the result once.
 """
@@ -175,51 +172,20 @@ def _cut_search(
         if total > k * cap:
             raise InfeasibleError("adversary budget exceeds what single-node groups can hold")
         ones = (1,) * k
+        # Fill the last positions first: cap in each of the last total // cap,
+        # the remainder just before them.  With T_i(a) = min(c_i*beta +
+        # (t-1-f*a)*beta', alpha), min(., alpha) is concave, so the saving
+        # T_i(a-1) - T_i(a) never falls as a grows, nor as i grows (c_i never
+        # rises).  So sorting an allocation into non-decreasing order never
+        # lowers the saving, nor then does moving a unit from i to a later j
+        # below cap, which ends here; and this is the lexicographically
+        # smallest admissible allocation, the witness ties go to.
+        alloc = tuple(min(cap, max(0, total - cap * (k - 1 - i))) for i in range(k))
+        terms = [(c, t - f * a - 1) for c, a in zip(coeffs, alloc)]
 
         def single_nodes(alpha, beta, beta_prime):
-            full = (t - 1) * beta_prime
-            values = [x if (x := c * beta + full) < alpha else alpha for c in coeffs]
-            value = sum(values)
-            if not total:
-                return value, ones, (0,) * k
-            alloc = [0] * k
-            if cap == 1:
-                # Ties go to the later positions: a stable sort keeps them last.
-                hit = (t - f - 1) * beta_prime
-                deltas = [
-                    v - (x if (x := c * beta + hit) < alpha else alpha)
-                    for v, c in zip(values, coeffs)
-                ]
-                chosen = sorted(range(k), key=deltas.__getitem__)[-total:]
-                for i in chosen:
-                    alloc[i] = 1
-                return value - sum([deltas[i] for i in chosen]), ones, tuple(alloc)
-            # best[r]: the minimum over the last positions with r misbehavers
-            # placed there, at most cap in each; choice[r] is its smallest argmin.
-            collab = [(t - f * a - 1) * beta_prime for a in range(cap + 1)]
-            best: list = [0]
-            choices = []
-            for i in range(k - 1, -1, -1):
-                live = coeffs[i] * beta
-                terms = [x if (x := live + c) < alpha else alpha for c in collab]
-                rest = (k - 1 - i) * cap
-                size = min(total, rest + cap) + 1
-                nxt, choice = [None] * size, [0] * size
-                for r in range(size):
-                    a = r - rest if r > rest else 0
-                    low, arg = terms[a] + best[r - a], a
-                    for a in range(a + 1, (r if r < cap else cap) + 1):
-                        cand = terms[a] + best[r - a]
-                        if cand < low:
-                            low, arg = cand, a
-                    nxt[r], choice[r] = low, arg
-                best = nxt
-                choices.append(choice)
-            r = total
-            for i, choice in enumerate(reversed(choices)):
-                alloc[i] = choice[r]
-                r -= alloc[i]
-            return best[total], ones, tuple(alloc)
+            values = [x if (x := c * beta + m * beta_prime) < alpha else alpha for c, m in terms]
+            return sum(values), ones, alloc
 
         return single_nodes
 
@@ -373,11 +339,12 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
     are clipped back into it.  Each round returns the feasible cell of
     smallest (gamma, row-major index), the cell a scan in gamma order
-    would meet first.  Since ``search`` is non-decreasing in both
-    bandwidths, the feasible cells are upward closed and a staircase
-    walk finds that cell in at most len(bs) + len(ps) searches.
-    Refining stops once the grid spacing bounds the gamma error below
-    the requested relative tolerance."""
+    would meet first.  Every strategy of ``search`` is built from sums,
+    nonnegative multiples and minimums, so it is non-decreasing in both
+    bandwidths even in floats; the feasible cells are upward closed and
+    a staircase walk finds that cell in at most len(bs) + len(ps)
+    searches.  Refining stops once the grid spacing bounds the gamma
+    error below the requested relative tolerance."""
     feas_floor = B * (1.0 - 1e-12)
     (b_min, b_max), (p_min, p_max) = bounds
 

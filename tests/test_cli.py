@@ -271,6 +271,9 @@ class TestSimulate:
             '{"seed": [1]}',
             '{"pollute_collection": "yes"}',
             '{"object_id": 5}',
+            '{"behaviors": {"99": "selfish"}}',
+            '{"behavior_overrides": {"-3": {"1": "selfish"}}}',
+            '{"behavior_overrides": {"2": {"0": "selfish"}}}',
         ],
     )
     def test_mistyped_field_exits_one(self, capsys, tmp_path, text):

@@ -478,3 +478,24 @@ class TestDigests:
         table = FragmentDigestTable.from_blocks("obj", blocks[:5])
         with pytest.raises(ValueError):
             progressive_repair_with_digests(code, blocks[:5], [6, 7], {}, table)
+
+    def test_duplicate_live_ids_rejected(self):
+        code, obj, blocks = demo_setup(seed=73)
+        table = FragmentDigestTable.from_blocks("obj", blocks)
+        live = [blocks[0], *blocks[:5]]
+        with pytest.raises(ValueError, match="duplicate"):
+            progressive_repair_with_digests(code, live, [6, 7], {}, table)
+
+    def test_duplicate_failed_ids_rejected(self):
+        code, obj, blocks = demo_setup(seed=83)
+        table = FragmentDigestTable.from_blocks("obj", blocks)
+        with pytest.raises(ValueError, match="duplicate"):
+            progressive_repair_with_digests(code, blocks[:5], [6, 6], {}, table)
+        with pytest.raises(ValueError, match="duplicate"):
+            collaborative_repair(code, blocks[:5], [6, 6])
+
+    def test_failed_ids_overlapping_live_nodes_rejected(self):
+        code, obj, blocks = demo_setup(seed=79)
+        table = FragmentDigestTable.from_blocks("obj", blocks)
+        with pytest.raises(ValueError, match="overlap"):
+            progressive_repair_with_digests(code, blocks[:5], [5, 6], {}, table)

@@ -1,5 +1,6 @@
 """Worst-case capacity DP against brute force, and the gamma optimizer."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -146,7 +147,7 @@ def draw_search_shape(data, modes=sum(SEARCH_MODES.values(), ())):
         adv = selfish(1, maxa=1, total=data.draw(st.integers(0, k)))
     elif mode == "ones-polluting" and t >= 3:
         adv = polluting(min(1, d // 2), maxa=1, total=data.draw(st.integers(0, k)))
-    elif mode == "ones-capped":  # more than one per group: the budget loop
+    elif mode == "ones-capped":  # up to 2..3 misbehavers per group, so one can be part-filled
         t = data.draw(st.integers(3, 5))
         maxa = data.draw(st.integers(2, 3))
         mk = data.draw(st.sampled_from([selfish, polluting]))
@@ -229,6 +230,62 @@ class TestScaledIntSearch:
         assert alloc == (None if adv is None else want[2])
 
 
+class TestSingleNodesAtBenchmarkSize:
+    """Single-node groups at k = 9..48, where the oracle is out of reach:
+    the witness allocation holds against every single-unit move, and the
+    float search tracks the exact value and never falls as a bandwidth
+    grows (the staircase walk of _grid_search relies on that)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_closed_form(self, data):
+        k = data.draw(st.integers(9, 48))
+        t = data.draw(st.integers(2, 8))
+        d = data.draw(st.integers(k, k + 16))
+        mk = data.draw(st.sampled_from([selfish, polluting]))
+        f = 1 if mk is selfish else 2
+        maxa = data.draw(st.integers(1, 3))
+        cap = min(maxa, (t - 1) // f)
+        among = data.draw(st.integers(0, 1))
+        adv = mk(among, maxa=maxa, total=data.draw(st.integers(0, k * cap)))
+        ratio = st.fractions(0, 2, max_denominator=24)
+        alpha = data.draw(st.fractions(0, 4, max_denominator=12))
+        beta = alpha * data.draw(ratio) / d
+        bp = alpha * data.draw(ratio) / t
+        search = _cut_search(params(k=k, d=d, t=t), adv, k)
+        value, groups, alloc = search(alpha, beta, bp)
+        assert groups == (1,) * k
+        assert sum(alloc) == adv.total and all(0 <= a <= cap for a in alloc)
+
+        # (a) the value is the witness's, and no single-unit move lowers it
+        terms = [
+            [min(alpha, max(0, d - f * among - i) * beta + (t - 1 - f * a) * bp)
+             for a in range(cap + 1)]
+            for i in range(k)
+        ]
+        assert value == sum(terms[i][a] for i, a in enumerate(alloc))
+        for i, a in enumerate(alloc):
+            if a == 0:
+                continue
+            for j, b in enumerate(alloc):
+                if j != i and b < cap:
+                    moved = terms[i][a - 1] + terms[j][b + 1] - terms[i][a] - terms[j][b]
+                    assert moved >= 0, (i, j)
+
+        # (b) the float search agrees with the exact value
+        x, y, z = float(alpha), float(beta), float(bp)
+        approx = search(x, y, z)[0]
+        assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
+
+        # (c) and never falls as beta or beta' grows, even by one ulp
+        def grown(v):
+            return data.draw(st.one_of(st.just(math.nextafter(v, math.inf)),
+                                       st.floats(v, 2 * v + 1)))
+
+        assert search(x, grown(y), z)[0] >= approx
+        assert search(x, y, grown(z))[0] >= approx
+
+
 def search_window(p, adv, open_box, grow=1):
     """The float bounds optimize_gamma hands to _grid_search: the
     characteristic window, or the open box after ``grow`` doublings."""
@@ -252,12 +309,12 @@ class TestGridWalkMatchesSortedScan:
         d = data.draw(st.integers(k, k + 4))
         mode = data.draw(st.sampled_from(["free", "ones", "ones-capped", "dp"]))
         fixed_g, adv = None, None
-        if mode == "ones":  # the sort over single-node groups (cap 1)
+        if mode == "ones":  # single-node groups, at most one misbehaver each
             fixed_g = k
             mk = data.draw(st.sampled_from([None, selfish, polluting]))
             if mk is not None and t >= 3:
                 adv = mk(1, maxa=1, total=data.draw(st.integers(0, k)))
-        elif mode == "ones-capped":  # the budget loop (cap 2..3)
+        elif mode == "ones-capped":  # single-node groups, up to 2..3 misbehavers each
             fixed_g, t = k, data.draw(st.integers(3, 5))
             maxa = data.draw(st.integers(2, 3))
             mk = data.draw(st.sampled_from([selfish, polluting]))
