@@ -180,8 +180,9 @@ def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     return ObjectMatrix(cols.solve(rhs).transpose())
 
 
-def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
-    """Recover the object from kappa honest blocks (extras are checked)."""
+def _collector_kappa(blocks: Sequence[NodeBlock]) -> int:
+    """kappa of the blocks' code; ValueError unless there are at least
+    kappa blocks, each from a different node."""
     if not blocks:
         raise ValueError("no blocks given")
     kappa = len(blocks[0].column)
@@ -190,6 +191,12 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
         raise ValueError("duplicate node ids")
     if len(blocks) < kappa:
         raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
+    return kappa
+
+
+def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
+    """Recover the object from kappa honest blocks (extras are checked)."""
+    kappa = _collector_kappa(blocks)
     obj = _solve_object(blocks[:kappa])
     for extra in blocks[kappa:]:
         if _apply_column(obj, extra.column) != extra.payload:
@@ -224,11 +231,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
-    if not blocks:
-        raise ValueError("no blocks given")
-    kappa = len(blocks[0].column)
-    if len(blocks) < kappa:
-        raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
+    kappa = _collector_kappa(blocks)
     ordered = sorted(blocks, key=lambda b: b.node_id)
     if 2 * max_polluters <= len(ordered) - kappa:
         code = _points_code(ordered, kappa)
@@ -377,6 +380,16 @@ def _behavior(behaviors: Mapping[int, Behavior], node_id: int) -> Behavior:
 def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
     f = true.field
     return FieldElement(true.value ^ rng.randrange(1, f.order), f)
+
+
+def _as_served(
+    block: NodeBlock, behaviors: Mapping[int, Behavior], rng: random.Random
+) -> NodeBlock:
+    """The block as its node serves it: a polluting node gets every symbol wrong."""
+    if _behavior(behaviors, block.node_id) is not Behavior.POLLUTING:
+        return block
+    payload = tuple(_wrong_symbol(p, rng) for p in block.payload)
+    return NodeBlock(block.node_id, block.column, payload)
 
 
 def _stripe(live_sorted: Sequence[NodeBlock], index: int, kappa: int) -> list[NodeBlock]:
@@ -623,9 +636,7 @@ def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed
             rows.append(_decode_row(code, eqs))
         column = code.column_values[f - 1]
         payload = tuple(_eval_row(code.field, row, column) for row in rows)
-        if _behavior(behaviors, f) is Behavior.POLLUTING:
-            payload = tuple(_wrong_symbol(p, rng) for p in payload)
-        new_blocks.append(NodeBlock(f, code.column(f - 1), payload))
+        new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), behaviors, rng))
     return new_blocks
 
 
@@ -693,19 +704,7 @@ def progressive_repair_with_digests(
         )
         if result is not None:
             # a polluting newcomer stores garbage even after a verified repair
-            out = []
-            for block in result:
-                if _behavior(behaviors, block.node_id) is Behavior.POLLUTING:
-                    out.append(
-                        NodeBlock(
-                            block.node_id,
-                            block.column,
-                            tuple(_wrong_symbol(p, rng) for p in block.payload),
-                        )
-                    )
-                else:
-                    out.append(block)
-            return out, report
+            return [_as_served(block, behaviors, rng) for block in result], report
         if contact_count >= len(live):
             raise RepairFailureError(
                 f"no verified repair with all {len(live)} live nodes contacted"

@@ -26,7 +26,7 @@ from .exactcode import (
     ObjectMatrix,
     RepairFailureError,
     RepairPolicy,
-    _wrong_symbol,
+    _as_served,
     collaborative_repair,
     collect,
     encode_object,
@@ -144,8 +144,8 @@ class ScenarioConfig:
     """A seeded multi-generation simulation.
 
     ``behaviors`` maps node ids to persistent behaviors;
-    ``behavior_overrides`` maps a generation index to extra per-node
-    behaviors for that generation only (e.g. a newcomer misbehaving).
+    ``behavior_overrides`` maps a generation index (0..generations-1) to
+    extra per-node behaviors for that generation only (e.g. a newcomer misbehaving).
     Without an explicit ``failure_schedule`` one is drawn from the seed,
     never failing a persistently misbehaving node, so adversaries persist.
     """
@@ -191,10 +191,11 @@ class ScenarioConfig:
             "behavior_overrides",
             lambda m: _int_keyed(m, "an entry", Behavior),
         )
-        if min(self.behavior_overrides, default=0) < 0:
+        outside = sorted(i for i in self.behavior_overrides if not 0 <= i < g)
+        if outside:
             raise ValueError(
-                "behavior_overrides: generations must be nonnegative,"
-                f" got {sorted(self.behavior_overrides)}"
+                f"behavior_overrides: generations {outside} outside 0..{g - 1}"
+                f" (generations is {g})"
             )
         n = self.code.n
         maps = [("behaviors", self.behaviors)]
@@ -363,17 +364,8 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
 
 def _reconstruction_ok(cfg, obj, stored, behaviors, rng) -> bool:
     """Whether a collector reading the lowest-id nodes gets the object back."""
-    ids = sorted(stored)[: cfg.code.kappa]
-    answers = []
-    for i in ids:
-        block = stored[i]
-        if (
-            cfg.pollute_collection
-            and behaviors.get(i, Behavior.HONEST) is Behavior.POLLUTING
-        ):
-            payload = tuple(_wrong_symbol(p, rng) for p in block.payload)
-            block = NodeBlock(block.node_id, block.column, payload)
-        answers.append(block)
+    served = behaviors if cfg.pollute_collection else {}
+    answers = [_as_served(stored[i], served, rng) for i in sorted(stored)[: cfg.code.kappa]]
     try:
         return collect(answers).pieces == obj.pieces
     except ValueError:

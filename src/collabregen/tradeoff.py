@@ -10,7 +10,8 @@ from the shape of the search:
 
 * single-node groups (``fixed_g == k``): a closed form, the budget
   filling the last positions first;
-* no budget and a free group count: a loop over prefix sums;
+* no budget and a free group count: a closed form, single nodes, then
+  one group, then full groups, the best split found in one O(k) scan;
 * otherwise a DP over (prefix sum of group sizes, groups used, budget
   left), filled from the longest prefix down, groups used in the key
   only when ``fixed_g`` is set.
@@ -190,26 +191,25 @@ def _cut_search(
         return single_nodes
 
     if not total and fixed_g is None:
-
+        # The lexicographically smallest worst partition is (1,)*a + (r,) + (t,)*b,
+        # r = (k-a-1) % t + 1, for the largest a of least value (TestFreePartitions).
         def partitions(alpha, beta, beta_prime):
             collab = [c * beta_prime for c in range(t)]
-            value: list = [None] * k + [0]
-            choice = [0] * k
-            for s in range(k - 1, -1, -1):
-                live = coeffs[s] * beta
-                low = None
-                for u in range(1, min(t, k - s) + 1):
-                    x = live + collab[t - u]
-                    cand = u * (x if x < alpha else alpha) + value[s + u]
-                    if low is None or cand < low:
-                        low, arg = cand, u
-                value[s] = low
-                choice[s] = arg
-            groups, s = [], 0
-            while s < k:
-                groups.append(choice[s])
-                s += choice[s]
-            return value[0], tuple(groups), (0,) * len(groups)
+            head = [0]  # head[a]: single nodes at prefixes 0..a-1
+            for c in coeffs:
+                x = c * beta + collab[t - 1]
+                head.append(head[-1] + (x if x < alpha else alpha))
+            low, tail = None, 0  # tail: the full groups after the group of r
+            for a in range(k - 1, -1, -1):
+                r = (k - a - 1) % t + 1
+                x = coeffs[a] * beta + collab[t - r]
+                cand = head[a] + r * (m := x if x < alpha else alpha) + tail
+                if low is None or cand < low:
+                    low, lead, size = cand, a, r
+                if r == t:  # from a - 1 on, a full group starts at a
+                    tail += t * m
+            groups = (1,) * lead + (size,) + (t,) * ((k - lead - size) // t)
+            return low, groups, (0,) * len(groups)
 
         return partitions
 

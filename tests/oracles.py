@@ -2,8 +2,10 @@
 
 These deliberately share nothing with the package internals: plain
 enumeration of collector partitions and adversary placements, with the
-cut sum evaluated termwise; and exhaustive-subset Reed-Solomon decoding
-and object collection, built only on the public field and matrix API.
+cut sum evaluated termwise; a prefix DP over group sizes for free
+partitions with no budget, reaching sizes the enumeration cannot; and
+exhaustive-subset Reed-Solomon decoding and object collection, built
+only on the public field and matrix API.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
@@ -72,6 +74,37 @@ def oracle_search(p, adv, fixed_g):
             ):
                 best = (value, groups, alloc)
     return best
+
+
+def oracle_partitions(p, adv, alpha, beta, beta_prime):
+    """(value, groups, allocation) of the worst free partition with no
+    budget, by the prefix DP over group sizes (the coordinated-repair
+    min-cut of Kermarrec, Le Scouarnec and Straub, NetCod 2011): value[s]
+    is the least cost of the nodes from prefix s on and choice[s] the
+    smallest first group that reaches it, so the walk from prefix 0 gives
+    the lexicographically smallest worst partition.  O(k*t) per call;
+    ``adv`` only shifts the beta coefficients by its among-live nodes."""
+    k, t = p.k, p.t
+    f, among = (adv.factor, adv.among_live) if adv else (1, 0)
+    coeffs = [max(0, p.d - f * among - s) for s in range(k)]
+    collab = [c * beta_prime for c in range(t)]
+    value: list = [None] * k + [0]
+    choice = [0] * k
+    for s in range(k - 1, -1, -1):
+        live = coeffs[s] * beta
+        low = None
+        for u in range(1, min(t, k - s) + 1):
+            x = live + collab[t - u]
+            cand = u * (x if x < alpha else alpha) + value[s + u]
+            if low is None or cand < low:
+                low, arg = cand, u
+        value[s] = low
+        choice[s] = arg
+    groups, s = [], 0
+    while s < k:
+        groups.append(choice[s])
+        s += choice[s]
+    return value[0], tuple(groups), (0,) * len(groups)
 
 
 def _interleave(groups, alloc):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from collabregen.cli import CSV_HEADER, main
+from collabregen.scenarios import STATS_CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +18,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def script_env():
+    """The environment for a subprocess that imports the package from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
 
 
 class TestBounds:
@@ -115,9 +123,7 @@ class TestTradeoff:
         assert all(a >= b for a, b in zip(attacked, baseline))
 
     def test_sweep_script_writes_the_cli_csv(self, capsys, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        ))
+        env = script_env()
         script = ROOT / "scripts" / "run_tradeoff_sweeps.py"
         subprocess.run(
             [sys.executable, str(script), "--points", "2", "--outdir", str(tmp_path)],
@@ -134,9 +140,7 @@ class TestTradeoff:
     def test_large_k_adversary_sweep_exits_zero(self):
         # The worst-case DP once recursed one level per group and ended
         # this run in a RecursionError traceback.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        ))
+        env = script_env()
         done = subprocess.run(
             [sys.executable, "-m", "collabregen", "tradeoff", "--d", "1300", "--k", "1200",
              "--t", "2", "--adversary", "selfish", "--L0", "0", "--lmax", "1",
@@ -218,6 +222,17 @@ class TestSimulate:
         counts = [int(r.split(",")[2]) for r in out.strip().splitlines()[1:]]
         assert counts == [0, 0, 0, 0]
 
+    def test_pollution_script(self, tmp_path):
+        script = ROOT / "scripts" / "run_pollution_sim.py"
+        subprocess.run(
+            [sys.executable, str(script), "--generations", "8", "--outdir", str(tmp_path)],
+            env=script_env(), check=True, capture_output=True, timeout=120,
+        )
+        for mitigation in ("none", "digests"):
+            lines = (tmp_path / f"pollution_{mitigation}.csv").read_text().splitlines()
+            assert lines[0] == STATS_CSV_HEADER and len(lines) == 9
+        assert lines[-1].split(",")[2] == "0"  # the digest run ends with no polluted block
+
     def test_repair_failure_exits_three(self, capsys, tmp_path):
         cfg = {
             "code": {"m": 3, "n": 7, "kappa": 3, "t": 2, "first_power": 1},
@@ -274,6 +289,7 @@ class TestSimulate:
             '{"behaviors": {"99": "selfish"}}',
             '{"behavior_overrides": {"-3": {"1": "selfish"}}}',
             '{"behavior_overrides": {"2": {"0": "selfish"}}}',
+            '{"generations": 4, "behavior_overrides": {"9": {"1": "selfish"}}}',
         ],
     )
     def test_mistyped_field_exits_one(self, capsys, tmp_path, text):

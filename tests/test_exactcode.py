@@ -131,6 +131,12 @@ class TestCollectRobust:
         with pytest.raises(ValueError):
             collect_robust(blocks[:2], max_polluters=0)
 
+    @pytest.mark.parametrize("max_polluters", [0, 1])
+    def test_duplicate_node_ids(self, max_polluters):
+        _, _, (b1, b2, b3, *_) = demo_setup()
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            collect_robust([b1, b1, b2, b3], max_polluters)
+
 
 @st.composite
 def polluted_reads(draw, inside: bool):

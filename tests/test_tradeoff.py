@@ -34,7 +34,7 @@ from collabregen.tradeoff import (
 )
 
 
-from oracles import oracle_grid_search, oracle_search, oracle_value
+from oracles import oracle_grid_search, oracle_partitions, oracle_search, oracle_value
 
 
 def params(k, d, t, B=0, alpha=0, beta=0, beta_prime=0):
@@ -130,7 +130,7 @@ class TestWorstCaseCapacity:
 SEARCH_MODES = {
     "single_nodes": ("ones-noadv", "ones-selfish", "ones-polluting", "ones-capped"),
     "partitions": ("worst",),
-    "general": ("dp",),  # the memoised DP; the prefix loop when no budget and g is free
+    "general": ("dp",),  # the memoised DP; the closed form when no budget and g is free
 }
 
 
@@ -284,6 +284,94 @@ class TestSingleNodesAtBenchmarkSize:
 
         assert search(x, grown(y), z)[0] >= approx
         assert search(x, y, grown(z))[0] >= approx
+
+
+class TestFreePartitions:
+    """Free partitions with no budget: the closed form of _cut_search
+    against the prefix DP of oracle_partitions, at k = 1..64.
+
+    Why the closed form is exact.  Write x = beta, y = beta' and
+    c_s = max(0, D - s) with D = d - f*among, so that
+    c_s - c_{s+j} = min(j, c_s).  A group of u nodes at prefix s costs
+    u*min(c_s*x + (t-u)*y, alpha); call it saturated when
+    c_s*x + (t-u)*y >= alpha.  Let P be the lexicographically smallest
+    worst partition and a the number of its leading single nodes, so
+    that its group at index a (if any) has u_a >= 2.
+
+    1. No group of P at index a or later is saturated.  Otherwise move it
+       to the front as single nodes: each costs at most alpha, so no more
+       than before; the groups before it start later, so their c_s and
+       costs can only fall; the groups after it keep their prefixes.
+       The result costs no more and has a single node at index a, where
+       P has u_a: it is lexicographically smaller, a contradiction.
+
+    2. Take adjacent groups (u, v) of P at prefixes s and s+u with u >= 2,
+       and let E = c_s.  By 1 both are unsaturated, so they cost exactly
+       u*(E*x + (t-u)*y) and v*((E - min(u, E))*x + (t-v)*y).
+       Splitting u into single nodes is lexicographically smaller, and
+       each single node at s+j costs at most c_{s+j}*x + (t-1)*y, so
+       the split changes the cost by at most
+           sigma = y*u*(u-1) - x*sum_{j<u} min(j, E),
+       which must therefore be > 0.  Then y > 0, and
+         E >= u:     the sum is u(u-1)/2, so x < 2y;
+         1 <= E < u: the sum is E(2u-1-E)/2 >= E*u/2, so x*E < 2(u-1)*y.
+       Suppose v < t.
+       * u + v <= t: merging into one group of u+v at s, which costs at
+         most (u+v)*(E*x + (t-u-v)*y), changes the cost by at most
+         v*(x*min(u, E) - 2u*y).  That is < 0 in each case above (and for
+         E = 0), so P would not be worst.
+       * u + v > t: moving m = t - v nodes from the first group to the
+         second gives (w, t) with w = u - m >= 1, lexicographically
+         smaller since w < u.  It costs at most w*(E*x + (t-w)*y) +
+         t*c_{s+w}*x, a change of at most
+           mu = x*(v*min(u, E) - t*min(w, E)) - 2m(t-u)*y.
+         E >= u: mu = m(t-u)(x - 2y) <= 0.
+         E <= w: mu = -m*E*x - 2m(t-u)*y <= 0.
+         w < E < u: with p = u - E, v*E - t*w = m(t-u) - p*v and
+         E(2u-1-E) = u(u-1) - p(p-1), so
+           m(t-u)*E(2u-1-E) - (v*E - t*w)*u(u-1)
+             = p*(v*u(u-1) - m(t-u)(p-1)) >= 0,
+         as v > t-u, u > m and u > p-1.  If v*E - t*w > 0, sigma > 0
+         (x*E(2u-1-E) < 2y*u(u-1)) then gives x*(v*E - t*w) <
+         2m(t-u)*y, so mu < 0; otherwise mu <= 0 directly.
+       Every case contradicts the choice of P, so v = t.
+
+    3. So every group after u_a is full: P = (1,)*a + (r,) + (t,)*b with
+       2 <= r <= t and r = k - a mod t, that is r = (k-a-1) % t + 1; or P
+       is all ones, which is the case a = k-1 (r = 1) of the same form.
+       A candidate with r = 1 and a < k-1 repeats the partition of a+1,
+       and of two other candidates the one with more leading ones is
+       lexicographically smaller.  So P is the candidate of least value
+       with the largest a: the one a scan down from a = k-1 keeps when
+       it replaces its best only on a strict drop.  The DP takes the
+       smallest first group of least cost at every prefix, which gives
+       P as well, so value and partition agree exactly.  Floats add the
+       same terms in another order, within 1e-12 relative.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_closed_form_matches_prefix_dp(self, data):
+        k = data.draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))  # t > k is common
+        t = data.draw(st.integers(1, 9))
+        d = data.draw(st.integers(k, k + 16))
+        mk = data.draw(st.sampled_from([None, selfish, polluting]))
+        adv = None  # no adversary, or one among the live nodes only
+        if mk is not None:
+            adv = mk(among=data.draw(st.integers(0, d if mk is selfish else d // 2)))
+        alpha = data.draw(st.fractions(F(1, 12), 4, max_denominator=12))
+
+        def bandwidth(n):  # near alpha/n, a simple fraction, or zero
+            near = st.fractions(F(1, 24), 2, max_denominator=24).map(lambda q: alpha * q / n)
+            simple = st.fractions(F(1, 4), 2, max_denominator=4)
+            return data.draw(st.one_of(near, simple, st.just(F(0))))
+
+        beta, bp = bandwidth(d), bandwidth(t)
+        want = oracle_partitions(params(k=k, d=d, t=t), adv, alpha, beta, bp)
+        search = _cut_search(params(k=k, d=d, t=t), adv, None)
+        assert search(alpha, beta, bp) == want
+        approx = search(float(alpha), float(beta), float(bp))[0]
+        assert math.isclose(approx, float(want[0]), rel_tol=1e-12)
 
 
 def search_window(p, adv, open_box, grow=1):
