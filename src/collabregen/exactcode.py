@@ -50,7 +50,10 @@ from .gf import (
     FieldMatrix,
     GF,
     RsCode,
+    SingularMatrixError,
+    _interpolate,
     dot,
+    lagrange_at,
     rs_decode,
 )
 
@@ -123,12 +126,13 @@ class NodeBlock:
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: m, node id, kappa, t, then the payload
-        symbols in row order, each little-endian in ceil(m/8) bytes."""
+        symbols in row order, each little-endian in ceil(m/8) bytes, except
+        the node id, which runs to 2^m and takes ceil((m+1)/8) bytes."""
         f = self.payload[0].field
         width = (f.m + 7) // 8
-        header = [f.m, self.node_id, len(self.column), len(self.payload)]
-        out = bytearray()
-        for v in header:
+        out = bytearray(f.m.to_bytes(width, "little"))
+        out += self.node_id.to_bytes((f.m + 8) // 8, "little")
+        for v in (len(self.column), len(self.payload)):
             out += v.to_bytes(width, "little")
         for sym in self.payload:
             out += sym.value.to_bytes(width, "little")
@@ -172,12 +176,53 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
     ]
 
 
+_SHARED_COLUMN = "blocks of different nodes share a column"
+
+
 def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
+    """The object from kappa blocks: each row interpolated on Reed-Solomon
+    columns, else one Gauss-Jordan solve."""
     f = blocks[0].payload[0].field
+    kappa = len(blocks)
+    points = _rs_points(blocks, kappa)
+    if points is not None:
+        t = len(blocks[0].payload)
+        _, rows = _interpolate(f, points, [[b.payload[r].value for b in blocks] for r in range(t)])
+        data = [v for row in rows for v in row + [0] * (kappa - len(row))]
+        return ObjectMatrix(FieldMatrix(f, t, kappa, data))
     # columns^T . O^T = payload rows: the block columns are the rows
     cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
     rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
-    return ObjectMatrix(cols.solve(rhs).transpose())
+    try:
+        return ObjectMatrix(cols.solve(rhs).transpose())
+    except SingularMatrixError:
+        if len({b.column for b in blocks}) < kappa:
+            raise ValueError(_SHARED_COLUMN) from None
+        raise
+
+
+def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
+    """The points x of the blocks if every column is (1, x, ..., x^(kappa-1)),
+    as ints, else None (always for kappa < 2, where x is not determined).
+    ValueError when two of them share a point, and so a column."""
+    if kappa < 2:
+        return None
+    f = blocks[0].column[0].field
+    exp, log, size = f._exp, f._log, f.order - 1
+    points = []
+    for b in blocks:
+        column = b.column
+        if len(column) != kappa or column[0].value != 1:
+            return None
+        x = column[1].value
+        lx = log[x]
+        for j in range(2, kappa):
+            if column[j].value != (exp[lx * j % size] if x else 0):
+                return None
+        points.append(x)
+    if len(set(points)) < len(points):
+        raise ValueError(_SHARED_COLUMN)
+    return points
 
 
 def _collector_kappa(blocks: Sequence[NodeBlock]) -> int:
@@ -195,9 +240,18 @@ def _collector_kappa(blocks: Sequence[NodeBlock]) -> int:
 
 
 def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
-    """Recover the object from kappa honest blocks (extras are checked)."""
+    """Recover the object from kappa honest blocks (extras are checked).
+
+    On Reed-Solomon columns (1, x, ..., x^(kappa-1)) the first kappa
+    blocks' rows are interpolated at their points; other columns are
+    solved by Gauss-Jordan elimination.  ValueError for fewer than kappa
+    blocks, a repeated node id, two blocks that share a column (for
+    kappa > 1), or an extra block inconsistent with the rest."""
     kappa = _collector_kappa(blocks)
     obj = _solve_object(blocks[:kappa])
+    # the solve found shared columns among the first kappa; extras are rare
+    if kappa > 1 and len(blocks) > kappa and len({b.column for b in blocks}) < len(blocks):
+        raise ValueError(_SHARED_COLUMN)
     for extra in blocks[kappa:]:
         if _apply_column(obj, extra.column) != extra.payload:
             raise ValueError(f"block of node {extra.node_id} inconsistent with the rest")
@@ -259,15 +313,13 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
 def _points_code(blocks: Sequence[NodeBlock], kappa: int) -> Optional[RsCode]:
     """The RS code with block i at point column[1], if every column is
     (1, x, ..., x^(kappa-1)) at distinct points x; otherwise None."""
-    if kappa < 2 or len(blocks) == kappa:
+    if len(blocks) == kappa:
         return None
-    points = tuple(b.column[1] for b in blocks)
-    if len({p.value for p in points}) != len(points):
+    points = _rs_points(blocks, kappa)
+    if points is None:
         return None
-    code = RsCode(points[0].field, len(points), kappa, points)
-    if any(b.column != code.column(i) for i, b in enumerate(blocks)):
-        return None
-    return code
+    f = blocks[0].column[0].field
+    return RsCode(f, len(points), kappa, tuple(FieldElement(x, f) for x in points))
 
 
 def _collect_by_rows(code: RsCode, blocks: Sequence[NodeBlock], max_polluters: int):
@@ -414,13 +466,27 @@ def _row_answer(
     return true
 
 
-def _decode_row(code: RsCode, equations: dict[int, FieldElement]) -> list[int]:
-    """Solve one object row from (position -> evaluation) equations."""
-    try:
-        row = rs_decode(code, sorted(equations.items()))
-    except DecodeError as exc:
-        raise RepairFailureError(f"row decoding failed: {exc}") from exc
-    return [v.value for v in row]
+def _rows_at(code, positions, rows, targets) -> list[list[int]]:
+    """Each object row, from its received symbols at ``positions``,
+    evaluated at the ``targets`` positions, as ints (out[r][i] is row r at
+    targets[i]).  With exactly kappa symbols the row is their interpolant,
+    so one ``lagrange_at`` setup and one ``dot`` per row and target give
+    its values; with more, each row is decoded by ``rs_decode`` (Gao) and
+    evaluated.  RepairFailureError when a row does not decode."""
+    f = code.field
+    if len(positions) == code.kappa:
+        at = code.evaluation_points
+        coeffs = lagrange_at(f, [at[p].value for p in positions], [at[p].value for p in targets])
+        values = [[y.value for y in row] for row in rows]
+        return [[dot(f, c, ys) for c in coeffs] for ys in values]
+    out = []
+    for row in rows:
+        try:
+            msg = [v.value for v in rs_decode(code, zip(positions, row))]
+        except DecodeError as exc:
+            raise RepairFailureError(f"row decoding failed: {exc}") from exc
+        out.append([dot(f, msg, code.column_values[p]) for p in targets])
+    return out
 
 
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
@@ -529,7 +595,7 @@ def _contacts(
 
 
 def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, rng, report):
-    t, kappa = len(live[0].payload), code.kappa
+    kappa = code.kappa
 
     responders: dict[int, list[NodeBlock]] = {}
     for j, f in enumerate(failed):
@@ -585,25 +651,27 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
         key = (carrier, beneficiary)
         report.exchanges[key] = report.exchanges.get(key, 0) + 1
 
-    rows: dict[int, list[int]] = {}
-    for j, f in enumerate(failed):
-        if len(equations[f]) < kappa:
+    # each newcomer's row at every newcomer's position: its own piece
+    # and the cross pieces it sends
+    targets = [f - 1 for f in failed]
+    rows: list[list[int]] = []
+    for f in failed:
+        eqs = equations[f]
+        if len(eqs) < kappa:
             raise RepairFailureError(f"row of node {f} has too few equations")
-        rows[f] = _decode_row(code, equations[f])
+        rows += _rows_at(code, list(eqs), [list(eqs.values())], targets)
 
     # Phase 2: cross pieces.  With relays in flight the counted exchange
     # slots are spent, so completion pieces ride in their own ledger.
     cross_ledger = report.completion if relays else report.exchanges
-    payloads: dict[int, list[Optional[FieldElement]]] = {f: [None] * t for f in failed}
-    for j, f in enumerate(failed):
+    for f in failed:
         for peer in failed:
-            payloads[peer][j] = _eval_row(code.field, rows[f], code.column_values[peer - 1])
             if peer != f:
                 cross_ledger[(f, peer)] = cross_ledger.get((f, peer), 0) + 1
 
-    return [
-        NodeBlock(f, code.column(f - 1), tuple(payloads[f]))  # type: ignore[arg-type]
-        for f in failed
+    return [  # newcomer i stores column i: every row at its own position
+        NodeBlock(p, code.column(p - 1), tuple(FieldElement(v, code.field) for v in pieces))
+        for p, pieces in zip(failed, zip(*rows))
     ]
 
 
@@ -625,17 +693,11 @@ def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed
             raise RepairFailureError(
                 "a full reconstruction needs more responsive contacts than available"
             )
-        rows = []
-        for r in range(t):
-            eqs: dict[int, FieldElement] = {}
-            for b in responders:
-                ans = _row_answer(b, r, behaviors, rng)
-                assert ans is not None
-                eqs[b.position] = ans
-                report.downloads[f][b.node_id] = report.downloads[f].get(b.node_id, 0) + 1
-            rows.append(_decode_row(code, eqs))
-        column = code.column_values[f - 1]
-        payload = tuple(_eval_row(code.field, row, column) for row in rows)
+        rows = [[_row_answer(b, r, behaviors, rng) for b in responders] for r in range(t)]
+        for b in responders:
+            report.downloads[f][b.node_id] = report.downloads[f].get(b.node_id, 0) + t
+        pieces = _rows_at(code, [b.position for b in responders], rows, [f - 1])
+        payload = tuple(FieldElement(v, code.field) for (v,) in pieces)
         new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), behaviors, rng))
     return new_blocks
 

@@ -4,11 +4,14 @@ Elements are polynomial-basis bit vectors reduced modulo a fixed primitive
 polynomial per field size, so bit patterns are reproducible across runs.
 Below the element API, values are ints and a product is one lookup in the
 field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
-column application and matrix products, and ``_interpolate`` is Gao's
-interpolation step, O(N^2) lookups.  Includes dense matrices over a field
-(Gaussian elimination solve) and Reed-Solomon codes with joint
-erasure/error decoding by Gao's algorithm, O(n^2) field operations per
-word, certified against the distance bound n_s + 2*n_b <= n - kappa.
+column application and matrix products; ``_interpolate`` is Gao's
+interpolation step, O(N^2) lookups shared by every value row on one point
+set; ``lagrange_at`` turns values at N points into the interpolant's value
+at a target with one ``dot``, after an O(N^2) setup per point set.
+Includes dense matrices over a field (Gaussian elimination solve) and
+Reed-Solomon codes with joint erasure/error decoding by Gao's algorithm,
+O(n^2) field operations per word, certified against the distance bound
+n_s + 2*n_b <= n - kappa.
 
 Everything here is pure and deterministic; fields and elements are
 immutable and freely shareable across threads.
@@ -163,6 +166,28 @@ def dot(f: GF, a: Iterable[int], b: Iterable[int]) -> int:
         if x and y:
             acc ^= exp[log[x] + log[y]]
     return acc
+
+
+def lagrange_at(f: GF, points: Sequence[int], targets: Iterable[int]) -> list[list[int]]:
+    """Barycentric Lagrange coefficients (Berrut & Trefethen 2004, SIAM
+    Review): for each target x, the list c with dot(f, c, y) = g(x) for
+    the interpolant g, of degree < N, of any values y at the N distinct
+    ``points``.  c_i = g0(x) * w_i / (x - a_i), where g0 = prod_i (x - a_i)
+    and the weights w_i = 1 / prod_{j != i} (a_i - a_j) are computed once,
+    in O(N^2) lookups; each target then costs O(N).  A target that is one
+    of the points gets the unit vector of that point."""
+    exp, log, size = f._exp, f._log, f.order - 1
+    # logs of the weights; minus is xor in characteristic 2
+    lw = [-sum([log[a ^ b] for b in points if b != a]) % size for a in points]
+    out = []
+    for x in targets:
+        if x in points:
+            out.append([int(a == x) for a in points])
+            continue
+        ld = [log[x ^ a] for a in points]
+        lg = sum(ld)  # log g0(x)
+        out.append([exp[(lg + w - d) % size] for w, d in zip(lw, ld)])
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,7 +509,7 @@ def rs_decode(
         )
     points = [code.evaluation_points[pos].value for pos in seen]
     values = list(seen.values())
-    g0, msg = _interpolate(f, points, values)
+    g0, (msg,) = _interpolate(f, points, [values])
     # with exactly kappa symbols Euclid takes no step and the interpolant
     # agrees with every symbol: it is the message, with no errors to count
     if len(points) > kappa:
@@ -503,32 +528,40 @@ def rs_decode(
 # whose log entry is a placeholder.
 
 
-def _interpolate(f: GF, points: list[int], values: list[int]) -> tuple[list[int], list[int]]:
-    """(g0, g1): the master polynomial g0 = prod_i (x - a_i) of the N
-    distinct ``points`` and the interpolant g1, of degree < N, of
-    ``values`` there, in O(N^2) table lookups.  g1 = sum_i y_i q_i / q_i(a_i)
-    for q_i = g0 / (x - a_i): one synthetic division per point gives q_i
-    and, by Horner's rule in the same pass, q_i(a_i)."""
+def _interpolate(
+    f: GF, points: list[int], rows: Sequence[Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """(g0, g1s): the master polynomial g0 = prod_i (x - a_i) of the N
+    distinct ``points`` and, for each row of values there, its
+    interpolant g1 of degree < N, in O(N^2) table lookups for the point
+    set plus O(N^2) per row.  g1 = sum_i y_i q_i / q_i(a_i) for
+    q_i = g0 / (x - a_i): one synthetic division per point gives q_i and,
+    by Horner's rule in the same pass, q_i(a_i), shared by every row."""
     exp, log, size = f._exp, f._log, f.order - 1
     g0 = [1]
     for a in points:  # g0 *= x + a
         la = log[a]
         g0 = [lo ^ exp[la + log[hi]] if a and hi else lo for lo, hi in zip([0] + g0, g0 + [0])]
     n = len(points)
-    g1 = [0] * n
-    for a, y in zip(points, values):
-        if not y:
+    g1s = [[0] * n for _ in rows]
+    for i, a in enumerate(points):
+        ys = [row[i] for row in rows]
+        if not any(ys):
             continue
         la, q = log[a], [0] * n
         q[-1] = c = h = 1  # q_i is monic; h runs Horner's rule on it
         for k in range(n - 1, 0, -1):
             q[k - 1] = c = g0[k] ^ exp[la + log[c]] if a and c else g0[k]
             h = exp[la + log[h]] ^ c if a and h else c
-        lw = (log[y] - log[h]) % size  # log of y / q_i(a_i)
-        g1 = [g ^ exp[lw + log[c]] if c else g for g, c in zip(g1, q)]
-    while g1 and not g1[-1]:
-        g1.pop()
-    return g0, g1
+        lh = log[h]
+        for r, y in enumerate(ys):
+            if y:
+                lw = (log[y] - lh) % size  # log of y / q_i(a_i)
+                g1s[r] = [g ^ exp[lw + log[c]] if c else g for g, c in zip(g1s[r], q)]
+    for g1 in g1s:
+        while g1 and not g1[-1]:
+            g1.pop()
+    return g0, g1s
 
 
 def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:

@@ -18,14 +18,23 @@ from collabregen.exactcode import (
     RepairPolicy,
     _apply_column,
     _eval_row,
+    _rows_at,
     collaborative_repair,
     collect,
     collect_robust,
     encode_object,
     progressive_repair_with_digests,
 )
-from collabregen.gf import FieldElement, FieldMatrix, RsCode, field
-from oracles import oracle_collect_robust
+from collabregen.gf import (
+    DecodeError,
+    FieldElement,
+    FieldMatrix,
+    RsCode,
+    SingularMatrixError,
+    field,
+    rs_decode,
+)
+from oracles import _solve_subset, oracle_collect_robust
 
 GF8 = field(3)
 
@@ -71,6 +80,15 @@ class TestEncodeCollect:
         code, obj, blocks = demo_setup(seed=7)
         for subset in combinations(blocks, 3):
             assert collect(list(subset)).pieces == obj.pieces
+
+    def test_collect_rejects_a_shared_column(self):
+        _, _, (b1, b2, b3, *_) = demo_setup()
+        x = b1.column[1]
+        for column in (b1.column, tuple(x * c for c in b1.column)):  # RS, then not RS
+            block, twin = NodeBlock(1, column, b1.payload), NodeBlock(99, column, b1.payload)
+            for blocks in ([block, twin, b2], [block, b2, b3, twin]):  # solved, then an extra
+                with pytest.raises(ValueError, match="share a column"):
+                    collect(blocks)
 
     def test_collect_requires_kappa_blocks(self):
         _, _, blocks = demo_setup()
@@ -136,6 +154,14 @@ class TestCollectRobust:
         _, _, (b1, b2, b3, *_) = demo_setup()
         with pytest.raises(ValueError, match="duplicate node ids"):
             collect_robust([b1, b1, b2, b3], max_polluters)
+
+    @pytest.mark.parametrize("max_polluters", [0, 1])
+    def test_shared_column(self, max_polluters):
+        # a second node id claiming node 1's column and payload
+        _, _, (b1, b2, b3, *_) = demo_setup()
+        twin = NodeBlock(99, b1.column, b1.payload)
+        with pytest.raises(ValueError, match="share a column"):
+            collect_robust([b1, twin, b2, b3], max_polluters)
 
 
 @st.composite
@@ -430,6 +456,19 @@ class TestDigests:
         assert list(raw[4:]) == [p.value for p in b.payload]
         assert len(raw) == 6
 
+    def test_full_length_code_with_point_zero(self):
+        # node 256 of a (256,3) code over GF(2^8) needs a 2-byte node id
+        f = field(8)
+        code = RsCode(f, 256, 3, tuple(f.elements()))
+        obj = ObjectMatrix.random(f, 2, 3, random.Random(4))
+        blocks = encode_object(obj, code)
+        table = FragmentDigestTable.from_blocks("obj", blocks)
+        assert len(set(table.digests.values())) == 256
+        assert all(table.verify(b) for b in blocks)
+        raw = blocks[-1].to_bytes()
+        assert raw[:6] == bytes([8, 0, 1, 3, 2]) + bytes([blocks[-1].payload[0].value])
+        assert len(raw) == 7
+
     def test_digest_verifies_only_exact_payload(self):
         _, _, blocks = demo_setup(seed=47)
         table = FragmentDigestTable.from_blocks("obj", blocks)
@@ -505,3 +544,70 @@ class TestDigests:
         table = FragmentDigestTable.from_blocks("obj", blocks)
         with pytest.raises(ValueError, match="overlap"):
             progressive_repair_with_digests(code, blocks[:5], [5, 6], {}, table)
+
+
+@st.composite
+def codes_with_zero(draw):
+    """An RS code over GF(2^m), m = 2..8, at distinct points with 0 among
+    them, and an object for it, zero entries drawn often: (code, obj)."""
+    f = field(draw(st.integers(2, 8)))
+    n = draw(st.integers(2, min(f.order, 8)))
+    kappa = draw(st.integers(1, n - 1))
+    t = draw(st.integers(1, 3))
+    points = draw(st.lists(st.integers(1, f.order - 1), min_size=n - 1, max_size=n - 1, unique=True))
+    points.insert(draw(st.integers(0, n - 1)), 0)
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    symbol = st.one_of(st.just(0), st.integers(0, f.order - 1))
+    values = draw(st.lists(symbol, min_size=t * kappa, max_size=t * kappa))
+    return code, ObjectMatrix(FieldMatrix(f, t, kappa, values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(codes_with_zero(), st.data())
+def test_collect_matches_gauss_jordan(case, data):
+    # on RS columns collect interpolates; a column (1, x, ..., x^(kappa-1) + 1)
+    # is not one, so the blocks must then be solved
+    code, obj = case
+    blocks = data.draw(st.permutations(encode_object(obj, code)))[: code.kappa]
+    if code.kappa >= 3 and data.draw(st.booleans()):
+        b = blocks[0]
+        column = b.column[:-1] + (b.column[-1] + code.field.one,)
+        blocks[0] = NodeBlock(b.node_id, column, _apply_column(obj, column))
+    try:
+        solved = _solve_subset([b.column for b in blocks], [b.payload for b in blocks])
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            collect(blocks)
+        return
+    assert collect(blocks).pieces == solved.transpose() == obj.pieces
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(codes_with_zero(), st.data())
+def test_rows_at_matches_decode_then_eval(case, data):
+    # with some received symbols wrong, the values at the targets are
+    # those of rs_decode's row, so pollution spreads exactly as it did
+    code, obj = case
+    f, kappa = code.field, code.kappa
+    order = data.draw(st.permutations(range(code.n)))
+    positions = order[: data.draw(st.integers(kappa, code.n))]
+    blocks = encode_object(obj, code)
+    rows = []
+    for r in range(obj.t):
+        row = []
+        for p in positions:
+            mask = data.draw(st.one_of(st.just(0), st.integers(1, f.order - 1)))
+            row.append(FieldElement(blocks[p].payload[r].value ^ mask, f))
+        rows.append(row)
+    zero = code.evaluation_points.index(f.zero)
+    targets = data.draw(st.lists(st.integers(0, code.n - 1), min_size=1, max_size=4)) + [zero]
+    want = []
+    for row in rows:
+        try:
+            msg = [v.value for v in rs_decode(code, zip(positions, row))]
+        except DecodeError:
+            with pytest.raises(RepairFailureError):
+                _rows_at(code, positions, rows, targets)
+            return
+        want.append([_eval_row(f, msg, code.column_values[p]).value for p in targets])
+    assert _rows_at(code, positions, rows, targets) == want

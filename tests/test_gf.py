@@ -484,3 +484,65 @@ class TestExactKappaPath:
         received = [(pos, f.element(word[pos].value ^ (pos < 2))) for pos in range(5)]
         assert decode_or_flag(oracle_rs_decode, code, received) == "flagged"
         assert decode_or_flag(rs_decode, code, received) == "flagged"
+
+
+# --- barycentric evaluation and multi-row interpolation ---
+
+
+@st.composite
+def points_with_zero(draw, min_size=1):
+    """(f, points): distinct points of GF(2^m), m = 2..8, with 0 among them."""
+    f = field(draw(FIELD_EXPONENTS))
+    n = draw(st.integers(min_size, min(f.order, 8)))
+    points = draw(st.lists(st.integers(1, f.order - 1), min_size=n - 1, max_size=n - 1, unique=True))
+    points.insert(draw(st.integers(0, n - 1)), 0)
+    return f, points
+
+
+def naive_interpolant_at(f, points, values, x):
+    """sum_i y_i prod_{j != i} (x - a_j) / (a_i - a_j), in FieldElements."""
+    acc = f.zero
+    for i, (a, y) in enumerate(zip(points, values)):
+        term = f.element(y)
+        for j, b in enumerate(points):
+            if j != i:
+                term = term * (f.element(x) - f.element(b)) / (f.element(a) - f.element(b))
+        acc = acc + term
+    return acc.value
+
+
+class TestLagrangeAt:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(points_with_zero(), st.data())
+    def test_matches_naive_interpolant(self, case, data):
+        f, points = case
+        values = data.draw(st.lists(symbols(f), min_size=len(points), max_size=len(points)))
+        targets = data.draw(st.lists(st.integers(0, f.order - 1), max_size=4))
+        targets += [0, data.draw(st.sampled_from(points))]
+        coeffs = gf.lagrange_at(f, points, targets)
+        assert len(coeffs) == len(targets)
+        for x, c in zip(targets, coeffs):
+            assert dot(f, c, values) == naive_interpolant_at(f, points, values, x)
+
+    def test_one_point_and_targets_on_the_points(self):
+        f = field(3)
+        assert gf.lagrange_at(f, [5], [0, 5, 6]) == [[1], [1], [1]]
+        assert gf.lagrange_at(f, [0, 3, 6], [3, 0]) == [[0, 1, 0], [1, 0, 0]]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(points_with_zero(), st.data())
+    def test_multi_row_interpolate_matches_one_row(self, case, data):
+        f, points = case
+        n = len(points)
+        rows = data.draw(
+            st.lists(
+                st.one_of(st.just([0] * n), st.lists(symbols(f), min_size=n, max_size=n)),
+                max_size=4,
+            )
+        )
+        g0, g1s = gf._interpolate(f, points, rows)
+        assert len(g1s) == len(rows)
+        for row, g1 in zip(rows, g1s):
+            assert gf._interpolate(f, points, [row]) == (g0, [g1])
+            for a, y in zip(points, row):  # the interpolant takes every value
+                assert dot(f, g1, [f.pow(a, j) for j in range(len(g1))]) == y
