@@ -257,34 +257,31 @@ def mincut_collab(p: SystemParams, part: GroupPartition) -> Fraction:
 
 def capacity_selfish(p: SystemParams, part: GroupPartition, adv: AdversaryProfile) -> Fraction:
     """Upper bound on storable data with selfish nodes present."""
-    if adv.kind is not AdversaryKind.SELFISH:
-        raise ParameterError("profile kind must be selfish")
-    part.validate_for(p.k, p.t)
-    if adv.per_group is None or len(adv.per_group) != part.g:
-        raise AllocationError("need one selfish count per group")
-    _check_among_live(p, adv)
-    for u, l in zip(part.groups, adv.per_group):
-        if u > p.t - l:
-            raise AllocationError(
-                f"group of size {u} infeasible with {l} selfish newcomers (t={p.t})"
-            )
-    return _cut_sum(p, part, adv.among_live, adv.per_group, 1)
+    return _capacity(p, part, adv, AdversaryKind.SELFISH)
 
 
 def capacity_polluting(p: SystemParams, part: GroupPartition, adv: AdversaryProfile) -> Fraction:
     """Upper bound on storable data with polluting nodes present."""
-    if adv.kind is not AdversaryKind.POLLUTING:
-        raise ParameterError("profile kind must be polluting")
+    return _capacity(p, part, adv, AdversaryKind.POLLUTING)
+
+
+def _capacity(
+    p: SystemParams, part: GroupPartition, adv: AdversaryProfile, kind: AdversaryKind
+) -> Fraction:
+    """The cut bound under a profile of ``kind``: each of its newcomers
+    removes ``adv.factor`` collaborators from its group."""
+    if adv.kind is not kind:
+        raise ParameterError(f"profile kind must be {kind.value}")
     part.validate_for(p.k, p.t)
     if adv.per_group is None or len(adv.per_group) != part.g:
-        raise AllocationError("need one polluting count per group")
+        raise AllocationError(f"need one {kind.value} count per group")
     _check_among_live(p, adv)
-    for u, b in zip(part.groups, adv.per_group):
-        if u > p.t - 2 * b:
+    for u, a in zip(part.groups, adv.per_group):
+        if u > p.t - adv.factor * a:
             raise AllocationError(
-                f"group of size {u} infeasible with {b} polluting newcomers (t={p.t})"
+                f"group of size {u} infeasible with {a} {kind.value} newcomers (t={p.t})"
             )
-    return _cut_sum(p, part, adv.among_live, adv.per_group, 2)
+    return _cut_sum(p, part, adv.among_live, adv.per_group, adv.factor)
 
 
 def repair_gamma(p: SystemParams) -> Fraction:

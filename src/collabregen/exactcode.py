@@ -513,7 +513,7 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
         raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
     report = RepairReport(unit_pieces=Fraction(t * code.kappa, code.kappa))
     report.measured = tuple(f for f in failed if _behavior(behaviors, f) is Behavior.HONEST)
-    report.downloads = {f: {} for f in failed}
+    report.downloads = {f: Counter() for f in failed}
     return behaviors, random.Random(seed), live, failed, report
 
 
@@ -604,34 +604,33 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
 
     # Phase 1: each newcomer downloads its own row from its responders.
     equations: dict[int, dict[int, FieldElement]] = {f: {} for f in failed}
-    link_load: Counter = Counter()
     for j, f in enumerate(failed):
         for b in responders[f]:
             ans = _row_answer(b, j, behaviors, rng)
             assert ans is not None
             equations[f][b.position] = ans
-            report.downloads[f][b.node_id] = report.downloads[f].get(b.node_id, 0) + 1
-            link_load[(f, b.node_id)] += 1
+            report.downloads[f][b.node_id] += 1
 
     # Relay plan: rows short of kappa equations borrow evaluation points
-    # through peers, spreading the extra demand evenly over links.
-    relays: list[tuple[int, int, NodeBlock]] = []  # (carrier, beneficiary, source)
+    # through peers, spreading the extra demand evenly over links (the
+    # download ledger is the link load).  Each relayed piece is counted
+    # as an exchange from its carrier, so until phase 2 the exchange
+    # ledger holds relays only.
     for j, f in enumerate(failed):
         missing = kappa - len(equations[f])
         if missing <= 0:
             continue
         if policy is RepairPolicy.CONTACT_NEW_NODES:
             raise RepairFailureError("not enough responsive live nodes to gather a row")
-        have = {b.node_id for b in responders[f]}
         for _ in range(missing):
             options = []
             for i, peer in enumerate(failed):
                 if peer == f:
                     continue
                 for b in responders[peer]:
-                    if b.node_id in have:
+                    if b.position in equations[f]:
                         continue
-                    options.append((link_load[(peer, b.node_id)], b.node_id, peer, b))
+                    options.append((report.downloads[peer][b.node_id], b.node_id, peer, b))
             if not options:
                 raise RepairFailureError(
                     f"responding nodes cannot span the data of node {f}"
@@ -640,30 +639,19 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
             ans = _row_answer(src, j, behaviors, rng)
             assert ans is not None
             equations[f][src.position] = ans
-            have.add(src.node_id)
-            report.downloads[carrier][src.node_id] = (
-                report.downloads[carrier].get(src.node_id, 0) + 1
-            )
-            link_load[(carrier, src.node_id)] += 1
-            relays.append((carrier, f, src))
+            report.downloads[carrier][src.node_id] += 1
+            report.exchanges[(carrier, f)] = report.exchanges.get((carrier, f), 0) + 1
 
-    for carrier, beneficiary, _ in relays:
-        key = (carrier, beneficiary)
-        report.exchanges[key] = report.exchanges.get(key, 0) + 1
-
-    # each newcomer's row at every newcomer's position: its own piece
-    # and the cross pieces it sends
+    # each newcomer's row (exactly kappa equations now) at every
+    # newcomer's position: its own piece and the cross pieces it sends
     targets = [f - 1 for f in failed]
     rows: list[list[int]] = []
-    for f in failed:
-        eqs = equations[f]
-        if len(eqs) < kappa:
-            raise RepairFailureError(f"row of node {f} has too few equations")
+    for eqs in equations.values():
         rows += _rows_at(code, list(eqs), [list(eqs.values())], targets)
 
     # Phase 2: cross pieces.  With relays in flight the counted exchange
     # slots are spent, so completion pieces ride in their own ledger.
-    cross_ledger = report.completion if relays else report.exchanges
+    cross_ledger = report.completion if report.exchanges else report.exchanges
     for f in failed:
         for peer in failed:
             if peer != f:
@@ -695,7 +683,7 @@ def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed
             )
         rows = [[_row_answer(b, r, behaviors, rng) for b in responders] for r in range(t)]
         for b in responders:
-            report.downloads[f][b.node_id] = report.downloads[f].get(b.node_id, 0) + t
+            report.downloads[f][b.node_id] += t
         pieces = _rows_at(code, [b.position for b in responders], rows, [f - 1])
         payload = tuple(FieldElement(v, code.field) for (v,) in pieces)
         new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), behaviors, rng))
@@ -742,69 +730,44 @@ def progressive_repair_with_digests(
         (f, r): {} for f in failed for r in needed[f]
     }
 
-    def download_from(block: NodeBlock) -> None:
+    for count, block in enumerate(live, 1):
         for f in failed:
             for r in needed[f]:
                 ans = _row_answer(block, r, behaviors, rng)
                 if ans is None:
                     continue
                 equations[(f, r)][block.position] = ans
-                report.downloads[f][block.node_id] = (
-                    report.downloads[f].get(block.node_id, 0) + 1
-                )
-
-    contact_count = 0
-    for b in live[:kappa]:
-        download_from(b)
-        contact_count += 1
-
-    while True:
+                report.downloads[f][block.node_id] += 1
+        if count < kappa:
+            continue
         for f in failed:
-            report.contacted[f] = tuple(b.node_id for b in live[:contact_count])
-        result = _try_verified_assembly(
-            code, failed, byz, needed, equations, digests, kappa, report
-        )
+            report.contacted[f] = tuple(b.node_id for b in live[:count])
+        result = _try_verified_assembly(code, failed, equations, digests, report)
         if result is not None:
             # a polluting newcomer stores garbage even after a verified repair
             return [_as_served(block, behaviors, rng) for block in result], report
-        if contact_count >= len(live):
-            raise RepairFailureError(
-                f"no verified repair with all {len(live)} live nodes contacted"
-            )
-        download_from(live[contact_count])
-        contact_count += 1
+    raise RepairFailureError(f"no verified repair with all {len(live)} live nodes contacted")
 
 
-def _try_verified_assembly(code, failed, byz, needed, equations, digests, kappa, report):
-    position_sets = [set(eqs.keys()) for eqs in equations.values()]
-    positions = sorted(set.intersection(*position_sets)) if position_sets else []
-    if len(positions) < kappa:
-        return None
-    honest = [f for f in failed if f not in byz]
-    for subset in combinations(positions, kappa):
-        rows: dict[tuple[int, int], list[int]] = {}
-        ok = True
-        for f in failed:
-            for r in needed[f]:
-                eqs = equations[(f, r)]
-                try:
-                    row = rs_decode(code, [(p, eqs[p]) for p in subset])
-                except DecodeError:
-                    ok = False
-                    break
-                rows[(f, r)] = [v.value for v in row]
-            if not ok:
-                break
-        if not ok:
-            continue
+def _try_verified_assembly(code, failed, equations, digests, report):
+    # Every row map holds the same positions (there is no map when no
+    # node failed): a contacted node answers every row or, when selfish,
+    # none.  Any kappa of them are distinct in-range positions with a
+    # symbol, which rs_decode interpolates and never rejects, so every
+    # subset yields a candidate for the digests.
+    positions = sorted(next(iter(equations.values()), ()))
+    for subset in combinations(positions, code.kappa):
+        rows = {
+            key: [v.value for v in rs_decode(code, [(p, eqs[p]) for p in subset])]
+            for key, eqs in equations.items()
+        }
         # candidate cross pieces travel once per attempt between honest pairs
-        for src in honest:
-            for dst in honest:
+        for src in report.measured:
+            for dst in report.measured:
                 if src != dst:
                     key = (src, dst)
                     report.exchanges[key] = report.exchanges.get(key, 0) + 1
         blocks = []
-        verified = True
         for f in failed:
             column = code.column_values[f - 1]
             payload = tuple(
@@ -813,9 +776,8 @@ def _try_verified_assembly(code, failed, byz, needed, equations, digests, kappa,
             )
             block = NodeBlock(f, code.column(f - 1), payload)
             if not digests.verify(block):
-                verified = False
                 break
             blocks.append(block)
-        if verified:
+        else:
             return blocks
     return None

@@ -313,7 +313,9 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
     stored: dict[int, NodeBlock] = {b.node_id: b for b in truth}
     digests = FragmentDigestTable.from_blocks(cfg.object_id, truth)
 
-    schedule = cfg.failure_schedule or _draw_schedule(cfg, rng)
+    schedule = cfg.failure_schedule
+    if schedule is None:  # an explicit empty schedule is checked, not replaced
+        schedule = _draw_schedule(cfg, rng)
     if len(schedule) < cfg.generations:
         raise ValueError("failure schedule shorter than the generation count")
 

@@ -398,6 +398,18 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     return best
 
 
+def _search_float(name: str, value: Fraction) -> float:
+    """A positive ``value`` as the float the grid search runs on;
+    ParameterError when that overflows or underflows to 0."""
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} overflows a float") from None
+    if out == 0:
+        raise ParameterError(f"{name} underflows to 0 as a float")
+    return out
+
+
 def optimize_gamma(
     p: SystemParams,
     adversary: Optional[AdversaryProfile],
@@ -412,22 +424,24 @@ def optimize_gamma(
     Searches beta, beta' >= 0 by default; ``bandwidth_box`` restricts the
     search window instead.  Raises InfeasibleError when the storage level
     cannot support the object under the search model (exit path, not a
-    crash).
+    crash), and ParameterError when the object size or the storage level
+    has no positive finite float.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise ParameterError("alpha must be nonnegative")
     base = p.with_point(alpha, 0, 0)
     unit = p.unit
-    if p.B > 0 and alpha < unit:
-        raise InfeasibleError(f"alpha={float(alpha):.6g} below minimum storage B/k")
     if p.B == 0:
         return CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(p.k), None)
+    B_f = _search_float("object size B", p.B)
+    if alpha < unit:
+        raise InfeasibleError(f"alpha={float(alpha):.6g} below minimum storage B/k")
+    alpha_f = _search_float("storage level alpha", alpha)
     if supremum_capacity(base, adversary, fixed_g) < p.B:
         raise InfeasibleError("capacity cannot reach the object size at this alpha")
 
     search = _cut_search(base, adversary, fixed_g)
-    alpha_f, B_f = float(alpha), float(p.B)
 
     best = None
     if bandwidth_box is not None:

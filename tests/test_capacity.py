@@ -178,6 +178,25 @@ class TestAdversarialCapacity:
         with pytest.raises(AllocationError):
             capacity_polluting(p, part, polluting(0, (1, 0)))
 
+    @pytest.mark.parametrize(
+        "capacity, profile, other, kind",
+        [
+            (capacity_selfish, selfish, polluting, "selfish"),
+            (capacity_polluting, polluting, selfish, "polluting"),
+        ],
+    )
+    def test_messages_name_the_kind(self, capacity, profile, other, kind):
+        p = params(k=4, d=6, t=2, alpha=1, beta=1, beta_prime=1)
+        part = GroupPartition((2, 2))
+        with pytest.raises(ParameterError, match=f"^profile kind must be {kind}$"):
+            capacity(p, part, other(0, (0, 0)))
+        with pytest.raises(AllocationError, match=f"^need one {kind} count per group$"):
+            capacity(p, part, profile(0, (0,)))
+        with pytest.raises(
+            AllocationError, match=rf"^group of size 2 infeasible with 1 {kind} newcomers \(t=2\)$"
+        ):
+            capacity(p, part, profile(0, (1, 0)))
+
     def test_too_many_live_adversaries_rejected(self):
         p = params(k=2, d=3, t=2, alpha=1, beta=1, beta_prime=1)
         part = GroupPartition.all_ones(2)

@@ -161,6 +161,21 @@ class TestTradeoff:
         )
         assert code == 1 and out == "" and "--tol" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--B", "1e400", "object size B overflows"),
+            ("--alpha-max", "1e400", "storage level alpha overflows"),
+            ("--B", "1e-400", "object size B underflows"),
+        ],
+    )
+    def test_float_range_exits_one(self, capsys, flag, value, named):
+        code, out, err = run(
+            capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
+            "--alpha-points", "2", flag, value,
+        )
+        assert code == 1 and out == "" and named in err
+
     def test_infeasible_grid_exits_two(self, capsys):
         code, _, err = run(
             capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
@@ -268,6 +283,11 @@ class TestSimulate:
     def test_unknown_key_exits_one(self, capsys, tmp_path):
         err = self.malformed(capsys, tmp_path, '{"bogus": 1}')
         assert "unknown scenario config key(s): bogus" in err
+
+    def test_empty_failure_schedule_exits_one(self, capsys, tmp_path):
+        # an explicit empty schedule is checked, not replaced by a drawn one
+        err = self.malformed(capsys, tmp_path, '{"failure_schedule": [], "generations": 3}')
+        assert "failure schedule shorter than the generation count" in err
 
     def test_negative_generations_exits_one(self, capsys, tmp_path):
         err = self.malformed(capsys, tmp_path, '{"generations": -3}')

@@ -611,3 +611,97 @@ def test_rows_at_matches_decode_then_eval(case, data):
             return
         want.append([_eval_row(f, msg, code.column_values[p]).value for p in targets])
     assert _rows_at(code, positions, rows, targets) == want
+
+
+def pinned_repair(name):
+    """One repair on a (10,4) code over GF(16) with t = 3, nodes 8-10
+    failed, chosen so that together the four reach every branch of the
+    three repair paths."""
+    code = RsCode.with_power_points(field(4), 10, 4, 1)
+    blocks = encode_object(ObjectMatrix.random(code.field, 3, 4, random.Random(11)), code)
+    live, failed = blocks[:7], [8, 9, 10]
+    if name == "relay":  # two selfish live nodes under keep-responders
+        return collaborative_repair(code, live, failed, {1: "selfish", 5: "selfish"}, seed=5)
+    if name == "vote":
+        bad = {2: "polluting"}
+        return collaborative_repair(code, live, failed, bad, assumed_polluters=1, seed=5)
+    if name == "byzantine_newcomer":
+        bad = {3: "selfish", 9: "polluting"}
+        policy = RepairPolicy.CONTACT_NEW_NODES
+        return collaborative_repair(code, live, failed, bad, policy=policy, seed=5)
+    # four contacts give three equations, five a polluted subset, six a verified one
+    digests = FragmentDigestTable.from_blocks("pinned", blocks)
+    bad = {2: "polluting", 3: "selfish", 9: "selfish"}
+    return progressive_repair_with_digests(code, live, failed, bad, digests, seed=5)
+
+
+# Recorded before the repair paths dropped their parallel bookkeeping
+# (link loads, relay list, position-set intersection); every ledger is
+# listed in key order, which the cost summaries do not see.
+PINNED_REPAIRS = {
+    "relay": {
+        "blocks": [(8, [11, 4, 10]), (9, [5, 5, 0]), (10, [6, 0, 13])],
+        "downloads": [
+            (8, [(2, 2), (3, 2), (4, 1)]),
+            (9, [(6, 2), (7, 2)]),
+            (10, [(2, 1), (3, 1), (4, 1)]),
+        ],
+        "exchanges": [((9, 8), 1), ((8, 9), 2), ((9, 10), 1)],
+        "completion": [
+            ((8, 9), 1), ((8, 10), 1), ((9, 8), 1), ((9, 10), 1), ((10, 8), 1), ((10, 9), 1)
+        ],
+        "contacted": [(8, (1, 2, 3, 4)), (9, (5, 6, 7, 1)), (10, (2, 3, 4, 5))],
+        "measured": (8, 9, 10),
+    },
+    "vote": {
+        "blocks": [(8, [11, 4, 10]), (9, [5, 5, 0]), (10, [6, 0, 13])],
+        "downloads": [
+            (8, [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]),
+            (9, [(5, 1), (6, 1), (7, 1), (1, 1), (2, 1), (3, 1)]),
+            (10, [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]),
+        ],
+        "exchanges": [
+            ((8, 9), 1), ((8, 10), 1), ((9, 8), 1), ((9, 10), 1), ((10, 8), 1), ((10, 9), 1)
+        ],
+        "completion": [],
+        "contacted": [(8, (1, 2, 3, 4, 5, 6)), (9, (5, 6, 7, 1, 2, 3)), (10, (2, 3, 4, 5, 6, 7))],
+        "measured": (8, 9, 10),
+    },
+    "byzantine_newcomer": {
+        "blocks": [(8, [11, 4, 10]), (9, [15, 0, 12]), (10, [6, 0, 13])],
+        "downloads": [
+            (8, [(1, 3), (2, 3), (4, 3), (5, 3)]),
+            (9, [(5, 3), (6, 3), (7, 3), (1, 3)]),
+            (10, [(2, 3), (4, 3), (5, 3), (6, 3)]),
+        ],
+        "exchanges": [],
+        "completion": [],
+        "contacted": [(8, (1, 2, 3, 4, 5)), (9, (5, 6, 7, 1)), (10, (2, 3, 4, 5, 6))],
+        "measured": (8, 10),
+    },
+    "digests": {
+        "blocks": [(8, [11, 4, 10]), (9, [5, 5, 0]), (10, [6, 0, 13])],
+        "downloads": [
+            (8, [(1, 2), (2, 2), (4, 2), (5, 2), (6, 2)]),
+            (9, [(1, 3), (2, 3), (4, 3), (5, 3), (6, 3)]),
+            (10, [(1, 2), (2, 2), (4, 2), (5, 2), (6, 2)]),
+        ],
+        "exchanges": [((8, 10), 5), ((10, 8), 5)],
+        "completion": [],
+        "contacted": [(f, (1, 2, 3, 4, 5, 6)) for f in (8, 9, 10)],
+        "measured": (8, 10),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPAIRS))
+def test_repair_ledgers_are_pinned(name):
+    blocks, report = pinned_repair(name)
+    assert {
+        "blocks": [(b.node_id, [p.value for p in b.payload]) for b in blocks],
+        "downloads": [(f, list(d.items())) for f, d in report.downloads.items()],
+        "exchanges": list(report.exchanges.items()),
+        "completion": list(report.completion.items()),
+        "contacted": list(report.contacted.items()),
+        "measured": report.measured,
+    } == PINNED_REPAIRS[name]
