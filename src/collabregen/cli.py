@@ -179,22 +179,15 @@ def _cmd_bounds(args) -> int:
 
     sections = {args.point} if args.point else {"msr", "mbr", "gamma", "mincut", "adversary"}
 
-    if "msr" in sections:
-        a, b, bp = msr_point(p)
-        doc["msr"] = {
-            "alpha": _emit(a, unit, raw),
-            "beta": _emit(b, unit, raw),
-            "beta_prime": _emit(bp, unit, raw),
-            "gamma": _emit(repair_gamma(p.with_point(a, b, bp)), unit, raw),
-        }
-    if "mbr" in sections:
-        a, b, bp = mbr_point(p)
-        doc["mbr"] = {
-            "alpha": _emit(a, unit, raw),
-            "beta": _emit(b, unit, raw),
-            "beta_prime": _emit(bp, unit, raw),
-            "gamma": _emit(repair_gamma(p.with_point(a, b, bp)), unit, raw),
-        }
+    for name, point in (("msr", msr_point), ("mbr", mbr_point)):
+        if name in sections:
+            a, b, bp = point(p)
+            doc[name] = {
+                "alpha": _emit(a, unit, raw),
+                "beta": _emit(b, unit, raw),
+                "beta_prime": _emit(bp, unit, raw),
+                "gamma": _emit(repair_gamma(p.with_point(a, b, bp)), unit, raw),
+            }
     if "gamma" in sections and (p.beta or p.beta_prime):
         doc["gamma"] = _emit(repair_gamma(p), unit, raw)
     if "mincut" in sections and p.alpha:

@@ -44,14 +44,13 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
-    DecodeAmbiguityError,
-    DecodeError,
     FieldElement,
     FieldMatrix,
+    FieldMismatchError,
     GF,
     RsCode,
     SingularMatrixError,
-    _interpolate,
+    _decode_rows,
     dot,
     lagrange_at,
     rs_decode,
@@ -186,10 +185,7 @@ def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     kappa = len(blocks)
     points = _rs_points(blocks, kappa)
     if points is not None:
-        t = len(blocks[0].payload)
-        _, rows = _interpolate(f, points, [[b.payload[r].value for b in blocks] for r in range(t)])
-        data = [v for row in rows for v in row + [0] * (kappa - len(row))]
-        return ObjectMatrix(FieldMatrix(f, t, kappa, data))
+        return _rows_object(points, blocks, kappa)
     # columns^T . O^T = payload rows: the block columns are the rows
     cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
     rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
@@ -199,6 +195,16 @@ def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
         if len({b.column for b in blocks}) < kappa:
             raise ValueError(_SHARED_COLUMN) from None
         raise
+
+
+def _rows_object(points: list[int], blocks: Sequence[NodeBlock], kappa: int):
+    """The object whose rows ``gf._decode_rows`` decodes from the blocks'
+    payloads at their ``points``, or None when a row is beyond the radius."""
+    f, t = blocks[0].payload[0].field, len(blocks[0].payload)
+    rows = _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
+    if None in rows:
+        return None
+    return ObjectMatrix(FieldMatrix(f, t, kappa, [v for row in rows for v in row]))
 
 
 def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
@@ -227,9 +233,12 @@ def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
 
 def _collector_kappa(blocks: Sequence[NodeBlock]) -> int:
     """kappa of the blocks' code; ValueError unless there are at least
-    kappa blocks, each from a different node."""
+    kappa blocks, each from a different node, all over one field."""
     if not blocks:
         raise ValueError("no blocks given")
+    f = blocks[0].column[0].field
+    if any(s.field is not f for b in blocks for s in b.column + b.payload):
+        raise FieldMismatchError("blocks from different fields")
     kappa = len(blocks[0].column)
     ids = [b.node_id for b in blocks]
     if len(set(ids)) != len(ids):
@@ -245,8 +254,9 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     On Reed-Solomon columns (1, x, ..., x^(kappa-1)) the first kappa
     blocks' rows are interpolated at their points; other columns are
     solved by Gauss-Jordan elimination.  ValueError for fewer than kappa
-    blocks, a repeated node id, two blocks that share a column (for
-    kappa > 1), or an extra block inconsistent with the rest."""
+    blocks, a repeated node id, symbols from different fields, two blocks
+    that share a column (for kappa > 1), or an extra block inconsistent
+    with the rest."""
     kappa = _collector_kappa(blocks)
     obj = _solve_object(blocks[:kappa])
     # the solve found shared columns among the first kappa; extras are rare
@@ -274,28 +284,31 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     that unique answer.
 
     When 2*max_polluters <= len(blocks) - kappa and the blocks carry
-    Reed-Solomon columns (1, x, x^2, ...) at distinct points x, each
-    object row is decoded on its own with ``rs_decode`` on the code of
-    those points, in O(len(blocks)^2) field operations per row; the bad
-    blocks are the union of the positions where a decoded row disagrees.
+    Reed-Solomon columns (1, x, x^2, ...) at distinct points x, all
+    object rows are decoded by ``gf._decode_rows`` on one interpolation
+    setup for those points, in O(len(blocks)^2) field operations per row;
+    the decoded object, if every row decodes, is the one candidate.
     Otherwise (too many polluters for a unique answer to be guaranteed,
     kappa = 1, or other columns) every kappa-subset of the blocks is
-    solved and each distinct candidate checked against all blocks, which
-    costs C(len(blocks), kappa) solves.
+    solved.  Each distinct candidate is checked against all blocks, which
+    on the subset path costs C(len(blocks), kappa) solves.
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
     kappa = _collector_kappa(blocks)
     ordered = sorted(blocks, key=lambda b: b.node_id)
+    points = None
     if 2 * max_polluters <= len(ordered) - kappa:
-        code = _points_code(ordered, kappa)
-        if code is not None:
-            return _collect_by_rows(code, ordered, max_polluters)
+        points = _rs_points(ordered, kappa)
+    if points is None:
+        candidates = (_solve_object(list(subset)) for subset in combinations(ordered, kappa))
+    else:
+        obj = _rows_object(points, ordered, kappa)
+        candidates = [] if obj is None else [obj]
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
-    for subset in combinations(ordered, kappa):
-        candidate = _solve_object(list(subset))
+    for candidate in candidates:
         key = tuple(v.value for v in candidate.pieces.entries)
         if key in seen:
             continue
@@ -308,34 +321,6 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     if len(qualified) == 1:
         return qualified[0]
     return AMBIGUOUS
-
-
-def _points_code(blocks: Sequence[NodeBlock], kappa: int) -> Optional[RsCode]:
-    """The RS code with block i at point column[1], if every column is
-    (1, x, ..., x^(kappa-1)) at distinct points x; otherwise None."""
-    if len(blocks) == kappa:
-        return None
-    points = _rs_points(blocks, kappa)
-    if points is None:
-        return None
-    f = blocks[0].column[0].field
-    return RsCode(f, len(points), kappa, tuple(FieldElement(x, f) for x in points))
-
-
-def _collect_by_rows(code: RsCode, blocks: Sequence[NodeBlock], max_polluters: int):
-    rows = []
-    bad: set[int] = set()
-    for r in range(len(blocks[0].payload)):
-        try:
-            row = rs_decode(code, [(i, b.payload[r]) for i, b in enumerate(blocks)])
-        except DecodeAmbiguityError:
-            return AMBIGUOUS
-        word = code.encode(row)
-        bad.update(i for i, b in enumerate(blocks) if word[i] != b.payload[r])
-        rows.append(row)
-    if len(bad) > max_polluters:
-        return AMBIGUOUS
-    return ObjectMatrix(FieldMatrix.from_rows(code.field, rows))
 
 
 # --- collaborative repair ---
@@ -467,24 +452,27 @@ def _row_answer(
 
 
 def _rows_at(code, positions, rows, targets) -> list[list[int]]:
-    """Each object row, from its received symbols at ``positions``,
-    evaluated at the ``targets`` positions, as ints (out[r][i] is row r at
-    targets[i]).  With exactly kappa symbols the row is their interpolant,
-    so one ``lagrange_at`` setup and one ``dot`` per row and target give
-    its values; with more, each row is decoded by ``rs_decode`` (Gao) and
+    """Each object row, from its received symbols at the kappa or more
+    distinct ``positions``, evaluated at the ``targets`` positions, as
+    ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
+    the row is their interpolant, so one ``lagrange_at`` setup and one
+    ``dot`` per row and target give its values; with more, all rows are
+    decoded by ``gf._decode_rows`` (Gao) on one interpolation setup and
     evaluated.  RepairFailureError when a row does not decode."""
-    f = code.field
-    if len(positions) == code.kappa:
-        at = code.evaluation_points
-        coeffs = lagrange_at(f, [at[p].value for p in positions], [at[p].value for p in targets])
-        values = [[y.value for y in row] for row in rows]
+    f, kappa = code.field, code.kappa
+    at = code.evaluation_points
+    points = [at[p].value for p in positions]
+    values = [[y.value for y in row] for row in rows]
+    if len(positions) == kappa:
+        coeffs = lagrange_at(f, points, [at[p].value for p in targets])
         return [[dot(f, c, ys) for c in coeffs] for ys in values]
     out = []
-    for row in rows:
-        try:
-            msg = [v.value for v in rs_decode(code, zip(positions, row))]
-        except DecodeError as exc:
-            raise RepairFailureError(f"row decoding failed: {exc}") from exc
+    for msg in _decode_rows(f, points, values, kappa):
+        if msg is None:
+            raise RepairFailureError(
+                f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
+                f" (n_s={code.n - len(points)})"
+            )
         out.append([dot(f, msg, code.column_values[p]) for p in targets])
     return out
 
@@ -493,7 +481,7 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     """The checked inputs both repair entry points start from: behaviors
     as enums, the seeded RNG, live blocks by id, failed ids sorted, and a
     report with a download ledger per newcomer that measures the honest
-    ones."""
+    ones.  Every node id must be in 1..n: id - 1 is its codeword position."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live = sorted(live_blocks, key=lambda b: b.node_id)
     live_ids = {b.node_id for b in live}
@@ -509,6 +497,9 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
         raise ValueError("duplicate failed ids")
     if live_ids.intersection(failed):
         raise ValueError("failed ids overlap live nodes")
+    strays = sorted(i for i in live_ids.union(failed) if not 1 <= i <= code.n)
+    if strays:
+        raise ValueError(f"node ids {strays} outside 1..{code.n}")
     if len(live) < code.kappa:
         raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
     report = RepairReport(unit_pieces=Fraction(t * code.kappa, code.kappa))
@@ -531,6 +522,7 @@ def collaborative_repair(
 
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
     id they replace) to a Behavior or its string; missing ids are honest.
+    ``policy`` is a RepairPolicy or its string.
     ``assumed_polluters`` is the number of polluting live nodes the
     repair procedure plans for (downloads escalate by two contacts per
     assumed polluter); it defaults to the actual count in ``behaviors``,
@@ -539,6 +531,7 @@ def collaborative_repair(
     behaviors, rng, live, failed, report = _start_repair(
         code, live_blocks, failed_ids, behaviors, seed
     )
+    policy = RepairPolicy(policy)
     polluting_live = sum(
         1 for b in live if _behavior(behaviors, b.node_id) is Behavior.POLLUTING
     )

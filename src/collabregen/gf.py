@@ -4,14 +4,15 @@ Elements are polynomial-basis bit vectors reduced modulo a fixed primitive
 polynomial per field size, so bit patterns are reproducible across runs.
 Below the element API, values are ints and a product is one lookup in the
 field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
-column application and matrix products; ``_interpolate`` is Gao's
-interpolation step, O(N^2) lookups shared by every value row on one point
-set; ``lagrange_at`` turns values at N points into the interpolant's value
-at a target with one ``dot``, after an O(N^2) setup per point set.
-Includes dense matrices over a field (Gaussian elimination solve) and
-Reed-Solomon codes with joint erasure/error decoding by Gao's algorithm,
-O(n^2) field operations per word, certified against the distance bound
-n_s + 2*n_b <= n - kappa.
+column application and matrix products; ``_decode_rows`` is the one
+decode kernel of every read, one O(N^2) interpolation setup shared by all
+value rows on a point set, then Gao's Euclid steps per row when there are
+more than kappa points; ``lagrange_at`` turns values at N points into the
+interpolant's value at a target with one ``dot``, after an O(N^2) setup
+per point set.  Includes dense matrices over a field (Gaussian
+elimination solve) and Reed-Solomon codes whose ``rs_decode`` wraps the
+kernel: joint erasure/error decoding, O(n^2) field operations per word,
+certified against the distance bound n_s + 2*n_b <= n - kappa.
 
 Everything here is pure and deterministic; fields and elements are
 immutable and freely shareable across threads.
@@ -508,18 +509,28 @@ def rs_decode(
             f"{len(seen)} symbols available, need at least {kappa}"
         )
     points = [code.evaluation_points[pos].value for pos in seen]
-    values = list(seen.values())
-    g0, (msg,) = _interpolate(f, points, [values])
-    # with exactly kappa symbols Euclid takes no step and the interpolant
-    # agrees with every symbol: it is the message, with no errors to count
+    (msg,) = _decode_rows(f, points, [list(seen.values())], kappa)
+    if msg is None:
+        raise DecodeAmbiguityError(
+            f"no codeword within n_s + 2*n_b <= {code.n - kappa} (n_s={code.n - len(points)})"
+        )
+    return tuple(FieldElement(v, f) for v in msg)
+
+
+def _decode_rows(
+    f: GF, points: list[int], rows: Sequence[Sequence[int]], kappa: int
+) -> list[Optional[list[int]]]:
+    """Each row of values at the N >= kappa distinct ``points`` decoded to
+    its kappa message coefficients, as ints, or None when no message of
+    degree < kappa is within (N - kappa)/2 errors of the row.  One
+    interpolation setup serves every row.  With exactly kappa points
+    Euclid would take no step and the interpolant agrees with every
+    value: it is the message, with no errors to count; with more, each
+    row goes through Gao's Euclid steps."""
+    g0, msgs = _interpolate(f, points, rows)
     if len(points) > kappa:
-        msg = _gao(f, g0, msg, kappa)
-        if msg is None:
-            n_s = code.n - len(points)
-            raise DecodeAmbiguityError(
-                f"no codeword within n_s + 2*n_b <= {code.n - kappa} (n_s={n_s})"
-            )
-    return tuple(FieldElement(v, f) for v in msg + [0] * (kappa - len(msg)))
+        msgs = [_gao(f, g0, g1, kappa) for g1 in msgs]
+    return [None if m is None else m + [0] * (kappa - len(m)) for m in msgs]
 
 
 # Polynomials below are int coefficient lists over one field, lowest

@@ -28,7 +28,7 @@ from .exactcode import (
     RepairPolicy,
     _as_served,
     collaborative_repair,
-    collect,
+    collect,  # not called here; perfbench/tracing.py wraps scenarios.collect
     encode_object,
     progressive_repair_with_digests,
 )
@@ -358,17 +358,18 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
                 beta_av=float(report.beta_av),
                 beta_prime=float(report.beta_prime),
                 gamma=float(report.gamma),
-                reconstruction_ok=_reconstruction_ok(cfg, obj, stored, behaviors, rng),
+                reconstruction_ok=_reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng),
             )
         )
     return stats
 
 
-def _reconstruction_ok(cfg, obj, stored, behaviors, rng) -> bool:
-    """Whether a collector reading the lowest-id nodes gets the object back."""
+def _reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng) -> bool:
+    """Whether a collector reading the kappa lowest-id nodes gets the object
+    back.  Their columns are Reed-Solomon columns at kappa distinct points,
+    so an object and its kappa blocks determine each other: ``collect``
+    returns the object exactly when every served payload is the true one."""
     served = behaviors if cfg.pollute_collection else {}
+    # every block is served first, so the RNG draws do not depend on the verdict
     answers = [_as_served(stored[i], served, rng) for i in sorted(stored)[: cfg.code.kappa]]
-    try:
-        return collect(answers).pieces == obj.pieces
-    except ValueError:
-        return False
+    return all(b.payload == truth_payloads[b.node_id] for b in answers)

@@ -29,6 +29,7 @@ from collabregen.gf import (
     DecodeError,
     FieldElement,
     FieldMatrix,
+    FieldMismatchError,
     RsCode,
     SingularMatrixError,
     field,
@@ -162,6 +163,19 @@ class TestCollectRobust:
         twin = NodeBlock(99, b1.column, b1.payload)
         with pytest.raises(ValueError, match="share a column"):
             collect_robust([b1, twin, b2, b3], max_polluters)
+
+    @pytest.mark.parametrize("max_polluters", [0, 1])
+    def test_symbols_from_another_field(self, max_polluters):
+        # a GF(16) symbol among GF(8) blocks, first or later
+        _, _, blocks = demo_setup()
+        for i in (0, 3):
+            b = blocks[i]
+            odd = NodeBlock(b.node_id, b.column, (FieldElement(12, field(4)), b.payload[1]))
+            read = blocks[:i] + [odd] + blocks[i + 1:5]
+            with pytest.raises(FieldMismatchError):
+                collect_robust(read, max_polluters)
+            with pytest.raises(FieldMismatchError):
+                collect(read)
 
 
 @st.composite
@@ -613,12 +627,16 @@ def test_rows_at_matches_decode_then_eval(case, data):
     assert _rows_at(code, positions, rows, targets) == want
 
 
-def pinned_repair(name):
-    """One repair on a (10,4) code over GF(16) with t = 3, nodes 8-10
-    failed, chosen so that together the four reach every branch of the
-    three repair paths."""
+def pinned_system():
+    """A (10,4) code over GF(16) and the blocks of a t = 3 object."""
     code = RsCode.with_power_points(field(4), 10, 4, 1)
-    blocks = encode_object(ObjectMatrix.random(code.field, 3, 4, random.Random(11)), code)
+    return code, encode_object(ObjectMatrix.random(code.field, 3, 4, random.Random(11)), code)
+
+
+def pinned_repair(name):
+    """One repair of the pinned system with nodes 8-10 failed, chosen so
+    that together the four reach every branch of the three repair paths."""
+    code, blocks = pinned_system()
     live, failed = blocks[:7], [8, 9, 10]
     if name == "relay":  # two selfish live nodes under keep-responders
         return collaborative_repair(code, live, failed, {1: "selfish", 5: "selfish"}, seed=5)
@@ -705,3 +723,34 @@ def test_repair_ledgers_are_pinned(name):
         "contacted": list(report.contacted.items()),
         "measured": report.measured,
     } == PINNED_REPAIRS[name]
+
+
+@pytest.mark.parametrize("relabel, failed", [(0, [8, 9, 10]), (11, [8, 9, 10]), (None, [0, 9, 10])])
+def test_node_ids_outside_the_code_rejected(relabel, failed):
+    # a repair uses node_id - 1 as the codeword position: a live node 0
+    # would wrap around to the last point, and a failed node 0 get node
+    # 10's block
+    code, blocks = pinned_system()
+    live = blocks[:7]
+    if relabel is not None:
+        live[0] = NodeBlock(relabel, live[0].column, live[0].payload)
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+    with pytest.raises(ValueError, match=r"outside 1\.\.10"):
+        collaborative_repair(code, live, failed)
+    with pytest.raises(ValueError, match=r"outside 1\.\.10"):
+        progressive_repair_with_digests(code, live, failed, {}, table)
+
+
+def test_string_policies_act_like_enums():
+    # the relay repair moves completion pieces only under keep-responders
+    code, blocks = pinned_system()
+    selfish = {1: "selfish", 5: "selfish"}
+
+    def run(policy):
+        return collaborative_repair(code, blocks[:7], [8, 9, 10], selfish, policy=policy, seed=5)
+
+    for policy in RepairPolicy:
+        assert run(policy.value) == run(policy)
+    assert run("keep-responders")[1].completion_pieces == 6
+    with pytest.raises(ValueError):
+        collaborative_repair(code, blocks[:7], [8, 9, 10], selfish, policy="keep-everyone")

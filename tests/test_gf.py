@@ -546,3 +546,56 @@ class TestLagrangeAt:
             assert gf._interpolate(f, points, [row]) == (g0, [g1])
             for a, y in zip(points, row):  # the interpolant takes every value
                 assert dot(f, g1, [f.pow(a, j) for j in range(len(g1))]) == y
+
+
+# --- the decode kernel against per-row rs_decode ---
+
+
+@st.composite
+def decode_rows_cases(draw):
+    """A code whose points include 0, N >= kappa received positions
+    (often exactly kappa; the one at point 0 often among them) and rows
+    of values there: codewords with up to one error past the radius, or
+    arbitrary values.  As (code, positions, rows)."""
+    f, points = draw(points_with_zero(min_size=2))
+    n = len(points)
+    kappa = draw(st.integers(1, n - 1))
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    size = draw(st.one_of(st.just(kappa), st.integers(kappa, n)))
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        order.remove(points.index(0))
+        order.insert(0, points.index(0))
+    positions = order[:size]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(symbols(f), min_size=size, max_size=size)))
+            continue
+        message = draw(st.lists(symbols(f), min_size=kappa, max_size=kappa))
+        word = rs_encode(code, [f.element(v) for v in message])
+        row = [word[p].value for p in positions]
+        for i in draw(st.sets(st.integers(0, size - 1), max_size=(size - kappa) // 2 + 1)):
+            row[i] ^= draw(st.integers(1, f.order - 1))
+        rows.append(row)
+    return code, positions, rows
+
+
+class TestDecodeRows:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(decode_rows_cases())
+    def test_matches_rs_decode_per_row(self, case):
+        # one interpolation setup serves every row; a row beyond the
+        # radius is None where rs_decode, and the exhaustive oracle, flag it
+        code, positions, rows = case
+        f = code.field
+        points = [code.evaluation_points[p].value for p in positions]
+        with mock.patch.object(gf, "_interpolate", wraps=gf._interpolate) as interpolate:
+            got = gf._decode_rows(f, points, rows, code.kappa)
+        assert interpolate.call_count == 1
+        for decode in (rs_decode, oracle_rs_decode):
+            want = []
+            for row in rows:
+                msg = decode_or_flag(decode, code, [(p, f.element(y)) for p, y in zip(positions, row)])
+                want.append(None if msg == "flagged" else [v.value for v in msg])
+            assert got == want

@@ -1,16 +1,29 @@
 """Cost-table scenarios and the multi-generation simulator."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collabregen.exactcode import Behavior, RepairFailureError
+from collabregen.exactcode import (
+    Behavior,
+    NodeBlock,
+    ObjectMatrix,
+    RepairFailureError,
+    _as_served,
+    collect,
+    encode_object,
+)
+from collabregen.gf import FieldElement
 from collabregen.scenarios import (
     REFERENCE_COSTS,
     SCENARIO_NAMES,
     CodeSetup,
     Mitigation,
     ScenarioConfig,
+    _reconstruction_ok,
     run_all_cost_scenarios,
     run_cost_scenario,
     simulate_generations,
@@ -138,3 +151,48 @@ class TestSimulation:
         assert stats_to_csv(simulate_generations(again)) == stats_to_csv(
             simulate_generations(cfg)
         )
+
+
+@st.composite
+def stored_states(draw):
+    """A config (pollute_collection on or off), its object, the true
+    payloads, a stored state in which some blocks have wrong symbols, the
+    generation's behaviors and an RNG seed."""
+    m = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(2, min(2**m - 1, 9)))
+    setup = CodeSetup(
+        m=m,
+        n=n,
+        kappa=draw(st.integers(1, n - 1)),
+        t=draw(st.integers(1, 3)),
+        first_power=draw(st.integers(0, 2)),
+    )
+    cfg = ScenarioConfig(code=setup, pollute_collection=draw(st.booleans()))
+    code = setup.build()
+    obj = ObjectMatrix.random(code.field, setup.t, setup.kappa, random.Random(draw(st.integers())))
+    truth = encode_object(obj, code)
+    stored = {}
+    for b in truth:
+        wrong = st.one_of(st.just(0), st.integers(0, code.field.order - 1))
+        masks = draw(st.lists(wrong, min_size=setup.t, max_size=setup.t))
+        payload = tuple(FieldElement(p.value ^ x, code.field) for p, x in zip(b.payload, masks))
+        stored[b.node_id] = NodeBlock(b.node_id, b.column, payload)
+    behaviors = draw(st.dictionaries(st.integers(1, n), st.sampled_from(list(Behavior)), max_size=3))
+    return cfg, obj, {b.node_id: b.payload for b in truth}, stored, behaviors, draw(st.integers())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(stored_states())
+def test_reconstruction_check_matches_collect(case):
+    # comparing the served payloads with the truth gives collect's verdict
+    # and makes the same RNG draws
+    cfg, obj, truth_payloads, stored, behaviors, seed = case
+    rng, want_rng = random.Random(seed), random.Random(seed)
+    served = behaviors if cfg.pollute_collection else {}
+    answers = [_as_served(stored[i], served, want_rng) for i in sorted(stored)[: cfg.code.kappa]]
+    try:
+        want = collect(answers).pieces == obj.pieces
+    except ValueError:
+        want = False
+    assert _reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng) == want
+    assert rng.getstate() == want_rng.getstate()
