@@ -40,7 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
@@ -330,18 +330,21 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
 class RepairReport:
     """Per-repair transfer ledgers and the derived normalized costs.
 
+    The ledgers are Counters of pieces, keyed in order of first transfer.
+    ``downloads`` holds one per newcomer, keyed by source node.
     ``exchanges`` holds the collaboration pieces the reference cost model
-    counts (one per ordered newcomer pair); ``completion`` holds cross
-    pieces moved beyond that accounting (only the selfish-live policy
-    needs them, because its counted exchange slots carry relayed row
-    evaluations instead).  ``measured`` lists the newcomers whose costs
-    the headline numbers summarize (the non-Byzantine ones).
+    counts (one per ordered newcomer pair), keyed (sender, receiver);
+    ``completion`` holds cross pieces moved beyond that accounting (only
+    the selfish-live policy needs them, because its counted exchange
+    slots carry relayed row evaluations instead).  ``measured`` lists the
+    newcomers whose costs the headline numbers summarize (the
+    non-Byzantine ones).
     """
 
     unit_pieces: Fraction
-    downloads: dict[int, dict[int, int]] = dc_field(default_factory=dict)
-    exchanges: dict[tuple[int, int], int] = dc_field(default_factory=dict)
-    completion: dict[tuple[int, int], int] = dc_field(default_factory=dict)
+    downloads: dict[int, Counter] = dc_field(default_factory=dict)
+    exchanges: Counter = dc_field(default_factory=Counter)
+    completion: Counter = dc_field(default_factory=Counter)
     contacted: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
     measured: tuple[int, ...] = ()
 
@@ -410,10 +413,6 @@ class RepairReport:
         )
 
 
-def _behavior(behaviors: Mapping[int, Behavior], node_id: int) -> Behavior:
-    return behaviors.get(node_id, Behavior.HONEST)
-
-
 def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
     f = true.field
     return FieldElement(true.value ^ rng.randrange(1, f.order), f)
@@ -422,8 +421,9 @@ def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
 def _as_served(
     block: NodeBlock, behaviors: Mapping[int, Behavior], rng: random.Random
 ) -> NodeBlock:
-    """The block as its node serves it: a polluting node gets every symbol wrong."""
-    if _behavior(behaviors, block.node_id) is not Behavior.POLLUTING:
+    """The block as its node serves it: a polluting node gets every symbol
+    wrong.  ``behaviors`` may omit honest nodes."""
+    if behaviors.get(block.node_id) is not Behavior.POLLUTING:
         return block
     payload = tuple(_wrong_symbol(p, rng) for p in block.payload)
     return NodeBlock(block.node_id, block.column, payload)
@@ -437,12 +437,9 @@ def _stripe(live_sorted: Sequence[NodeBlock], index: int, kappa: int) -> list[No
 
 
 def _row_answer(
-    block: NodeBlock,
-    row: int,
-    behaviors: Mapping[int, Behavior],
-    rng: random.Random,
+    block: NodeBlock, row: int, roles: Mapping[int, Behavior], rng: random.Random
 ) -> Optional[FieldElement]:
-    b = _behavior(behaviors, block.node_id)
+    b = roles[block.node_id]
     if b is Behavior.SELFISH:
         return None
     true = block.payload[row]
@@ -478,10 +475,12 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
 
 
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
-    """The checked inputs both repair entry points start from: behaviors
-    as enums, the seeded RNG, live blocks by id, failed ids sorted, and a
-    report with a download ledger per newcomer that measures the honest
-    ones.  Every node id must be in 1..n: id - 1 is its codeword position."""
+    """The checked inputs both repair entry points start from: the role
+    of every live and failed node (a Behavior, honest when ``behaviors``
+    omits it), the seeded RNG, live blocks by id, failed ids sorted, and
+    a report with a download ledger per newcomer that measures the honest
+    ones.  Every node id, and every key of ``behaviors``, must be an int
+    in 1..n: id - 1 is its codeword position."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live = sorted(live_blocks, key=lambda b: b.node_id)
     live_ids = {b.node_id for b in live}
@@ -497,15 +496,22 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
         raise ValueError("duplicate failed ids")
     if live_ids.intersection(failed):
         raise ValueError("failed ids overlap live nodes")
-    strays = sorted(i for i in live_ids.union(failed) if not 1 <= i <= code.n)
+    ids = live_ids.union(failed)
+    strays = sorted(i for i in ids if not 1 <= i <= code.n)
     if strays:
         raise ValueError(f"node ids {strays} outside 1..{code.n}")
+    keys = [i for i in behaviors if type(i) is not int or not 1 <= i <= code.n]
+    if keys:
+        raise ValueError(f"behavior keys {keys} are not node ids in 1..{code.n}")
     if len(live) < code.kappa:
         raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
-    report = RepairReport(unit_pieces=Fraction(t * code.kappa, code.kappa))
-    report.measured = tuple(f for f in failed if _behavior(behaviors, f) is Behavior.HONEST)
-    report.downloads = {f: Counter() for f in failed}
-    return behaviors, random.Random(seed), live, failed, report
+    roles = {i: behaviors.get(i, Behavior.HONEST) for i in ids}
+    report = RepairReport(
+        unit_pieces=Fraction(t * code.kappa, code.kappa),
+        downloads={f: Counter() for f in failed},
+        measured=tuple(f for f in failed if roles[f] is Behavior.HONEST),
+    )
+    return roles, random.Random(seed), live, failed, report
 
 
 def collaborative_repair(
@@ -521,85 +527,73 @@ def collaborative_repair(
     """Two-phase repair of ``failed_ids`` from the live blocks.
 
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
-    id they replace) to a Behavior or its string; missing ids are honest.
+    id they replace) to a Behavior or its string; missing ids are honest,
+    and a key that is not an int in 1..n raises ValueError.
     ``policy`` is a RepairPolicy or its string.
     ``assumed_polluters`` is the number of polluting live nodes the
     repair procedure plans for (downloads escalate by two contacts per
     assumed polluter); it defaults to the actual count in ``behaviors``,
     and 0 disables the escalation entirely (a trusting repair).
     """
-    behaviors, rng, live, failed, report = _start_repair(
+    roles, rng, live, failed, report = _start_repair(
         code, live_blocks, failed_ids, behaviors, seed
     )
     policy = RepairPolicy(policy)
-    polluting_live = sum(
-        1 for b in live if _behavior(behaviors, b.node_id) is Behavior.POLLUTING
-    )
+    polluting_live = sum(1 for b in live if roles[b.node_id] is Behavior.POLLUTING)
     assumed = polluting_live if assumed_polluters is None else assumed_polluters
 
     if len(report.measured) < len(failed):  # a Byzantine newcomer
-        new_blocks = _repair_without_collaboration(
-            code, live, failed, behaviors, policy, assumed, rng, report
-        )
+        repair = _repair_without_collaboration
     else:
-        new_blocks = _repair_with_collaboration(
-            code, live, failed, behaviors, policy, assumed, rng, report
-        )
-    return new_blocks, report
+        repair = _repair_with_collaboration
+    return repair(code, live, failed, roles, policy, assumed, rng, report), report
 
 
 def _contacts(
     live: Sequence[NodeBlock],
     j: int,
     kappa: int,
-    behaviors: Mapping[int, Behavior],
+    roles: Mapping[int, Behavior],
     policy: RepairPolicy,
     assumed: int,
 ) -> tuple[list[NodeBlock], list[NodeBlock]]:
     """(contacted, responders) of the newcomer that repairs row ``j``.
 
-    A trusting keep-responders repair contacts the first kappa nodes of
-    its stripe.  Otherwise it walks the stripe until it has hit kappa
-    responsive nodes, or kappa + 2 per assumed polluter (at most every
-    responsive live node).  The contacted list includes selfish nodes
-    discovered along the way, at least kappa entries.
+    The newcomer walks its stripe and contacts at least kappa nodes.  A
+    trusting keep-responders repair stops there; otherwise the walk goes
+    on until it has hit kappa responsive nodes, or kappa + 2 per assumed
+    polluter (at most every responsive live node).  The contacted list
+    includes the selfish nodes met along the way.  Draws no randomness.
     """
-    order = _stripe(live, j, kappa)
-    if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
-        contacted = order[:kappa]
-        return contacted, [
-            b for b in contacted if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-        ]
+    trusting = policy is RepairPolicy.KEEP_RESPONDERS and not assumed
     target = kappa
     if assumed:
-        responsive = sum(
-            1 for b in live if _behavior(behaviors, b.node_id) is not Behavior.SELFISH
-        )
+        responsive = sum(1 for b in live if roles[b.node_id] is not Behavior.SELFISH)
         target = min(kappa + 2 * assumed, responsive)
     contacted: list[NodeBlock] = []
     responders: list[NodeBlock] = []
-    for b in order:
-        if len(responders) >= target and len(contacted) >= kappa:
+    for b in _stripe(live, j, kappa):
+        if len(contacted) >= kappa and (trusting or len(responders) >= target):
             break
         contacted.append(b)
-        if _behavior(behaviors, b.node_id) is not Behavior.SELFISH:
+        if roles[b.node_id] is not Behavior.SELFISH:
             responders.append(b)
     return contacted, responders
 
 
-def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, rng, report):
+def _repair_with_collaboration(code, live, failed, roles, policy, assumed, rng, report):
     kappa = code.kappa
 
+    # Phase 1: each newcomer picks its contacts and downloads its own row
+    # from those that respond.
     responders: dict[int, list[NodeBlock]] = {}
+    equations: dict[int, dict[int, FieldElement]] = {}
     for j, f in enumerate(failed):
-        contacted, responders[f] = _contacts(live, j, kappa, behaviors, policy, assumed)
+        contacted, responders[f] = _contacts(live, j, kappa, roles, policy, assumed)
         report.contacted[f] = tuple(b.node_id for b in contacted)
-
-    # Phase 1: each newcomer downloads its own row from its responders.
-    equations: dict[int, dict[int, FieldElement]] = {f: {} for f in failed}
-    for j, f in enumerate(failed):
+        equations[f] = {}
         for b in responders[f]:
-            ans = _row_answer(b, j, behaviors, rng)
+            ans = _row_answer(b, j, roles, rng)
             assert ans is not None
             equations[f][b.position] = ans
             report.downloads[f][b.node_id] += 1
@@ -629,11 +623,11 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
                     f"responding nodes cannot span the data of node {f}"
                 )
             _, _, carrier, src = min(options)
-            ans = _row_answer(src, j, behaviors, rng)
+            ans = _row_answer(src, j, roles, rng)
             assert ans is not None
             equations[f][src.position] = ans
             report.downloads[carrier][src.node_id] += 1
-            report.exchanges[(carrier, f)] = report.exchanges.get((carrier, f), 0) + 1
+            report.exchanges[(carrier, f)] += 1
 
     # each newcomer's row (exactly kappa equations now) at every
     # newcomer's position: its own piece and the cross pieces it sends
@@ -645,10 +639,7 @@ def _repair_with_collaboration(code, live, failed, behaviors, policy, assumed, r
     # Phase 2: cross pieces.  With relays in flight the counted exchange
     # slots are spent, so completion pieces ride in their own ledger.
     cross_ledger = report.completion if report.exchanges else report.exchanges
-    for f in failed:
-        for peer in failed:
-            if peer != f:
-                cross_ledger[(f, peer)] = cross_ledger.get((f, peer), 0) + 1
+    cross_ledger.update(permutations(failed, 2))
 
     return [  # newcomer i stores column i: every row at its own position
         NodeBlock(p, code.column(p - 1), tuple(FieldElement(v, code.field) for v in pieces))
@@ -661,25 +652,25 @@ def _eval_row(f: GF, row: Sequence[int], column: Sequence[int]) -> FieldElement:
     return FieldElement(dot(f, row, column), f)
 
 
-def _repair_without_collaboration(code, live, failed, behaviors, policy, assumed, rng, report):
+def _repair_without_collaboration(code, live, failed, roles, policy, assumed, rng, report):
     """Fallback when a newcomer is Byzantine: everyone fetches the whole
     object (every row from every contact) and repairs alone."""
     t, kappa = len(live[0].payload), code.kappa
 
     new_blocks = []
     for j, f in enumerate(failed):
-        contacted, responders = _contacts(live, j, kappa, behaviors, policy, assumed)
+        contacted, responders = _contacts(live, j, kappa, roles, policy, assumed)
         report.contacted[f] = tuple(b.node_id for b in contacted)
         if len(responders) < kappa:
             raise RepairFailureError(
                 "a full reconstruction needs more responsive contacts than available"
             )
-        rows = [[_row_answer(b, r, behaviors, rng) for b in responders] for r in range(t)]
+        rows = [[_row_answer(b, r, roles, rng) for b in responders] for r in range(t)]
         for b in responders:
             report.downloads[f][b.node_id] += t
         pieces = _rows_at(code, [b.position for b in responders], rows, [f - 1])
         payload = tuple(FieldElement(v, code.field) for (v,) in pieces)
-        new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), behaviors, rng))
+        new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), roles, rng))
     return new_blocks
 
 
@@ -702,7 +693,7 @@ def progressive_repair_with_digests(
     merely to outvote bad ones.  Fails only when the live set is
     exhausted without a verified assembly.
     """
-    behaviors, rng, live, failed, report = _start_repair(
+    roles, rng, live, failed, report = _start_repair(
         code, live_blocks, failed_ids, behaviors, seed
     )
     if not digests.covers(failed):
@@ -726,7 +717,7 @@ def progressive_repair_with_digests(
     for count, block in enumerate(live, 1):
         for f in failed:
             for r in needed[f]:
-                ans = _row_answer(block, r, behaviors, rng)
+                ans = _row_answer(block, r, roles, rng)
                 if ans is None:
                     continue
                 equations[(f, r)][block.position] = ans
@@ -738,7 +729,7 @@ def progressive_repair_with_digests(
         result = _try_verified_assembly(code, failed, equations, digests, report)
         if result is not None:
             # a polluting newcomer stores garbage even after a verified repair
-            return [_as_served(block, behaviors, rng) for block in result], report
+            return [_as_served(block, roles, rng) for block in result], report
     raise RepairFailureError(f"no verified repair with all {len(live)} live nodes contacted")
 
 
@@ -755,11 +746,7 @@ def _try_verified_assembly(code, failed, equations, digests, report):
             for key, eqs in equations.items()
         }
         # candidate cross pieces travel once per attempt between honest pairs
-        for src in report.measured:
-            for dst in report.measured:
-                if src != dst:
-                    key = (src, dst)
-                    report.exchanges[key] = report.exchanges.get(key, 0) + 1
+        report.exchanges.update(permutations(report.measured, 2))
         blocks = []
         for f in failed:
             column = code.column_values[f - 1]

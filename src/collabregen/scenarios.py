@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -213,29 +213,8 @@ class ScenarioConfig:
         return cls(code=CodeSetup(**code), **raw)
 
     def to_json(self) -> str:
-        doc = {
-            "code": {
-                "m": self.code.m,
-                "n": self.code.n,
-                "kappa": self.code.kappa,
-                "t": self.code.t,
-                "first_power": self.code.first_power,
-            },
-            "generations": self.generations,
-            "seed": self.seed,
-            "object_id": self.object_id,
-            "mitigation": self.mitigation.value,
-            "failure_schedule": self.failure_schedule,
-            "behaviors": {str(k): v.value for k, v in self.behaviors.items()},
-            "behavior_overrides": {
-                str(g): {str(k): v.value for k, v in m.items()}
-                for g, m in self.behavior_overrides.items()
-            },
-            "pollute_collection": self.pollute_collection,
-            "assumed_polluters": self.assumed_polluters,
-            "policy": self.policy.value,
-        }
-        return json.dumps(doc, indent=2)
+        # str-mixin enums encode as their values, int keys as strings
+        return json.dumps(asdict(self), indent=2)
 
 
 def _int_keyed(raw, what: str, convert) -> dict:

@@ -5,7 +5,8 @@ enumeration of collector partitions and adversary placements, with the
 cut sum evaluated termwise; a prefix DP over group sizes for free
 partitions with no budget, reaching sizes the enumeration cannot; and
 exhaustive-subset Reed-Solomon decoding and object collection, built
-only on the public field and matrix API.
+only on the public field and matrix API; and contact selection as two
+branches over a behavior map that may omit honest nodes.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
@@ -14,7 +15,7 @@ gamma order; it shares only the grid-size constants with the package.
 from fractions import Fraction as F
 from itertools import combinations
 
-from collabregen.exactcode import AMBIGUOUS, ObjectMatrix
+from collabregen.exactcode import AMBIGUOUS, Behavior, ObjectMatrix, RepairPolicy
 from collabregen.tradeoff import _GRID_POINTS, _MAX_REFINEMENTS, _MIN_REFINEMENTS
 from collabregen.gf import (
     DecodeAmbiguityError,
@@ -170,6 +171,34 @@ def oracle_collect_robust(blocks, max_polluters):
     (flat,) = qualified
     f = blocks[0].column[0].field
     return ObjectMatrix(FieldMatrix(f, len(flat) // kappa, kappa, flat))
+
+
+def oracle_contacts(live, j, kappa, behaviors, policy, assumed):
+    """(contacted, responders) of the newcomer that repairs row ``j``.
+    Its stripe starts j * kappa nodes into the id-sorted live list and
+    wraps.  A trusting keep-responders repair contacts the first kappa
+    nodes of it; any other walks it until it has contacted kappa nodes
+    and hit kappa responsive ones, or kappa + 2 per assumed polluter (at
+    most every responsive live node)."""
+
+    def responds(b):
+        return behaviors.get(b.node_id, Behavior.HONEST) is not Behavior.SELFISH
+
+    order = [live[(j * kappa + i) % len(live)] for i in range(len(live))]
+    if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
+        contacted = order[:kappa]
+        return contacted, [b for b in contacted if responds(b)]
+    target = kappa
+    if assumed:
+        target = min(kappa + 2 * assumed, sum(1 for b in live if responds(b)))
+    contacted, responders = [], []
+    for b in order:
+        if len(responders) >= target and len(contacted) >= kappa:
+            break
+        contacted.append(b)
+        if responds(b):
+            responders.append(b)
+    return contacted, responders
 
 
 def _dot(f, row, column):

@@ -17,6 +17,7 @@ from collabregen.exactcode import (
     RepairFailureError,
     RepairPolicy,
     _apply_column,
+    _contacts,
     _eval_row,
     _rows_at,
     collaborative_repair,
@@ -35,7 +36,7 @@ from collabregen.gf import (
     field,
     rs_decode,
 )
-from oracles import _solve_subset, oracle_collect_robust
+from oracles import _solve_subset, oracle_collect_robust, oracle_contacts
 
 GF8 = field(3)
 
@@ -754,3 +755,51 @@ def test_string_policies_act_like_enums():
     assert run("keep-responders")[1].completion_pieces == 6
     with pytest.raises(ValueError):
         collaborative_repair(code, blocks[:7], [8, 9, 10], selfish, policy="keep-everyone")
+
+
+@pytest.mark.parametrize("entry", ["collaborative", "digests"])
+def test_stray_behavior_keys_rejected(entry):
+    # a key that is no node id of the code names no node, and a repair
+    # that ignored it would run as if the node it meant were honest
+    code, obj, blocks = demo_setup()
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+
+    def run(behaviors):
+        if entry == "collaborative":
+            return collaborative_repair(code, blocks[:5], [6, 7], behaviors)
+        return progressive_repair_with_digests(code, blocks[:5], [6, 7], behaviors, table)
+
+    for bad, named in [
+        ({"1": "selfish"}, r"\['1'\]"),
+        ({99: "polluting"}, r"\[99\]"),
+        ({2: "selfish", 0: "selfish", True: "polluting"}, r"\[0, True\]"),
+    ]:
+        with pytest.raises(ValueError, match=named + r" are not node ids in 1\.\.7"):
+            run(bad)
+    run({1: "selfish"})
+
+
+@st.composite
+def contact_cases(draw):
+    """Id-sorted live blocks (only their ids matter), kappa, every live
+    node's behavior, a policy, an assumed polluter count and a newcomer
+    count."""
+    ids = sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=10)))
+    live = [NodeBlock(i, (), ()) for i in ids]
+    kappa = draw(st.integers(1, len(ids)))
+    roles = {i: draw(st.sampled_from(list(Behavior))) for i in ids}
+    policy = draw(st.sampled_from(list(RepairPolicy)))
+    return live, kappa, roles, policy, draw(st.integers(0, 2)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=contact_cases())
+def test_contacts_match_two_branch_oracle(case):
+    live, kappa, roles, policy, assumed, newcomers = case
+    sparse = {i: b for i, b in roles.items() if b is not Behavior.HONEST}
+    for j in range(newcomers):
+        got = _contacts(live, j, kappa, roles, policy, assumed)
+        want = oracle_contacts(live, j, kappa, sparse, policy, assumed)
+        assert [[b.node_id for b in side] for side in got] == [
+            [b.node_id for b in side] for side in want
+        ]

@@ -152,6 +152,63 @@ class TestSimulation:
             simulate_generations(cfg)
         )
 
+    def test_config_json_text_is_pinned(self):
+        # every field set: a tuple schedule, enums given as strings, no
+        # assumed polluter count; keys in field order, enums as their values
+        cfg = ScenarioConfig(
+            code=CodeSetup(m=4, n=10, kappa=4, t=3, first_power=2),
+            generations=2,
+            seed=11,
+            object_id="obj-x",
+            mitigation="digests",
+            failure_schedule=((8, 9, 10), (1, 2, 3)),
+            behaviors={7: "selfish", 1: "polluting"},
+            behavior_overrides={1: {5: "selfish"}},
+            pollute_collection=True,
+            assumed_polluters=None,
+            policy="contact-new-nodes",
+        )
+        assert cfg.to_json() == PINNED_CONFIG_JSON
+
+
+PINNED_CONFIG_JSON = """{
+  "code": {
+    "m": 4,
+    "n": 10,
+    "kappa": 4,
+    "t": 3,
+    "first_power": 2
+  },
+  "generations": 2,
+  "seed": 11,
+  "object_id": "obj-x",
+  "mitigation": "digests",
+  "failure_schedule": [
+    [
+      8,
+      9,
+      10
+    ],
+    [
+      1,
+      2,
+      3
+    ]
+  ],
+  "behaviors": {
+    "7": "selfish",
+    "1": "polluting"
+  },
+  "behavior_overrides": {
+    "1": {
+      "5": "selfish"
+    }
+  },
+  "pollute_collection": true,
+  "assumed_polluters": null,
+  "policy": "contact-new-nodes"
+}"""
+
 
 @st.composite
 def stored_states(draw):
