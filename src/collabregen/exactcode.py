@@ -429,13 +429,6 @@ def _as_served(
     return NodeBlock(block.node_id, block.column, payload)
 
 
-def _stripe(live_sorted: Sequence[NodeBlock], index: int, kappa: int) -> list[NodeBlock]:
-    """Deterministic contact preference: newcomer j starts after the
-    kappa nodes claimed by newcomers 0..j-1, wrapping around."""
-    n = len(live_sorted)
-    return [live_sorted[(index * kappa + i) % n] for i in range(n)]
-
-
 def _row_answer(
     block: NodeBlock, row: int, roles: Mapping[int, Behavior], rng: random.Random
 ) -> Optional[FieldElement]:
@@ -529,11 +522,16 @@ def collaborative_repair(
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
     id they replace) to a Behavior or its string; missing ids are honest,
     and a key that is not an int in 1..n raises ValueError.
-    ``policy`` is a RepairPolicy or its string.
-    ``assumed_polluters`` is the number of polluting live nodes the
-    repair procedure plans for (downloads escalate by two contacts per
-    assumed polluter); it defaults to the actual count in ``behaviors``,
-    and 0 disables the escalation entirely (a trusting repair).
+    ``policy`` is a RepairPolicy or its string: whether a collaborative
+    repair relays the row evaluations its newcomers' contacts withheld,
+    or raises.  ``assumed_polluters`` is the number of polluting live
+    nodes the repair procedure plans for; it defaults to the actual count
+    in ``behaviors``, and 0 makes a trusting repair.
+
+    Each newcomer walks its contact stripe until kappa nodes, plus 2 per
+    assumed polluter (at most every responsive live node), have answered,
+    whatever the policy.  Only a trusting keep-responders repair with
+    honest newcomers stops at kappa contacts: its peers relay the rest.
     """
     roles, rng, live, failed, report = _start_repair(
         code, live_blocks, failed_ids, behaviors, seed
@@ -541,47 +539,42 @@ def collaborative_repair(
     policy = RepairPolicy(policy)
     polluting_live = sum(1 for b in live if roles[b.node_id] is Behavior.POLLUTING)
     assumed = polluting_live if assumed_polluters is None else assumed_polluters
+    need = code.kappa
+    if assumed:
+        responsive = sum(1 for b in live if roles[b.node_id] is not Behavior.SELFISH)
+        need = min(code.kappa + 2 * assumed, responsive)
 
     if len(report.measured) < len(failed):  # a Byzantine newcomer
-        repair = _repair_without_collaboration
-    else:
-        repair = _repair_with_collaboration
-    return repair(code, live, failed, roles, policy, assumed, rng, report), report
+        return _repair_without_collaboration(code, live, failed, roles, need, rng, report), report
+    if policy is RepairPolicy.KEEP_RESPONDERS and not assumed:
+        need = 0  # relays fill the rows of newcomers whose contacts were selfish
+    return _repair_with_collaboration(code, live, failed, roles, policy, need, rng, report), report
 
 
 def _contacts(
-    live: Sequence[NodeBlock],
-    j: int,
-    kappa: int,
-    roles: Mapping[int, Behavior],
-    policy: RepairPolicy,
-    assumed: int,
+    live: Sequence[NodeBlock], j: int, kappa: int, roles: Mapping[int, Behavior], need: int
 ) -> tuple[list[NodeBlock], list[NodeBlock]]:
     """(contacted, responders) of the newcomer that repairs row ``j``.
 
-    The newcomer walks its stripe and contacts at least kappa nodes.  A
-    trusting keep-responders repair stops there; otherwise the walk goes
-    on until it has hit kappa responsive nodes, or kappa + 2 per assumed
-    polluter (at most every responsive live node).  The contacted list
-    includes the selfish nodes met along the way.  Draws no randomness.
+    The newcomer walks its stripe of the id-sorted live nodes, which
+    starts after the kappa nodes claimed by newcomers 0..j-1 and wraps,
+    until it has contacted kappa nodes and ``need`` of them responded, or
+    the live nodes run out.  The contacted list includes the selfish
+    nodes met along the way.  Draws no randomness.
     """
-    trusting = policy is RepairPolicy.KEEP_RESPONDERS and not assumed
-    target = kappa
-    if assumed:
-        responsive = sum(1 for b in live if roles[b.node_id] is not Behavior.SELFISH)
-        target = min(kappa + 2 * assumed, responsive)
     contacted: list[NodeBlock] = []
     responders: list[NodeBlock] = []
-    for b in _stripe(live, j, kappa):
-        if len(contacted) >= kappa and (trusting or len(responders) >= target):
+    for i in range(len(live)):
+        if len(contacted) >= kappa and len(responders) >= need:
             break
+        b = live[(j * kappa + i) % len(live)]
         contacted.append(b)
         if roles[b.node_id] is not Behavior.SELFISH:
             responders.append(b)
     return contacted, responders
 
 
-def _repair_with_collaboration(code, live, failed, roles, policy, assumed, rng, report):
+def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, report):
     kappa = code.kappa
 
     # Phase 1: each newcomer picks its contacts and downloads its own row
@@ -589,7 +582,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, assumed, rng, 
     responders: dict[int, list[NodeBlock]] = {}
     equations: dict[int, dict[int, FieldElement]] = {}
     for j, f in enumerate(failed):
-        contacted, responders[f] = _contacts(live, j, kappa, roles, policy, assumed)
+        contacted, responders[f] = _contacts(live, j, kappa, roles, need)
         report.contacted[f] = tuple(b.node_id for b in contacted)
         equations[f] = {}
         for b in responders[f]:
@@ -652,14 +645,14 @@ def _eval_row(f: GF, row: Sequence[int], column: Sequence[int]) -> FieldElement:
     return FieldElement(dot(f, row, column), f)
 
 
-def _repair_without_collaboration(code, live, failed, roles, policy, assumed, rng, report):
+def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
     """Fallback when a newcomer is Byzantine: everyone fetches the whole
     object (every row from every contact) and repairs alone."""
     t, kappa = len(live[0].payload), code.kappa
 
     new_blocks = []
     for j, f in enumerate(failed):
-        contacted, responders = _contacts(live, j, kappa, roles, policy, assumed)
+        contacted, responders = _contacts(live, j, kappa, roles, need)
         report.contacted[f] = tuple(b.node_id for b in contacted)
         if len(responders) < kappa:
             raise RepairFailureError(

@@ -92,6 +92,14 @@ class TestEncodeCollect:
                 with pytest.raises(ValueError, match="share a column"):
                     collect(blocks)
 
+    def test_collect_checks_extra_blocks(self):
+        _, obj, blocks = demo_setup()
+        assert collect(blocks).pieces == obj.pieces
+        six = blocks[5]
+        off = NodeBlock(6, six.column, (six.payload[0] + GF8.one,) + six.payload[1:])
+        with pytest.raises(ValueError, match="block of node 6 inconsistent with the rest"):
+            collect(blocks[:5] + [off])
+
     def test_collect_requires_kappa_blocks(self):
         _, _, blocks = demo_setup()
         with pytest.raises(ValueError):
@@ -364,6 +372,30 @@ class TestSelfishScenarios:
         assert report.beta_prime == 0
         assert report.gamma == 3
 
+    def test_selfish_newcomer_walks_past_selfish_contacts(self):
+        # nobody relays for a repair without collaboration, so each newcomer
+        # walks its stripe until kappa contacts have answered
+        code, obj, blocks = demo_setup(seed=13)
+        by_id = {b.node_id: b for b in blocks}
+        new, report = collaborative_repair(
+            code, blocks[:5], [6, 7], {6: Behavior.SELFISH, 1: Behavior.SELFISH}
+        )
+        for nb in new:
+            assert nb.payload == by_id[nb.node_id].payload
+        assert report.contacted == {6: (1, 2, 3, 4), 7: (4, 5, 1, 2)}
+        for f in (6, 7):
+            assert report.downloads[f] == {i: 2 for i in report.contacted[f] if i != 1}
+        assert report.beta_av == 1
+        assert report.beta_prime == 0
+        assert report.gamma == 3
+        assert report.effective_d == 4
+
+    def test_selfish_newcomer_without_kappa_responsive_nodes(self):
+        code, obj, blocks = demo_setup(seed=13)
+        bad = {6: Behavior.SELFISH, 1: Behavior.SELFISH, 2: Behavior.SELFISH, 3: Behavior.SELFISH}
+        with pytest.raises(RepairFailureError, match="a full reconstruction needs more"):
+            collaborative_repair(code, blocks[:5], [6, 7], bad)
+
     def test_selfish_live_node_rebalances_demand(self):
         code, obj, blocks = demo_setup(seed=17)
         by_id = {b.node_id: b for b in blocks}
@@ -399,6 +431,14 @@ class TestSelfishScenarios:
             assert nb.payload == by_id[nb.node_id].payload
         assert report.beta_av == F(1, 2)  # one piece per responsive link
         assert report.completion_pieces == 0
+
+    def test_contact_new_nodes_fails_short_of_kappa_responders(self):
+        code, obj, blocks = demo_setup()
+        bad = {1: Behavior.SELFISH, 2: Behavior.SELFISH, 3: Behavior.SELFISH}
+        with pytest.raises(RepairFailureError, match="not enough responsive live nodes"):
+            collaborative_repair(
+                code, blocks[:5], [6, 7], bad, policy=RepairPolicy.CONTACT_NEW_NODES
+            )
 
     def test_keep_policy_fails_when_responders_cannot_span(self):
         code, obj, blocks = demo_setup(seed=23)
@@ -797,8 +837,14 @@ def contact_cases(draw):
 def test_contacts_match_two_branch_oracle(case):
     live, kappa, roles, policy, assumed, newcomers = case
     sparse = {i: b for i, b in roles.items() if b is not Behavior.HONEST}
+    # the responder target collaborative_repair passes on its collaborative path
+    need = kappa
+    if assumed:
+        need = min(kappa + 2 * assumed, sum(b is not Behavior.SELFISH for b in roles.values()))
+    elif policy is RepairPolicy.KEEP_RESPONDERS:
+        need = 0
     for j in range(newcomers):
-        got = _contacts(live, j, kappa, roles, policy, assumed)
+        got = _contacts(live, j, kappa, roles, need)
         want = oracle_contacts(live, j, kappa, sparse, policy, assumed)
         assert [[b.node_id for b in side] for side in got] == [
             [b.node_id for b in side] for side in want

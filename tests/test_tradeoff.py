@@ -556,6 +556,30 @@ class TestOptimizer:
         assert point.gamma_norm <= float(best) * (1 + 2e-3)
 
 
+@pytest.mark.parametrize("k, d, among, windows", [(4, 6, 2, 2), (8, 12, 4, 3)])
+def test_optimum_beyond_the_first_window_doubles_it(k, d, among, windows, monkeypatch):
+    # at minimum storage with t = 2 and L0 selfish live nodes the optimum
+    # beta is 1/(d - L0 - k + t) = 1/2 of a unit, past the first window's
+    # 2 * mbr beta, so the open search doubles the window until it fits
+    p, adversary = params(k=k, d=d, t=2, B=k), selfish(among)
+    windows_searched = []
+    grid_search = tradeoff._grid_search
+
+    def spy(search, alpha, B, d, t, bounds, **kw):
+        windows_searched.append(bounds[0][1])
+        return grid_search(search, alpha, B, d, t, bounds, **kw)
+
+    monkeypatch.setattr(tradeoff, "_grid_search", spy)
+    alpha = p.B / k
+    point = optimize_gamma(p, adversary, alpha)
+    first = 2 * float(mbr_point(p)[1])
+    assert windows_searched == [first * 2**i for i in range(windows)]
+    assert point.beta_norm == pytest.approx(1 / (d - among - k + 2), rel=1e-4)
+    raw = p.with_point(alpha, F(point.beta_norm) * p.unit, F(point.beta_prime_norm) * p.unit)
+    value, _, _ = worst_case_capacity(raw, adversary)
+    assert value >= p.B * (1 - F(1, 10**9))
+
+
 class TestSweep:
     def test_gamma_non_increasing_and_dominance(self):
         p4 = params(k=32, d=48, t=4, B=32)
