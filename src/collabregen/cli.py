@@ -127,9 +127,9 @@ def _build_params(args) -> SystemParams:
 
 def _build_adversary(args) -> Optional[AdversaryProfile]:
     if args.adversary is None:
-        for flag in ("L0", "lmax", "Ltotal", "B0", "bmax", "Btotal"):
+        for flag in ("L0", "lmax", "Ltotal", "B0", "bmax", "Btotal", "per_group"):
             if getattr(args, flag) is not None:
-                raise _UsageError(f"--{flag} requires --adversary")
+                raise _UsageError(f"--{flag.replace('_', '-')} requires --adversary")
         return None
     if args.adversary == "selfish":
         if args.B0 is not None or args.bmax is not None or args.Btotal is not None:

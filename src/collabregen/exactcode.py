@@ -338,10 +338,10 @@ class RepairReport:
     the selfish-live policy needs them, because its counted exchange
     slots carry relayed row evaluations instead).  ``measured`` lists the
     newcomers whose costs the headline numbers summarize (the
-    non-Byzantine ones).
+    non-Byzantine ones).  ``unit_pieces`` is B/k in pieces, the int t.
     """
 
-    unit_pieces: Fraction
+    unit_pieces: int
     downloads: dict[int, Counter] = dc_field(default_factory=dict)
     exchanges: Counter = dc_field(default_factory=Counter)
     completion: Counter = dc_field(default_factory=Counter)
@@ -360,45 +360,49 @@ class RepairReport:
             return 0
         return max(len(self.contacted.get(nc, ())) for nc in self.measured)
 
-    @property
-    def beta_av_pieces(self) -> Fraction:
+    def cost_ratios(self) -> tuple[tuple[int, int], ...]:
+        """The normalized (beta_av, beta', gamma): pieces per download
+        link, per ordered pair of measured newcomers and per measured
+        newcomer, over unit_pieces.  Each is a (numerator, denominator)
+        pair of ints, 0/1 when there is nothing to average over, so
+        ``num / den`` is the correctly rounded float, as
+        ``float(Fraction(num, den))`` is."""
         loads = self._download_links()
-        if not loads:
-            return Fraction(0)
-        return Fraction(sum(loads), len(loads))
-
-    @property
-    def beta_prime_pieces(self) -> Fraction:
-        m = len(self.measured)
-        if m < 2:
-            return Fraction(0)
-        inside = set(self.measured)
-        pieces = sum(
+        m, inside, t = len(self.measured), set(self.measured), self.unit_pieces
+        exchanged = sum(
             v for (src, dst), v in self.exchanges.items() if src in inside and dst in inside
         )
-        return Fraction(pieces, m * (m - 1))
-
-    @property
-    def gamma_pieces(self) -> Fraction:
-        m = len(self.measured)
-        if m == 0:
-            return Fraction(0)
-        inside = set(self.measured)
         downloaded = sum(sum(self.downloads.get(nc, {}).values()) for nc in self.measured)
         received = sum(v for (_, dst), v in self.exchanges.items() if dst in inside)
-        return Fraction(downloaded + received, m)
+        return (
+            (sum(loads), len(loads) * t) if loads else (0, 1),
+            (exchanged, m * (m - 1) * t) if m >= 2 else (0, 1),
+            (downloaded + received, m * t) if m else (0, 1),
+        )
 
     @property
     def beta_av(self) -> Fraction:
-        return self.beta_av_pieces / self.unit_pieces
+        return Fraction(*self.cost_ratios()[0])
 
     @property
     def beta_prime(self) -> Fraction:
-        return self.beta_prime_pieces / self.unit_pieces
+        return Fraction(*self.cost_ratios()[1])
 
     @property
     def gamma(self) -> Fraction:
-        return self.gamma_pieces / self.unit_pieces
+        return Fraction(*self.cost_ratios()[2])
+
+    @property
+    def beta_av_pieces(self) -> Fraction:
+        return self.beta_av * self.unit_pieces
+
+    @property
+    def beta_prime_pieces(self) -> Fraction:
+        return self.beta_prime * self.unit_pieces
+
+    @property
+    def gamma_pieces(self) -> Fraction:
+        return self.gamma * self.unit_pieces
 
     @property
     def completion_pieces(self) -> int:
@@ -500,7 +504,7 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
         raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
     roles = {i: behaviors.get(i, Behavior.HONEST) for i in ids}
     report = RepairReport(
-        unit_pieces=Fraction(t * code.kappa, code.kappa),
+        unit_pieces=t,
         downloads={f: Counter() for f in failed},
         measured=tuple(f for f in failed if roles[f] is Behavior.HONEST),
     )
@@ -731,7 +735,10 @@ def _try_verified_assembly(code, failed, equations, digests, report):
     # node failed): a contacted node answers every row or, when selfish,
     # none.  Any kappa of them are distinct in-range positions with a
     # symbol, which rs_decode interpolates and never rejects, so every
-    # subset yields a candidate for the digests.
+    # subset yields a candidate for the digests.  Contact sets start at
+    # the lowest live ids, so the same subsets recur across attempts and
+    # generations; rs_decode reuses the code's memoized decode matrix of
+    # each one instead of interpolating it again.
     positions = sorted(next(iter(equations.values()), ()))
     for subset in combinations(positions, code.kappa):
         rows = {

@@ -329,14 +329,15 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
         polluted = sum(
             1 for i, b in stored.items() if b.payload != truth_payloads[i]
         )
+        beta_av, beta_prime, gamma = (num / den for num, den in report.cost_ratios())
         stats.append(
             GenerationStats(
                 generation=gen,
                 repaired=tuple(failed),
                 polluted_block_count=polluted,
-                beta_av=float(report.beta_av),
-                beta_prime=float(report.beta_prime),
-                gamma=float(report.gamma),
+                beta_av=beta_av,
+                beta_prime=beta_prime,
+                gamma=gamma,
                 reconstruction_ok=_reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng),
             )
         )

@@ -76,6 +76,12 @@ class TestBounds:
         )
         assert code == 1 and "selfish" in err
 
+    def test_per_group_without_adversary_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--d", "48", "--k", "32", "--t", "4", "--per-group", "1,2",
+        )
+        assert code == 1 and out == "" and "--per-group requires --adversary" in err
+
     def test_bad_parameters_exit_one(self, capsys):
         code, _, _ = run(capsys, "bounds", "--d", "3", "--k", "5", "--t", "1")
         assert code == 1
@@ -121,6 +127,13 @@ class TestTradeoff:
         attacked = [float(r.split(",")[3]) for r in out.strip().splitlines()[1:]]
         assert len(attacked) == len(baseline) == 3
         assert all(a >= b for a, b in zip(attacked, baseline))
+
+    def test_per_group_without_adversary_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
+            "--alpha-points", "4", "--per-group", "1,2",
+        )
+        assert code == 1 and out == "" and "--per-group requires --adversary" in err
 
     def test_sweep_script_writes_the_cli_csv(self, capsys, tmp_path):
         env = script_env()

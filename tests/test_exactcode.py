@@ -1,6 +1,7 @@
 """Encoding, collection, and collaborative repair of the exact code."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from collabregen.exactcode import (
     ObjectMatrix,
     RepairFailureError,
     RepairPolicy,
+    RepairReport,
     _apply_column,
     _contacts,
     _eval_row,
@@ -764,6 +766,47 @@ def test_repair_ledgers_are_pinned(name):
         "contacted": list(report.contacted.items()),
         "measured": report.measured,
     } == PINNED_REPAIRS[name]
+
+
+@st.composite
+def report_ledgers(draw):
+    """A RepairReport with random ledgers among newcomers 8-11 and live
+    nodes 1-4 (zero loads included), and t = 1..4."""
+    newcomers = draw(st.lists(st.sampled_from([8, 9, 10, 11]), unique=True, max_size=4))
+    pieces = st.integers(0, 5)
+    downloads = {
+        f: Counter(draw(st.dictionaries(st.integers(1, 4), pieces, max_size=4))) for f in newcomers
+    }
+    pairs = st.sampled_from([(a, b) for a in newcomers for b in newcomers if a != b] or [(8, 9)])
+    return RepairReport(
+        unit_pieces=draw(st.integers(1, 4)),
+        downloads=downloads,
+        exchanges=Counter(draw(st.dictionaries(pairs, pieces, max_size=6))),
+        measured=tuple(draw(st.permutations(newcomers))[: draw(st.integers(0, len(newcomers)))]),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(report_ledgers())
+def test_cost_ratios_match_fraction_formulas(report):
+    # the costs as Fractions, summed straight from the ledgers; the int
+    # pairs must give them exactly and their floats to the last bit
+    m, inside, t = len(report.measured), set(report.measured), report.unit_pieces
+    loads = [v for f in report.measured for v in report.downloads.get(f, {}).values() if v > 0]
+    pair_pieces = sum(v for (a, b), v in report.exchanges.items() if a in inside and b in inside)
+    received = sum(v for (_, b), v in report.exchanges.items() if b in inside)
+    downloaded = sum(sum(report.downloads.get(f, {}).values()) for f in report.measured)
+    want = (
+        F(sum(loads), len(loads) * t) if loads else F(0),
+        F(pair_pieces, m * (m - 1) * t) if m >= 2 else F(0),
+        F(downloaded + received, m * t) if m else F(0),
+    )
+    ratios = report.cost_ratios()
+    assert tuple(F(num, den) for num, den in ratios) == want
+    assert [num / den for num, den in ratios] == [float(w) for w in want]
+    assert (report.beta_av, report.beta_prime, report.gamma) == want
+    pieces = (report.beta_av_pieces, report.beta_prime_pieces, report.gamma_pieces)
+    assert pieces == tuple(w * t for w in want)
 
 
 @pytest.mark.parametrize("relabel, failed", [(0, [8, 9, 10]), (11, [8, 9, 10]), (None, [0, 9, 10])])

@@ -6,8 +6,10 @@ for inverses, and subset-consistency checks and the exhaustive-subset
 decoder (``oracles.oracle_rs_decode``) for decoding.
 """
 
+import gc
 import random
 import time
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -484,6 +486,78 @@ class TestExactKappaPath:
         received = [(pos, f.element(word[pos].value ^ (pos < 2))) for pos in range(5)]
         assert decode_or_flag(oracle_rs_decode, code, received) == "flagged"
         assert decode_or_flag(rs_decode, code, received) == "flagged"
+
+
+# --- the per-code memo of exactly-kappa decode matrices ---
+
+
+@st.composite
+def exact_kappa_reads(draw):
+    """A code over GF(2^m), m = 2..8, whose points often include 0, and
+    exactly kappa received symbols, often all zero, in any order, with
+    other positions erased or absent.  As (code, received)."""
+    f = field(draw(FIELD_EXPONENTS))
+    n = draw(st.integers(2, min(f.order, 10)))
+    kappa = draw(st.integers(1, n - 1))
+    points = draw(st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n, unique=True))
+    if 0 not in points and draw(st.booleans()):
+        points[draw(st.integers(0, n - 1))] = 0
+    code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+    order = draw(st.permutations(range(n)))
+    values = draw(st.one_of(st.just([0] * kappa), st.lists(symbols(f), min_size=kappa, max_size=kappa)))
+    received = [(pos, f.element(v)) for pos, v in zip(order, values)]
+    received += [(pos, ERASED) for pos in order[kappa:] if draw(st.booleans())]
+    return code, draw(st.permutations(received))
+
+
+def fresh_copy(code):
+    return RsCode(code.field, code.n, code.kappa, code.evaluation_points)
+
+
+class TestDecodeMatrixMemo:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(exact_kappa_reads())
+    def test_matches_oracle_and_kernel(self, case):
+        # the memoized matrix keys the positions in the order given, so a
+        # memo already holding them in another order must not answer
+        code, received = case
+        f = code.field
+        kept = [(pos, sym) for pos, sym in received if sym is not None]
+        points = [code.evaluation_points[pos].value for pos, _ in kept]
+        (msg,) = gf._decode_rows(f, points, [[sym.value for _, sym in kept]], code.kappa)
+        want = oracle_rs_decode(code, received)
+        assert [v.value for v in want] == msg
+        assert rs_decode(fresh_copy(code), received) == want
+        warmed = fresh_copy(code)
+        assert rs_decode(warmed, kept[::-1]) == want
+        assert rs_decode(warmed, received) == want
+        assert len(warmed._decode_memo) == min(code.kappa, 2)
+
+    @pytest.mark.parametrize("bound", [4 * 9 + 5, 8])
+    def test_memo_stays_within_bound(self, monkeypatch, bound):
+        # kappa = 3 matrices hold 9 symbols: room for four, or for none
+        monkeypatch.setattr(gf, "DECODE_MEMO_SYMBOLS", bound)
+        f = field(4)
+        code = RsCode.with_power_points(f, 12, 3, first_power=1)
+        rng = random.Random(bound)
+        for subset in combinations(range(12), 3):
+            positions = rng.sample(subset, 3)
+            message = tuple(f.element(rng.randrange(f.order)) for _ in range(3))
+            word = rs_encode(code, message)
+            assert rs_decode(code, [(p, word[p]) for p in positions]) == message
+            assert 9 * len(code._decode_memo) <= bound
+        assert bool(code._decode_memo) == (bound >= 9)
+
+    def test_memo_is_per_code_and_dies_with_it(self):
+        f = field(8)
+        code, other = (RsCode.with_power_points(f, 16, 6, first_power=1) for _ in range(2))
+        word = rs_encode(code, tuple(f.element(v) for v in range(1, 7)))
+        rs_decode(code, [(p, word[p]) for p in range(6)])
+        assert list(code._decode_memo) == [tuple(range(6))] and not other._decode_memo
+        ref = weakref.ref(code)
+        del code
+        gc.collect()
+        assert ref() is None
 
 
 # --- barycentric evaluation and multi-row interpolation ---
