@@ -11,8 +11,10 @@ with S_i the prefix sum of group sizes, and their adversarial variants
 where selfish live nodes remove ``L0`` download contributions, selfish
 newcomers remove ``l_i`` collaboration contributions, and polluting
 nodes cost twice their count (one good equation must offset each
-potentially bad one).  Bandwidth coefficients are clamped at zero; cut
-contributions are never negative.
+potentially bad one).  The kinds differ only in that cost factor,
+``AdversaryProfile.factor``; this module alone turns a profile into cut
+arithmetic, which the trade-off search reads from here.  Bandwidth
+coefficients are clamped at zero; cut contributions are never negative.
 
 All functions are pure over immutable inputs and safe to evaluate
 concurrently.
@@ -220,6 +222,12 @@ def _check_among_live(p: SystemParams, adv: AdversaryProfile) -> None:
         )
 
 
+def _live_coefficients(p: SystemParams, factor: int, among_live: int) -> list[int]:
+    """beta's coefficient d - factor*among_live - s, clamped at zero, for
+    a group that starts at prefix s < k."""
+    return [max(0, p.d - factor * among_live - s) for s in range(p.k)]
+
+
 def _cut_sum(
     p: SystemParams,
     part: GroupPartition,
@@ -228,12 +236,12 @@ def _cut_sum(
     factor: int,
 ) -> Fraction:
     alpha, beta, beta_prime = p.alpha, p.beta, p.beta_prime
+    live = _live_coefficients(p, factor, among_live)
     total = Fraction(0)
     prefix = 0
     for u, a in zip(part.groups, per_group):
-        live_coeff = max(0, p.d - factor * among_live - prefix)
         collab_coeff = max(0, p.t - factor * a - u)
-        bandwidth = live_coeff * beta + collab_coeff * beta_prime
+        bandwidth = live[prefix] * beta + collab_coeff * beta_prime
         total += u * min(alpha, bandwidth)
         prefix += u
     return total
@@ -241,10 +249,8 @@ def _cut_sum(
 
 def mincut_single(p: SystemParams) -> Fraction:
     """Cut bound for independent single-node repairs (t treated as 1)."""
-    if p.d < p.k:
-        raise ParameterError("requires d >= k")
     return sum(
-        (min(p.alpha, (p.d - i) * p.beta) for i in range(p.k)),
+        (min(p.alpha, c * p.beta) for c in _live_coefficients(p, 1, 0)),
         start=Fraction(0),
     )
 
@@ -322,59 +328,64 @@ class MsrSelfishBounds:
     beta_max: Fraction
     beta_prime_min: Fraction
     beta_prime_max: Fraction
-    exact_formula_applies: bool
+
+    @property
+    def exact_formula_applies(self) -> bool:
+        return self.beta_exact is not None
+
+
+def _msr_window(
+    p: SystemParams, adv: Optional[AdversaryProfile]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(beta_min, beta_max, beta'_min, beta'_max) at alpha = B/k, one
+    formula for both kinds with f = ``adv.factor`` (1 with no adversary).
+
+    The smallest feasible beta lies between (B/k)/lo and (B/k)/hi, with
+    lo = d - f*L0 - k + t and hi = lo - f*lmax; eliminating beta bounds
+    beta' by (B/k)*collab/(hi*(t-1)) and (B/k)*(t-1)/(lo*collab), with
+    collab = t - f*lmax - 1.  With no adversary this is the
+    minimum-storage point (beta' window (0, 0) at t = 1); under an
+    adversary a nonpositive lo, hi or collab raises InfeasibleError.
+    """
+    unit = p.unit
+    f, among, lmax = 1, 0, 0
+    if adv is not None:
+        _check_among_live(p, adv)
+        f, among, lmax = adv.factor, adv.among_live, adv.per_group_max
+        if adv.kind is AdversaryKind.SELFISH and lmax > p.t - 1:
+            raise ParameterError(f"per-group selfish count cannot exceed t-1={p.t - 1}")
+    lo = p.d - f * among - p.k + p.t
+    hi = lo - f * lmax
+    collab = p.t - f * lmax - 1
+    if adv is not None and adv.kind is AdversaryKind.POLLUTING and min(lo, hi, collab) <= 0:
+        raise InfeasibleError("no characteristic bandwidth window under this pollution level")
+    if lo <= 0 or hi <= 0:
+        raise InfeasibleError("no feasible download bandwidth: effective fan-in too small")
+    if collab <= 0 and adv is not None:  # no collaborative flow, e.g. lmax = t-1
+        raise InfeasibleError(
+            "no collaboration bandwidth is defined when every peer may be selfish"
+        )
+    if collab <= 0:  # t = 1 with no adversary: nobody collaborates
+        return unit / lo, unit / hi, Fraction(0), Fraction(0)
+    return unit / lo, unit / hi, unit * collab / (hi * (p.t - 1)), unit * (p.t - 1) / (lo * collab)
 
 
 def msr_selfish_bounds(p: SystemParams, adv: AdversaryProfile) -> MsrSelfishBounds:
     """Bandwidth ranges at alpha = B/k under a selfish adversary.
 
-    The smallest feasible beta lies between (B/k)/((d-L0)-k+t) and
-    (B/k)/((d-L0)-k+t-lmax); with concrete per-group counts and t
-    dividing k + total, the exact value (B/k)/((d-L0)-k+(t-l_last))
-    is returned as well.  beta' bounds follow from eliminating beta.
-    Raises InfeasibleError when a denominator is nonpositive, which at
-    lmax = t-1 means no collaboration information flows at all.
+    The ranges are ``_msr_window``'s.  With concrete per-group counts and
+    t dividing k + total, the exact value (B/k)/((d-L0)-k+(t-l_last)) is
+    returned as well; l_last <= lmax, so its denominator is positive.
     """
     if adv.kind is not AdversaryKind.SELFISH:
         raise ParameterError("profile kind must be selfish")
-    _check_among_live(p, adv)
-    lmax = adv.per_group_max if adv.per_group_max is not None else 0
-    if lmax > p.t - 1:
-        raise ParameterError(f"per-group selfish count cannot exceed t-1={p.t - 1}")
-    unit = p.unit
-    d_eff = p.d - adv.among_live
-
-    lo_denom = d_eff - p.k + p.t
-    hi_denom = d_eff - p.k + p.t - lmax
-    if lo_denom <= 0 or hi_denom <= 0:
-        raise InfeasibleError(
-            "no feasible download bandwidth: effective fan-in too small"
-        )
-    beta_min = unit / lo_denom
-    beta_max = unit / hi_denom
-
-    collab_share = p.t - lmax - 1
-    if collab_share <= 0 or p.t == 1:
-        # lmax = t-1 leaves no collaborative flow; a collaboration
-        # bandwidth is meaningless in that regime.
-        raise InfeasibleError(
-            "no collaboration bandwidth is defined when every peer may be selfish"
-        )
-    bp_min = unit * collab_share / (hi_denom * (p.t - 1))
-    bp_max = unit * (p.t - 1) / (lo_denom * collab_share)
-
+    window = _msr_window(p, adv)
     beta_exact = None
-    applies = False
     if adv.per_group is not None and (p.k + adv.total) % p.t == 0:
         g = (p.k + adv.total) // p.t
         if len(adv.per_group) == g:
-            applies = True
-            last = adv.per_group[g - 1]
-            exact_denom = d_eff - p.k + (p.t - last)
-            if exact_denom <= 0:
-                raise InfeasibleError("exact bandwidth denominator nonpositive")
-            beta_exact = unit / exact_denom
-    return MsrSelfishBounds(beta_exact, beta_min, beta_max, bp_min, bp_max, applies)
+            beta_exact = p.unit / (p.d - adv.among_live - p.k + p.t - adv.per_group[g - 1])
+    return MsrSelfishBounds(beta_exact, *window)
 
 
 def polluted_collection_min_storage(p: SystemParams, polluters: int) -> Fraction:

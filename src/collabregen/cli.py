@@ -21,8 +21,7 @@ from .capacity import (
     GroupPartition,
     InfeasibleError,
     SystemParams,
-    capacity_polluting,
-    capacity_selfish,
+    _capacity,
     fraction_str,
     mbr_point,
     mincut_collab,
@@ -99,8 +98,12 @@ def _add_system_flags(p: argparse.ArgumentParser, need_B: bool = True) -> None:
     p.add_argument("--n", type=int, default=None, help="node count (default: d + t)")
 
 
+# Each kind's (live count, per-group cap, total) flags.
+_ADVERSARY_FLAGS = {"selfish": ("L0", "lmax", "Ltotal"), "polluting": ("B0", "bmax", "Btotal")}
+
+
 def _add_adversary_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--adversary", choices=["selfish", "polluting"], default=None)
+    p.add_argument("--adversary", choices=list(_ADVERSARY_FLAGS), default=None)
     p.add_argument("--L0", type=int, default=None, help="selfish nodes among live, per generation")
     p.add_argument("--lmax", type=int, default=None, help="max selfish newcomers per group")
     p.add_argument("--Ltotal", type=int, default=None, help="total selfish newcomers")
@@ -127,28 +130,22 @@ def _build_params(args) -> SystemParams:
 
 def _build_adversary(args) -> Optional[AdversaryProfile]:
     if args.adversary is None:
-        for flag in ("L0", "lmax", "Ltotal", "B0", "bmax", "Btotal", "per_group"):
+        for flag in (*sum(_ADVERSARY_FLAGS.values(), ()), "per_group"):
             if getattr(args, flag) is not None:
                 raise _UsageError(f"--{flag.replace('_', '-')} requires --adversary")
         return None
-    if args.adversary == "selfish":
-        if args.B0 is not None or args.bmax is not None or args.Btotal is not None:
-            raise _UsageError("use --L0/--lmax/--Ltotal with --adversary selfish")
-        return AdversaryProfile(
-            AdversaryKind.SELFISH,
-            among_live=args.L0 or 0,
-            per_group=args.per_group,
-            per_group_max=args.lmax,
-            total=args.Ltotal,
-        )
-    if args.L0 is not None or args.lmax is not None or args.Ltotal is not None:
-        raise _UsageError("use --B0/--bmax/--Btotal with --adversary polluting")
+    own = _ADVERSARY_FLAGS[args.adversary]
+    for kind, flags in _ADVERSARY_FLAGS.items():
+        if kind != args.adversary and any(getattr(args, flag) is not None for flag in flags):
+            names = "/".join(f"--{flag}" for flag in own)
+            raise _UsageError(f"use {names} with --adversary {args.adversary}")
+    among, cap, total = (getattr(args, flag) for flag in own)
     return AdversaryProfile(
-        AdversaryKind.POLLUTING,
-        among_live=args.B0 or 0,
+        AdversaryKind(args.adversary),
+        among_live=among or 0,
         per_group=args.per_group,
-        per_group_max=args.bmax,
-        total=args.Btotal,
+        per_group_max=cap,
+        total=total,
     )
 
 
@@ -196,10 +193,10 @@ def _cmd_bounds(args) -> int:
             part = args.partition
             if adv is None:
                 doc["mincut_collab"] = _emit(mincut_collab(p, part), unit, raw)
-            elif adv.kind is AdversaryKind.SELFISH:
-                doc["capacity_selfish"] = _emit(capacity_selfish(p, part, adv), unit, raw)
             else:
-                doc["capacity_polluting"] = _emit(capacity_polluting(p, part, adv), unit, raw)
+                doc[f"capacity_{adv.kind.value}"] = _emit(
+                    _capacity(p, part, adv, adv.kind), unit, raw
+                )
     if ("adversary" in sections or args.point == "selfish-msr") and adv is not None:
         if adv.kind is AdversaryKind.SELFISH:
             bounds = msr_selfish_bounds(p, adv)

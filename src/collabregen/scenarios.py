@@ -111,13 +111,13 @@ def run_cost_scenario(name: str, seed: int = 0) -> CostRecord:
     failed = [b.node_id for b in blocks[-2:]]
     live = blocks[: len(blocks) - 2]
 
+    kind, _, where = name.partition("-")  # e.g. "selfish-live"
+    bad = Behavior(kind)
     behaviors: dict[int, Behavior] = {}
-    if name.endswith("-newcomer"):
-        kind = Behavior.SELFISH if name.startswith("selfish") else Behavior.POLLUTING
-        behaviors[failed[0]] = kind
-    elif name.endswith("-live"):
-        kind = Behavior.SELFISH if name.startswith("selfish") else Behavior.POLLUTING
-        behaviors[live[0].node_id] = kind
+    if where == "newcomer":
+        behaviors[failed[0]] = bad
+    elif where == "live":
+        behaviors[live[0].node_id] = bad
 
     new_blocks, report = collaborative_repair(
         code, live, failed, behaviors, seed=seed

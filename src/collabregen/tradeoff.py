@@ -37,17 +37,18 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .capacity import (
-    AdversaryKind,
     AdversaryProfile,
     GroupPartition,
     InfeasibleError,
     ParameterError,
     SystemParams,
     _check_among_live,
+    _live_coefficients,
+    _msr_window,
     as_fraction,
     mbr_point,
     msr_point,
-    msr_selfish_bounds,
+    msr_selfish_bounds,  # not called here; perfbench/tracing.py wraps tradeoff.msr_selfish_bounds
 )
 
 log = logging.getLogger(__name__)
@@ -120,27 +121,14 @@ def characteristic_bandwidth_box(
     """Bandwidth window between the characteristic operating points.
 
     The lower corner is the minimum-bandwidth point.  The upper corner is
-    the minimum-storage bandwidth: the closed forms for a selfish
-    adversary, their factor-2 counterparts for a polluting one (each bad
-    equation costs one good equation to offset), and the plain values
-    otherwise."""
+    the top of the minimum-storage window (``capacity._msr_window``), one
+    formula for every adversary kind with its cost factor (1 selfish,
+    2 polluting); an adversary with no misbehaving node gives the plain
+    minimum-storage point."""
     _, mbr_beta, mbr_bp = mbr_point(p)
-    if adversary is None or adversary.total == 0 and adversary.among_live == 0:
-        _, hi_beta, hi_bp = msr_point(p)
-    elif adversary.kind is AdversaryKind.SELFISH:
-        bounds = msr_selfish_bounds(p, adversary)
-        hi_beta, hi_bp = bounds.beta_max, bounds.beta_prime_max
-    else:
-        d_eff = p.d - 2 * adversary.among_live
-        spread = 2 * (adversary.per_group_max or 0)
-        denom_hi = d_eff - p.k + p.t - spread
-        collab = p.t - spread - 1
-        if denom_hi <= 0 or collab <= 0 or d_eff - p.k + p.t <= 0:
-            raise InfeasibleError(
-                "no characteristic bandwidth window under this pollution level"
-            )
-        hi_beta = p.unit / denom_hi
-        hi_bp = p.unit * (p.t - 1) / ((d_eff - p.k + p.t) * collab)
+    if adversary is not None and adversary.total == 0 and adversary.among_live == 0:
+        adversary = None
+    _, hi_beta, _, hi_bp = _msr_window(p, adversary)
     if p.t == 1:
         return (mbr_beta, max(hi_beta, mbr_beta)), (Fraction(0), Fraction(0))
     return (mbr_beta, max(hi_beta, mbr_beta)), (mbr_bp, max(hi_bp, mbr_bp))
@@ -166,7 +154,7 @@ def _cut_search(
         _check_among_live(p, adversary)
         f, among, maxa = adversary.factor, adversary.among_live, adversary.per_group_max
         total = adversary.total
-    coeffs = [max(0, p.d - f * among - s) for s in range(k)]  # beta's factor at prefix s
+    coeffs = _live_coefficients(p, f, among)  # beta's factor at prefix s
     cap = min(maxa, (t - 1) // f)  # the most misbehavers one group can hold
 
     if fixed_g == k:

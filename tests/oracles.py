@@ -10,11 +10,21 @@ branches over a behavior map that may omit honest nodes.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
+The minimum-storage windows are the earlier per-kind code, written out
+once for the selfish bounds and once, with the factor 2 inlined, for
+the polluting window; they use only public names of ``capacity``.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
 
+from collabregen.capacity import (
+    AdversaryKind,
+    InfeasibleError,
+    ParameterError,
+    mbr_point,
+    msr_point,
+)
 from collabregen.exactcode import AMBIGUOUS, Behavior, ObjectMatrix, RepairPolicy
 from collabregen.tradeoff import _GRID_POINTS, _MAX_REFINEMENTS, _MIN_REFINEMENTS
 from collabregen.gf import (
@@ -263,3 +273,79 @@ def oracle_grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4
         p_lo = max(p_min, best[2] - 2 * sp)
         p_hi = min(p_max, best[2] + 2 * sp)
     return best
+
+
+def _oracle_check_among_live(p, adv):
+    if adv.kind is AdversaryKind.SELFISH and adv.among_live > p.d:
+        raise ParameterError(f"selfish live count {adv.among_live} exceeds d={p.d}")
+    if adv.kind is AdversaryKind.POLLUTING and 2 * adv.among_live > p.d:
+        raise ParameterError(
+            f"polluting live count {adv.among_live} needs 2*count <= d={p.d}"
+        )
+
+
+def oracle_msr_selfish_bounds(p, adv):
+    """(beta_exact, beta_min, beta_max, beta'_min, beta'_max, applies)."""
+    if adv.kind is not AdversaryKind.SELFISH:
+        raise ParameterError("profile kind must be selfish")
+    _oracle_check_among_live(p, adv)
+    lmax = adv.per_group_max if adv.per_group_max is not None else 0
+    if lmax > p.t - 1:
+        raise ParameterError(f"per-group selfish count cannot exceed t-1={p.t - 1}")
+    unit = p.unit
+    d_eff = p.d - adv.among_live
+
+    lo_denom = d_eff - p.k + p.t
+    hi_denom = d_eff - p.k + p.t - lmax
+    if lo_denom <= 0 or hi_denom <= 0:
+        raise InfeasibleError(
+            "no feasible download bandwidth: effective fan-in too small"
+        )
+    beta_min = unit / lo_denom
+    beta_max = unit / hi_denom
+
+    collab_share = p.t - lmax - 1
+    if collab_share <= 0 or p.t == 1:
+        raise InfeasibleError(
+            "no collaboration bandwidth is defined when every peer may be selfish"
+        )
+    bp_min = unit * collab_share / (hi_denom * (p.t - 1))
+    bp_max = unit * (p.t - 1) / (lo_denom * collab_share)
+
+    beta_exact = None
+    applies = False
+    if adv.per_group is not None and (p.k + adv.total) % p.t == 0:
+        g = (p.k + adv.total) // p.t
+        if len(adv.per_group) == g:
+            applies = True
+            last = adv.per_group[g - 1]
+            exact_denom = d_eff - p.k + (p.t - last)
+            if exact_denom <= 0:
+                raise InfeasibleError("exact bandwidth denominator nonpositive")
+            beta_exact = unit / exact_denom
+    return beta_exact, beta_min, beta_max, bp_min, bp_max, applies
+
+
+def oracle_characteristic_box(p, adversary=None):
+    """((beta_lo, beta_hi), (beta'_lo, beta'_hi)) between the minimum-
+    bandwidth point and the minimum-storage window."""
+    _, mbr_beta, mbr_bp = mbr_point(p)
+    if adversary is None or adversary.total == 0 and adversary.among_live == 0:
+        _, hi_beta, hi_bp = msr_point(p)
+    elif adversary.kind is AdversaryKind.SELFISH:
+        bounds = oracle_msr_selfish_bounds(p, adversary)
+        hi_beta, hi_bp = bounds[2], bounds[4]
+    else:
+        d_eff = p.d - 2 * adversary.among_live
+        spread = 2 * (adversary.per_group_max or 0)
+        denom_hi = d_eff - p.k + p.t - spread
+        collab = p.t - spread - 1
+        if denom_hi <= 0 or collab <= 0 or d_eff - p.k + p.t <= 0:
+            raise InfeasibleError(
+                "no characteristic bandwidth window under this pollution level"
+            )
+        hi_beta = p.unit / denom_hi
+        hi_bp = p.unit * (p.t - 1) / ((d_eff - p.k + p.t) * collab)
+    if p.t == 1:
+        return (mbr_beta, max(hi_beta, mbr_beta)), (F(0), F(0))
+    return (mbr_beta, max(hi_beta, mbr_beta)), (mbr_bp, max(hi_bp, mbr_bp))

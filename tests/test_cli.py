@@ -50,6 +50,14 @@ class TestBounds:
         assert doc["selfish_msr"]["beta_range"] == ["1/19", "1/18"]
         assert doc["selfish_msr"]["beta_prime_range"] == ["1/27", "3/38"]
         assert doc["mbr"]["alpha"] == "99/68"
+        # concrete counts: (k + total)/t = 9 groups, the last with 1 selfish
+        code, out, _ = run(
+            capsys, "bounds", "--d", "48", "--k", "32", "--t", "4", "--point", "selfish-msr",
+            "--adversary", "selfish", "--L0", "1", "--per-group", "0,0,0,0,0,1,1,1,1",
+        )
+        assert code == 0
+        doc = json.loads(out)["selfish_msr"]
+        assert doc["beta_exact"] == "1/18" and doc["exact_formula_applies"] is True
 
     def test_raw_units(self, capsys):
         code, out, _ = run(
@@ -68,13 +76,36 @@ class TestBounds:
         doc = json.loads(out)
         assert doc["mincut_collab"] == "32"
         assert doc["gamma"] == "51/20"
+        point = ("--alpha", "1", "--beta", "1/10", "--beta-prime", "1/10")
+        for flags, want in [
+            (
+                ("--partition", "4,4,4,4,4,4,4,2,2", "--adversary", "polluting", "--B0", "1",
+                 "--per-group", "0,0,0,0,0,0,0,0,1"),
+                {"capacity_polluting": "32", "polluted_collection_min_storage": "16/15"},
+            ),
+            (
+                ("--partition", "4,4,4,4,4,4,4,3,1", "--adversary", "selfish", "--L0", "1",
+                 "--per-group", "0,0,0,0,0,0,0,1,1"),
+                {"capacity_selfish": "32"},
+            ),
+        ]:
+            code, out, _ = run(capsys, "bounds", "--d", "48", "--k", "32", "--t", "4",
+                               *point, *flags)
+            doc = json.loads(out)
+            assert code == 0 and {key: doc[key] for key in want} == want
+            assert "mincut_collab" not in doc
 
     def test_mismatched_adversary_flags_usage_error(self, capsys):
-        code, _, err = run(
-            capsys, "bounds", "--d", "48", "--k", "32", "--t", "4",
-            "--adversary", "selfish", "--B0", "1",
-        )
-        assert code == 1 and "selfish" in err
+        for kind, flags, own in [
+            ("selfish", ("--B0", "1"), "--L0/--lmax/--Ltotal"),
+            ("polluting", ("--L0", "1", "--B0", "2"), "--B0/--bmax/--Btotal"),
+        ]:
+            code, out, err = run(
+                capsys, "bounds", "--d", "48", "--k", "32", "--t", "4",
+                "--adversary", kind, *flags,
+            )
+            assert code == 1 and out == ""
+            assert f"use {own} with --adversary {kind}" in err
 
     def test_per_group_without_adversary_exits_one(self, capsys):
         code, out, err = run(
@@ -134,6 +165,18 @@ class TestTradeoff:
             "--alpha-points", "4", "--per-group", "1,2",
         )
         assert code == 1 and out == "" and "--per-group requires --adversary" in err
+
+    def test_polluting_live_count_above_half_d_exits_one(self, capsys):
+        # With --fixed-g the characteristic window is built first; it used
+        # to skip the live-count check and exit 2.
+        for fixed_g in ((), ("--fixed-g", "32")):
+            code, out, err = run(
+                capsys, "tradeoff", "--d", "48", "--k", "32", "--t", "4",
+                "--adversary", "polluting", "--B0", "30", "--bmax", "1", "--Btotal", "16",
+                "--alpha-points", "2", *fixed_g,
+            )
+            assert code == 1 and out == ""
+            assert "polluting live count 30 needs 2*count <= d=48" in err
 
     def test_sweep_script_writes_the_cli_csv(self, capsys, tmp_path):
         env = script_env()

@@ -12,11 +12,13 @@ from collabregen.capacity import (
     AdversaryProfile,
     GroupPartition,
     InfeasibleError,
+    MsrSelfishBounds,
     ParameterError,
     SystemParams,
     mbr_point,
     mincut_single,
     msr_point,
+    msr_selfish_bounds,
 )
 from collabregen import tradeoff
 from collabregen.tradeoff import (
@@ -34,7 +36,14 @@ from collabregen.tradeoff import (
 )
 
 
-from oracles import oracle_grid_search, oracle_partitions, oracle_search, oracle_value
+from oracles import (
+    oracle_characteristic_box,
+    oracle_grid_search,
+    oracle_msr_selfish_bounds,
+    oracle_partitions,
+    oracle_search,
+    oracle_value,
+)
 
 
 def params(k, d, t, B=0, alpha=0, beta=0, beta_prime=0):
@@ -503,6 +512,60 @@ class TestGridWalkMatchesSortedScan:
         per_round = [counts[0] - (warm is not None)]
         per_round += [b - a for a, b in zip(counts, counts[1:])]
         assert 0 < max(per_round) <= _GRID_POINTS + (_GRID_POINTS if t > 1 else 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # ParameterError, InfeasibleError, AllocationError
+        return type(exc), str(exc)
+
+
+class TestMsrWindowMatchesParent:
+    """characteristic_bandwidth_box and msr_selfish_bounds, both read off
+    capacity._msr_window, against the per-kind code they replaced
+    (oracles.oracle_characteristic_box, oracles.oracle_msr_selfish_bounds):
+    the same Fractions or the same error, except that a polluting live
+    count above d/2 is now a ParameterError in the window as everywhere."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_same_window_or_error(self, data):
+        t = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, 12))
+        kind = data.draw(st.sampled_from([None, *AdversaryKind]))
+        adv = None
+        if kind is not None:
+            among = data.draw(st.integers(0, 6))
+            cap = data.draw(st.integers(0, 4))
+            if data.draw(st.booleans()):  # concrete counts
+                per = data.draw(st.lists(st.integers(0, cap), max_size=8))
+                fit = t * len(per) - sum(per)  # the k for which beta_exact applies
+                if 1 <= fit <= 12:
+                    k = fit
+                given_cap = data.draw(st.sampled_from([cap, None]))  # None: max(per)
+                adv = AdversaryProfile(kind, among, per_group=per, per_group_max=given_cap)
+            else:
+                total = data.draw(st.sampled_from([0, 0, 1, cap, k]))
+                adv = AdversaryProfile(kind, among, per_group_max=cap, total=total)
+        d = data.draw(st.integers(k, k + 8))
+        p = params(k=k, d=d, t=t, B=data.draw(st.sampled_from([F(1), F(k), F(7, 3)])))
+        want = _outcome(oracle_characteristic_box, p, adv)
+        if kind is AdversaryKind.POLLUTING and 2 * adv.among_live > d:
+            want = ParameterError, f"polluting live count {adv.among_live} needs 2*count <= d={d}"
+        assert _outcome(characteristic_bandwidth_box, p, adv) == want
+        if adv is not None:
+            got = _outcome(msr_selfish_bounds, p, adv)
+            if isinstance(got, MsrSelfishBounds):
+                got = (got.beta_exact, got.beta_min, got.beta_max, got.beta_prime_min,
+                       got.beta_prime_max, got.exact_formula_applies)
+            assert got == _outcome(oracle_msr_selfish_bounds, p, adv)
+
+    def test_polluting_live_count_above_half_d(self):
+        # The parent's window took d_eff = 3 - 2*2 = -1 here and returned
+        # ((2/9, 1/2), (1/9, 1/2)).
+        with pytest.raises(ParameterError, match="needs 2\\*count <= d=3"):
+            characteristic_bandwidth_box(params(k=3, d=3, t=6, B=3), polluting(2))
 
 
 class TestOptimizer:
