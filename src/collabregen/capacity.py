@@ -12,8 +12,10 @@ where selfish live nodes remove ``L0`` download contributions, selfish
 newcomers remove ``l_i`` collaboration contributions, and polluting
 nodes cost twice their count (one good equation must offset each
 potentially bad one).  The kinds differ only in that cost factor,
-``AdversaryProfile.factor``; this module alone turns a profile into cut
-arithmetic, which the trade-off search reads from here.  Bandwidth
+``AdversaryProfile.factor``.  ``_budget`` alone turns a profile into cut
+arithmetic, which the bounds here and the trade-off search read: a group
+of u >= 1 newcomers out of t holds at most (t - u)//f misbehavers, so a
+per-group cap above (t - 1)//f counts as (t - 1)//f.  Bandwidth
 coefficients are clamped at zero; cut contributions are never negative.
 
 All functions are pure over immutable inputs and safe to evaluate
@@ -213,13 +215,18 @@ class AdversaryProfile:
         return 2 if self.kind is AdversaryKind.POLLUTING else 1
 
 
-def _check_among_live(p: SystemParams, adv: AdversaryProfile) -> None:
-    if adv.kind is AdversaryKind.SELFISH and adv.among_live > p.d:
-        raise ParameterError(f"selfish live count {adv.among_live} exceeds d={p.d}")
-    if adv.kind is AdversaryKind.POLLUTING and 2 * adv.among_live > p.d:
-        raise ParameterError(
-            f"polluting live count {adv.among_live} needs 2*count <= d={p.d}"
-        )
+def _budget(p: SystemParams, adv: Optional[AdversaryProfile]) -> tuple[int, int, int, int]:
+    """(f, among_live, cap, total) of a profile, (1, 0, 0, 0) for none:
+    the cost factor, the live count, checked against d, the per-group cap
+    clamped to the (t - 1)//f misbehavers a group can hold, and the
+    newcomer budget."""
+    if adv is None:
+        return 1, 0, 0, 0
+    f, among = adv.factor, adv.among_live
+    if f * among > p.d:
+        need = "exceeds" if f == 1 else f"needs {f}*count <="
+        raise ParameterError(f"{adv.kind.value} live count {among} {need} d={p.d}")
+    return f, among, min(adv.per_group_max, (p.t - 1) // f), adv.total
 
 
 def _live_coefficients(p: SystemParams, factor: int, among_live: int) -> list[int]:
@@ -281,13 +288,13 @@ def _capacity(
     part.validate_for(p.k, p.t)
     if adv.per_group is None or len(adv.per_group) != part.g:
         raise AllocationError(f"need one {kind.value} count per group")
-    _check_among_live(p, adv)
+    f, among, _, _ = _budget(p, adv)
     for u, a in zip(part.groups, adv.per_group):
-        if u > p.t - adv.factor * a:
+        if u > p.t - f * a:
             raise AllocationError(
                 f"group of size {u} infeasible with {a} {kind.value} newcomers (t={p.t})"
             )
-    return _cut_sum(p, part, adv.among_live, adv.per_group, adv.factor)
+    return _cut_sum(p, part, among, adv.per_group, f)
 
 
 def repair_gamma(p: SystemParams) -> Fraction:
@@ -338,34 +345,26 @@ def _msr_window(
     p: SystemParams, adv: Optional[AdversaryProfile]
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(beta_min, beta_max, beta'_min, beta'_max) at alpha = B/k, one
-    formula for both kinds with f = ``adv.factor`` (1 with no adversary).
+    formula for every profile, read off ``_budget``'s (f, L0, cap).
 
     The smallest feasible beta lies between (B/k)/lo and (B/k)/hi, with
-    lo = d - f*L0 - k + t and hi = lo - f*lmax; eliminating beta bounds
+    lo = d - f*L0 - k + t and hi = lo - f*cap; eliminating beta bounds
     beta' by (B/k)*collab/(hi*(t-1)) and (B/k)*(t-1)/(lo*collab), with
-    collab = t - f*lmax - 1.  With no adversary this is the
-    minimum-storage point (beta' window (0, 0) at t = 1); under an
-    adversary a nonpositive lo, hi or collab raises InfeasibleError.
+    collab = t - 1 - f*cap >= 0.  A nonpositive lo or hi raises
+    InfeasibleError, and so does collab = 0 with cap > 0: every peer may
+    misbehave.  collab = 0 with cap = 0 is t = 1, where nobody
+    collaborates and the beta' window is (0, 0) under any adversary.
     """
     unit = p.unit
-    f, among, lmax = 1, 0, 0
-    if adv is not None:
-        _check_among_live(p, adv)
-        f, among, lmax = adv.factor, adv.among_live, adv.per_group_max
-        if adv.kind is AdversaryKind.SELFISH and lmax > p.t - 1:
-            raise ParameterError(f"per-group selfish count cannot exceed t-1={p.t - 1}")
+    f, among, cap, _ = _budget(p, adv)
     lo = p.d - f * among - p.k + p.t
-    hi = lo - f * lmax
-    collab = p.t - f * lmax - 1
-    if adv is not None and adv.kind is AdversaryKind.POLLUTING and min(lo, hi, collab) <= 0:
-        raise InfeasibleError("no characteristic bandwidth window under this pollution level")
+    hi = lo - f * cap
+    collab = p.t - 1 - f * cap
     if lo <= 0 or hi <= 0:
         raise InfeasibleError("no feasible download bandwidth: effective fan-in too small")
-    if collab <= 0 and adv is not None:  # no collaborative flow, e.g. lmax = t-1
-        raise InfeasibleError(
-            "no collaboration bandwidth is defined when every peer may be selfish"
-        )
-    if collab <= 0:  # t = 1 with no adversary: nobody collaborates
+    if collab == 0 and cap > 0:
+        raise InfeasibleError("no collaboration bandwidth is defined when every peer may misbehave")
+    if collab == 0:
         return unit / lo, unit / hi, Fraction(0), Fraction(0)
     return unit / lo, unit / hi, unit * collab / (hi * (p.t - 1)), unit * (p.t - 1) / (lo * collab)
 
@@ -373,18 +372,21 @@ def _msr_window(
 def msr_selfish_bounds(p: SystemParams, adv: AdversaryProfile) -> MsrSelfishBounds:
     """Bandwidth ranges at alpha = B/k under a selfish adversary.
 
-    The ranges are ``_msr_window``'s.  With concrete per-group counts and
-    t dividing k + total, the exact value (B/k)/((d-L0)-k+(t-l_last)) is
-    returned as well; l_last <= lmax, so its denominator is positive.
+    The ranges are ``_msr_window``'s, so a per-group cap above t - 1
+    counts as t - 1.  With concrete per-group counts and t dividing
+    k + total, the exact value (B/k)/((d-L0)-k+(t-l_last)) is returned
+    as well, l_last counted at most at that cap; its denominator is then
+    at least the window's hi, so positive.
     """
     if adv.kind is not AdversaryKind.SELFISH:
         raise ParameterError("profile kind must be selfish")
     window = _msr_window(p, adv)
+    _, among, cap, total = _budget(p, adv)
     beta_exact = None
-    if adv.per_group is not None and (p.k + adv.total) % p.t == 0:
-        g = (p.k + adv.total) // p.t
+    if adv.per_group is not None and (p.k + total) % p.t == 0:
+        g = (p.k + total) // p.t
         if len(adv.per_group) == g:
-            beta_exact = p.unit / (p.d - adv.among_live - p.k + p.t - adv.per_group[g - 1])
+            beta_exact = p.unit / (p.d - among - p.k + p.t - min(adv.per_group[g - 1], cap))
     return MsrSelfishBounds(beta_exact, *window)
 
 

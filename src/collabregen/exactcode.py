@@ -97,10 +97,6 @@ class ObjectMatrix:
     def kappa(self) -> int:
         return self.pieces.cols
 
-    @property
-    def size_units(self) -> int:
-        return self.t * self.kappa
-
     @classmethod
     def random(cls, field_: GF, t: int, kappa: int, rng: random.Random) -> "ObjectMatrix":
         data = [rng.randrange(field_.order) for _ in range(t * kappa)]
@@ -290,8 +286,9 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     the decoded object, if every row decodes, is the one candidate.
     Otherwise (too many polluters for a unique answer to be guaranteed,
     kappa = 1, or other columns) every kappa-subset of the blocks is
-    solved.  Each distinct candidate is checked against all blocks, which
-    on the subset path costs C(len(blocks), kappa) solves.
+    solved, skipping a subset of distinct but dependent columns, which
+    determines nothing.  Each distinct candidate is checked against all
+    blocks, which on the subset path costs C(len(blocks), kappa) solves.
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
@@ -301,7 +298,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     if 2 * max_polluters <= len(ordered) - kappa:
         points = _rs_points(ordered, kappa)
     if points is None:
-        candidates = (_solve_object(list(subset)) for subset in combinations(ordered, kappa))
+        candidates = _subset_objects(ordered, kappa)
     else:
         obj = _rows_object(points, ordered, kappa)
         candidates = [] if obj is None else [obj]
@@ -309,7 +306,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
     for candidate in candidates:
-        key = tuple(v.value for v in candidate.pieces.entries)
+        key = tuple(v for row in candidate.pieces.int_rows() for v in row)
         if key in seen:
             continue
         seen.add(key)
@@ -321,6 +318,16 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     if len(qualified) == 1:
         return qualified[0]
     return AMBIGUOUS
+
+
+def _subset_objects(blocks: Sequence[NodeBlock], kappa: int):
+    """The object solved from each kappa-subset of the blocks whose columns
+    determine one; ValueError if two of them share a column."""
+    for subset in combinations(blocks, kappa):
+        try:
+            yield _solve_object(list(subset))
+        except SingularMatrixError:  # distinct but dependent columns
+            continue
 
 
 # --- collaborative repair ---

@@ -312,13 +312,6 @@ class FieldMatrix:
 
     # --- access ---
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self._data[i * self.cols + j], self.field)
-
-    @property
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(v, self.field) for v in self._data)
-
     def int_rows(self) -> list[list[int]]:
         c = self.cols
         return [self._data[i * c:(i + 1) * c] for i in range(self.rows)]

@@ -42,7 +42,7 @@ from .capacity import (
     InfeasibleError,
     ParameterError,
     SystemParams,
-    _check_among_live,
+    _budget,
     _live_coefficients,
     _msr_window,
     as_fraction,
@@ -145,17 +145,12 @@ def _cut_search(
         raise ParameterError(
             f"fixed group count g={fixed_g} incompatible with k={k}, t={t}"
         )
-    f, among, maxa, total = 1, 0, 0, 0
-    if adversary is not None:
-        if adversary.per_group is not None:
-            raise ParameterError(
-                "worst-case search allocates the budget itself; pass per_group=None"
-            )
-        _check_among_live(p, adversary)
-        f, among, maxa = adversary.factor, adversary.among_live, adversary.per_group_max
-        total = adversary.total
+    if adversary is not None and adversary.per_group is not None:
+        raise ParameterError(
+            "worst-case search allocates the budget itself; pass per_group=None"
+        )
+    f, among, cap, total = _budget(p, adversary)  # cap: the most one group holds
     coeffs = _live_coefficients(p, f, among)  # beta's factor at prefix s
-    cap = min(maxa, (t - 1) // f)  # the most misbehavers one group can hold
 
     if fixed_g == k:
         if total > k * cap:
@@ -229,7 +224,7 @@ def _cut_search(
                     low = arg = None
                     for u in range(u_lo, u_hi + 1):
                         room = cap * (k - s - u if fixed_g is None else rest)  # in the groups to come
-                        for a in range(max(0, r - room), min(maxa, r, (t - u) // f) + 1):
+                        for a in range(max(0, r - room), min(cap, r, (t - u) // f) + 1):
                             sub = memo[(s + u, parts + step, r - a)][0]
                             if sub is None:
                                 continue

@@ -178,6 +178,46 @@ class TestTradeoff:
             assert code == 1 and out == ""
             assert "polluting live count 30 needs 2*count <= d=48" in err
 
+    def test_cap_above_what_a_group_holds_counts_as_the_most_it_holds(self, capsys):
+        # At t = 4 a group holds at most 3 selfish or 1 polluting newcomer,
+        # so --lmax 5 acts as --lmax 3 and --bmax 5 as --bmax 1 on every path.
+        base = ("--d", "48", "--k", "32", "--t", "4")
+        sweep = ("tradeoff", *base, "--alpha-points", "2")
+        selfish = ("--adversary", "selfish", "--L0", "1", "--Ltotal", "4")
+        polluting = ("--adversary", "polluting", "--B0", "1", "--Btotal", "4")
+        every_peer = "no collaboration bandwidth is defined when every peer may misbehave"
+        for argv in (
+            (*sweep, *selfish, "--lmax", "5", "--fixed-g", "32"),
+            (*sweep, *selfish, "--lmax", "3", "--fixed-g", "32"),
+            ("bounds", *base, *selfish, "--lmax", "5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and every_peer in err
+        for fixed_g in (("--fixed-g", "32"), ()):
+            pairs = [(polluting, "--bmax", "1")] + ([] if fixed_g else [(selfish, "--lmax", "3")])
+            for flags, flag, held in pairs:
+                code, out, _ = run(capsys, *sweep, *flags, flag, "5", *fixed_g)
+                assert code == 0 and out.startswith(CSV_HEADER + "\n") and out.count("\n") == 3
+                code, held_out, _ = run(capsys, *sweep, *flags, flag, held, *fixed_g)
+                assert code == 0 and held_out == out
+
+    @pytest.mark.parametrize(
+        "flags, first_row",
+        [
+            (("--adversary", "selfish", "--L0", "1", "--lmax", "0", "--Ltotal", "0"), "1,0.5,0,2,1|1"),
+            (("--adversary", "polluting", "--B0", "1", "--bmax", "0", "--Btotal", "0"), "1,1,0,4,1|1"),
+        ],
+    )
+    def test_single_repairs_under_an_adversary_exit_zero(self, capsys, flags, first_row):
+        # t = 1: nobody collaborates, so the window's beta' is (0, 0) under
+        # any adversary; it used to exit 2 with the window's every-peer error
+        code, out, _ = run(
+            capsys, "tradeoff", "--d", "4", "--k", "2", "--t", "1", *flags,
+            "--fixed-g", "2", "--alpha-points", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == [CSV_HEADER, first_row]
+
     def test_sweep_script_writes_the_cli_csv(self, capsys, tmp_path):
         env = script_env()
         script = ROOT / "scripts" / "run_tradeoff_sweeps.py"

@@ -253,6 +253,20 @@ class TestCollectRobustColumns:
         got = collect_robust(scaled, max_polluters=1)
         assert got is not AMBIGUOUS and got.pieces == obj.pieces
 
+    @pytest.mark.parametrize("max_polluters", [0, 1])
+    def test_dependent_columns_skipped(self, max_polluters):
+        # over GF(16), columns (1,0) and (2,0) are distinct but dependent:
+        # that pair determines nothing, the other five pairs the object
+        f = field(4)
+        obj = ObjectMatrix(FieldMatrix(f, 2, 2, [3, 5, 7, 9]))
+        blocks = []
+        for node_id, values in enumerate([(1, 0), (0, 1), (2, 0), (1, 1)], start=1):
+            column = tuple(f.element(v) for v in values)
+            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+        assert collect(blocks).pieces == obj.pieces
+        got = collect_robust(blocks, max_polluters)
+        assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
 
 def naive_apply(obj, column):
     """Each object row times the column, by FieldElement arithmetic."""

@@ -37,6 +37,7 @@ from collabregen.tradeoff import (
 
 
 from oracles import (
+    _oracle_check_among_live,
     oracle_characteristic_box,
     oracle_grid_search,
     oracle_msr_selfish_bounds,
@@ -521,12 +522,40 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+_FAN_IN = "no feasible download bandwidth: effective fan-in too small"
+_EVERY_PEER = "no collaboration bandwidth is defined when every peer may misbehave"
+
+
+def _in_window_words(outcome, lo, hi):
+    """An oracle outcome whose InfeasibleError is reworded as the window
+    words it, one message per cause for both kinds: the fan-in one when
+    lo or hi is nonpositive, else the every-peer one."""
+    if isinstance(outcome, tuple) and outcome[0] is InfeasibleError:
+        return InfeasibleError, _FAN_IN if min(lo, hi) <= 0 else _EVERY_PEER
+    return outcome
+
+
+def _bounds_outcome(p, adv):
+    got = _outcome(msr_selfish_bounds, p, adv)
+    if isinstance(got, MsrSelfishBounds):
+        got = (got.beta_exact, got.beta_min, got.beta_max, got.beta_prime_min,
+               got.beta_prime_max, got.exact_formula_applies)
+    return got
+
+
 class TestMsrWindowMatchesParent:
     """characteristic_bandwidth_box and msr_selfish_bounds, both read off
     capacity._msr_window, against the per-kind code they replaced
-    (oracles.oracle_characteristic_box, oracles.oracle_msr_selfish_bounds):
-    the same Fractions or the same error, except that a polluting live
-    count above d/2 is now a ParameterError in the window as everywhere."""
+    (oracles.oracle_characteristic_box, oracles.oracle_msr_selfish_bounds).
+
+    A profile the per-group clamp leaves alone, t > 1 and f*per_group_max
+    <= t - 1, gets the parent's Fractions or error type, with an
+    InfeasibleError worded by its cause (``_in_window_words``).  At t > 1
+    any other profile gets the parent's outcome at the clamped cap
+    (t - 1)//f.  At t = 1 both beta bounds are (B/k)/lo with the beta'
+    window (0, 0), or InfeasibleError when lo <= 0; the parent failed
+    there under every adversary.  A polluting live count above d/2 is a
+    ParameterError in the window as everywhere."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.data())
@@ -550,22 +579,70 @@ class TestMsrWindowMatchesParent:
                 adv = AdversaryProfile(kind, among, per_group_max=cap, total=total)
         d = data.draw(st.integers(k, k + 8))
         p = params(k=k, d=d, t=t, B=data.draw(st.sampled_from([F(1), F(k), F(7, 3)])))
-        want = _outcome(oracle_characteristic_box, p, adv)
-        if kind is AdversaryKind.POLLUTING and 2 * adv.among_live > d:
-            want = ParameterError, f"polluting live count {adv.among_live} needs 2*count <= d={d}"
-        assert _outcome(characteristic_bandwidth_box, p, adv) == want
+        f, among, cap = (1, 0, 0) if adv is None else (adv.factor, adv.among_live, adv.per_group_max)
+        if adv is not None and t == 1:
+            lo = d - f * among - k + 1
+            fail = _outcome(_oracle_check_among_live, p, adv) or (
+                None if lo > 0 else (InfeasibleError, _FAN_IN)
+            )
+            beta = p.unit / lo if lo > 0 else None
+            mbr_beta = mbr_point(p)[1]
+            want_box = fail or ((mbr_beta, max(beta, mbr_beta)), (F(0), F(0)))
+            applies = adv.per_group is not None and len(adv.per_group) == k + adv.total
+            want_bounds = fail or (beta if applies else None, beta, beta, F(0), F(0), applies)
+        else:
+            if adv is not None and f * cap > t - 1:  # clamped
+                cap = (t - 1) // f
+                adv_at = AdversaryProfile(kind, among, per_group_max=cap, total=adv.total)
+            else:
+                adv_at = adv
+            lo = d - f * among - k + t
+            hi = lo - f * cap
+            want_box = _in_window_words(_outcome(oracle_characteristic_box, p, adv_at), lo, hi)
+            if adv is not None:
+                want_bounds = _in_window_words(
+                    _outcome(oracle_msr_selfish_bounds, p, adv_at), lo, hi
+                )
+        if kind is AdversaryKind.POLLUTING:
+            want_bounds = ParameterError, "profile kind must be selfish"
+            if 2 * among > d:
+                want_box = ParameterError, f"polluting live count {among} needs 2*count <= d={d}"
+        assert _outcome(characteristic_bandwidth_box, p, adv) == want_box
         if adv is not None:
-            got = _outcome(msr_selfish_bounds, p, adv)
-            if isinstance(got, MsrSelfishBounds):
-                got = (got.beta_exact, got.beta_min, got.beta_max, got.beta_prime_min,
-                       got.beta_prime_max, got.exact_formula_applies)
-            assert got == _outcome(oracle_msr_selfish_bounds, p, adv)
+            assert _bounds_outcome(p, adv) == want_bounds
 
     def test_polluting_live_count_above_half_d(self):
         # The parent's window took d_eff = 3 - 2*2 = -1 here and returned
         # ((2/9, 1/2), (1/9, 1/2)).
         with pytest.raises(ParameterError, match="needs 2\\*count <= d=3"):
             characteristic_bandwidth_box(params(k=3, d=3, t=6, B=3), polluting(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cap_above_what_a_group_holds_counts_as_the_most_it_holds(data):
+    # A group of t newcomers holds at most (t - 1)//f misbehavers, so at
+    # per_group_max = L every bound gives the outcome of min(L, (t - 1)//f).
+    kind = data.draw(st.sampled_from(list(AdversaryKind)))
+    t = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 8))
+    d = data.draw(st.integers(k, k + 6))
+    among = data.draw(st.integers(0, 3))
+    cap = data.draw(st.integers(0, 5))
+    total = data.draw(st.sampled_from([0, 1, cap, k]))
+    fracs = st.fractions(min_value=0, max_value=2, max_denominator=6)
+    p = params(k=k, d=d, t=t, B=k, alpha=data.draw(fracs), beta=data.draw(fracs),
+               beta_prime=data.draw(fracs))
+    given_adv = AdversaryProfile(kind, among, per_group_max=cap, total=total)
+    most = (t - 1) // given_adv.factor
+    held = AdversaryProfile(kind, among, per_group_max=min(cap, most), total=total)
+    for fn, *rest in [
+        (characteristic_bandwidth_box,),
+        (_bounds_outcome,),
+        (worst_case_capacity, None),
+        (worst_case_capacity, k),
+    ]:
+        assert _outcome(fn, p, given_adv, *rest) == _outcome(fn, p, held, *rest)
 
 
 class TestOptimizer:
