@@ -174,33 +174,29 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
 _SHARED_COLUMN = "blocks of different nodes share a column"
 
 
-def _solve_object(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
-    """The object from kappa blocks: each row interpolated on Reed-Solomon
-    columns, else one Gauss-Jordan solve."""
-    f = blocks[0].payload[0].field
-    kappa = len(blocks)
+def _read_setup(blocks: Sequence[NodeBlock]) -> tuple[int, Optional[list[int]]]:
+    """(kappa, points): kappa of the blocks' code, and their Reed-Solomon
+    points, or None for other columns.  ValueError unless there are at
+    least kappa blocks, each from a different node, all of one shape
+    (kappa column entries, t payload symbols) and, for kappa > 1, no two
+    with one column; FieldMismatchError unless all are over one field."""
+    if not blocks:
+        raise ValueError("no blocks given")
+    f = blocks[0].column[0].field
+    if any(s.field is not f for b in blocks for s in b.column + b.payload):
+        raise FieldMismatchError("blocks from different fields")
+    kappa, t = len(blocks[0].column), len(blocks[0].payload)
+    if any(len(b.column) != kappa or len(b.payload) != t for b in blocks):
+        raise ValueError("blocks differ in column or payload length")
+    ids = [b.node_id for b in blocks]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate node ids")
+    if len(blocks) < kappa:
+        raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
     points = _rs_points(blocks, kappa)
-    if points is not None:
-        return _rows_object(points, blocks, kappa)
-    # columns^T . O^T = payload rows: the block columns are the rows
-    cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
-    rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
-    try:
-        return ObjectMatrix(cols.solve(rhs).transpose())
-    except SingularMatrixError:
-        if len({b.column for b in blocks}) < kappa:
-            raise ValueError(_SHARED_COLUMN) from None
-        raise
-
-
-def _rows_object(points: list[int], blocks: Sequence[NodeBlock], kappa: int):
-    """The object whose rows ``gf._decode_rows`` decodes from the blocks'
-    payloads at their ``points``, or None when a row is beyond the radius."""
-    f, t = blocks[0].payload[0].field, len(blocks[0].payload)
-    rows = _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
-    if None in rows:
-        return None
-    return ObjectMatrix(FieldMatrix(f, t, kappa, [v for row in rows for v in row]))
+    if points is None and kappa > 1 and len({b.column for b in blocks}) < len(blocks):
+        raise ValueError(_SHARED_COLUMN)
+    return kappa, points
 
 
 def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
@@ -214,7 +210,7 @@ def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
     points = []
     for b in blocks:
         column = b.column
-        if len(column) != kappa or column[0].value != 1:
+        if column[0].value != 1:
             return None
         x = column[1].value
         lx = log[x]
@@ -227,21 +223,21 @@ def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
     return points
 
 
-def _collector_kappa(blocks: Sequence[NodeBlock]) -> int:
-    """kappa of the blocks' code; ValueError unless there are at least
-    kappa blocks, each from a different node, all over one field."""
-    if not blocks:
-        raise ValueError("no blocks given")
-    f = blocks[0].column[0].field
-    if any(s.field is not f for b in blocks for s in b.column + b.payload):
-        raise FieldMismatchError("blocks from different fields")
-    kappa = len(blocks[0].column)
-    ids = [b.node_id for b in blocks]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate node ids")
-    if len(blocks) < kappa:
-        raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
-    return kappa
+def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> Optional[ObjectMatrix]:
+    """The object from the blocks: at their Reed-Solomon ``points`` each row
+    decoded by ``gf._decode_rows``, None when a row is beyond the radius;
+    else one Gauss-Jordan solve of the kappa blocks (SingularMatrixError
+    when their columns are dependent)."""
+    f, t = blocks[0].payload[0].field, len(blocks[0].payload)
+    if points is not None:
+        rows = _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
+        if None in rows:
+            return None
+        return ObjectMatrix(FieldMatrix(f, t, kappa, [v for row in rows for v in row]))
+    # columns^T . O^T = payload rows: the block columns are the rows
+    cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
+    rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
+    return ObjectMatrix(cols.solve(rhs).transpose())
 
 
 def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
@@ -250,14 +246,11 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     On Reed-Solomon columns (1, x, ..., x^(kappa-1)) the first kappa
     blocks' rows are interpolated at their points; other columns are
     solved by Gauss-Jordan elimination.  ValueError for fewer than kappa
-    blocks, a repeated node id, symbols from different fields, two blocks
+    blocks, a repeated node id, blocks of different shapes, two blocks
     that share a column (for kappa > 1), or an extra block inconsistent
-    with the rest."""
-    kappa = _collector_kappa(blocks)
-    obj = _solve_object(blocks[:kappa])
-    # the solve found shared columns among the first kappa; extras are rare
-    if kappa > 1 and len(blocks) > kappa and len({b.column for b in blocks}) < len(blocks):
-        raise ValueError(_SHARED_COLUMN)
+    with the rest; FieldMismatchError for symbols from different fields."""
+    kappa, points = _read_setup(blocks)
+    obj = _solve_object(blocks[:kappa], kappa, points and points[:kappa])
     for extra in blocks[kappa:]:
         if _apply_column(obj, extra.column) != extra.payload:
             raise ValueError(f"block of node {extra.node_id} inconsistent with the rest")
@@ -277,7 +270,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     ``max_polluters`` of the given blocks; when there is none, or more
     than one, AMBIGUOUS is returned rather than a possibly wrong object.
     With at least kappa + max_polluters honest blocks the true object is
-    that unique answer.
+    that unique answer.  Blocks are checked as ``collect`` checks them.
 
     When 2*max_polluters <= len(blocks) - kappa and the blocks carry
     Reed-Solomon columns (1, x, x^2, ...) at distinct points x, all
@@ -292,16 +285,13 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
-    kappa = _collector_kappa(blocks)
     ordered = sorted(blocks, key=lambda b: b.node_id)
-    points = None
-    if 2 * max_polluters <= len(ordered) - kappa:
-        points = _rs_points(ordered, kappa)
-    if points is None:
-        candidates = _subset_objects(ordered, kappa)
-    else:
-        obj = _rows_object(points, ordered, kappa)
+    kappa, points = _read_setup(ordered)
+    if points is not None and 2 * max_polluters <= len(ordered) - kappa:
+        obj = _solve_object(ordered, kappa, points)
         candidates = [] if obj is None else [obj]
+    else:
+        candidates = _subset_objects(ordered, kappa, points)
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
@@ -320,12 +310,13 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     return AMBIGUOUS
 
 
-def _subset_objects(blocks: Sequence[NodeBlock], kappa: int):
-    """The object solved from each kappa-subset of the blocks whose columns
-    determine one; ValueError if two of them share a column."""
-    for subset in combinations(blocks, kappa):
+def _subset_objects(blocks: Sequence[NodeBlock], kappa: int, points):
+    """The object solved from each kappa-subset of the blocks (at their
+    ``points`` when those are set) whose columns determine one."""
+    for picks in combinations(range(len(blocks)), kappa):
+        subset = [blocks[i] for i in picks]
         try:
-            yield _solve_object(list(subset))
+            yield _solve_object(subset, kappa, points and [points[i] for i in picks])
         except SingularMatrixError:  # distinct but dependent columns
             continue
 
@@ -484,7 +475,8 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     omits it), the seeded RNG, live blocks by id, failed ids sorted, and
     a report with a download ledger per newcomer that measures the honest
     ones.  Every node id, and every key of ``behaviors``, must be an int
-    in 1..n: id - 1 is its codeword position."""
+    in 1..n: id - 1 is its codeword position.  Every live payload holds t
+    symbols over the code's field (repairs never read a block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live = sorted(live_blocks, key=lambda b: b.node_id)
     live_ids = {b.node_id for b in live}
@@ -493,6 +485,12 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     if not live:
         raise RepairFailureError("no live nodes")
     t = len(live[0].payload)
+    for b in live:
+        if len(b.payload) != t:
+            raise ValueError(f"live blocks hold {t} and {len(b.payload)} pieces")
+        for s in b.payload:
+            if s.field is not code.field:
+                raise FieldMismatchError(f"block of node {b.node_id} is not over the code's field")
     failed = sorted(int(i) for i in failed_ids)
     if len(failed) != t:
         raise ValueError(f"expected {t} failed ids, got {len(failed)}")

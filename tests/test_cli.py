@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from collabregen.capacity import AdversaryKind, AdversaryProfile, SystemParams
 from collabregen.cli import CSV_HEADER, main
 from collabregen.scenarios import STATS_CSV_HEADER
+from collabregen.tradeoff import SweepConfig, curve_to_csv, default_alpha_grid, sweep_curve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,6 +160,26 @@ class TestTradeoff:
         attacked = [float(r.split(",")[3]) for r in out.strip().splitlines()[1:]]
         assert len(attacked) == len(baseline) == 3
         assert all(a >= b for a, b in zip(attacked, baseline))
+
+    def test_free_range_matches_the_library_sweep(self, capsys):
+        argv = (
+            "tradeoff", "--d", "48", "--k", "32", "--t", "4", "--fixed-g", "32",
+            "--adversary", "selfish", "--L0", "1", "--lmax", "1", "--Ltotal", "32",
+            "--alpha-points", "4",
+        )
+        code, free, _ = run(capsys, *argv, "--free-range")
+        assert code == 0
+        p = SystemParams.for_repair_network(k=32, d=48, t=4, B=32)
+        cfg = SweepConfig(
+            params=p,
+            adversary=AdversaryProfile(AdversaryKind.SELFISH, 1, per_group_max=1, total=32),
+            alpha_grid=default_alpha_grid(p, points=4),
+            fixed_g=32,
+            characteristic_range=False,
+        )
+        assert free == curve_to_csv(sweep_curve(cfg))
+        code, windowed, _ = run(capsys, *argv)
+        assert code == 0 and windowed != free
 
     def test_per_group_without_adversary_exits_one(self, capsys):
         code, out, err = run(

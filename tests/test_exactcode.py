@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabregen import exactcode
 from collabregen.exactcode import (
     AMBIGUOUS,
     Behavior,
@@ -93,6 +94,14 @@ class TestEncodeCollect:
             for blocks in ([block, twin, b2], [block, b2, b3, twin]):  # solved, then an extra
                 with pytest.raises(ValueError, match="share a column"):
                     collect(blocks)
+        # dependent non-RS columns b1, b2, b1 + b2 first, then a twin of b2
+        total = NodeBlock(
+            3,
+            tuple(u + v for u, v in zip(b1.column, b2.column)),
+            tuple(u + v for u, v in zip(b1.payload, b2.payload)),
+        )
+        with pytest.raises(ValueError, match="share a column"):
+            collect([b1, b2, total, NodeBlock(99, b2.column, b2.payload)])
 
     def test_collect_checks_extra_blocks(self):
         _, obj, blocks = demo_setup()
@@ -187,6 +196,49 @@ class TestCollectRobust:
                 collect_robust(read, max_polluters)
             with pytest.raises(FieldMismatchError):
                 collect(read)
+
+
+def _reshaped(block: NodeBlock, change: str) -> NodeBlock:
+    column, payload = block.column, block.payload
+    if change == "payload-short":
+        payload = payload[:-1]
+    elif change == "payload-long":
+        payload += (GF8.one,)
+    elif change == "column-short":
+        column = column[:-1]
+    else:
+        column += (GF8.one,)
+    return NodeBlock(block.node_id, column, payload)
+
+
+@pytest.mark.parametrize("where", [1, 4], ids=["solved", "extra"])
+@pytest.mark.parametrize("change", ["payload-short", "payload-long", "column-short", "column-long"])
+def test_block_of_another_shape_rejected(change, where):
+    # one block of five whose column or payload is one entry off, among
+    # the first kappa that collect solves or as an extra it checks
+    _, _, blocks = demo_setup()
+    read = blocks[:5]
+    read[where] = _reshaped(read[where], change)
+    for reader in (collect, lambda r: collect_robust(r, 0), lambda r: collect_robust(r, 2)):
+        with pytest.raises(ValueError, match="differ in column or payload length"):
+            reader(read)
+
+
+def test_beyond_radius_read_classifies_its_columns_once(monkeypatch):
+    # 2 * 3 > 7 - 3: all 35 kappa-subsets are solved at slices of one
+    # set of points
+    _, obj, blocks = demo_setup(seed=4)
+    calls = []
+    rs_points = exactcode._rs_points
+
+    def counted(*args):
+        calls.append(args)
+        return rs_points(*args)
+
+    monkeypatch.setattr(exactcode, "_rs_points", counted)
+    got = collect_robust(blocks, max_polluters=3)
+    assert got is not AMBIGUOUS and got.pieces == obj.pieces
+    assert len(calls) == 1
 
 
 @st.composite
@@ -615,6 +667,31 @@ class TestDigests:
         table = FragmentDigestTable.from_blocks("obj", blocks)
         with pytest.raises(ValueError, match="overlap"):
             progressive_repair_with_digests(code, blocks[:5], [5, 6], {}, table)
+
+
+@pytest.mark.parametrize("digests", [False, True], ids=["collaborative", "digests"])
+def test_repair_checks_live_payloads(digests):
+    code, _, blocks = demo_setup()
+    table = FragmentDigestTable.from_blocks("demo", blocks)
+
+    def repair(code, live):
+        if digests:
+            return progressive_repair_with_digests(code, live, [1, 2], None, table)
+        return collaborative_repair(code, live, [1, 2])
+
+    live = blocks[2:]
+    b, gf16 = live[1], field(4)
+    # GF(16) symbols among GF(8) blocks: values below 8 once went
+    # through, a 15 ended in IndexError
+    for values in ([p.value for p in b.payload], [15, b.payload[1].value]):
+        wide = NodeBlock(b.node_id, b.column, tuple(FieldElement(v, gf16) for v in values))
+        with pytest.raises(FieldMismatchError):
+            repair(code, [live[0], wide, *live[2:]])
+    with pytest.raises(FieldMismatchError):  # GF(8) blocks for a GF(16) code
+        repair(RsCode.with_power_points(gf16, 7, 3, first_power=1), live)
+    short = NodeBlock(b.node_id, b.column, b.payload[:1])
+    with pytest.raises(ValueError, match="live blocks hold 2 and 1 pieces"):
+        repair(code, [live[0], short, *live[2:]])
 
 
 @st.composite
