@@ -110,10 +110,10 @@ class SystemParams:
             k=k,
             d=d,
             t=t,
-            B=as_fraction(B),
-            alpha=as_fraction(alpha),
-            beta=as_fraction(beta),
-            beta_prime=as_fraction(beta_prime),
+            B=B,
+            alpha=alpha,
+            beta=beta,
+            beta_prime=beta_prime,
         )
 
     @property
@@ -124,12 +124,7 @@ class SystemParams:
     def with_point(
         self, alpha: RationalLike, beta: RationalLike, beta_prime: RationalLike
     ) -> "SystemParams":
-        return replace(
-            self,
-            alpha=as_fraction(alpha),
-            beta=as_fraction(beta),
-            beta_prime=as_fraction(beta_prime),
-        )
+        return replace(self, alpha=alpha, beta=beta, beta_prime=beta_prime)
 
 
 @dataclass(frozen=True)

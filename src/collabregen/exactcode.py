@@ -122,7 +122,10 @@ class NodeBlock:
     def to_bytes(self) -> bytes:
         """Canonical serialization: m, node id, kappa, t, then the payload
         symbols in row order, each little-endian in ceil(m/8) bytes, except
-        the node id, which runs to 2^m and takes ceil((m+1)/8) bytes."""
+        the node id, which runs to 2^m and takes ceil((m+1)/8) bytes.
+        ValueError for an empty payload, which has no field."""
+        if not self.payload:
+            raise ValueError("block has no payload symbol")
         f = self.payload[0].field
         width = (f.m + 7) // 8
         out = bytearray(f.m.to_bytes(width, "little"))
@@ -178,10 +181,13 @@ def _read_setup(blocks: Sequence[NodeBlock]) -> tuple[int, Optional[list[int]]]:
     """(kappa, points): kappa of the blocks' code, and their Reed-Solomon
     points, or None for other columns.  ValueError unless there are at
     least kappa blocks, each from a different node, all of one shape
-    (kappa column entries, t payload symbols) and, for kappa > 1, no two
-    with one column; FieldMismatchError unless all are over one field."""
+    (kappa >= 1 column entries, t >= 1 payload symbols) and, for kappa >
+    1, no two with one column; FieldMismatchError unless all are over one
+    field."""
     if not blocks:
         raise ValueError("no blocks given")
+    if not blocks[0].column or not blocks[0].payload:
+        raise ValueError("block has no column entry or no payload symbol")
     f = blocks[0].column[0].field
     if any(s.field is not f for b in blocks for s in b.column + b.payload):
         raise FieldMismatchError("blocks from different fields")
@@ -246,9 +252,10 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     On Reed-Solomon columns (1, x, ..., x^(kappa-1)) the first kappa
     blocks' rows are interpolated at their points; other columns are
     solved by Gauss-Jordan elimination.  ValueError for fewer than kappa
-    blocks, a repeated node id, blocks of different shapes, two blocks
-    that share a column (for kappa > 1), or an extra block inconsistent
-    with the rest; FieldMismatchError for symbols from different fields."""
+    blocks, a repeated node id, an empty column or payload, blocks of
+    different shapes, two blocks that share a column (for kappa > 1), or
+    an extra block inconsistent with the rest; FieldMismatchError for
+    symbols from different fields."""
     kappa, points = _read_setup(blocks)
     obj = _solve_object(blocks[:kappa], kappa, points and points[:kappa])
     for extra in blocks[kappa:]:
@@ -278,10 +285,14 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     setup for those points, in O(len(blocks)^2) field operations per row;
     the decoded object, if every row decodes, is the one candidate.
     Otherwise (too many polluters for a unique answer to be guaranteed,
-    kappa = 1, or other columns) every kappa-subset of the blocks is
-    solved, skipping a subset of distinct but dependent columns, which
-    determines nothing.  Each distinct candidate is checked against all
-    blocks, which on the subset path costs C(len(blocks), kappa) solves.
+    kappa = 1, or other columns) kappa-subsets are solved, skipping a
+    subset of distinct but dependent columns, which determines nothing.
+    On Reed-Solomon columns these are the subsets of the first kappa +
+    max_polluters blocks by node id, C(kappa + max_polluters, kappa)
+    solves: an answer disagrees with at most max_polluters of them, so
+    kappa of them agree with it and determine it.  Otherwise every subset
+    is solved, C(len(blocks), kappa) solves.  Each distinct candidate is
+    checked against all blocks.
     """
     if max_polluters < 0:
         raise ValueError("max_polluters must be nonnegative")
@@ -291,7 +302,8 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
         obj = _solve_object(ordered, kappa, points)
         candidates = [] if obj is None else [obj]
     else:
-        candidates = _subset_objects(ordered, kappa, points)
+        pool = len(ordered) if points is None else kappa + max_polluters
+        candidates = _subset_objects(ordered[:pool], kappa, points and points[:pool])
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()

@@ -426,36 +426,26 @@ def optimize_gamma(
 
     search = _cut_search(base, adversary, fixed_g)
 
-    best = None
-    if bandwidth_box is not None:
-        (lo_b, hi_b), (lo_p, hi_p) = bandwidth_box
-        bounds = ((float(lo_b), float(hi_b)), (float(lo_p), float(hi_p)))
+    # A given box is searched once.  The open window is searched until its
+    # best point lies off both upper edges, which double otherwise.
+    if bandwidth_box is None:
+        _, mbr_beta, _ = mbr_point(p)
+        _, _, msr_bp = msr_point(p)
+        window = ((0, 2.0 * float(mbr_beta)), (0, 2.0 * float(msr_bp) if p.t > 1 else 0))
+        rounds = _MAX_BOX_EXPANSIONS
+    else:
+        window, rounds = bandwidth_box, 1
+    (lo_b, hi_b), (lo_p, hi_p) = ((float(lo), float(hi)) for lo, hi in window)
+    for _ in range(rounds):
+        bounds = ((lo_b, hi_b), (lo_p, hi_p))
         best = _grid_search(
             search, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
         )
-        if best is None:
-            raise InfeasibleError(
-                "no feasible bandwidth inside the characteristic window"
-            )
-    else:
-        _, mbr_beta, _ = mbr_point(p)
-        _, _, msr_bp = msr_point(p)
-        beta_hi = 2.0 * float(mbr_beta)
-        bp_hi = 2.0 * float(msr_bp) if p.t > 1 else 0.0
-        for _ in range(_MAX_BOX_EXPANSIONS):
-            bounds = ((0.0, beta_hi), (0.0, bp_hi))
-            best = _grid_search(
-                search, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
-            )
-            if best is not None:
-                near_edge_b = best[1] > beta_hi * 0.98
-                near_edge_p = bp_hi > 0 and best[2] > bp_hi * 0.98
-                if not near_edge_b and not near_edge_p:
-                    break
-            beta_hi *= 2.0
-            bp_hi = bp_hi * 2.0 if bp_hi > 0 else 0.0
-        if best is None:  # pragma: no cover - supremum check precludes this
-            raise InfeasibleError("no feasible bandwidth found")
+        if best is not None and best[1] <= hi_b * 0.98 and best[2] <= hi_p * 0.98:
+            break
+        hi_b, hi_p = hi_b * 2.0, hi_p * 2.0
+    if best is None:
+        raise InfeasibleError("no feasible bandwidth in the search window")
 
     # Exact certification; nudge outward if float feasibility was marginal.
     threshold = p.B * (1 - _FEASIBILITY_SLACK)

@@ -224,9 +224,22 @@ def test_block_of_another_shape_rejected(change, where):
             reader(read)
 
 
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to exactcode.<name> from now on."""
+    calls = []
+    fn = getattr(exactcode, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(exactcode, name, counted)
+    return calls
+
+
 def test_beyond_radius_read_classifies_its_columns_once(monkeypatch):
-    # 2 * 3 > 7 - 3: all 35 kappa-subsets are solved at slices of one
-    # set of points
+    # 2 * 3 > 7 - 3: the C(6, 3) = 20 kappa-subsets of the first
+    # kappa + 3 blocks are solved at slices of one set of points
     _, obj, blocks = demo_setup(seed=4)
     calls = []
     rs_points = exactcode._rs_points
@@ -236,9 +249,54 @@ def test_beyond_radius_read_classifies_its_columns_once(monkeypatch):
         return rs_points(*args)
 
     monkeypatch.setattr(exactcode, "_rs_points", counted)
+    solves = _count_calls(monkeypatch, "_solve_object")
     got = collect_robust(blocks, max_polluters=3)
     assert got is not AMBIGUOUS and got.pieces == obj.pieces
     assert len(calls) == 1
+    assert len(solves) == 20
+
+
+def test_beyond_radius_read_solves_a_pool_of_kappa_plus_e_blocks(monkeypatch):
+    # (16,6) over GF(256) with its first 6 blocks polluted and e = 6, past
+    # the radius 5: the pool of the first 12 blocks holds the 6 honest ones
+    # that determine the object, in C(12, 6) = 924 solves, not C(16, 6)
+    code = RsCode.with_power_points(field(8), 16, 6, first_power=1)
+    obj = ObjectMatrix.random(code.field, 2, 6, random.Random(16))
+    rng = random.Random(6)
+    blocks = [corrupt(b, rng) if b.node_id <= 6 else b for b in encode_object(obj, code)]
+    solves = _count_calls(monkeypatch, "_solve_object")
+    got = collect_robust(blocks[::-1], max_polluters=6)
+    assert got is not AMBIGUOUS and got.pieces == obj.pieces
+    assert len(solves) == 924
+
+
+_READERS = {
+    "collect": collect,
+    "collect_robust": lambda read: collect_robust(read, 0),
+    "digest_of": lambda read: FragmentDigestTable.digest_of(read[0]),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, emptied",
+    [
+        ("collect", "first-column"),
+        ("collect", "payloads"),
+        ("collect_robust", "first-column"),
+        ("collect_robust", "payloads"),
+        ("digest_of", "payloads"),
+    ],
+)
+def test_block_with_an_empty_column_or_payload_rejected(reader, emptied):
+    # an empty column or payload has no symbol to take the field from
+    _, _, blocks = demo_setup()
+    read = blocks[:5]
+    if emptied == "first-column":
+        read[0] = NodeBlock(1, (), read[0].payload)
+    else:
+        read = [NodeBlock(b.node_id, b.column, ()) for b in read]
+    with pytest.raises(ValueError, match="has no"):
+        _READERS[reader](read)
 
 
 @st.composite

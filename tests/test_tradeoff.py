@@ -720,6 +720,25 @@ def test_optimum_beyond_the_first_window_doubles_it(k, d, among, windows, monkey
     assert value >= p.B * (1 - F(1, 10**9))
 
 
+def test_box_with_nothing_feasible_raises_after_one_search(monkeypatch):
+    # a tenth of the minimum-bandwidth point's bandwidths cannot carry B at
+    # its storage level, and a given box is searched once, never widened
+    p = params(k=32, d=48, t=4, B=32)
+    alpha, beta, beta_prime = mbr_point(p)
+    calls = []
+    grid_search = tradeoff._grid_search
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return grid_search(*args, **kw)
+
+    monkeypatch.setattr(tradeoff, "_grid_search", spy)
+    box = ((F(0), beta / 10), (F(0), beta_prime / 10))
+    with pytest.raises(InfeasibleError, match="no feasible bandwidth in the search window"):
+        optimize_gamma(p, None, alpha, fixed_g=32, bandwidth_box=box)
+    assert len(calls) == 1
+
+
 class TestSweep:
     def test_gamma_non_increasing_and_dominance(self):
         p4 = params(k=32, d=48, t=4, B=32)
