@@ -545,21 +545,24 @@ def collaborative_repair(
     and a key that is not an int in 1..n raises ValueError.
     ``policy`` is a RepairPolicy or its string: whether a collaborative
     repair relays the row evaluations its newcomers' contacts withheld,
-    or raises.  ``assumed_polluters`` is the number of polluting live
-    nodes the repair procedure plans for; it defaults to the actual count
-    in ``behaviors``, and 0 makes a trusting repair.
+    or raises.  ``assumed_polluters``, a nonnegative int, is the number of
+    polluting live nodes the repair procedure plans for; it defaults to
+    the actual count in ``behaviors``, and 0 makes a trusting repair.
 
     Each newcomer walks its contact stripe until kappa nodes, plus 2 per
     assumed polluter (at most every responsive live node), have answered,
     whatever the policy.  Only a trusting keep-responders repair with
     honest newcomers stops at kappa contacts: its peers relay the rest.
     """
+    assumed = assumed_polluters
+    if not (assumed is None or type(assumed) is int and assumed >= 0):
+        raise ValueError(f"assumed_polluters must be a nonnegative integer, got {assumed!r}")
     roles, rng, live, failed, report = _start_repair(
         code, live_blocks, failed_ids, behaviors, seed
     )
     policy = RepairPolicy(policy)
-    polluting_live = sum(1 for b in live if roles[b.node_id] is Behavior.POLLUTING)
-    assumed = polluting_live if assumed_polluters is None else assumed_polluters
+    if assumed is None:
+        assumed = sum(1 for b in live if roles[b.node_id] is Behavior.POLLUTING)
     need = code.kappa
     if assumed:
         responsive = sum(1 for b in live if roles[b.node_id] is not Behavior.SELFISH)

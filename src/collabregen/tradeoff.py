@@ -23,9 +23,10 @@ for a few rounds.  The float search is built from sums, nonnegative
 multiples and minimums, so it never falls as beta or beta' grows, even
 under rounding: the feasible cells form a staircase, which each round
 walks with at most one search per row and column.  Grid searching runs
-on floats for speed; every returned point is re-certified exactly by
-``worst_case_capacity``, which scales the rational point to integers
-(the bound is homogeneous of degree 1) and divides the result once.
+on floats for speed; every returned point is certified exactly, with no
+tolerance, by ``worst_case_capacity``, which scales the rational point to
+integers (the bound is homogeneous of degree 1) and divides the result
+once.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ _GRID_POINTS = 21
 _MIN_REFINEMENTS = 3
 _MAX_REFINEMENTS = 8
 _MAX_BOX_EXPANSIONS = 40
-_FEASIBILITY_SLACK = Fraction(1, 10**9)
 
 # (beta range, beta_prime range) in raw units
 BandwidthBox = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -405,15 +405,14 @@ def optimize_gamma(
     """Minimize gamma at fixed storage, subject to worst-case capacity >= B.
 
     Searches beta, beta' >= 0 by default; ``bandwidth_box`` restricts the
-    search window instead.  Raises InfeasibleError when the storage level
-    cannot support the object under the search model (exit path, not a
-    crash), and ParameterError when the object size or the storage level
-    has no positive finite float.
+    search window instead.  The point returned reaches B exactly.  Raises
+    InfeasibleError (an exit path, not a crash) when alpha is below B/k,
+    the window holds no feasible point or the best one cannot be certified
+    at B; ParameterError when B or alpha has no positive finite float.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise ParameterError("alpha must be nonnegative")
-    base = p.with_point(alpha, 0, 0)
     unit = p.unit
     if p.B == 0:
         return CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(p.k), None)
@@ -421,13 +420,12 @@ def optimize_gamma(
     if alpha < unit:
         raise InfeasibleError(f"alpha={float(alpha):.6g} below minimum storage B/k")
     alpha_f = _search_float("storage level alpha", alpha)
-    if supremum_capacity(base, adversary, fixed_g) < p.B:
-        raise InfeasibleError("capacity cannot reach the object size at this alpha")
-
-    search = _cut_search(base, adversary, fixed_g)
+    search = _cut_search(p, adversary, fixed_g)
 
     # A given box is searched once.  The open window is searched until its
-    # best point lies off both upper edges, which double otherwise.
+    # best point lies off both upper edges, which double otherwise, or until
+    # both edges reach alpha with nothing feasible: every term that can grow
+    # is saturated at the top corner, the walk's last cell, from then on.
     if bandwidth_box is None:
         _, mbr_beta, _ = mbr_point(p)
         _, _, msr_bp = msr_point(p)
@@ -443,25 +441,26 @@ def optimize_gamma(
         )
         if best is not None and best[1] <= hi_b * 0.98 and best[2] <= hi_p * 0.98:
             break
+        if best is None and hi_b >= alpha_f and (hi_p >= alpha_f or p.t == 1):
+            break
         hi_b, hi_p = hi_b * 2.0, hi_p * 2.0
     if best is None:
         raise InfeasibleError("no feasible bandwidth in the search window")
 
-    # Exact certification; nudge outward if float feasibility was marginal.
-    threshold = p.B * (1 - _FEASIBILITY_SLACK)
+    # Certify at B exactly; nudge a marginal float point by the grid's floor.
     b, bp = Fraction(best[1]), Fraction(best[2])
     for _ in range(4):
         point = p.with_point(alpha, b, bp)
         value, wpart, walloc = worst_case_capacity(point, adversary, fixed_g)
-        if value >= threshold:
+        if value >= p.B:
             break
-        b *= 1 + Fraction(1, 10**9)
-        bp *= 1 + Fraction(1, 10**9)
-    else:  # pragma: no cover
+        b *= 1 + Fraction(1, 10**12)
+        bp *= 1 + Fraction(1, 10**12)
+    else:
         raise InfeasibleError("could not certify a feasible point")
 
-    # Never end up above the warm-start candidate: it was certified at a
-    # smaller storage level, so it certifies here without nudging.
+    # Never end up above the warm pair from the previous storage level: it is
+    # recertified here, and taken if it reaches B.
     if _warm is not None:
         warm_gamma = p.d * _warm[0] + (p.t - 1) * _warm[1]
         if float(p.d * b + (p.t - 1) * bp) > warm_gamma:
@@ -469,7 +468,7 @@ def optimize_gamma(
             value, wpart2, walloc2 = worst_case_capacity(
                 p.with_point(alpha, wb, wbp), adversary, fixed_g
             )
-            if value >= threshold:
+            if value >= p.B:
                 b, bp, wpart, walloc = wb, wbp, wpart2, walloc2
 
     beta_n = float(b / unit)

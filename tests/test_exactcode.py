@@ -609,6 +609,15 @@ class TestPollutingScenarios:
         assert any(nb.payload != by_id[nb.node_id].payload for nb in new)
         assert report.gamma == 2  # cost profile of an honest repair
 
+    @pytest.mark.parametrize("assumed", [-1, 1.5, True, "1"])
+    def test_assumed_polluters_must_be_a_nonnegative_int(self, assumed):
+        # -1 would lower the contact target to kappa - 2: two wrong blocks
+        code, obj, blocks = demo_setup()
+        with pytest.raises(ValueError, match="assumed_polluters must be a nonnegative integer"):
+            collaborative_repair(
+                code, blocks[:5], [6, 7], {1: Behavior.POLLUTING}, assumed_polluters=assumed
+            )
+
     def test_two_polluters_defeat_unassisted_repair(self):
         # Beyond the correction radius the repair either flags failure or
         # settles on wrong rows; it can never return the true blocks, since

@@ -717,7 +717,7 @@ def test_optimum_beyond_the_first_window_doubles_it(k, d, among, windows, monkey
     assert point.beta_norm == pytest.approx(1 / (d - among - k + 2), rel=1e-4)
     raw = p.with_point(alpha, F(point.beta_norm) * p.unit, F(point.beta_prime_norm) * p.unit)
     value, _, _ = worst_case_capacity(raw, adversary)
-    assert value >= p.B * (1 - F(1, 10**9))
+    assert value >= p.B
 
 
 def test_box_with_nothing_feasible_raises_after_one_search(monkeypatch):
@@ -737,6 +737,54 @@ def test_box_with_nothing_feasible_raises_after_one_search(monkeypatch):
     with pytest.raises(InfeasibleError, match="no feasible bandwidth in the search window"):
         optimize_gamma(p, None, alpha, fixed_g=32, bandwidth_box=box)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (3 * (1 - F(1, 10**14)), "could not certify a feasible point"),
+        (3 * (1 - F(1, 10**11)), "no feasible bandwidth in the search window"),
+    ],
+)
+def test_level_just_below_its_supremum_is_infeasible(alpha, message, monkeypatch):
+    # with 2 of d = 3 live nodes selfish the partition (1, 2) caps the
+    # capacity at alpha itself, so any alpha below B = 3 is infeasible.  At
+    # 1e-14 below, the float grid passes a point that every nudge fails to
+    # certify; at 1e-11 below, the open window stops once both edges reach
+    # alpha with nothing feasible.  A tolerance of 1e-9 would certify both.
+    p, adversary = params(k=3, d=3, t=2, B=3), selfish(2)
+    calls = []
+    grid_search = tradeoff._grid_search
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return grid_search(*args, **kw)
+
+    monkeypatch.setattr(tradeoff, "_grid_search", spy)
+    assert supremum_capacity(p.with_point(alpha, 0, 0), adversary) == alpha
+    with pytest.raises(InfeasibleError, match=message):
+        optimize_gamma(p, adversary, alpha)
+    assert len(calls) <= 3
+    point = optimize_gamma(p, adversary, F(3))
+    assert point.gamma_norm == 3
+    assert point.witness_partition.groups == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "t, fixed_g",
+    [(4, None), (8, None), (4, 32)],
+    ids=["collab_t4", "collab_t8", "attack_baseline_g32"],
+)
+def test_every_curve_point_certifies_at_exactly_B(t, fixed_g):
+    # B/k = 1, so a CurvePoint's floats are its raw bandwidths
+    p = params(k=32, d=48, t=t, B=32)
+    grid = default_alpha_grid(p, points=32)
+    points = sweep_curve(SweepConfig(p, alpha_grid=grid, fixed_g=fixed_g))
+    assert [cp.alpha_norm for cp in points] == [float(a) for a in grid]
+    for alpha, cp in zip(grid, points):
+        raw = p.with_point(alpha, F(cp.beta_norm), F(cp.beta_prime_norm))
+        value, _, _ = worst_case_capacity(raw, None, fixed_g)
+        assert value >= p.B
 
 
 class TestSweep:
