@@ -17,16 +17,18 @@ erasure/error decoding, O(n^2) field operations per word, certified
 against the distance bound n_s + 2*n_b <= n - kappa.
 
 Everything here is deterministic; fields and elements are immutable.
-The one mutable state is each ``RsCode``'s bounded memo of decode
-matrices for exactly-kappa reads.  Its entries depend only on the code
-and the positions, so fields, elements and codes stay freely shareable
-across threads: racing threads can at worst rebuild an entry, or each
-add one entry past the bound.
+There are two pieces of mutable state.  Each ``RsCode`` keeps a bounded
+memo of decode matrices for exactly-kappa reads, and each field keeps a
+table of its elements, at most 2^m entries, filled as they are first
+built.  Entries of both depend only on their key, so fields, elements
+and codes stay freely shareable across threads: racing threads can at
+worst rebuild an entry, or each add one memo entry past the bound.  A
+race on the element table can cost speed, never correctness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -76,7 +78,7 @@ _FIELD_CACHE: dict[int, "GF"] = {}
 class GF:
     """The field GF(2^m) with log/exp tables; one shared instance per m."""
 
-    __slots__ = ("m", "order", "poly", "_exp", "_log")
+    __slots__ = ("m", "order", "poly", "_exp", "_log", "_elements")
 
     def __init__(self, m: int):
         if not 2 <= m <= 16:
@@ -97,9 +99,15 @@ class GF:
                 x ^= self.poly
         self._exp = exp
         self._log = log
+        # FieldElement's table: entry v is the one element of value v
+        self._elements: list[Optional[FieldElement]] = [None] * self.order
 
     def __repr__(self) -> str:
         return f"GF(2^{self.m})"
+
+    def __reduce__(self):
+        # a copy or an unpickled field is the shared instance
+        return (field, (self.m,))
 
     # --- int-level arithmetic (values in 0..2^m-1) ---
 
@@ -197,16 +205,49 @@ def lagrange_at(f: GF, points: Sequence[int], targets: Iterable[int]) -> list[li
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """A value of GF(2^m), tagged with its field."""
+    """A value of GF(2^m), tagged with its field.
 
-    value: int
-    field: GF
+    Elements are interned: ``FieldElement(v, f)`` returns the entry of
+    f's element table, built on first use, so equal elements of one
+    field are the same object, and copies and unpickles are too.
+    Equality and hashing still go by (value, field), so two threads
+    that race to build one entry get equal, if not identical, elements.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise ValueError(f"value {self.value} outside GF(2^{self.field.m})")
+    __slots__ = ("value", "field")
+
+    def __new__(cls, value: int, field: GF) -> "FieldElement":
+        if type(value) is not int:
+            raise TypeError(f"element value must be an int, got {type(value).__name__}")
+        # checked before the lookup: table[-1] would be the top element
+        if not 0 <= value < field.order:
+            raise ValueError(f"value {value} outside GF(2^{field.m})")
+        table = field._elements
+        element = table[value]
+        if element is None:
+            element = object.__new__(cls)
+            object.__setattr__(element, "value", value)
+            object.__setattr__(element, "field", field)
+            table[value] = element
+        return element
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.value == other.value and self.field is other.field
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.field))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (FieldElement, (self.value, self.field))
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):

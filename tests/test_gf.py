@@ -6,10 +6,14 @@ for inverses, and subset-consistency checks and the exhaustive-subset
 decoder (``oracles.oracle_rs_decode``) for decoding.
 """
 
+import copy
 import gc
+import pickle
 import random
+import threading
 import time
 import weakref
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from unittest import mock
 
@@ -36,6 +40,7 @@ from collabregen.gf import (
     rs_decode,
     rs_encode,
 )
+from collabregen.exactcode import NodeBlock
 from oracles import oracle_rs_decode
 
 
@@ -152,6 +157,119 @@ class TestFieldOps:
     def test_element_range_checked(self):
         with pytest.raises(ValueError):
             GF8.element(8)
+
+
+class TestInternedElements:
+    """One element object per (field, value): building one is a table
+    lookup, and equal elements are identical."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.integers(min_value=2, max_value=16), st.data())
+    def test_equal_elements_are_the_tables_instance(self, m, data):
+        f = field(m)
+        pick = st.integers(min_value=0, max_value=f.order - 1)
+        a, b = data.draw(pick), data.draw(pick)
+        e = data.draw(st.integers(min_value=-3, max_value=40))
+        x, y = FieldElement(a, f), FieldElement(b, f)
+        assert FieldElement(a, f) is x and f.element(a) is x
+        assert x + y is FieldElement(a ^ b, f)
+        assert x * y is FieldElement(f.mul(a, b), f)
+        if b:
+            assert x / y is FieldElement(f.div(a, b), f)
+        if a:
+            assert x.inverse() is FieldElement(f.inv(a), f)
+        if a or e >= 0:
+            assert x**e is FieldElement(f.pow(a, e), f)
+        assert hash(x) == hash((a, f))
+        assert (x == y) == (a == b) and (x != y) == (a != b)
+
+    def test_equality_and_hash_go_by_value_and_field(self):
+        # an instance the table does not hold, as two racing threads may build
+        twin = object.__new__(FieldElement)
+        object.__setattr__(twin, "value", 5)
+        object.__setattr__(twin, "field", GF8)
+        assert twin is not e8(5)
+        assert twin == e8(5) and hash(twin) == hash(e8(5))
+        assert twin != e8(4) and twin != field(4).element(5)
+        assert (twin, e8(1)) == (e8(5), e8(1))
+        assert twin != 5
+
+    def test_elements_are_frozen(self):
+        e = e8(3)
+        with pytest.raises(FrozenInstanceError):
+            e.value = 4
+        with pytest.raises(FrozenInstanceError):
+            e.field = field(4)
+        with pytest.raises(FrozenInstanceError):
+            del e.value
+        assert e.value == 3 and e.field is GF8
+
+    @pytest.mark.parametrize("value", [1.5, True, "3", None])
+    def test_value_must_be_an_int(self, value):
+        with pytest.raises(TypeError):
+            FieldElement(value, GF8)
+
+    @pytest.mark.parametrize("value", [-1, GF8.order])
+    def test_value_must_be_in_range(self, value):
+        with pytest.raises(ValueError, match="outside GF"):
+            FieldElement(value, GF8)
+
+    def test_racing_threads_build_equal_elements(self):
+        f = gf.GF(8)  # a fresh table, not the shared field's
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def build(i):
+            start.wait()
+            results[i] = [FieldElement(v, f) for v in range(f.order)]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for v in range(f.order):
+            built = [result[v] for result in results]
+            assert all(e.value == v and e.field is f for e in built)
+            assert all(a == b and hash(a) == hash(b) for a in built for b in built)
+        assert len(f._elements) == f.order
+        assert [e.value for e in f._elements] == list(range(f.order))
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+class TestCopiesShareTheField:
+    """A copied or unpickled field is the shared instance, so copies of
+    elements, codes and blocks mix freely with the originals."""
+
+    def test_field_and_element(self, clone):
+        f = field(8)
+        assert clone(f) is f
+        e = f.element(77)
+        assert clone(e) is e
+        assert clone(e) * e is e * e
+
+    def test_code_decodes_the_originals_word(self, clone):
+        f = field(8)
+        code = RsCode.with_power_points(f, 10, 4, first_power=1)
+        msg = tuple(f.element(v) for v in (3, 141, 59, 26))
+        word = rs_encode(code, msg)
+        copied = clone(code)
+        assert copied.field is f
+        assert all(a is b for a, b in zip(copied.evaluation_points, code.evaluation_points))
+        received = [(i, word[i] if i % 3 else ERASED) for i in range(code.n)]
+        assert rs_decode(copied, received) == msg
+
+    def test_block(self, clone):
+        f = field(8)
+        code = RsCode.with_power_points(f, 10, 4, first_power=1)
+        block = NodeBlock(3, code.column(2), (f.element(9), f.element(200)))
+        copied = clone(block)
+        assert copied == block
+        assert all(a is b for a, b in zip(copied.column + copied.payload, block.column + block.payload))
 
 
 class TestFieldMatrix:
