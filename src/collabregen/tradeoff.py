@@ -22,11 +22,12 @@ A 21 x 21 grid over the search window is refined around its best cell
 for a few rounds.  The float search is built from sums, nonnegative
 multiples and minimums, so it never falls as beta or beta' grows, even
 under rounding: the feasible cells form a staircase, which each round
-walks with at most one search per row and column.  Grid searching runs
-on floats for speed; every returned point is certified exactly, with no
-tolerance, by ``worst_case_capacity``, which scales the rational point to
-integers (the bound is homogeneous of degree 1) and divides the result
-once.
+walks with at most one search per row and column, skipping any cell at
+or below, in both bandwidths, one already found infeasible.  Grid
+searching runs on floats for speed; every returned point is certified
+exactly, with no tolerance, by ``worst_case_capacity``, which scales the
+rational point to integers (the bound is homogeneous of degree 1) and
+divides the result once.
 """
 
 from __future__ import annotations
@@ -326,13 +327,21 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     nonnegative multiples and minimums, so it is non-decreasing in both
     bandwidths even in floats; the feasible cells are upward closed and
     a staircase walk finds that cell in at most len(bs) + len(ps)
-    searches.  Refining stops once the grid spacing bounds the gamma
-    error below the requested relative tolerance."""
+    searches.  A cell at or below, in both bandwidths, one already found
+    infeasible is infeasible too, and is not searched.  Refining stops
+    once the grid spacing bounds the gamma error below the requested
+    relative tolerance."""
     feas_floor = B * (1.0 - 1e-12)
     (b_min, b_max), (p_min, p_max) = bounds
+    dead = []  # the cells found infeasible that can still rule one out
 
     def feasible(b, bp):
-        return search(alpha, b, bp)[0] >= feas_floor
+        if any(b <= x and bp <= y for x, y in dead):
+            return False
+        if search(alpha, b, bp)[0] >= feas_floor:
+            return True
+        dead.append((b, bp))
+        return False
 
     best = None  # (gamma, beta, beta_prime)
     if warm is not None and b_min <= warm[0] <= b_max and p_min <= warm[1] <= p_max:
@@ -350,6 +359,7 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
             ps = [p_hi]
         else:
             ps = [p_lo]
+        dead[:] = [(x, y) for x, y in dead if x >= b_lo and y >= p_lo]
         # Staircase walk from (smallest b, largest bp): a feasible cell
         # steps down in bp, an infeasible one right in b.  A cell that
         # cannot beat the best so far in (gamma, row-major index), the

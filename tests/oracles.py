@@ -63,22 +63,26 @@ def oracle_search(p, adv, fixed_g):
     """(value, groups, allocation) of the minimum cut bound by exhaustive
     enumeration, ties going to the lexicographically smallest sequence
     u_0, a_0, u_1, a_1, ...; None when the adversary budget cannot be
-    placed feasibly."""
+    placed feasibly.  Integral operands are read as ints, which keeps
+    the arithmetic exact and is faster than on Fractions."""
     f = adv.factor if adv else 1
     among = adv.among_live if adv else 0
     maxa = adv.per_group_max if adv else 0
     total = adv.total if adv else 0
+    alpha, beta, beta_prime = (
+        x.numerator if x.denominator == 1 else x for x in (p.alpha, p.beta, p.beta_prime)
+    )
     best = None
     for groups in compositions(p.k, p.t, fixed_g):
         for alloc in allocations(len(groups), total, maxa):
             if adv and any(u > p.t - f * a for u, a in zip(groups, alloc)):
                 continue
-            value = F(0)
+            value = 0
             prefix = 0
             for u, a in zip(groups, alloc):
-                bw = max(0, p.d - f * among - prefix) * p.beta
-                bw += max(0, p.t - f * a - u) * p.beta_prime
-                value += u * min(p.alpha, bw)
+                bw = max(0, p.d - f * among - prefix) * beta
+                bw += max(0, p.t - f * a - u) * beta_prime
+                value += u * min(alpha, bw)
                 prefix += u
             if best is None or value < best[0] or (
                 value == best[0] and _interleave(groups, alloc) < _interleave(*best[1:])

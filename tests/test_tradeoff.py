@@ -288,12 +288,13 @@ class TestSingleNodesAtBenchmarkSize:
         assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
 
         # (c) and never falls as beta or beta' grows, even by one ulp
-        def grown(v):
-            return data.draw(st.one_of(st.just(math.nextafter(v, math.inf)),
-                                       st.floats(v, 2 * v + 1)))
+        assert search(x, grown(data, y), z)[0] >= approx
+        assert search(x, y, grown(data, z))[0] >= approx
 
-        assert search(x, grown(y), z)[0] >= approx
-        assert search(x, y, grown(z))[0] >= approx
+
+def grown(data, v):
+    """v grown by one ulp, or a float in [v, 2*v + 1]."""
+    return data.draw(st.one_of(st.just(math.nextafter(v, math.inf)), st.floats(v, 2 * v + 1)))
 
 
 class TestFreePartitions:
@@ -384,6 +385,57 @@ class TestFreePartitions:
         assert math.isclose(approx, float(want[0]), rel_tol=1e-12)
 
 
+class TestFloatSearchNeverFalls:
+    """The free-partition closed form and the DP, on floats, never fall as
+    beta or beta' grows, even by one ulp: the staircase walk of
+    _grid_search relies on that, and so does its skipping of cells at or
+    below one found infeasible.  TestSingleNodesAtBenchmarkSize (c)
+    checks single-node groups."""
+
+    @staticmethod
+    def assert_never_falls(data, search, d, t):
+        alpha = data.draw(st.one_of(st.fractions(F(1, 12), 4, max_denominator=12).map(float),
+                                    st.floats(1e-3, 4)))
+        ratio = st.one_of(st.fractions(0, 2, max_denominator=24).map(float), st.floats(0, 2))
+        beta = alpha * data.draw(ratio) / d
+        bp = alpha * data.draw(ratio) / t
+        value = search(alpha, beta, bp)[0]
+        assert search(alpha, grown(data, beta), bp)[0] >= value
+        assert search(alpha, beta, grown(data, bp))[0] >= value
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_free_partitions(self, data):
+        k = data.draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+        t = data.draw(st.integers(1, 9))
+        d = data.draw(st.integers(k, k + 16))
+        mk = data.draw(st.sampled_from([None, selfish, polluting]))
+        adv = None  # no adversary, or one among the live nodes only
+        if mk is not None:
+            adv = mk(among=data.draw(st.integers(0, d if mk is selfish else d // 2)))
+        search = _cut_search(params(k=k, d=d, t=t), adv, None)
+        assert search.__name__ == "partitions"
+        self.assert_never_falls(data, search, d, t)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dp(self, data):
+        k = data.draw(st.integers(2, 8))
+        t = data.draw(st.integers(2, 4))
+        d = data.draw(st.integers(k, k + 4))
+        fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+        mk = polluting if t >= 3 and data.draw(st.booleans()) else selfish
+        adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
+                 total=data.draw(st.integers(int(fixed_g is None), 4)))  # a budget when g is free
+        search = _cut_search(params(k=k, d=d, t=t), adv, fixed_g)
+        assert search.__name__ == "general"
+        try:
+            search(1.0, 0.0, 0.0)
+        except InfeasibleError:  # a budget that cannot be placed
+            return
+        self.assert_never_falls(data, search, d, t)
+
+
 def search_window(p, adv, open_box, grow=1):
     """The float bounds optimize_gamma hands to _grid_search: the
     characteristic window, or the open box after ``grow`` doublings."""
@@ -393,6 +445,9 @@ def search_window(p, adv, open_box, grow=1):
         return (0.0, beta_hi), (0.0, bp_hi)
     (lo_b, hi_b), (lo_p, hi_p) = characteristic_bandwidth_box(p, adv)
     return (float(lo_b), float(hi_b)), (float(lo_p), float(hi_p))
+
+
+BENCHMARK_WALKS = ("collab_t4", "collab_t1", "selfish16_g32", "dp_warm")
 
 
 class TestGridWalkMatchesSortedScan:
@@ -482,10 +537,10 @@ class TestGridWalkMatchesSortedScan:
         assert best == (4.0, 1.0, 3.0)
         assert best == oracle_grid_search(search, 0.0, 1.0, 1, 2, bounds, tolerance=1.0)
 
-    @pytest.mark.parametrize("case", ["collab_t4", "collab_t1", "selfish16_g32", "dp_warm"])
-    def test_float_searches_per_round(self, case, monkeypatch):
-        # With the round limit at n, the first n rounds run exactly as with
-        # any higher limit, so the count differences are per-round counts.
+    @staticmethod
+    def benchmark_walk(case):
+        """(search, t, bounds, warm) of one optimize_gamma walk at d = 48,
+        k = 32, B = 32 and alpha = 1.25."""
         t = {"collab_t1": 1, "dp_warm": 2}.get(case, 4)
         p = params(k=32, d=48, t=t, B=32)
         adv = fixed_g = warm = None
@@ -493,12 +548,36 @@ class TestGridWalkMatchesSortedScan:
             adv, fixed_g = selfish(1, maxa=1, total=16), 32
         elif case == "dp_warm":
             adv = selfish(1, maxa=1, total=8)
-        alpha = F(5, 4)
-        search = _cut_search(p.with_point(alpha, 0, 0), adv, fixed_g)
+        search = _cut_search(p.with_point(F(5, 4), 0, 0), adv, fixed_g)
         bounds = search_window(p, adv, open_box=fixed_g is None)
         if case == "dp_warm":
             lower = _cut_search(p.with_point(F(6, 5), 0, 0), adv, fixed_g)
             warm = _grid_search(lower, 1.2, 32.0, 48, t, bounds)[1:]
+        return search, t, bounds, warm
+
+    @pytest.mark.parametrize("case", BENCHMARK_WALKS)
+    def test_no_search_below_an_infeasible_one(self, case):
+        search, t, bounds, warm = self.benchmark_walk(case)
+        calls = []  # (beta, beta', feasible) of every search, in order
+
+        def recorded(alpha, b, bp):
+            out = search(alpha, b, bp)
+            calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
+            return out
+
+        args = (1.25, 32.0, 48, t, bounds, warm)
+        assert _grid_search(recorded, *args) == oracle_grid_search(search, *args)
+        infeasible = []
+        for b, bp, ok in calls:
+            assert not any(b <= x and bp <= y for x, y in infeasible), (b, bp)
+            if not ok:
+                infeasible.append((b, bp))
+
+    @pytest.mark.parametrize("case", BENCHMARK_WALKS)
+    def test_float_searches_per_round(self, case, monkeypatch):
+        # With the round limit at n, the first n rounds run exactly as with
+        # any higher limit, so the count differences are per-round counts.
+        search, t, bounds, warm = self.benchmark_walk(case)
         counts = []
         for rounds in range(_MAX_REFINEMENTS + 1):
             monkeypatch.setattr(tradeoff, "_MAX_REFINEMENTS", rounds)
