@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
@@ -274,63 +275,56 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     """Object recovery that tolerates wrong payloads.
 
     Returns the unique object that disagrees with at most
-    ``max_polluters`` of the given blocks; when there is none, or more
-    than one, AMBIGUOUS is returned rather than a possibly wrong object.
-    With at least kappa + max_polluters honest blocks the true object is
-    that unique answer.  Blocks are checked as ``collect`` checks them.
+    ``max_polluters`` (e, a nonnegative int, else ValueError) of the given
+    blocks; when there is none, or more than one, AMBIGUOUS is returned
+    rather than a possibly wrong object.  With at least kappa + e honest
+    blocks the true object is that unique answer.  Blocks are checked as
+    ``collect`` checks them.
 
-    When 2*max_polluters <= len(blocks) - kappa and the blocks carry
-    Reed-Solomon columns (1, x, x^2, ...) at distinct points x, all
-    object rows are decoded by ``gf._decode_rows`` on one interpolation
-    setup for those points, in O(len(blocks)^2) field operations per row;
-    the decoded object, if every row decodes, is the one candidate.
-    Otherwise (too many polluters for a unique answer to be guaranteed,
-    kappa = 1, or other columns) kappa-subsets are solved, skipping a
-    subset of distinct but dependent columns, which determines nothing.
-    On Reed-Solomon columns these are the subsets of the first kappa +
-    max_polluters blocks by node id, C(kappa + max_polluters, kappa)
-    solves: an answer disagrees with at most max_polluters of them, so
-    kappa of them agree with it and determine it.  Otherwise every subset
-    is solved, C(len(blocks), kappa) solves.  Each distinct candidate is
+    Candidates come from trial erasure decoding: in a pool of the first P
+    of the N blocks by node id, each set of s erased blocks leaves P - s
+    for ``_solve_object``, skipping dependent columns.  On Reed-Solomon
+    columns s = min(max(0, 2e - (P - kappa)), P - kappa): an answer
+    disagrees with at most e pool blocks, and erasing s of them leaves at
+    most (P - s - kappa)/2, within the decoding radius.  P is the
+    smallest in min(kappa + e, N)..N with the fewest C(P, s) erasure
+    sets; inside the radius (2e <= N - kappa) that is one decode of the
+    first kappa + 2e blocks.  Other columns, and kappa = 1, solve every
+    kappa-subset: P = N, s = N - kappa.  Each distinct candidate is
     checked against all blocks.
     """
-    if max_polluters < 0:
-        raise ValueError("max_polluters must be nonnegative")
+    e = max_polluters
+    if not (type(e) is int and e >= 0):
+        raise ValueError(f"max_polluters must be a nonnegative integer, got {e!r}")
     ordered = sorted(blocks, key=lambda b: b.node_id)
     kappa, points = _read_setup(ordered)
-    if points is not None and 2 * max_polluters <= len(ordered) - kappa:
-        obj = _solve_object(ordered, kappa, points)
-        candidates = [] if obj is None else [obj]
+    n = len(ordered)
+    if points is None:
+        pool, erased = n, n - kappa
     else:
-        pool = len(ordered) if points is None else kappa + max_polluters
-        candidates = _subset_objects(ordered[:pool], kappa, points and points[:pool])
+        pools = range(min(kappa + e, n), n + 1)
+        shapes = [(p, min(max(0, 2 * e - (p - kappa)), p - kappa)) for p in pools]
+        pool, erased = min(shapes, key=lambda shape: comb(*shape))
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
-    for candidate in candidates:
+    for gone in combinations(range(pool), erased):
+        kept = [i for i in range(pool) if i not in gone]
+        try:
+            candidate = _solve_object(
+                [ordered[i] for i in kept], kappa, points and [points[i] for i in kept]
+            )
+        except SingularMatrixError:  # distinct but dependent columns
+            continue
+        if candidate is None:  # a row beyond the radius
+            continue
         key = tuple(v for row in candidate.pieces.int_rows() for v in row)
         if key in seen:
             continue
         seen.add(key)
-        disagreements = sum(
-            1 for b in ordered if _apply_column(candidate, b.column) != b.payload
-        )
-        if disagreements <= max_polluters:
+        if sum(_apply_column(candidate, b.column) != b.payload for b in ordered) <= e:
             qualified.append(candidate)
-    if len(qualified) == 1:
-        return qualified[0]
-    return AMBIGUOUS
-
-
-def _subset_objects(blocks: Sequence[NodeBlock], kappa: int, points):
-    """The object solved from each kappa-subset of the blocks (at their
-    ``points`` when those are set) whose columns determine one."""
-    for picks in combinations(range(len(blocks)), kappa):
-        subset = [blocks[i] for i in picks]
-        try:
-            yield _solve_object(subset, kappa, points and [points[i] for i in picks])
-        except SingularMatrixError:  # distinct but dependent columns
-            continue
+    return qualified[0] if len(qualified) == 1 else AMBIGUOUS
 
 
 # --- collaborative repair ---

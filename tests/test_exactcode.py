@@ -238,8 +238,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_beyond_radius_read_classifies_its_columns_once(monkeypatch):
-    # 2 * 3 > 7 - 3: the C(6, 3) = 20 kappa-subsets of the first
-    # kappa + 3 blocks are solved at slices of one set of points
+    # 2 * 3 > 7 - 3: erasing 3 of a pool of the first 6 blocks, C(6, 3) =
+    # 20 erasure sets, beats erasing 2 of all 7, C(7, 2) = 21; each set is
+    # decoded at a slice of one set of points
     _, obj, blocks = demo_setup(seed=4)
     calls = []
     rs_points = exactcode._rs_points
@@ -256,18 +257,50 @@ def test_beyond_radius_read_classifies_its_columns_once(monkeypatch):
     assert len(solves) == 20
 
 
-def test_beyond_radius_read_solves_a_pool_of_kappa_plus_e_blocks(monkeypatch):
-    # (16,6) over GF(256) with its first 6 blocks polluted and e = 6, past
-    # the radius 5: the pool of the first 12 blocks holds the 6 honest ones
-    # that determine the object, in C(12, 6) = 924 solves, not C(16, 6)
-    code = RsCode.with_power_points(field(8), 16, 6, first_power=1)
-    obj = ObjectMatrix.random(code.field, 2, 6, random.Random(16))
-    rng = random.Random(6)
-    blocks = [corrupt(b, rng) if b.node_id <= 6 else b for b in encode_object(obj, code)]
+@pytest.mark.parametrize(
+    "n, kappa, e, decodes",
+    [(16, 6, 6, 120), (24, 8, 9, 276)],
+    ids=["16_6_e6", "24_8_e9"],
+)
+def test_beyond_radius_read_decodes_each_erasure_set(monkeypatch, n, kappa, e, decodes):
+    # over GF(256) with the first e blocks polluted, past the radius: all
+    # N blocks with 2 erased, C(N, 2) decodes, are the fewest erasure sets
+    # (C(12, 6) = 924 for (16,6) on a pool of kappa + e blocks).  Each
+    # decode of N - 2 blocks meets at most e - 2 errors, within its
+    # radius (N - 2 - kappa)/2
+    code = RsCode.with_power_points(field(8), n, kappa, first_power=1)
+    obj = ObjectMatrix.random(code.field, 2, kappa, random.Random(n))
+    rng = random.Random(kappa)
+    blocks = [corrupt(b, rng) if b.node_id <= e else b for b in encode_object(obj, code)]
     solves = _count_calls(monkeypatch, "_solve_object")
-    got = collect_robust(blocks[::-1], max_polluters=6)
+    got = collect_robust(blocks[::-1], max_polluters=e)
     assert got is not AMBIGUOUS and got.pieces == obj.pieces
-    assert len(solves) == 924
+    assert len(solves) == decodes
+    assert all(len(args[0]) == n - 2 for args in solves)
+
+
+def test_within_radius_read_decodes_the_first_kappa_plus_2e_blocks(monkeypatch):
+    # (12,6) with e = 1 and one polluted block: 2e <= 12 - 6, so one decode
+    # of the first kappa + 2e = 8 blocks by node id, whatever their order
+    code = RsCode.with_power_points(field(8), 12, 6, first_power=1)
+    obj = ObjectMatrix.random(code.field, 2, 6, random.Random(12))
+    rng = random.Random(1)
+    blocks = [corrupt(b, rng) if b.node_id == 3 else b for b in encode_object(obj, code)]
+    solves = _count_calls(monkeypatch, "_solve_object")
+    got = collect_robust(blocks[::-1], max_polluters=1)
+    assert got is not AMBIGUOUS and got.pieces == obj.pieces
+    assert len(solves) == 1
+    assert [b.node_id for b in solves[0][0]] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("read", [7, 4], ids=["radius-2", "radius-0"])
+@pytest.mark.parametrize("max_polluters", [1.5, 2.5, True, "1", -1])
+def test_max_polluters_must_be_a_nonnegative_int(max_polluters, read):
+    # on all 7 blocks (radius 2) or on 4 (radius 0); 1.5 used to be taken
+    # as it stood, and 2.5 and "1" ended in a TypeError
+    _, _, blocks = demo_setup()
+    with pytest.raises(ValueError, match="max_polluters must be a nonnegative integer"):
+        collect_robust(blocks[:read], max_polluters)
 
 
 _READERS = {
@@ -303,7 +336,9 @@ def test_block_with_an_empty_column_or_payload_rejected(reader, emptied):
 def polluted_reads(draw, inside: bool):
     """An object (often all-zero), the blocks read, up to one more of them
     polluted than the radius (read - kappa) // 2, and a max_polluters
-    within that radius or beyond it: (obj, read, polluted, max_polluters)."""
+    within that radius or beyond it: (obj, read, polluted, max_polluters).
+    Sometimes, for kappa > 1, each column and payload is scaled by the
+    block's point x_i, so the columns are not Reed-Solomon."""
     f = field(draw(st.sampled_from([3, 4])))
     n = draw(st.integers(4, min(f.order - 1, 8)))
     kappa = draw(st.integers(1, n - 1))
@@ -315,6 +350,12 @@ def polluted_reads(draw, inside: bool):
     )
     obj = ObjectMatrix(FieldMatrix(f, t, kappa, values))
     blocks = encode_object(obj, code)
+    if kappa > 1 and draw(st.booleans()):
+        scaled = []
+        for b in blocks:
+            x = b.column[1]
+            scaled.append(NodeBlock(b.node_id, tuple(x * c for c in b.column), tuple(x * p for p in b.payload)))
+        blocks = scaled
     order = draw(st.permutations(range(n)))
     read = [blocks[i] for i in order[: draw(st.integers(kappa + inside, n))]]
     radius = (len(read) - kappa) // 2
@@ -376,6 +417,20 @@ class TestCollectRobustColumns:
         assert collect(blocks).pieces == obj.pieces
         got = collect_robust(blocks, max_polluters)
         assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
+    def test_every_subset_solved_past_a_dependent_pool(self):
+        # columns (1,0), (2,0), (0,1), (1,1) with node 3 polluted and e = 1:
+        # the first kappa + e blocks agree with the object only on the
+        # dependent pair, and a wrong object from nodes 1 and 3 disagrees
+        # with node 4 alone; every kappa-subset finds both, so AMBIGUOUS
+        f = field(4)
+        obj = ObjectMatrix(FieldMatrix(f, 2, 2, [3, 5, 7, 9]))
+        blocks = []
+        for node_id, values in enumerate([(1, 0), (2, 0), (0, 1), (1, 1)], start=1):
+            column = tuple(f.element(v) for v in values)
+            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+        blocks[2] = corrupt(blocks[2], random.Random(2))
+        assert collect_robust(blocks, 1) is AMBIGUOUS
 
 
 def naive_apply(obj, column):
