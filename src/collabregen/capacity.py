@@ -15,8 +15,9 @@ potentially bad one).  The kinds differ only in that cost factor,
 ``AdversaryProfile.factor``.  ``_budget`` alone turns a profile into cut
 arithmetic, which the bounds here and the trade-off search read: a group
 of u >= 1 newcomers out of t holds at most (t - u)//f misbehavers, so a
-per-group cap above (t - 1)//f counts as (t - 1)//f.  Bandwidth
-coefficients are clamped at zero; cut contributions are never negative.
+per-group cap above (t - 1)//f counts as (t - 1)//f.  beta's
+coefficients are clamped at zero, and a group that leaves beta' a
+negative one is rejected, so cut contributions are never negative.
 
 All functions are pure over immutable inputs and safe to evaluate
 concurrently.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, str, Fraction, float]
 
@@ -230,25 +231,6 @@ def _live_coefficients(p: SystemParams, factor: int, among_live: int) -> list[in
     return [max(0, p.d - factor * among_live - s) for s in range(p.k)]
 
 
-def _cut_sum(
-    p: SystemParams,
-    part: GroupPartition,
-    among_live: int,
-    per_group: Sequence[int],
-    factor: int,
-) -> Fraction:
-    alpha, beta, beta_prime = p.alpha, p.beta, p.beta_prime
-    live = _live_coefficients(p, factor, among_live)
-    total = Fraction(0)
-    prefix = 0
-    for u, a in zip(part.groups, per_group):
-        collab_coeff = max(0, p.t - factor * a - u)
-        bandwidth = live[prefix] * beta + collab_coeff * beta_prime
-        total += u * min(alpha, bandwidth)
-        prefix += u
-    return total
-
-
 def mincut_single(p: SystemParams) -> Fraction:
     """Cut bound for independent single-node repairs (t treated as 1)."""
     return sum(
@@ -259,8 +241,7 @@ def mincut_single(p: SystemParams) -> Fraction:
 
 def mincut_collab(p: SystemParams, part: GroupPartition) -> Fraction:
     """Cut bound for collaborative repair with the given collector partition."""
-    part.validate_for(p.k, p.t)
-    return _cut_sum(p, part, 0, [0] * part.g, 1)
+    return _capacity(p, part)
 
 
 def capacity_selfish(p: SystemParams, part: GroupPartition, adv: AdversaryProfile) -> Fraction:
@@ -274,22 +255,35 @@ def capacity_polluting(p: SystemParams, part: GroupPartition, adv: AdversaryProf
 
 
 def _capacity(
-    p: SystemParams, part: GroupPartition, adv: AdversaryProfile, kind: AdversaryKind
+    p: SystemParams,
+    part: GroupPartition,
+    adv: Optional[AdversaryProfile] = None,
+    kind: Optional[AdversaryKind] = None,
 ) -> Fraction:
-    """The cut bound under a profile of ``kind``: each of its newcomers
-    removes ``adv.factor`` collaborators from its group."""
-    if adv.kind is not kind:
+    """The cut sum over the groups of ``part`` under a profile (None: no
+    adversary), which must be of ``kind`` when one is given: each of a
+    group's newcomers in the profile removes ``adv.factor``
+    collaborators from it."""
+    if kind is not None and (adv is None or adv.kind is not kind):
         raise ParameterError(f"profile kind must be {kind.value}")
     part.validate_for(p.k, p.t)
-    if adv.per_group is None or len(adv.per_group) != part.g:
-        raise AllocationError(f"need one {kind.value} count per group")
+    per_group = (0,) * part.g
+    if adv is not None:
+        if adv.per_group is None or len(adv.per_group) != part.g:
+            raise AllocationError(f"need one {adv.kind.value} count per group")
+        per_group = adv.per_group
     f, among, _, _ = _budget(p, adv)
-    for u, a in zip(part.groups, adv.per_group):
+    live = _live_coefficients(p, f, among)
+    total = Fraction(0)
+    prefix = 0
+    for u, a in zip(part.groups, per_group):
         if u > p.t - f * a:
             raise AllocationError(
-                f"group of size {u} infeasible with {a} {kind.value} newcomers (t={p.t})"
+                f"group of size {u} infeasible with {a} {adv.kind.value} newcomers (t={p.t})"
             )
-    return _cut_sum(p, part, among, adv.per_group, f)
+        total += u * min(p.alpha, live[prefix] * p.beta + (p.t - f * a - u) * p.beta_prime)
+        prefix += u
+    return total
 
 
 def repair_gamma(p: SystemParams) -> Fraction:

@@ -194,9 +194,7 @@ def _cmd_bounds(args) -> int:
             if adv is None:
                 doc["mincut_collab"] = _emit(mincut_collab(p, part), unit, raw)
             else:
-                doc[f"capacity_{adv.kind.value}"] = _emit(
-                    _capacity(p, part, adv, adv.kind), unit, raw
-                )
+                doc[f"capacity_{adv.kind.value}"] = _emit(_capacity(p, part, adv), unit, raw)
     if ("adversary" in sections or args.point == "selfish-msr") and adv is not None:
         if adv.kind is AdversaryKind.SELFISH:
             bounds = msr_selfish_bounds(p, adv)

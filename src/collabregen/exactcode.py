@@ -180,11 +180,8 @@ _SHARED_COLUMN = "blocks of different nodes share a column"
 
 def _read_setup(blocks: Sequence[NodeBlock]) -> tuple[int, Optional[list[int]]]:
     """(kappa, points): kappa of the blocks' code, and their Reed-Solomon
-    points, or None for other columns.  ValueError unless there are at
-    least kappa blocks, each from a different node, all of one shape
-    (kappa >= 1 column entries, t >= 1 payload symbols) and, for kappa >
-    1, no two with one column; FieldMismatchError unless all are over one
-    field."""
+    points, or None for other columns, after the entry checks that
+    ``collect_robust`` lists."""
     if not blocks:
         raise ValueError("no blocks given")
     if not blocks[0].column or not blocks[0].payload:
@@ -248,20 +245,11 @@ def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> Optional[O
 
 
 def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
-    """Recover the object from kappa honest blocks (extras are checked).
-
-    On Reed-Solomon columns (1, x, ..., x^(kappa-1)) the first kappa
-    blocks' rows are interpolated at their points; other columns are
-    solved by Gauss-Jordan elimination.  ValueError for fewer than kappa
-    blocks, a repeated node id, an empty column or payload, blocks of
-    different shapes, two blocks that share a column (for kappa > 1), or
-    an extra block inconsistent with the rest; FieldMismatchError for
-    symbols from different fields."""
-    kappa, points = _read_setup(blocks)
-    obj = _solve_object(blocks[:kappa], kappa, points and points[:kappa])
-    for extra in blocks[kappa:]:
-        if _apply_column(obj, extra.column) != extra.payload:
-            raise ValueError(f"block of node {extra.node_id} inconsistent with the rest")
+    """The e = 0 read, ``collect_robust(blocks, 0)``: the object that
+    agrees with every block, with ValueError in place of AMBIGUOUS."""
+    obj = collect_robust(blocks, 0)
+    if obj is AMBIGUOUS:
+        raise ValueError("no unique object agrees with every block")
     return obj
 
 
@@ -278,8 +266,11 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     ``max_polluters`` (e, a nonnegative int, else ValueError) of the given
     blocks; when there is none, or more than one, AMBIGUOUS is returned
     rather than a possibly wrong object.  With at least kappa + e honest
-    blocks the true object is that unique answer.  Blocks are checked as
-    ``collect`` checks them.
+    blocks the true object is that unique answer; ``collect`` is the
+    e = 0 read.  ValueError for fewer than kappa blocks, a repeated node
+    id, an empty column or payload, blocks of different shapes, or two
+    blocks that share a column (for kappa > 1); FieldMismatchError for
+    symbols from different fields.
 
     Candidates come from trial erasure decoding: in a pool of the first P
     of the N blocks by node id, each set of s erased blocks leaves P - s
@@ -290,8 +281,10 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     smallest in min(kappa + e, N)..N with the fewest C(P, s) erasure
     sets; inside the radius (2e <= N - kappa) that is one decode of the
     first kappa + 2e blocks.  Other columns, and kappa = 1, solve every
-    kappa-subset: P = N, s = N - kappa.  Each distinct candidate is
-    checked against all blocks.
+    kappa-subset in order: P = N, s = N - kappa.  Each distinct candidate
+    is checked against all blocks.  At e = 0 the first one solved ends
+    the search: an object that agrees with every block is the one its
+    independent blocks determine.
     """
     e = max_polluters
     if not (type(e) is int and e >= 0):
@@ -308,8 +301,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
 
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
-    for gone in combinations(range(pool), erased):
-        kept = [i for i in range(pool) if i not in gone]
+    for kept in combinations(range(pool), pool - erased):
         try:
             candidate = _solve_object(
                 [ordered[i] for i in kept], kappa, points and [points[i] for i in kept]
@@ -324,6 +316,8 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
         seen.add(key)
         if sum(_apply_column(candidate, b.column) != b.payload for b in ordered) <= e:
             qualified.append(candidate)
+        if not e:
+            break
     return qualified[0] if len(qualified) == 1 else AMBIGUOUS
 
 

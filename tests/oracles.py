@@ -32,6 +32,7 @@ from collabregen.gf import (
     FieldElement,
     FieldMatrix,
     InsufficientSymbolsError,
+    SingularMatrixError,
 )
 
 
@@ -167,11 +168,15 @@ def oracle_rs_decode(code, received):
 
 def oracle_collect_robust(blocks, max_polluters):
     """Subset consensus: the unique object solved from some kappa blocks
-    that disagrees with at most ``max_polluters`` blocks, else AMBIGUOUS."""
+    that disagrees with at most ``max_polluters`` blocks, else AMBIGUOUS.
+    A subset of dependent columns solves for nothing and is skipped."""
     kappa = len(blocks[0].column)
     qualified = set()
     for subset in combinations(blocks, kappa):
-        o_t = _solve_subset([b.column for b in subset], [b.payload for b in subset])
+        try:
+            o_t = _solve_subset([b.column for b in subset], [b.payload for b in subset])
+        except SingularMatrixError:
+            continue
         obj = ObjectMatrix(o_t.transpose())
         rows = obj.pieces.int_rows()
         bad = 0

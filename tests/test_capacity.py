@@ -197,6 +197,15 @@ class TestAdversarialCapacity:
         ):
             capacity(p, part, profile(0, (1, 0)))
 
+    @pytest.mark.parametrize(
+        "capacity, kind", [(capacity_selfish, "selfish"), (capacity_polluting, "polluting")]
+    )
+    def test_missing_profile_rejected(self, capacity, kind):
+        # no profile once ended in an AttributeError
+        p = params(k=4, d=6, t=2, alpha=1, beta=1, beta_prime=1)
+        with pytest.raises(ParameterError, match=f"^profile kind must be {kind}$"):
+            capacity(p, GroupPartition((2, 2)), None)
+
     def test_too_many_live_adversaries_rejected(self):
         p = params(k=2, d=3, t=2, alpha=1, beta=1, beta_prime=1)
         part = GroupPartition.all_ones(2)

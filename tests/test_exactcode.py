@@ -108,7 +108,7 @@ class TestEncodeCollect:
         assert collect(blocks).pieces == obj.pieces
         six = blocks[5]
         off = NodeBlock(6, six.column, (six.payload[0] + GF8.one,) + six.payload[1:])
-        with pytest.raises(ValueError, match="block of node 6 inconsistent with the rest"):
+        with pytest.raises(ValueError, match="no unique object agrees with every block"):
             collect(blocks[:5] + [off])
 
     def test_collect_requires_kappa_blocks(self):
@@ -215,7 +215,7 @@ def _reshaped(block: NodeBlock, change: str) -> NodeBlock:
 @pytest.mark.parametrize("change", ["payload-short", "payload-long", "column-short", "column-long"])
 def test_block_of_another_shape_rejected(change, where):
     # one block of five whose column or payload is one entry off, among
-    # the first kappa that collect solves or as an extra it checks
+    # the first kappa or after them
     _, _, blocks = demo_setup()
     read = blocks[:5]
     read[where] = _reshaped(read[where], change)
@@ -387,6 +387,51 @@ def test_collect_robust_matches_subset_consensus_oracle(inside, data):
         assert got is not AMBIGUOUS and got.pieces == obj.pieces
 
 
+@st.composite
+def unpolluted_reads(draw):
+    """Blocks of an object over GF(8) or GF(16) in any order, at least
+    kappa of them, on Reed-Solomon columns, on columns scaled by the
+    block's point x_i, or on distinct columns of entries 0..2, which are
+    often dependent; about a third of the time one payload is altered."""
+    f = field(draw(st.sampled_from([3, 4])))
+    n = draw(st.integers(2, min(f.order - 1, 8)))
+    kappa = draw(st.integers(1, n - 1))
+    t = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(0, f.order - 1), min_size=t * kappa, max_size=t * kappa))
+    obj = ObjectMatrix(FieldMatrix(f, t, kappa, values))
+    kind = draw(st.sampled_from(["rs", "scaled", "dependent"]))
+    if kind == "dependent":
+        entries = st.tuples(*[st.integers(0, 2)] * kappa)
+        columns = [
+            tuple(f.element(v) for v in c)
+            for c in draw(st.lists(entries, min_size=kappa, max_size=n, unique=True))
+        ]
+    else:
+        code = RsCode.with_power_points(f, n, kappa, first_power=draw(st.integers(0, 2)))
+        columns = [code.column(i) for i in range(n)]
+        if kind == "scaled" and kappa > 1:
+            columns = [tuple(c[1] * x for x in c) for c in columns]
+    blocks = [NodeBlock(i, c, _apply_column(obj, c)) for i, c in enumerate(columns, start=1)]
+    read = draw(st.permutations(blocks))[: draw(st.integers(kappa, len(blocks)))]
+    if draw(st.integers(0, 2)) == 0:
+        b = read[0]
+        read[0] = NodeBlock(b.node_id, b.column, (b.payload[0] + f.one,) + b.payload[1:])
+    return read
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(unpolluted_reads())
+def test_collect_is_the_unpolluted_read(read):
+    # collect answers as the every-subset oracle at e = 0 does, whatever
+    # the order of the blocks and whether the first kappa are dependent
+    want = oracle_collect_robust(read, 0)
+    if want is AMBIGUOUS:
+        with pytest.raises(ValueError):
+            collect(read)
+    else:
+        assert collect(read).pieces == want.pieces
+
+
 class TestCollectRobustColumns:
     def test_scaled_columns_stay_exact(self):
         # columns x_i * (1, x_i, x_i^2) are MDS but not Reed-Solomon
@@ -431,6 +476,35 @@ class TestCollectRobustColumns:
             blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
         blocks[2] = corrupt(blocks[2], random.Random(2))
         assert collect_robust(blocks, 1) is AMBIGUOUS
+        assert oracle_collect_robust(blocks, 1) is AMBIGUOUS
+
+    def test_collect_past_dependent_first_columns(self):
+        # over GF(16), columns (1,0) and (2,0) come first and are
+        # dependent; with (0,1) the three blocks still fix the object
+        f = field(4)
+        obj = ObjectMatrix(FieldMatrix(f, 2, 2, [3, 5, 7, 9]))
+        blocks = []
+        for node_id, values in enumerate([(1, 0), (2, 0), (0, 1)], start=1):
+            column = tuple(f.element(v) for v in values)
+            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+        assert collect(blocks).pieces == obj.pieces
+        assert collect(blocks[::-1]).pieces == obj.pieces
+
+    def test_unpolluted_read_solves_once(self, monkeypatch):
+        # 8 blocks of (8,3) over GF(16) with scaled, not Reed-Solomon,
+        # columns: their first kappa are independent, so an e = 0 read
+        # makes one solve, not C(8, 3) = 56
+        code = RsCode.with_power_points(field(4), 8, 3, first_power=1)
+        obj = ObjectMatrix.random(code.field, 2, 3, random.Random(8))
+        blocks = []
+        for b in encode_object(obj, code):
+            x = b.column[1]
+            blocks.append(NodeBlock(b.node_id, tuple(x * c for c in b.column), tuple(x * p for p in b.payload)))
+        solves = _count_calls(monkeypatch, "_solve_object")
+        for read in (collect, lambda read: collect_robust(read, 0)):
+            solves.clear()
+            assert read(blocks[::-1]).pieces == obj.pieces
+            assert len(solves) == 1
 
 
 def naive_apply(obj, column):
@@ -846,7 +920,7 @@ def test_collect_matches_gauss_jordan(case, data):
     try:
         solved = _solve_subset([b.column for b in blocks], [b.payload for b in blocks])
     except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(ValueError, match="no unique object agrees with every block"):
             collect(blocks)
         return
     assert collect(blocks).pieces == solved.transpose() == obj.pieces
