@@ -11,10 +11,22 @@ from the shape of the search:
 * single-node groups (``fixed_g == k``): a closed form, the budget
   filling the last positions first;
 * no budget and a free group count: a closed form, single nodes, then
-  one group, then full groups, the best split found in one O(k) scan;
+  one group, then full groups, the best split found in one O(k) scan
+  down a plan of the splits laid out when the search is built;
 * otherwise a DP over (prefix sum of group sizes, groups used, budget
-  left), filled from the longest prefix down, groups used in the key
-  only when ``fixed_g`` is set.
+  left), groups used in the key only when ``fixed_g`` is set, filled
+  from the longest prefix down a plan of its states laid out when the
+  search is built; a budget left is kept only when the groups before
+  can leave it and the groups to come can hold it.
+
+The search reads only (k, d, t), the adversary and ``fixed_g``, so it
+is built once per structure and reused by every storage level of a
+sweep and every exact check.  The searches last built are kept in a
+bounded ``functools.lru_cache``, the module's one piece of mutable
+state.  A search keeps no state between calls and the cache is
+thread-safe, so searches stay shareable across threads: racing threads
+can at worst build one twice.  Errors are not cached; an invalid
+structure raises on every call.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
@@ -35,6 +47,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -59,6 +72,7 @@ _GRID_POINTS = 21
 _MIN_REFINEMENTS = 3
 _MAX_REFINEMENTS = 8
 _MAX_BOX_EXPANSIONS = 40
+_SEARCHES_KEPT = 32  # structures whose search _build_search keeps
 
 # (beta range, beta_prime range) in raw units
 BandwidthBox = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -138,10 +152,17 @@ def characteristic_bandwidth_box(
 def _cut_search(
     p: SystemParams, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
 ):
-    """The worst-case search for one structure, validated once (see the
-    module docstring): ``search(alpha, beta, beta_prime) -> (value,
-    groups, allocation)``; raises InfeasibleError if nothing is admissible."""
-    k, t = p.k, p.t
+    """The worst-case search for one structure (see the module docstring):
+    ``search(alpha, beta, beta_prime) -> (value, groups, allocation)``;
+    raises InfeasibleError if nothing is admissible.  The search reads
+    only k, d and t of ``p``, so every point of a structure shares one."""
+    return _build_search(p.k, p.d, p.t, adversary, fixed_g)
+
+
+@lru_cache(maxsize=_SEARCHES_KEPT)
+def _build_search(
+    k: int, d: int, t: int, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
+):
     if fixed_g is not None and not (1 <= fixed_g <= k <= fixed_g * t):
         raise ParameterError(
             f"fixed group count g={fixed_g} incompatible with k={k}, t={t}"
@@ -150,6 +171,7 @@ def _cut_search(
         raise ParameterError(
             "worst-case search allocates the budget itself; pass per_group=None"
         )
+    p = SystemParams.for_repair_network(k=k, d=d, t=t, B=0)  # the two below read only k, d, t
     f, among, cap, total = _budget(p, adversary)  # cap: the most one group holds
     coeffs = _live_coefficients(p, f, among)  # beta's factor at prefix s
 
@@ -177,16 +199,19 @@ def _cut_search(
     if not total and fixed_g is None:
         # The lexicographically smallest worst partition is (1,)*a + (r,) + (t,)*b,
         # r = (k-a-1) % t + 1, for the largest a of least value (TestFreePartitions).
+        plan = [(a, (k - a - 1) % t + 1, coeffs[a]) for a in range(k - 1, -1, -1)]
+
         def partitions(alpha, beta, beta_prime):
             collab = [c * beta_prime for c in range(t)]
-            head = [0]  # head[a]: single nodes at prefixes 0..a-1
+            full = collab[t - 1]
+            head, acc = [0], 0  # head[a]: single nodes at prefixes 0..a-1
             for c in coeffs:
-                x = c * beta + collab[t - 1]
-                head.append(head[-1] + (x if x < alpha else alpha))
+                x = c * beta + full
+                acc += x if x < alpha else alpha
+                head.append(acc)
             low, tail = None, 0  # tail: the full groups after the group of r
-            for a in range(k - 1, -1, -1):
-                r = (k - a - 1) % t + 1
-                x = coeffs[a] * beta + collab[t - r]
+            for a, r, c in plan:
+                x = c * beta + collab[t - r]
                 cand = head[a] + r * (m := x if x < alpha else alpha) + tail
                 if low is None or cand < low:
                     low, lead, size = cand, a, r
@@ -197,43 +222,58 @@ def _cut_search(
 
         return partitions
 
-    step = 0 if fixed_g is None else 1  # groups used stays 0 when g is free
+    g = fixed_g or 0  # groups in all; 0 when g is free, as is every groups used
+    step = 0 if fixed_g is None else 1
+
+    def most(groups, nodes):
+        # The most budget `groups` groups of `nodes` nodes in all can hold:
+        # a group of u holds at most min(cap, (t - u)//f), so cap*groups and
+        # (groups*t - nodes)//f in all; with g free, single nodes hold cap.
+        if fixed_g is None:
+            return cap * nodes
+        return min(cap * groups, (groups * t - nodes) // f)
+
+    # (prefix, groups used, budgets left, [(u, the most the groups after it
+    # hold, the most it holds)]) of every state the DP fills, longest prefix
+    # first.  A budget left is kept only when the groups before can leave
+    # it and the groups to come can hold it: every state the start reaches
+    # and can complete is kept, and each lookup of a kept state lands on one.
+    plan = []
+    for s in range(k - 1, -1, -1):
+        if fixed_g is None:
+            layer = range(1)
+        else:  # the groups left must fit the nodes left
+            layer = range(max(-(-s // t), g - k + s), min(s, g + (s - k) // t) + 1)
+        for parts in layer:
+            rest = g - parts - 1  # the groups after this one when g is fixed
+            u_lo, u_hi = 1, min(t, k - s)
+            if fixed_g is not None:
+                u_lo, u_hi = max(u_lo, k - s - rest * t), min(u_hi, k - s - rest)
+            budgets = range(max(0, total - most(parts, s)), min(total, most(rest + 1, k - s)) + 1)
+            sizes = [(u, most(rest, k - s - u), min(cap, (t - u) // f))
+                     for u in range(u_lo, u_hi + 1)]
+            plan.append((s, parts, budgets, sizes))
 
     def general(alpha, beta, beta_prime):
         # memo[(prefix, groups used, budget left)] = (value, (u, a)), filled
-        # from the longest prefix down (recursing once per group would
-        # overflow Python's stack at large k).  Each prefix takes every
-        # state within the group and budget bounds: a few more than the
-        # start reaches, and their children all lie within the bounds too.
-        memo: dict[tuple[int, int, int], tuple] = {(k, fixed_g or 0, 0): (0, None)}
+        # down the plan (recursing once per group would overflow Python's
+        # stack at large k)
+        memo: dict[tuple[int, int, int], tuple] = {(k, g, 0): (0, None)}
         collab = [c * beta_prime for c in range(t)]
-        for s in range(k - 1, -1, -1):
+        for s, parts, budgets, sizes in plan:
             live = coeffs[s] * beta
-            # (groups used, most groups before, most after): the budget
-            # spent and the budget left are at most cap per group
-            if fixed_g is None:
-                layer = [(0, s, k - s)]
-            else:  # the groups left must fit the nodes left
-                lo, hi = max(-(-s // t), fixed_g - k + s), min(s, fixed_g + (s - k) // t)
-                layer = [(parts, parts, fixed_g - parts) for parts in range(lo, hi + 1)]
-            for parts, before, after in layer:
-                u_lo, u_hi = 1, min(t, k - s)
-                if fixed_g is not None:
-                    rest = fixed_g - parts - 1
-                    u_lo, u_hi = max(u_lo, k - s - rest * t), min(u_hi, k - s - rest)
-                for r in range(max(0, total - cap * before), min(total, cap * after) + 1):
-                    low = arg = None
-                    for u in range(u_lo, u_hi + 1):
-                        room = cap * (k - s - u if fixed_g is None else rest)  # in the groups to come
-                        for a in range(max(0, r - room), min(cap, r, (t - u) // f) + 1):
-                            sub = memo[(s + u, parts + step, r - a)][0]
-                            if sub is None:
-                                continue
-                            x = live + collab[t - f * a - u]
-                            cand = u * (x if x < alpha else alpha) + sub
-                            if low is None or cand < low:
-                                low, arg = cand, (u, a)
-                    memo[(s, parts, r)] = (low, arg)
+            for r in budgets:
+                low = arg = None
+                for u, room, top in sizes:
+                    for a in range(max(0, r - room), min(top, r) + 1):
+                        sub = memo[(s + u, parts + step, r - a)][0]
+                        if sub is None:
+                            continue
+                        x = live + collab[t - f * a - u]
+                        cand = u * (x if x < alpha else alpha) + sub
+                        if low is None or cand < low:
+                            low, arg = cand, (u, a)
+                memo[(s, parts, r)] = (low, arg)
 
         value = memo.get((0, 0, total), (None,))[0]
         if value is None:

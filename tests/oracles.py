@@ -3,10 +3,12 @@
 These deliberately share nothing with the package internals: plain
 enumeration of collector partitions and adversary placements, with the
 cut sum evaluated termwise; a prefix DP over group sizes for free
-partitions with no budget, reaching sizes the enumeration cannot; and
-exhaustive-subset Reed-Solomon decoding and object collection, built
-only on the public field and matrix API; and contact selection as two
-branches over a behavior map that may omit honest nodes.
+partitions with no budget, reaching sizes the enumeration cannot, and
+the earlier free-partition scan, whose floats the current one must
+match bit for bit; exhaustive-subset Reed-Solomon decoding and object
+collection, built only on the public field and matrix API; and contact
+selection as two branches over a behavior map that may omit honest
+nodes.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
@@ -121,6 +123,32 @@ def oracle_partitions(p, adv, alpha, beta, beta_prime):
         groups.append(choice[s])
         s += choice[s]
     return value[0], tuple(groups), (0,) * len(groups)
+
+
+def oracle_partition_scan(p, adv, alpha, beta, beta_prime):
+    """The free-partition closed form of ``tradeoff._cut_search`` as it
+    stood before its scan was planned ahead, verbatim: single nodes, then
+    one group of r, then full groups, for each count a of single nodes.
+    Its floats are the reference the planned scan must match exactly."""
+    k, t = p.k, p.t
+    f, among = (adv.factor, adv.among_live) if adv else (1, 0)
+    coeffs = [max(0, p.d - f * among - s) for s in range(k)]
+    collab = [c * beta_prime for c in range(t)]
+    head = [0]  # head[a]: single nodes at prefixes 0..a-1
+    for c in coeffs:
+        x = c * beta + collab[t - 1]
+        head.append(head[-1] + (x if x < alpha else alpha))
+    low, tail = None, 0  # tail: the full groups after the group of r
+    for a in range(k - 1, -1, -1):
+        r = (k - a - 1) % t + 1
+        x = coeffs[a] * beta + collab[t - r]
+        cand = head[a] + r * (m := x if x < alpha else alpha) + tail
+        if low is None or cand < low:
+            low, lead, size = cand, a, r
+        if r == t:  # from a - 1 on, a full group starts at a
+            tail += t * m
+    groups = (1,) * lead + (size,) + (t,) * ((k - lead - size) // t)
+    return low, groups, (0,) * len(groups)
 
 
 def _interleave(groups, alloc):

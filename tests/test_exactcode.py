@@ -926,6 +926,23 @@ def test_collect_matches_gauss_jordan(case, data):
     assert collect(blocks).pieces == solved.transpose() == obj.pieces
 
 
+def test_collect_rejects_blocks_made_singular_by_a_modified_column():
+    # the singular branch of test_collect_matches_gauss_jordan, pinned: over
+    # GF(4) at points 0, w, w^2, adding 1 to the last entry of the column
+    # at 0 puts it in the span of the other two, as (0 + w)(0 + w^2) = 1
+    f = field(2)
+    code = RsCode(f, 4, 3, tuple(f.element(p) for p in (0, 2, 3, 1)))
+    obj = ObjectMatrix(FieldMatrix(f, 2, 3, [1, 2, 3, 0, 1, 2]))
+    blocks = encode_object(obj, code)[:3]
+    b = blocks[0]
+    column = b.column[:-1] + (b.column[-1] + f.one,)
+    blocks[0] = NodeBlock(b.node_id, column, _apply_column(obj, column))
+    with pytest.raises(SingularMatrixError):
+        _solve_subset([b.column for b in blocks], [b.payload for b in blocks])
+    with pytest.raises(ValueError, match="no unique object agrees with every block"):
+        collect(blocks)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(codes_with_zero(), st.data())
 def test_rows_at_matches_decode_then_eval(case, data):

@@ -41,6 +41,7 @@ from oracles import (
     oracle_characteristic_box,
     oracle_grid_search,
     oracle_msr_selfish_bounds,
+    oracle_partition_scan,
     oracle_partitions,
     oracle_search,
     oracle_value,
@@ -240,6 +241,100 @@ class TestScaledIntSearch:
         assert alloc == (None if adv is None else want[2])
 
 
+class TestOneSearchPerStructure:
+    """_cut_search reads only (k, d, t) of the params, the adversary and
+    fixed_g, and hands every point of a structure the same search."""
+
+    SHAPES = {  # (adversary, fixed_g) at k = 8, t = 3
+        "partitions": (None, None),
+        "single_nodes": (selfish(1, maxa=1, total=4), 8),
+        "general": (polluting(1, maxa=1, total=2), 4),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_point_shares_one_search(self, shape):
+        adv, fixed_g = self.SHAPES[shape]
+        p = params(k=8, d=10, t=3)
+        search = _cut_search(p, adv, fixed_g)
+        assert search.__name__ == shape
+        others = (
+            params(k=8, d=10, t=3, B=8),
+            p.with_point(F(3, 2), F(1, 7), F(2, 9)),
+            params(k=8, d=10, t=3, B=5, alpha=2, beta=1, beta_prime=F(1, 3)),
+            SystemParams.for_repair_network(k=8, d=10, t=3, B=8, n=20),
+        )
+        for other in others:
+            assert _cut_search(other, adv, fixed_g) is search
+        assert _cut_search(p, AdversaryProfile(**vars(adv)) if adv else None, fixed_g) is search
+
+    def test_each_structure_has_its_own_search(self):
+        adv = selfish(1, maxa=1, total=2)
+        searches = [
+            _cut_search(params(k=6, d=8, t=3), adv, 3),
+            _cut_search(params(k=5, d=8, t=3), adv, 3),
+            _cut_search(params(k=6, d=9, t=3), adv, 3),
+            _cut_search(params(k=6, d=8, t=2), adv, 3),
+            _cut_search(params(k=6, d=8, t=3), selfish(1, maxa=1, total=1), 3),
+            _cut_search(params(k=6, d=8, t=3), polluting(1, maxa=1, total=2), 3),
+            _cut_search(params(k=6, d=8, t=3), None, 3),
+            _cut_search(params(k=6, d=8, t=3), adv, 4),
+            _cut_search(params(k=6, d=8, t=3), adv, None),
+        ]
+        assert len({id(search) for search in searches}) == len(searches)
+
+    @pytest.mark.parametrize(
+        "p, adv, fixed_g, error, message",
+        [
+            (params(k=6, d=8, t=2), None, 1, ParameterError,
+             "fixed group count g=1 incompatible with k=6, t=2"),
+            (params(k=6, d=8, t=3), AdversaryProfile(AdversaryKind.SELFISH, 0, (0, 1)), None,
+             ParameterError, "allocates the budget itself"),
+            (params(k=6, d=8, t=3), polluting(5), None, ParameterError,
+             "polluting live count 5 needs 2"),
+            (params(k=6, d=8, t=3), selfish(9), 6, ParameterError, "selfish live count 9 exceeds"),
+            (params(k=6, d=8, t=3), selfish(0, maxa=1, total=7), 6, InfeasibleError,
+             "budget exceeds what single-node groups can hold"),
+        ],
+        ids=["fixed_g", "per_group", "polluting_live", "selfish_live", "budget"],
+    )
+    def test_errors_are_raised_on_every_call(self, p, adv, fixed_g, error, message):
+        # the cache keeps searches, not errors: a second call raises again
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                _cut_search(p, adv, fixed_g)
+        with pytest.raises(error, match=message):
+            worst_case_capacity(p.with_point(1, 1, 1), adv, fixed_g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_dp_on_budgets_the_groups_can_barely_hold(data):
+    # the DP keeps only a budget left that the groups to come can hold and
+    # the groups before can leave, at most min(cap, (t - u)//f) in a group of
+    # u; budgets up to what g groups hold reach both bounds
+    k = data.draw(st.integers(2, 8))
+    t = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(k, k + 4))
+    fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+    mk = data.draw(st.sampled_from([selfish, polluting]))
+    f = 1 if mk is selfish else 2
+    maxa = data.draw(st.integers(1, 3))
+    most = min(maxa, (t - 1) // f) * (k if fixed_g is None else fixed_g)
+    adv = mk(data.draw(st.integers(0, 1)), maxa=maxa,
+             total=data.draw(st.integers(int(fixed_g is None), max(1, most + 1))))
+    operand = st.one_of(st.integers(0, 6), st.fractions(0, 3, max_denominator=6))
+    p = params(k=k, d=d, t=t, alpha=data.draw(operand), beta=data.draw(operand),
+               beta_prime=data.draw(operand))
+    search = _cut_search(p, adv, fixed_g)
+    assert search.__name__ == "general"
+    expected = oracle_search(p, adv, fixed_g)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            search(p.alpha, p.beta, p.beta_prime)
+        return
+    assert search(p.alpha, p.beta, p.beta_prime) == expected
+
+
 class TestSingleNodesAtBenchmarkSize:
     """Single-node groups at k = 9..48, where the oracle is out of reach:
     the witness allocation holds against every single-unit move, and the
@@ -383,6 +478,32 @@ class TestFreePartitions:
         assert search(alpha, beta, bp) == want
         approx = search(float(alpha), float(beta), float(bp))[0]
         assert math.isclose(approx, float(want[0]), rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_scan_matches_the_earlier_scan_exactly(self, data):
+        # the scan runs from a plan built with the search, in the same float
+        # operations as oracles.oracle_partition_scan: equal to the last bit
+        k = data.draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+        t = data.draw(st.integers(1, 9))
+        d = data.draw(st.integers(k, k + 16))
+        mk = data.draw(st.sampled_from([None, selfish, polluting]))
+        adv = None
+        if mk is not None:
+            adv = mk(among=data.draw(st.integers(0, d if mk is selfish else d // 2)))
+        if data.draw(st.booleans()):
+            beta, bp = data.draw(st.integers(0, 50)), data.draw(st.integers(0, 50))
+            alpha = data.draw(st.integers(0, 50 * (d + t)))
+        else:
+            floats = st.floats(0, 4, allow_nan=False, allow_infinity=False)
+            beta, bp = data.draw(floats), data.draw(floats)
+            # some term's own value, so that it ties with alpha
+            c, m = data.draw(st.integers(0, d)), data.draw(st.integers(0, t - 1))
+            alpha = data.draw(st.one_of(floats, st.just(c * beta + m * bp)))
+        p = params(k=k, d=d, t=t)
+        got = _cut_search(p, adv, None)(alpha, beta, bp)
+        want = oracle_partition_scan(p, adv, alpha, beta, bp)
+        assert got == want and type(got[0]) is type(want[0])
 
 
 class TestFloatSearchNeverFalls:
