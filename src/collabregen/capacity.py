@@ -211,7 +211,7 @@ class AdversaryProfile:
         return 2 if self.kind is AdversaryKind.POLLUTING else 1
 
 
-def _budget(p: SystemParams, adv: Optional[AdversaryProfile]) -> tuple[int, int, int, int]:
+def _budget(d: int, t: int, adv: Optional[AdversaryProfile]) -> tuple[int, int, int, int]:
     """(f, among_live, cap, total) of a profile, (1, 0, 0, 0) for none:
     the cost factor, the live count, checked against d, the per-group cap
     clamped to the (t - 1)//f misbehavers a group can hold, and the
@@ -219,22 +219,22 @@ def _budget(p: SystemParams, adv: Optional[AdversaryProfile]) -> tuple[int, int,
     if adv is None:
         return 1, 0, 0, 0
     f, among = adv.factor, adv.among_live
-    if f * among > p.d:
+    if f * among > d:
         need = "exceeds" if f == 1 else f"needs {f}*count <="
-        raise ParameterError(f"{adv.kind.value} live count {among} {need} d={p.d}")
-    return f, among, min(adv.per_group_max, (p.t - 1) // f), adv.total
+        raise ParameterError(f"{adv.kind.value} live count {among} {need} d={d}")
+    return f, among, min(adv.per_group_max, (t - 1) // f), adv.total
 
 
-def _live_coefficients(p: SystemParams, factor: int, among_live: int) -> list[int]:
+def _live_coefficients(k: int, d: int, factor: int, among_live: int) -> list[int]:
     """beta's coefficient d - factor*among_live - s, clamped at zero, for
     a group that starts at prefix s < k."""
-    return [max(0, p.d - factor * among_live - s) for s in range(p.k)]
+    return [max(0, d - factor * among_live - s) for s in range(k)]
 
 
 def mincut_single(p: SystemParams) -> Fraction:
     """Cut bound for independent single-node repairs (t treated as 1)."""
     return sum(
-        (min(p.alpha, c * p.beta) for c in _live_coefficients(p, 1, 0)),
+        (min(p.alpha, c * p.beta) for c in _live_coefficients(p.k, p.d, 1, 0)),
         start=Fraction(0),
     )
 
@@ -272,8 +272,8 @@ def _capacity(
         if adv.per_group is None or len(adv.per_group) != part.g:
             raise AllocationError(f"need one {adv.kind.value} count per group")
         per_group = adv.per_group
-    f, among, _, _ = _budget(p, adv)
-    live = _live_coefficients(p, f, among)
+    f, among, _, _ = _budget(p.d, p.t, adv)
+    live = _live_coefficients(p.k, p.d, f, among)
     total = Fraction(0)
     prefix = 0
     for u, a in zip(part.groups, per_group):
@@ -292,20 +292,17 @@ def repair_gamma(p: SystemParams) -> Fraction:
 
 
 def msr_point(p: SystemParams) -> tuple[Fraction, Fraction, Fraction]:
-    """Minimum-storage point: alpha = B/k, beta = beta' = (B/k)/(d-k+t)."""
-    denom = p.d - p.k + p.t
-    if denom <= 0:
-        raise ParameterError("minimum-storage point needs d - k + t > 0")
+    """Minimum-storage point: alpha = B/k, beta = beta' = (B/k)/(d-k+t),
+    where d - k + t >= t >= 1 since SystemParams keeps d >= k."""
     unit = p.unit
-    b = unit / denom
+    b = unit / (p.d - p.k + p.t)
     return unit, b, b
 
 
 def mbr_point(p: SystemParams) -> tuple[Fraction, Fraction, Fraction]:
-    """Minimum-bandwidth point of the trade-off curve."""
+    """Minimum-bandwidth point of the trade-off curve; its denominator
+    2d - k + t is at least d + t >= 2."""
     denom = 2 * p.d - p.k + p.t
-    if denom <= 0:
-        raise ParameterError("minimum-bandwidth point needs 2d - k + t > 0")
     unit = p.unit
     alpha = unit * (2 * p.d + p.t - 1) / denom
     beta = unit * 2 / denom
@@ -345,7 +342,7 @@ def _msr_window(
     collaborates and the beta' window is (0, 0) under any adversary.
     """
     unit = p.unit
-    f, among, cap, _ = _budget(p, adv)
+    f, among, cap, _ = _budget(p.d, p.t, adv)
     lo = p.d - f * among - p.k + p.t
     hi = lo - f * cap
     collab = p.t - 1 - f * cap
@@ -370,7 +367,7 @@ def msr_selfish_bounds(p: SystemParams, adv: AdversaryProfile) -> MsrSelfishBoun
     if adv.kind is not AdversaryKind.SELFISH:
         raise ParameterError("profile kind must be selfish")
     window = _msr_window(p, adv)
-    _, among, cap, total = _budget(p, adv)
+    _, among, cap, total = _budget(p.d, p.t, adv)
     beta_exact = None
     if adv.per_group is not None and (p.k + total) % p.t == 0:
         g = (p.k + total) // p.t

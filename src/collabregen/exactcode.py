@@ -124,14 +124,19 @@ class NodeBlock:
         """Canonical serialization: m, node id, kappa, t, then the payload
         symbols in row order, each little-endian in ceil(m/8) bytes, except
         the node id, which runs to 2^m and takes ceil((m+1)/8) bytes.
-        ValueError for an empty payload, which has no field."""
+        ValueError for an empty payload, which has no field, and for a
+        kappa or t that does not fit its ceil(m/8) bytes."""
         if not self.payload:
             raise ValueError("block has no payload symbol")
         f = self.payload[0].field
         width = (f.m + 7) // 8
         out = bytearray(f.m.to_bytes(width, "little"))
         out += self.node_id.to_bytes((f.m + 8) // 8, "little")
-        for v in (len(self.column), len(self.payload)):
+        kappa, t = len(self.column), len(self.payload)
+        if max(kappa, t) >> 8 * width:
+            raise ValueError(f"kappa={kappa} and t={t} must fit the {width} byte(s)"
+                             f" of a GF(2^{f.m}) symbol")
+        for v in (kappa, t):
             out += v.to_bytes(width, "little")
         for sym in self.payload:
             out += sym.value.to_bytes(width, "little")

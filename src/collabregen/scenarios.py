@@ -41,7 +41,9 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class CodeSetup:
-    """Code parameters for a scenario run."""
+    """Code parameters for a scenario run.  A block serializes kappa and t
+    in ceil(m/8) bytes for the digest table, built under either mitigation,
+    so ``simulate_generations`` raises ValueError when they do not fit."""
 
     m: int = 3
     n: int = 7
@@ -208,7 +210,11 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         """Parse a config; malformed ones raise ValueError naming the fault."""
-        raw = _json_object(json.loads(text), "scenario config", cls)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("scenario config is nested too deeply to read") from None
+        raw = _json_object(raw, "scenario config", cls)
         code = _json_object(raw.pop("code", {}), "code", CodeSetup)
         return cls(code=CodeSetup(**code), **raw)
 

@@ -21,12 +21,13 @@ from the shape of the search:
 
 The search reads only (k, d, t), the adversary and ``fixed_g``, so it
 is built once per structure and reused by every storage level of a
-sweep and every exact check.  The searches last built are kept in a
-bounded ``functools.lru_cache``, the module's one piece of mutable
-state.  A search keeps no state between calls and the cache is
-thread-safe, so searches stay shareable across threads: racing threads
-can at worst build one twice.  Errors are not cached; an invalid
-structure raises on every call.
+sweep and every exact check.  Only the search last built is kept, in a
+one-entry ``functools.lru_cache``, the module's one piece of mutable
+state, so the memory kept is that structure's plan (O(k*g*t) states for
+the DP).  A search keeps no state between calls and the cache is
+thread-safe: threads on different structures rebuild in turn, each
+with a correct search, and threads on one can at worst build it twice.
+Errors are not cached; an invalid structure raises on every call.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
@@ -72,7 +73,6 @@ _GRID_POINTS = 21
 _MIN_REFINEMENTS = 3
 _MAX_REFINEMENTS = 8
 _MAX_BOX_EXPANSIONS = 40
-_SEARCHES_KEPT = 32  # structures whose search _build_search keeps
 
 # (beta range, beta_prime range) in raw units
 BandwidthBox = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -159,7 +159,7 @@ def _cut_search(
     return _build_search(p.k, p.d, p.t, adversary, fixed_g)
 
 
-@lru_cache(maxsize=_SEARCHES_KEPT)
+@lru_cache(maxsize=1)
 def _build_search(
     k: int, d: int, t: int, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
 ):
@@ -171,9 +171,8 @@ def _build_search(
         raise ParameterError(
             "worst-case search allocates the budget itself; pass per_group=None"
         )
-    p = SystemParams.for_repair_network(k=k, d=d, t=t, B=0)  # the two below read only k, d, t
-    f, among, cap, total = _budget(p, adversary)  # cap: the most one group holds
-    coeffs = _live_coefficients(p, f, among)  # beta's factor at prefix s
+    f, among, cap, total = _budget(d, t, adversary)  # cap: the most one group holds
+    coeffs = _live_coefficients(k, d, f, among)  # beta's factor at prefix s
 
     if fixed_g == k:
         if total > k * cap:

@@ -1,12 +1,17 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabregen.capacity import AdversaryKind, AdversaryProfile, SystemParams
 from collabregen.cli import CSV_HEADER, main
@@ -411,6 +416,14 @@ class TestSimulate:
         err = self.malformed(capsys, tmp_path, '{"generations": -3}')
         assert "generations must be a nonnegative integer" in err
 
+    def test_config_nested_too_deeply_exits_one(self, capsys, tmp_path):
+        err = self.malformed(capsys, tmp_path, "[" * 2000 + "]" * 2000)
+        assert "scenario config is nested too deeply" in err and "Traceback" not in err
+
+    def test_t_wider_than_a_symbol_exits_one(self, capsys, tmp_path):
+        err = self.malformed(capsys, tmp_path, json.dumps(_WIDE_T))
+        assert "kappa=3 and t=256 must fit the 1 byte(s) of a GF(2^4) symbol" in err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -433,3 +446,159 @@ class TestSimulate:
     def test_mistyped_field_exits_one(self, capsys, tmp_path, text):
         err = self.malformed(capsys, tmp_path, text)
         assert next(iter(json.loads(text))) in err  # the message names the field
+
+
+# The flag grammar of `bounds` and `tradeoff` on small runs (k <= 12, t <= 6,
+# at most 4 storage levels), then maybe one or two flags set to a value
+# that may be negative, huge, not a number or of the other adversary kind.
+# Even then k, t and the level count stay small, as lists of those lengths
+# are built, and so does d, which sets how often the open window doubles.
+_NOT_A_SIZE = st.sampled_from(["1/0", "1e400", "-1/2", "x", "", "nan", "1.5"])
+_ODD = _NOT_A_SIZE | st.sampled_from(["1e-400", str(10**30), "9" * 400])
+_RATIONAL = st.fractions(0, 4, max_denominator=12).map(str)
+_COUNTS = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+_WILD = (st.integers(-2, 12).map(str) | _ODD | st.fractions(-4, 4, max_denominator=12).map(str)
+         | _COUNTS | st.sampled_from(["selfish", "polluting"]))
+_WILD_SIZE = {
+    "--k": st.integers(-2, 12).map(str) | _NOT_A_SIZE,
+    "--t": st.integers(-2, 12).map(str) | _NOT_A_SIZE,
+    "--d": st.integers(-2, 16).map(str) | _NOT_A_SIZE,
+    "--alpha-points": st.integers(-2, 4).map(str) | _NOT_A_SIZE,
+}
+_FLAGS = {
+    "bounds": ["--alpha", "--beta", "--beta-prime", "--partition", "--point", "--raw"],
+    "tradeoff": ["--fixed-g", "--alpha-points", "--alpha-min", "--alpha-max", "--tol",
+                 "--free-range"],
+}
+_KINDS = {"selfish": ("--L0", "--lmax", "--Ltotal"), "polluting": ("--B0", "--bmax", "--Btotal")}
+
+
+@st.composite
+def _argv(draw, command):
+    k, t = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    flags = {"--k": k, "--t": t, "--d": k + draw(st.integers(0, 8))}
+    if draw(st.booleans()):
+        flags["--B"] = draw(_RATIONAL.filter(lambda x: x != "0"))
+    if command == "bounds":
+        for flag in ("--alpha", "--beta", "--beta-prime"):
+            if draw(st.booleans()):
+                flags[flag] = draw(_RATIONAL)
+        if draw(st.booleans()):
+            groups = []
+            while sum(groups) < k:
+                groups.append(draw(st.integers(1, min(t, k - sum(groups)))))
+            flags["--partition"] = ",".join(map(str, groups))
+        flags["--point"] = draw(st.sampled_from([None, "msr", "mbr", "selfish-msr"]))
+        flags["--raw"] = draw(st.sampled_from([None, True]))
+    else:
+        flags["--alpha-points"] = draw(st.integers(1, 4))
+        flags["--fixed-g"] = draw(st.sampled_from([None, *range(1, k + 1)]))
+        flags["--alpha-min"], flags["--alpha-max"] = draw(
+            st.sampled_from([(None, None), ("1", None), ("1", "3/2"), ("2", "1")])
+        )
+        flags["--free-range"] = draw(st.sampled_from([None, True]))
+    kind = draw(st.sampled_from([None, *_KINDS]))
+    if kind is not None:
+        flags["--adversary"] = kind
+        for flag in _KINDS[kind]:
+            flags[flag] = draw(st.sampled_from([None, 0, 1, 2, 3]))
+        if draw(st.booleans()):
+            flags["--per-group"] = draw(_COUNTS)
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(
+            ["--k", "--t", "--d", "--B", "--n", "--adversary", "--per-group", "--tol",
+             *_FLAGS[command], *sum(_KINDS.values(), ())]
+        ))
+        flags[flag] = draw(_WILD_SIZE.get(flag, _WILD))
+    argv = [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_BEHAVIOR = st.sampled_from(["honest", "selfish", "polluting"])
+
+
+@st.composite
+def _config(draw):
+    """A scenario config (n <= 16, at most 4 generations), then maybe one
+    or two of its values set to any JSON value with ints up to 4, or a
+    code field other than n to an int up to 300."""
+    m = draw(st.integers(3, 8))
+    kappa, t = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(kappa + t, min(16, 2**m - 1)))
+    cfg = {
+        "code": {"m": m, "n": n, "kappa": kappa, "t": t, "first_power": draw(st.integers(0, 3))},
+        "generations": draw(st.integers(0, 4)),
+        "seed": draw(st.integers(0, 2**40)),
+        "mitigation": draw(st.sampled_from(["none", "digests"])),
+        "behaviors": draw(st.dictionaries(st.integers(1, n).map(str), _BEHAVIOR, max_size=2)),
+        "behavior_overrides": draw(st.dictionaries(
+            st.integers(0, 3).map(str),
+            st.dictionaries(st.integers(1, n).map(str), _BEHAVIOR, max_size=1),
+            max_size=2,
+        )),
+        "pollute_collection": draw(st.booleans()),
+        "assumed_polluters": draw(st.sampled_from([None, 0, 1])),
+        "policy": draw(st.sampled_from(["keep-responders", "contact-new-nodes"])),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*cfg, "failure_schedule", "object_id", "bogus"]))
+        if key == "code" and isinstance(cfg["code"], dict) and draw(st.booleans()):
+            field = draw(st.sampled_from(["m", "kappa", "t", "first_power"]))
+            cfg["code"][field] = draw(_JSON | st.integers(-2, 300))
+        else:
+            cfg[key] = draw(_JSON)
+    return cfg
+
+
+_WIDE_T = {"code": {"m": 4, "n": 7, "kappa": 3, "t": 256, "first_power": 1},
+           "generations": 2, "seed": 1}
+
+
+class TestExitCodeContract:
+    """Every argument list and every config ends in a documented exit code,
+    0 to 3, with no exception escaping ``main`` and no output on failure."""
+
+    @staticmethod
+    def checked_main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+        assert code == 0 or out.getvalue() == ""
+        return code, out.getvalue()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_argv("bounds"))
+    def test_bounds(self, argv):
+        code, out = self.checked_main(argv)
+        if code == 0:
+            json.loads(out)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_argv("tradeoff"))
+    def test_tradeoff(self, argv):
+        code, out = self.checked_main(argv)
+        if code == 0:
+            assert out.startswith(CSV_HEADER + "\n")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given((_config() | _JSON).map(json.dumps))
+    @example("[" * 2000 + "]" * 2000)  # once a RecursionError from json.loads
+    @example(json.dumps(_WIDE_T))  # once an OverflowError from NodeBlock.to_bytes
+    def test_simulate(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(text)
+            code, out = self.checked_main(["simulate", "--config", str(path)])
+        if code == 0:
+            assert out.startswith(STATS_CSV_HEADER + "\n")

@@ -788,6 +788,21 @@ class TestDigests:
         assert raw[:6] == bytes([8, 0, 1, 3, 2]) + bytes([blocks[-1].payload[0].value])
         assert len(raw) == 7
 
+    @pytest.mark.parametrize("m", [4, 8, 9])
+    def test_kappa_and_t_must_fit_a_symbol(self, m):
+        # a block over GF(2^m) writes kappa and t in ceil(m/8) bytes
+        f = field(m)
+        width = (m + 7) // 8
+        most = 256**width - 1
+        column, payload = (f.one,) * 3, (f.zero,) * most
+        raw = NodeBlock(1, column, payload).to_bytes()
+        at = width + (m + 8) // 8  # after m and the node id
+        assert raw[at:at + 2 * width] == (3).to_bytes(width, "little") + most.to_bytes(width, "little")
+        for kappa, t in ((3, most + 1), (most + 1, 2)):
+            block = NodeBlock(1, (f.one,) * kappa, (f.zero,) * t)
+            with pytest.raises(ValueError, match=f"kappa={kappa} and t={t} must fit"):
+                block.to_bytes()
+
     def test_digest_verifies_only_exact_payload(self):
         _, _, blocks = demo_setup(seed=47)
         table = FragmentDigestTable.from_blocks("obj", blocks)

@@ -170,6 +170,23 @@ class TestSimulation:
         )
         assert cfg.to_json() == PINNED_CONFIG_JSON
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 2000 + "]" * 2000, '{"behaviors": ' + '{"1": ' * 2000 + "1" + "}" * 2001],
+        ids=["array", "object_value"],
+    )
+    def test_config_nested_too_deeply_raises_value_error(self, text):
+        # json.loads once ended in a RecursionError here
+        with pytest.raises(ValueError, match="nested too deeply"):
+            ScenarioConfig.from_json(text)
+
+    def test_t_wider_than_a_symbol_raises_value_error(self):
+        # the digest table serializes t in ceil(m/8) bytes, even with no mitigation;
+        # an OverflowError once escaped from NodeBlock.to_bytes here
+        cfg = ScenarioConfig(code=CodeSetup(m=4, n=7, kappa=3, t=256), generations=2, seed=1)
+        with pytest.raises(ValueError, match="t=256 must fit the 1 byte"):
+            simulate_generations(cfg)
+
 
 PINNED_CONFIG_JSON = """{
   "code": {

@@ -1,6 +1,8 @@
 """Worst-case capacity DP against brute force, and the gamma optimizer."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -304,6 +306,42 @@ class TestOneSearchPerStructure:
                 _cut_search(p, adv, fixed_g)
         with pytest.raises(error, match=message):
             worst_case_capacity(p.with_point(1, 1, 1), adv, fixed_g)
+
+
+class TestOneSearchKept:
+    """_build_search keeps only the search last built: a sweep reuses it,
+    and the memory kept is one structure's plan."""
+
+    def test_a_sweep_builds_its_search_once(self):
+        p = params(k=8, d=10, t=3, B=8)
+        cfg = SweepConfig(p, selfish(1, maxa=1, total=4), default_alpha_grid(p, points=4), fixed_g=5)
+        tradeoff._build_search.cache_clear()
+        points = sweep_curve(cfg)
+        info = tradeoff._build_search.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1 and info.misses == 1
+        # each point makes one lookup in optimize_gamma and at least one exact check
+        assert len(points) == 4 and info.hits >= 2 * len(points) - 1
+
+    def test_memory_kept_is_one_structures_plan(self):
+        # a DP plan holds O(k*g*t) states; gc.collect() empties the free
+        # lists, where the tuples of a plan just dropped would still count
+        def traced(*ks):
+            for k in ks:
+                _cut_search(params(k=k, d=64, t=4), selfish(0, maxa=1, total=k // 2), k // 2)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tradeoff._build_search.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            one = traced(60) - base
+            kept = traced(*range(48, 60)) - base
+        finally:
+            tracemalloc.stop()
+        assert one > 100_000  # the 13 plans together hold about 10 times this
+        assert kept < 1.5 * one
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
