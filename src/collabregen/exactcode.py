@@ -487,8 +487,8 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     live_ids = {b.node_id for b in live}
     if len(live_ids) != len(live):
         raise ValueError("duplicate live node ids")
-    if not live:
-        raise RepairFailureError("no live nodes")
+    if not live:  # no block gives t, so the failed ids cannot be checked
+        raise ValueError("no live blocks")
     t = len(live[0].payload)
     for b in live:
         if len(b.payload) != t:
@@ -621,7 +621,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
             raise RepairFailureError("not enough responsive live nodes to gather a row")
         for _ in range(missing):
             options = []
-            for i, peer in enumerate(failed):
+            for peer in failed:
                 if peer == f:
                     continue
                 for b in responders[peer]:
@@ -639,8 +639,8 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
             report.downloads[carrier][src.node_id] += 1
             report.exchanges[(carrier, f)] += 1
 
-    # each newcomer's row (exactly kappa equations now) at every
-    # newcomer's position: its own piece and the cross pieces it sends
+    # each newcomer's row (kappa equations, more when polluters are assumed)
+    # at every newcomer's position: its own piece and the cross pieces it sends
     targets = [f - 1 for f in failed]
     rows: list[list[int]] = []
     for eqs in equations.values():

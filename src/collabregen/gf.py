@@ -664,22 +664,16 @@ def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]
     r0, r1, v0, v1 = g0, g1, [], [1]
     while 2 * (len(r1) - 1) >= len(g0) - 1 + kappa:
         q, rem = _poly_divmod(f, r0, r1)
-        r0, r1, v0, v1 = r1, rem, v1, _poly_add(v0, _poly_mul(f, q, v1))
+        # deg q >= 1 as deg r0 > deg r1, and deg v1 > deg v0 holds from
+        # v0 = 0, v1 = 1 on, so v0 + q*v1 keeps the lead of q*v1: no trim
+        v = _poly_mul(f, q, v1)
+        for i, c in enumerate(v0):
+            v[i] ^= c
+        r0, r1, v0, v1 = r1, rem, v1, v
     msg, rem = _poly_divmod(f, r1, v1)
     if rem or len(msg) > kappa:
         return None
     return msg
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] ^= c
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _poly_mul(f: GF, a: list[int], b: list[int]) -> list[int]:

@@ -15,7 +15,9 @@ import json
 import random
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
+from functools import partial
 from itertools import chain
+from reprlib import repr as brief_repr  # echoes a rejected value at a bounded length
 from typing import Optional, Sequence
 
 from .capacity import fraction_str
@@ -41,9 +43,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class CodeSetup:
-    """Code parameters for a scenario run.  A block serializes kappa and t
-    in ceil(m/8) bytes for the digest table, built under either mitigation,
-    so ``simulate_generations`` raises ValueError when they do not fit."""
+    """Code parameters for a scenario run; a simulation needs 1 <= t <= n - kappa."""
 
     m: int = 3
     n: int = 7
@@ -55,7 +55,7 @@ class CodeSetup:
         for f in fields(self):
             value = getattr(self, f.name)
             if not _is_int(value):
-                raise ValueError(f"code.{f.name} must be an integer, got {value!r}")
+                raise ValueError(f"code.{f.name} must be an integer, got {brief_repr(value)}")
 
     def build(self) -> RsCode:
         return RsCode.with_power_points(field(self.m), self.n, self.kappa, self.first_power)
@@ -167,16 +167,16 @@ class ScenarioConfig:
     def __post_init__(self):
         g, assumed = self.generations, self.assumed_polluters
         if not (_is_int(g) and g >= 0):
-            raise ValueError(f"generations must be a nonnegative integer, got {g!r}")
+            raise ValueError(f"generations must be a nonnegative integer, got {brief_repr(g)}")
         if assumed is not None and not (_is_int(assumed) and assumed >= 0):
-            raise ValueError(f"assumed_polluters must be a nonnegative integer, got {assumed!r}")
+            raise ValueError(f"assumed_polluters must be a nonnegative integer, got {brief_repr(assumed)}")
         if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise ValueError(f"seed must be an integer, got {brief_repr(self.seed)}")
         if not isinstance(self.object_id, str):
-            raise ValueError(f"object_id must be a string, got {self.object_id!r}")
+            raise ValueError(f"object_id must be a string, got {brief_repr(self.object_id)}")
         if not isinstance(self.pollute_collection, bool):
             raise ValueError(
-                f"pollute_collection must be true or false, got {self.pollute_collection!r}"
+                f"pollute_collection must be true or false, got {brief_repr(self.pollute_collection)}"
             )
         schedule = self.failure_schedule
         if schedule is not None and not (  # whole-list type scans stay cheap for long schedules
@@ -184,14 +184,14 @@ class ScenarioConfig:
             and set(map(type, schedule)) <= {list, tuple}
             and set(map(type, chain.from_iterable(schedule))) <= {int}
         ):
-            raise ValueError(f"failure_schedule must be a list of node id lists, got {schedule!r}")
-        self.mitigation = Mitigation(self.mitigation)
-        self.policy = RepairPolicy(self.policy)
-        self.behaviors = _int_keyed(self.behaviors, "behaviors", Behavior)
+            raise ValueError(f"failure_schedule must be a list of node id lists, got {brief_repr(schedule)}")
+        self.mitigation = _member(Mitigation, self.mitigation)
+        self.policy = _member(RepairPolicy, self.policy)
+        self.behaviors = _int_keyed(self.behaviors, "behaviors", partial(_member, Behavior))
         self.behavior_overrides = _int_keyed(
             self.behavior_overrides,
             "behavior_overrides",
-            lambda m: _int_keyed(m, "an entry", Behavior),
+            lambda m: _int_keyed(m, "an entry", partial(_member, Behavior)),
         )
         outside = sorted(i for i in self.behavior_overrides if not 0 <= i < g)
         if outside:
@@ -221,6 +221,14 @@ class ScenarioConfig:
     def to_json(self) -> str:
         # str-mixin enums encode as their values, int keys as strings
         return json.dumps(asdict(self), indent=2)
+
+
+def _member(kind: type[enum.Enum], value):
+    """``kind(value)``; the ValueError echoes ``value`` at a bounded length."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{brief_repr(value)} is not a valid {kind.__name__}") from None
 
 
 def _int_keyed(raw, what: str, convert) -> dict:
@@ -290,13 +298,16 @@ def _draw_schedule(cfg: ScenarioConfig, rng: random.Random) -> list[list[int]]:
 
 def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
     """Run the configured generations; fully deterministic given the seed."""
-    code = cfg.code.build()
+    code, t = cfg.code.build(), cfg.code.t
+    if not 1 <= t <= code.n - code.kappa:  # each generation repairs t nodes from kappa or more
+        raise ValueError(f"code.t must be in 1..n - kappa = 1..{code.n - code.kappa}, got {t}")
     rng = random.Random(cfg.seed)
-    obj = ObjectMatrix.random(code.field, cfg.code.t, cfg.code.kappa, rng)
+    obj = ObjectMatrix.random(code.field, t, code.kappa, rng)
     truth = encode_object(obj, code)
     truth_payloads = {b.node_id: b.payload for b in truth}
     stored: dict[int, NodeBlock] = {b.node_id: b for b in truth}
-    digests = FragmentDigestTable.from_blocks(cfg.object_id, truth)
+    if cfg.mitigation is Mitigation.DIGESTS:
+        digests = FragmentDigestTable.from_blocks(cfg.object_id, truth)
 
     schedule = cfg.failure_schedule
     if schedule is None:  # an explicit empty schedule is checked, not replaced
@@ -306,10 +317,8 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
 
     stats: list[GenerationStats] = []
     for gen in range(cfg.generations):
-        failed = sorted(int(i) for i in schedule[gen])
-        if len(set(failed)) != cfg.code.t or not all(1 <= i <= cfg.code.n for i in failed):
-            raise ValueError(f"generation {gen}: bad failure set {failed}")
-        live = [stored[i] for i in sorted(stored) if i not in failed]
+        failed = sorted(int(i) for i in schedule[gen])  # the repair checks the set
+        live = [stored[i] for i in sorted(stored.keys() - failed)]
         behaviors = dict(cfg.behaviors)
         behaviors.update(cfg.behavior_overrides.get(gen, {}))
         repair_seed = rng.randrange(2**32)
@@ -328,8 +337,8 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
                     assumed_polluters=cfg.assumed_polluters,
                     seed=repair_seed,
                 )
-        except RepairFailureError as exc:
-            raise RepairFailureError(f"generation {gen}: {exc}") from exc
+        except (RepairFailureError, ValueError) as exc:
+            raise type(exc)(f"generation {gen}: {exc}") from exc
         for nb in new_blocks:
             stored[nb.node_id] = nb
         polluted = sum(

@@ -421,8 +421,27 @@ class TestSimulate:
         assert "scenario config is nested too deeply" in err and "Traceback" not in err
 
     def test_t_wider_than_a_symbol_exits_one(self, capsys, tmp_path):
+        # refused by the t bound before any block is serialized
         err = self.malformed(capsys, tmp_path, json.dumps(_WIDE_T))
-        assert "kappa=3 and t=256 must fit the 1 byte(s) of a GF(2^4) symbol" in err
+        assert "code.t must be in 1..n - kappa = 1..4, got 256" in err
+
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_t_outside_one_to_n_minus_kappa_exits_one(self, capsys, tmp_path, t):
+        # t = 0 once failed inside FieldMatrix; t = 5 exited 3 as a repair failure
+        err = self.malformed(capsys, tmp_path, json.dumps({"code": {"t": t}, "generations": 2}))
+        assert f"code.t must be in 1..n - kappa = 1..4, got {t}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"failure_schedule": [[1, 2]] * 100_000 + [["x"]]},
+            {"behaviors": {"1": json.loads("[" * 900 + "]" * 900)}},
+        ],
+        ids=["long_schedule", "deep_behavior"],
+    )
+    def test_rejected_value_is_echoed_briefly(self, capsys, tmp_path, config):
+        err = self.malformed(capsys, tmp_path, json.dumps(config))
+        assert next(iter(config)) in err and len(err.splitlines()[-1]) < 200
 
     @pytest.mark.parametrize(
         "text",

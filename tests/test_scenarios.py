@@ -1,5 +1,6 @@
 """Cost-table scenarios and the multi-generation simulator."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from collabregen.exactcode import (
     Behavior,
+    FragmentDigestTable,
     NodeBlock,
     ObjectMatrix,
     RepairFailureError,
@@ -181,11 +183,75 @@ class TestSimulation:
             ScenarioConfig.from_json(text)
 
     def test_t_wider_than_a_symbol_raises_value_error(self):
-        # the digest table serializes t in ceil(m/8) bytes, even with no mitigation;
-        # an OverflowError once escaped from NodeBlock.to_bytes here
+        # an OverflowError once escaped from NodeBlock.to_bytes here; the t bound
+        # refuses this t before any block is serialized (t <= n - kappa < 2^m fits)
         cfg = ScenarioConfig(code=CodeSetup(m=4, n=7, kappa=3, t=256), generations=2, seed=1)
-        with pytest.raises(ValueError, match="t=256 must fit the 1 byte"):
+        with pytest.raises(ValueError, match=r"code.t must be in 1..n - kappa = 1..4, got 256"):
             simulate_generations(cfg)
+
+    @pytest.mark.parametrize("t", [0, 5])
+    @pytest.mark.parametrize("generations", [0, 2])
+    def test_t_outside_one_to_n_minus_kappa_raises_value_error(self, t, generations):
+        # t = 0 once failed inside FieldMatrix, and t = 5 as a repair failure
+        cfg = ScenarioConfig(code=CodeSetup(t=t), generations=generations)
+        with pytest.raises(ValueError, match=rf"code.t must be in 1..n - kappa = 1..4, got {t}$"):
+            simulate_generations(cfg)
+
+    @pytest.mark.parametrize("mitigation", list(Mitigation))
+    def test_t_at_n_minus_kappa_runs(self, mitigation):
+        cfg = ScenarioConfig(
+            code=CodeSetup(m=4, n=10, kappa=4, t=6), generations=4, seed=7, mitigation=mitigation
+        )
+        stats = simulate_generations(cfg)
+        assert [len(s.repaired) for s in stats] == [6] * 4
+        assert all(s.reconstruction_ok and s.polluted_block_count == 0 for s in stats)
+
+    @pytest.mark.parametrize("mitigation", list(Mitigation))
+    @pytest.mark.parametrize(
+        "failed, message",
+        [
+            ([3, 3], "duplicate failed ids"),
+            ([1, 8], r"node ids \[8\] outside 1..7"),
+            ([1, 2, 3], "expected 2 failed ids, got 3"),
+            ([1, 2, 3, 4, 5, 6, 7], "no live blocks"),
+        ],
+        ids=["duplicate", "above_n", "wrong_count", "every_node"],
+    )
+    def test_bad_failure_set_raises_value_error(self, mitigation, failed, message):
+        # the repair checks each failure set; the simulation names the generation
+        cfg = ScenarioConfig(generations=2, mitigation=mitigation, failure_schedule=[[6, 7], failed])
+        with pytest.raises(ValueError, match=f"^generation 1: {message}$"):
+            simulate_generations(cfg)
+
+    def test_digest_table_built_only_under_digests(self, monkeypatch):
+        original, built = FragmentDigestTable.from_blocks, []
+
+        def refuse(object_id, blocks):
+            raise AssertionError("nothing reads a digest table without digests")
+
+        def count(object_id, blocks):
+            built.append(object_id)
+            return original(object_id, blocks)
+
+        monkeypatch.setattr(FragmentDigestTable, "from_blocks", refuse)
+        simulate_generations(pollution_config(Mitigation.NONE))
+        monkeypatch.setattr(FragmentDigestTable, "from_blocks", count)
+        simulate_generations(pollution_config(Mitigation.DIGESTS))
+        assert built == ["obj-0"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"failure_schedule": [[1, 2]] * 100_000 + [["x"]]},
+            {"behaviors": {"1": json.loads("[" * 900 + "]" * 900)}},
+        ],
+        ids=["long_schedule", "deep_behavior"],
+    )
+    def test_rejected_value_is_echoed_briefly(self, config):
+        # the whole value was echoed: 800,061 and 1,835 characters
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig.from_json(json.dumps(config))
+        assert str(info.value).startswith(next(iter(config))) and len(str(info.value)) < 200
 
 
 PINNED_CONFIG_JSON = """{
