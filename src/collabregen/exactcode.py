@@ -258,12 +258,6 @@ def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
     return obj
 
 
-def _apply_column(obj: ObjectMatrix, column: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    f = obj.pieces.field
-    col = [c.value for c in column]
-    return tuple(_eval_row(f, row, col) for row in obj.pieces.int_rows())
-
-
 def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     """Object recovery that tolerates wrong payloads.
 
@@ -287,9 +281,9 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     sets; inside the radius (2e <= N - kappa) that is one decode of the
     first kappa + 2e blocks.  Other columns, and kappa = 1, solve every
     kappa-subset in order: P = N, s = N - kappa.  Each distinct candidate
-    is checked against all blocks.  At e = 0 the first one solved ends
-    the search: an object that agrees with every block is the one its
-    independent blocks determine.
+    is checked on ints against all blocks, each up to its first wrong
+    symbol.  At e = 0 the first one solved ends the search: an object
+    that agrees with every block is the one its blocks determine.
     """
     e = max_polluters
     if not (type(e) is int and e >= 0):
@@ -304,6 +298,8 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
         shapes = [(p, min(max(0, 2 * e - (p - kappa)), p - kappa)) for p in pools]
         pool, erased = min(shapes, key=lambda shape: comb(*shape))
 
+    f = ordered[0].column[0].field
+    columns = [[c.value for c in b.column] for b in ordered]
     qualified: list[ObjectMatrix] = []
     seen: set[tuple[int, ...]] = set()
     for kept in combinations(range(pool), pool - erased):
@@ -315,11 +311,15 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
             continue
         if candidate is None:  # a row beyond the radius
             continue
-        key = tuple(v for row in candidate.pieces.int_rows() for v in row)
+        rows = candidate.pieces.int_rows()
+        key = tuple(v for row in rows for v in row)
         if key in seen:
             continue
         seen.add(key)
-        if sum(_apply_column(candidate, b.column) != b.payload for b in ordered) <= e:
+        if sum(
+            any(dot(f, row, col) != p.value for row, p in zip(rows, b.payload))
+            for col, b in zip(columns, ordered)
+        ) <= e:
             qualified.append(candidate)
         if not e:
             break
@@ -454,8 +454,7 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
     the row is their interpolant, so one ``lagrange_at`` setup and one
     ``dot`` per row and target give its values; with more, all rows are
-    decoded by ``gf._decode_rows`` (Gao) on one interpolation setup and
-    evaluated.  RepairFailureError when a row does not decode."""
+    decoded by ``gf._decode_rows`` (Gao) in one call and evaluated.  RepairFailureError when a row does not decode."""
     f, kappa = code.field, code.kappa
     at = code.evaluation_points
     points = [at[p].value for p in positions]

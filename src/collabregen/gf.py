@@ -5,10 +5,10 @@ polynomial per field size, so bit patterns are reproducible across runs.
 Below the element API, values are ints and a product is one lookup in the
 field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
 column application and matrix products; ``_decode_rows`` is the one
-decode kernel of every read, one O(N^2) interpolation setup shared by all
-value rows on a point set, then Gao's Euclid steps per row when there are
-more than kappa points (an exactly-kappa ``rs_decode`` applies the
-interpolants of the unit rows, kept per position tuple, as a matrix);
+decode kernel of every read, one O(N^2) Newton interpolation per value
+row, then Gao's Euclid steps per row when there are more than kappa
+points (an exactly-kappa ``rs_decode`` applies the Lagrange basis of its
+positions, kept per position tuple, as a matrix);
 ``lagrange_at`` turns values at N points into the interpolant's value
 at a target with one ``dot``, after an O(N^2) setup per point set.
 Includes dense matrices over a field (Gaussian elimination solve) and
@@ -511,16 +511,14 @@ class RsCode:
         """The kappa x kappa matrix M with msg_j = dot(M[j], y) for the
         symbols y at exactly kappa distinct ``positions``, in that order:
         column i holds the coefficients of the Lagrange basis polynomial
-        of positions[i], interpolated from the unit rows.  Memoized per
-        position tuple, within DECODE_MEMO_SYMBOLS."""
+        of positions[i] (``_lagrange_basis``).  Memoized per position
+        tuple, within DECODE_MEMO_SYMBOLS."""
         memo = self._decode_memo
         matrix = memo.get(positions)
         if matrix is None:
             kappa = self.kappa
-            units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
             points = [self.evaluation_points[p].value for p in positions]
-            _, basis = _interpolate(self.field, points, units)
-            matrix = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
+            matrix = tuple(zip(*_lagrange_basis(self.field, points)))
             room = DECODE_MEMO_SYMBOLS // (kappa * kappa)
             if len(memo) >= room:
                 memo.clear()
@@ -600,7 +598,7 @@ def _decode_rows(
     """Each row of values at the N >= kappa distinct ``points`` decoded to
     its kappa message coefficients, as ints, or None when no message of
     degree < kappa is within (N - kappa)/2 errors of the row.  One
-    interpolation setup serves every row.  With exactly kappa points
+    ``_interpolate`` call serves every row.  With exactly kappa points
     Euclid would take no step and the interpolant agrees with every
     value: it is the message, with no errors to count; with more, each
     row goes through Gao's Euclid steps."""
@@ -621,35 +619,49 @@ def _interpolate(
 ) -> tuple[list[int], list[list[int]]]:
     """(g0, g1s): the master polynomial g0 = prod_i (x - a_i) of the N
     distinct ``points`` and, for each row of values there, its
-    interpolant g1 of degree < N, in O(N^2) table lookups for the point
-    set plus O(N^2) per row.  g1 = sum_i y_i q_i / q_i(a_i) for
-    q_i = g0 / (x - a_i): one synthetic division per point gives q_i and,
-    by Horner's rule in the same pass, q_i(a_i), shared by every row."""
+    interpolant g1 of degree < N, in O(N^2) table lookups each, by Newton
+    form.  The divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}),
+    for j = 1..N-1 and i = N-1 down to j, turn a row into the Newton
+    coefficients c of g1; those of g0 are (0, ..., 0, 1).  Each expands in
+    place by p <- p * (x - a_k) + c_k for k = N-1..0 (a shift at a_k = 0)."""
+    exp, log, n = f._exp, f._log, len(points)
+    polys = [[0] * n + [1]]
+    for row in rows:
+        d = list(row)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                x = d[i] ^ d[i - 1]  # a log difference < 0 wraps in the doubled exp
+                d[i] = exp[log[x] - log[points[i] ^ points[i - j]]] if x else 0
+        polys.append(d)
+    for p in polys:
+        top = len(p) - 1
+        for k in range(top - 1, -1, -1):  # p[k + 1:] is p so far, p[k] is c_k
+            if a := points[k]:
+                la = log[a]
+                for i in range(k, top):
+                    if h := p[i + 1]:
+                        p[i] ^= exp[la + log[h]]
+        while p and not p[-1]:
+            p.pop()
+    return polys[0], polys[1:]
+
+
+def _lagrange_basis(f: GF, points: list[int]) -> list[list[int]]:
+    """The Lagrange basis of the N distinct ``points``, as N coefficient
+    lists of length N: q_i / q_i(a_i) for q_i = g0 / (x - a_i), by one
+    synthetic division per point, with Horner's rule in the same pass."""
     exp, log, size = f._exp, f._log, f.order - 1
-    g0 = [1]
-    for a in points:  # g0 *= x + a
-        la = log[a]
-        g0 = [lo ^ exp[la + log[hi]] if a and hi else lo for lo, hi in zip([0] + g0, g0 + [0])]
-    n = len(points)
-    g1s = [[0] * n for _ in rows]
-    for i, a in enumerate(points):
-        ys = [row[i] for row in rows]
-        if not any(ys):
-            continue
+    g0, n = _interpolate(f, points, ())[0], len(points)
+    basis = []
+    for a in points:
         la, q = log[a], [0] * n
         q[-1] = c = h = 1  # q_i is monic; h runs Horner's rule on it
         for k in range(n - 1, 0, -1):
             q[k - 1] = c = g0[k] ^ exp[la + log[c]] if a and c else g0[k]
             h = exp[la + log[h]] ^ c if a and h else c
-        lh = log[h]
-        for r, y in enumerate(ys):
-            if y:
-                lw = (log[y] - lh) % size  # log of y / q_i(a_i)
-                g1s[r] = [g ^ exp[lw + log[c]] if c else g for g, c in zip(g1s[r], q)]
-    for g1 in g1s:
-        while g1 and not g1[-1]:
-            g1.pop()
-    return g0, g1s
+        lw = size - log[h]  # log of 1 / q_i(a_i)
+        basis.append([exp[lw + log[c]] if c else 0 for c in q])
+    return basis
 
 
 def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:

@@ -247,7 +247,8 @@ def _json_object(raw, what: str, target) -> dict:
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(target)})
     if unknown:
-        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+        # the keys echoed at a bounded length, without the quotes of a repr
+        raise ValueError(f"unknown {what} key(s): {brief_repr(', '.join(unknown))[1:-1]}")
     return raw
 
 

@@ -6,7 +6,9 @@ cut sum evaluated termwise; a prefix DP over group sizes for free
 partitions with no budget, reaching sizes the enumeration cannot, and
 the earlier free-partition scan, whose floats the current one must
 match bit for bit; exhaustive-subset Reed-Solomon decoding and object
-collection, built only on the public field and matrix API; and contact
+collection, built only on the public field and matrix API; the earlier
+interpolation by one synthetic division per point, and a block's
+payload as the object times its column; and contact
 selection as two branches over a behavior map that may omit honest
 nodes.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
@@ -192,6 +194,39 @@ def oracle_rs_decode(code, received):
     if len(certified) != 1:
         raise DecodeAmbiguityError(f"{len(certified)} certified candidates")
     return tuple(FieldElement(v, code.field) for v in certified[0])
+
+
+def oracle_interpolate(f, points, rows):
+    """(g0, g1s) as ``gf._interpolate`` gives them, by the earlier
+    algorithm on the field's public int arithmetic: g0 = prod_i (x - a_i)
+    and, per row, g1 = sum_i y_i q_i / q_i(a_i) for q_i = g0 / (x - a_i),
+    one synthetic division per point that evaluates q_i(a_i) by Horner's
+    rule in the same pass; trailing zeros trimmed from every g1."""
+    g0 = [1]
+    for a in points:  # g0 *= x + a
+        g0 = [lo ^ f.mul(a, hi) for lo, hi in zip([0] + g0, g0 + [0])]
+    n = len(points)
+    g1s = [[0] * n for _ in rows]
+    for i, a in enumerate(points):
+        q = [0] * n
+        q[-1] = c = h = 1
+        for k in range(n - 1, 0, -1):
+            q[k - 1] = c = g0[k] ^ f.mul(a, c)
+            h = f.mul(a, h) ^ c
+        for row, g1 in zip(rows, g1s):
+            w = f.div(row[i], h)
+            for k, c in enumerate(q):
+                g1[k] ^= f.mul(w, c)
+    for g1 in g1s:
+        while g1 and not g1[-1]:
+            g1.pop()
+    return g0, g1s
+
+
+def apply_column(obj, column):
+    """The payload of a block at ``column``: each object row times it."""
+    f = obj.pieces.field
+    return tuple(FieldElement(_dot(f, row, column), f) for row in obj.pieces.int_rows())
 
 
 def oracle_collect_robust(blocks, max_polluters):

@@ -444,6 +444,16 @@ class TestSimulate:
         assert next(iter(config)) in err and len(err.splitlines()[-1]) < 200
 
     @pytest.mark.parametrize(
+        "config",
+        [{"k" * 100_000: 1}, {f"key{i}": 1 for i in range(20_000)}],
+        ids=["long_key", "many_keys"],
+    )
+    def test_unknown_keys_are_echoed_briefly(self, capsys, tmp_path, config):
+        err = self.malformed(capsys, tmp_path, json.dumps(config))
+        assert "unknown scenario config key(s): " in err and "Traceback" not in err
+        assert len(err.splitlines()[-1]) < 200
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"behaviors": [1]}',

@@ -19,7 +19,6 @@ from collabregen.exactcode import (
     RepairFailureError,
     RepairPolicy,
     RepairReport,
-    _apply_column,
     _contacts,
     _eval_row,
     _rows_at,
@@ -39,7 +38,7 @@ from collabregen.gf import (
     field,
     rs_decode,
 )
-from oracles import _solve_subset, oracle_collect_robust, oracle_contacts
+from oracles import _solve_subset, apply_column, oracle_collect_robust, oracle_contacts
 
 GF8 = field(3)
 
@@ -279,6 +278,20 @@ def test_beyond_radius_read_decodes_each_erasure_set(monkeypatch, n, kappa, e, d
     assert all(len(args[0]) == n - 2 for args in solves)
 
 
+@pytest.mark.parametrize("polluted", [1, 4], ids=["at-zero", "elsewhere"])
+def test_robust_read_on_points_that_include_zero(polluted):
+    # e = 1 on a (7,3) code over GF(8) whose first point is 0: node 1's
+    # block sits at x = 0, where the interpolant's expansion only shifts
+    f = field(3)
+    code = RsCode(f, 7, 3, tuple(f.element(p) for p in range(7)))
+    obj = ObjectMatrix.random(f, 2, 3, random.Random(7))
+    rng = random.Random(polluted)
+    blocks = [corrupt(b, rng) if b.node_id == polluted else b for b in encode_object(obj, code)]
+    for read in (collect_robust, oracle_collect_robust):
+        got = read(blocks, 1)
+        assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
+
 def test_within_radius_read_decodes_the_first_kappa_plus_2e_blocks(monkeypatch):
     # (12,6) with e = 1 and one polluted block: 2e <= 12 - 6, so one decode
     # of the first kappa + 2e = 8 blocks by node id, whatever their order
@@ -411,7 +424,7 @@ def unpolluted_reads(draw):
         columns = [code.column(i) for i in range(n)]
         if kind == "scaled" and kappa > 1:
             columns = [tuple(c[1] * x for x in c) for c in columns]
-    blocks = [NodeBlock(i, c, _apply_column(obj, c)) for i, c in enumerate(columns, start=1)]
+    blocks = [NodeBlock(i, c, apply_column(obj, c)) for i, c in enumerate(columns, start=1)]
     read = draw(st.permutations(blocks))[: draw(st.integers(kappa, len(blocks)))]
     if draw(st.integers(0, 2)) == 0:
         b = read[0]
@@ -458,7 +471,7 @@ class TestCollectRobustColumns:
         blocks = []
         for node_id, values in enumerate([(1, 0), (0, 1), (2, 0), (1, 1)], start=1):
             column = tuple(f.element(v) for v in values)
-            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+            blocks.append(NodeBlock(node_id, column, apply_column(obj, column)))
         assert collect(blocks).pieces == obj.pieces
         got = collect_robust(blocks, max_polluters)
         assert got is not AMBIGUOUS and got.pieces == obj.pieces
@@ -473,7 +486,7 @@ class TestCollectRobustColumns:
         blocks = []
         for node_id, values in enumerate([(1, 0), (2, 0), (0, 1), (1, 1)], start=1):
             column = tuple(f.element(v) for v in values)
-            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+            blocks.append(NodeBlock(node_id, column, apply_column(obj, column)))
         blocks[2] = corrupt(blocks[2], random.Random(2))
         assert collect_robust(blocks, 1) is AMBIGUOUS
         assert oracle_collect_robust(blocks, 1) is AMBIGUOUS
@@ -486,7 +499,7 @@ class TestCollectRobustColumns:
         blocks = []
         for node_id, values in enumerate([(1, 0), (2, 0), (0, 1)], start=1):
             column = tuple(f.element(v) for v in values)
-            blocks.append(NodeBlock(node_id, column, _apply_column(obj, column)))
+            blocks.append(NodeBlock(node_id, column, apply_column(obj, column)))
         assert collect(blocks).pieces == obj.pieces
         assert collect(blocks[::-1]).pieces == obj.pieces
 
@@ -541,7 +554,7 @@ def test_kernel_paths_match_naive_products(case):
     obj, code, column = case
     f = code.field
     want = naive_apply(obj, column)
-    assert _apply_column(obj, column) == want
+    assert apply_column(obj, column) == want
     col = [c.value for c in column]
     assert tuple(_eval_row(f, row, col) for row in obj.pieces.int_rows()) == want
     blocks = encode_object(obj, code)
@@ -931,7 +944,7 @@ def test_collect_matches_gauss_jordan(case, data):
     if code.kappa >= 3 and data.draw(st.booleans()):
         b = blocks[0]
         column = b.column[:-1] + (b.column[-1] + code.field.one,)
-        blocks[0] = NodeBlock(b.node_id, column, _apply_column(obj, column))
+        blocks[0] = NodeBlock(b.node_id, column, apply_column(obj, column))
     try:
         solved = _solve_subset([b.column for b in blocks], [b.payload for b in blocks])
     except SingularMatrixError:
@@ -951,7 +964,7 @@ def test_collect_rejects_blocks_made_singular_by_a_modified_column():
     blocks = encode_object(obj, code)[:3]
     b = blocks[0]
     column = b.column[:-1] + (b.column[-1] + f.one,)
-    blocks[0] = NodeBlock(b.node_id, column, _apply_column(obj, column))
+    blocks[0] = NodeBlock(b.node_id, column, apply_column(obj, column))
     with pytest.raises(SingularMatrixError):
         _solve_subset([b.column for b in blocks], [b.payload for b in blocks])
     with pytest.raises(ValueError, match="no unique object agrees with every block"):

@@ -41,7 +41,7 @@ from collabregen.gf import (
     rs_encode,
 )
 from collabregen.exactcode import NodeBlock
-from oracles import oracle_rs_decode
+from oracles import oracle_interpolate, oracle_rs_decode
 
 
 def slow_mul(a: int, b: int, m: int) -> int:
@@ -738,6 +738,47 @@ class TestLagrangeAt:
             assert gf._interpolate(f, points, [row]) == (g0, [g1])
             for a, y in zip(points, row):  # the interpolant takes every value
                 assert dot(f, g1, [f.pow(a, j) for j in range(len(g1))]) == y
+
+
+# --- the interpolation kernels against the synthetic-division reference ---
+
+
+@st.composite
+def wide_point_sets(draw, min_size=1):
+    """(f, points): up to 40 distinct points of GF(2^4), GF(2^8) or
+    GF(2^16), with 0 among them about half the time."""
+    f = field(draw(st.sampled_from([4, 8, 16])))
+    n = draw(st.integers(min_size, min(f.order - 1, 40)))
+    points = draw(st.lists(st.integers(1, f.order - 1), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        points[draw(st.integers(0, n - 1))] = 0
+    return f, points
+
+
+class TestInterpolationReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_point_sets(), st.data())
+    def test_interpolate_matches_reference(self, case, data):
+        # Newton form gives the same g0 and, as the interpolant is unique,
+        # the same trimmed g1 of every row
+        f, points = case
+        n = len(points)
+        row = st.one_of(st.just([0] * n), st.lists(symbols(f), min_size=n, max_size=n))
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        assert gf._interpolate(f, points, rows) == oracle_interpolate(f, points, rows)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(wide_point_sets(min_size=2), st.data())
+    def test_decode_matrix_matches_reference(self, case, data):
+        f, points = case
+        n = len(points)
+        kappa = data.draw(st.integers(1, n - 1))
+        code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
+        positions = tuple(data.draw(st.permutations(range(n)))[:kappa])
+        units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
+        _, basis = oracle_interpolate(f, [points[p] for p in positions], units)
+        want = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
+        assert code._decode_matrix(positions) == want
 
 
 # --- the decode kernel against per-row rs_decode ---

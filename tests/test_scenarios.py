@@ -253,6 +253,17 @@ class TestSimulation:
             ScenarioConfig.from_json(json.dumps(config))
         assert str(info.value).startswith(next(iter(config))) and len(str(info.value)) < 200
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"k" * 100_000: 1}, {f"key{i}": 1 for i in range(20_000)}, {"code": {"k" * 100_000: 1}}],
+        ids=["long_key", "many_keys", "long_code_key"],
+    )
+    def test_unknown_keys_are_echoed_briefly(self, config):
+        # every unknown key was echoed whole: 100,032, 188,920 and 100,021 characters
+        with pytest.raises(ValueError, match=r"^unknown (scenario config|code) key\(s\): ") as info:
+            ScenarioConfig.from_json(json.dumps(config))
+        assert len(str(info.value)) < 200
+
 
 PINNED_CONFIG_JSON = """{
   "code": {
