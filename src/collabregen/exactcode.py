@@ -454,7 +454,8 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
     the row is their interpolant, so one ``lagrange_at`` setup and one
     ``dot`` per row and target give its values; with more, all rows are
-    decoded by ``gf._decode_rows`` (Gao) in one call and evaluated.  RepairFailureError when a row does not decode."""
+    decoded by ``gf._decode_rows`` (Gao) in one call and evaluated.
+    RepairFailureError when a row does not decode."""
     f, kappa = code.field, code.kappa
     at = code.evaluation_points
     points = [at[p].value for p in positions]

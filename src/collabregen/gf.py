@@ -511,14 +511,16 @@ class RsCode:
         """The kappa x kappa matrix M with msg_j = dot(M[j], y) for the
         symbols y at exactly kappa distinct ``positions``, in that order:
         column i holds the coefficients of the Lagrange basis polynomial
-        of positions[i] (``_lagrange_basis``).  Memoized per position
-        tuple, within DECODE_MEMO_SYMBOLS."""
+        of positions[i], interpolated from the unit rows.  Memoized per
+        position tuple, within DECODE_MEMO_SYMBOLS."""
         memo = self._decode_memo
         matrix = memo.get(positions)
         if matrix is None:
             kappa = self.kappa
+            units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
             points = [self.evaluation_points[p].value for p in positions]
-            matrix = tuple(zip(*_lagrange_basis(self.field, points)))
+            _, basis = _interpolate(self.field, points, units)
+            matrix = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
             room = DECODE_MEMO_SYMBOLS // (kappa * kappa)
             if len(memo) >= room:
                 memo.clear()
@@ -644,24 +646,6 @@ def _interpolate(
         while p and not p[-1]:
             p.pop()
     return polys[0], polys[1:]
-
-
-def _lagrange_basis(f: GF, points: list[int]) -> list[list[int]]:
-    """The Lagrange basis of the N distinct ``points``, as N coefficient
-    lists of length N: q_i / q_i(a_i) for q_i = g0 / (x - a_i), by one
-    synthetic division per point, with Horner's rule in the same pass."""
-    exp, log, size = f._exp, f._log, f.order - 1
-    g0, n = _interpolate(f, points, ())[0], len(points)
-    basis = []
-    for a in points:
-        la, q = log[a], [0] * n
-        q[-1] = c = h = 1  # q_i is monic; h runs Horner's rule on it
-        for k in range(n - 1, 0, -1):
-            q[k - 1] = c = g0[k] ^ exp[la + log[c]] if a and c else g0[k]
-            h = exp[la + log[h]] ^ c if a and h else c
-        lw = size - log[h]  # log of 1 / q_i(a_i)
-        basis.append([exp[lw + log[c]] if c else 0 for c in q])
-    return basis
 
 
 def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:

@@ -247,8 +247,9 @@ def _json_object(raw, what: str, target) -> dict:
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(target)})
     if unknown:
-        # the keys echoed at a bounded length, without the quotes of a repr
-        raise ValueError(f"unknown {what} key(s): {brief_repr(', '.join(unknown))[1:-1]}")
+        # the first few keys, each at a bounded length without the quotes of a repr
+        shown = [brief_repr(k)[1:-1] for k in unknown[:3]] + ["..."] * (len(unknown) > 3)
+        raise ValueError(f"unknown {what} key(s): {', '.join(shown)}")
     return raw
 
 

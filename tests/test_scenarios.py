@@ -264,6 +264,16 @@ class TestSimulation:
             ScenarioConfig.from_json(json.dumps(config))
         assert len(str(info.value)) < 200
 
+    def test_misspelled_keys_are_echoed_whole(self):
+        config = {"assumed_poluters": 1, "pollute_colection": True, "sed": 1}
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig.from_json(json.dumps(config))
+        assert str(info.value) == "unknown scenario config key(s): assumed_poluters, pollute_colection, sed"
+        config["genrations"] = 2
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig.from_json(json.dumps(config))
+        assert str(info.value).endswith(": assumed_poluters, genrations, pollute_colection, ...")
+
 
 PINNED_CONFIG_JSON = """{
   "code": {
