@@ -426,7 +426,7 @@ def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
 
 
 def _as_served(
-    block: NodeBlock, behaviors: Mapping[int, Behavior], rng: random.Random
+    block: NodeBlock, behaviors: Mapping[int, Behavior], rng: Optional[random.Random]
 ) -> NodeBlock:
     """The block as its node serves it: a polluting node gets every symbol
     wrong.  ``behaviors`` may omit honest nodes."""
@@ -437,7 +437,7 @@ def _as_served(
 
 
 def _row_answer(
-    block: NodeBlock, row: int, roles: Mapping[int, Behavior], rng: random.Random
+    block: NodeBlock, row: int, roles: Mapping[int, Behavior], rng: Optional[random.Random]
 ) -> Optional[FieldElement]:
     b = roles[block.node_id]
     if b is Behavior.SELFISH:
@@ -477,11 +477,12 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     """The checked inputs both repair entry points start from: the role
     of every live and failed node (a Behavior, honest when ``behaviors``
-    omits it), the seeded RNG, live blocks by id, failed ids sorted, and
-    a report with a download ledger per newcomer that measures the honest
-    ones.  Every node id, and every key of ``behaviors``, must be an int
-    in 1..n: id - 1 is its codeword position.  Every live payload holds t
-    symbols over the code's field (repairs never read a block's column)."""
+    omits it), the seeded RNG of wrong symbols (None when no node
+    pollutes), live blocks by id, failed ids sorted, and a report with a
+    download ledger per newcomer that measures the honest ones.  Every
+    node id, and every key of ``behaviors``, must be an int in 1..n:
+    id - 1 is its codeword position.  Every live payload holds t symbols
+    over the code's field (repairs never read a block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live = sorted(live_blocks, key=lambda b: b.node_id)
     live_ids = {b.node_id for b in live}
@@ -518,7 +519,8 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
         downloads={f: Counter() for f in failed},
         measured=tuple(f for f in failed if roles[f] is Behavior.HONEST),
     )
-    return roles, random.Random(seed), live, failed, report
+    rng = random.Random(seed) if Behavior.POLLUTING in roles.values() else None
+    return roles, rng, live, failed, report
 
 
 def collaborative_repair(

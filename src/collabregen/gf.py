@@ -519,7 +519,7 @@ class RsCode:
             kappa = self.kappa
             units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
             points = [self.evaluation_points[p].value for p in positions]
-            _, basis = _interpolate(self.field, points, units)
+            basis = _interpolate(self.field, points, units)
             matrix = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
             room = DECODE_MEMO_SYMBOLS // (kappa * kappa)
             if len(memo) >= room:
@@ -603,9 +603,10 @@ def _decode_rows(
     ``_interpolate`` call serves every row.  With exactly kappa points
     Euclid would take no step and the interpolant agrees with every
     value: it is the message, with no errors to count; with more, each
-    row goes through Gao's Euclid steps."""
-    g0, msgs = _interpolate(f, points, rows)
+    row goes through Gao's Euclid steps, on the one master polynomial."""
+    msgs = _interpolate(f, points, rows)
     if len(points) > kappa:
+        g0 = _expand(f, points, [0] * len(points) + [1])
         msgs = [_gao(f, g0, g1, kappa) for g1 in msgs]
     return [None if m is None else m + [0] * (kappa - len(m)) for m in msgs]
 
@@ -616,36 +617,38 @@ def _decode_rows(
 # whose log entry is a placeholder.
 
 
-def _interpolate(
-    f: GF, points: list[int], rows: Sequence[Sequence[int]]
-) -> tuple[list[int], list[list[int]]]:
-    """(g0, g1s): the master polynomial g0 = prod_i (x - a_i) of the N
-    distinct ``points`` and, for each row of values there, its
-    interpolant g1 of degree < N, in O(N^2) table lookups each, by Newton
+def _interpolate(f: GF, points: list[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """For each row of values at the N distinct ``points``, its
+    interpolant g1 of degree < N, in O(N^2) table lookups, by Newton
     form.  The divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}),
     for j = 1..N-1 and i = N-1 down to j, turn a row into the Newton
-    coefficients c of g1; those of g0 are (0, ..., 0, 1).  Each expands in
-    place by p <- p * (x - a_k) + c_k for k = N-1..0 (a shift at a_k = 0)."""
-    exp, log, n = f._exp, f._log, len(points)
-    polys = [[0] * n + [1]]
+    coefficients of g1, which ``_expand`` expands."""
+    exp, log, n, out = f._exp, f._log, len(points), []
     for row in rows:
         d = list(row)
         for j in range(1, n):
             for i in range(n - 1, j - 1, -1):
                 x = d[i] ^ d[i - 1]  # a log difference < 0 wraps in the doubled exp
                 d[i] = exp[log[x] - log[points[i] ^ points[i - j]]] if x else 0
-        polys.append(d)
-    for p in polys:
-        top = len(p) - 1
-        for k in range(top - 1, -1, -1):  # p[k + 1:] is p so far, p[k] is c_k
-            if a := points[k]:
-                la = log[a]
-                for i in range(k, top):
-                    if h := p[i + 1]:
-                        p[i] ^= exp[la + log[h]]
-        while p and not p[-1]:
-            p.pop()
-    return polys[0], polys[1:]
+        out.append(_expand(f, points, d))
+    return out
+
+
+def _expand(f: GF, points: list[int], p: list[int]) -> list[int]:
+    """Newton coefficients p on ``points`` expanded in place, trimmed, by
+    p <- p * (x - a_k) + c_k for k = len(p)-2..0 (a shift at a_k = 0);
+    (0, ..., 0, 1) of length N + 1 gives g0 = prod_i (x - a_i)."""
+    exp, log = f._exp, f._log
+    top = len(p) - 1
+    for k in range(top - 1, -1, -1):  # p[k + 1:] is p so far, p[k] is c_k
+        if a := points[k]:
+            la = log[a]
+            for i in range(k, top):
+                if h := p[i + 1]:
+                    p[i] ^= exp[la + log[h]]
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:

@@ -28,6 +28,9 @@ the DP).  A search keeps no state between calls and the cache is
 thread-safe: threads on different structures rebuild in turn, each
 with a correct search, and threads on one can at worst build it twice.
 Errors are not cached; an invalid structure raises on every call.
+Given a ``floor``, the free-partition scan stops at its first split
+below it and returns that split: a search's value is below the floor
+exactly when the minimum is, and is the minimum otherwise.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
@@ -36,11 +39,12 @@ for a few rounds.  The float search is built from sums, nonnegative
 multiples and minimums, so it never falls as beta or beta' grows, even
 under rounding: the feasible cells form a staircase, which each round
 walks with at most one search per row and column, skipping any cell at
-or below, in both bandwidths, one already found infeasible.  Grid
-searching runs on floats for speed; every returned point is certified
-exactly, with no tolerance, by ``worst_case_capacity``, which scales the
-rational point to integers (the bound is homogeneous of degree 1) and
-divides the result once.
+or below, in both bandwidths, one already found infeasible; a cell's
+search gets B*(1 - 1e-12), the threshold it is compared with, as its
+floor.  Grid searching runs on floats for speed; every returned point
+is certified exactly, with no tolerance, by ``worst_case_capacity``,
+which scales the rational point to integers (the bound is homogeneous
+of degree 1) and divides the result once.
 """
 
 from __future__ import annotations
@@ -153,8 +157,10 @@ def _cut_search(
     p: SystemParams, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
 ):
     """The worst-case search for one structure (see the module docstring):
-    ``search(alpha, beta, beta_prime) -> (value, groups, allocation)``;
-    raises InfeasibleError if nothing is admissible.  The search reads
+    ``search(alpha, beta, beta_prime, floor=None) -> (value, groups,
+    allocation)``; raises InfeasibleError if nothing is admissible.  Given
+    a floor, the value is the minimum when that is at or above the floor,
+    else some candidate below it, with its witness.  The search reads
     only k, d and t of ``p``, so every point of a structure shares one."""
     return _build_search(p.k, p.d, p.t, adversary, fixed_g)
 
@@ -189,7 +195,8 @@ def _build_search(
         alloc = tuple(min(cap, max(0, total - cap * (k - 1 - i))) for i in range(k))
         terms = [(c, t - f * a - 1) for c, a in zip(coeffs, alloc)]
 
-        def single_nodes(alpha, beta, beta_prime):
+        # no early exit: sum() compensates (3.12+), and a running sum can differ in the last bit
+        def single_nodes(alpha, beta, beta_prime, floor=None):
             values = [x if (x := c * beta + m * beta_prime) < alpha else alpha for c, m in terms]
             return sum(values), ones, alloc
 
@@ -200,7 +207,7 @@ def _build_search(
         # r = (k-a-1) % t + 1, for the largest a of least value (TestFreePartitions).
         plan = [(a, (k - a - 1) % t + 1, coeffs[a]) for a in range(k - 1, -1, -1)]
 
-        def partitions(alpha, beta, beta_prime):
+        def partitions(alpha, beta, beta_prime, floor=None):
             collab = [c * beta_prime for c in range(t)]
             full = collab[t - 1]
             head, acc = [0], 0  # head[a]: single nodes at prefixes 0..a-1
@@ -214,6 +221,8 @@ def _build_search(
                 cand = head[a] + r * (m := x if x < alpha else alpha) + tail
                 if low is None or cand < low:
                     low, lead, size = cand, a, r
+                    if floor is not None and low < floor:
+                        break
                 if r == t:  # from a - 1 on, a full group starts at a
                     tail += t * m
             groups = (1,) * lead + (size,) + (t,) * ((k - lead - size) // t)
@@ -253,7 +262,7 @@ def _build_search(
                      for u in range(u_lo, u_hi + 1)]
             plan.append((s, parts, budgets, sizes))
 
-    def general(alpha, beta, beta_prime):
+    def general(alpha, beta, beta_prime, floor=None):
         # memo[(prefix, groups used, budget left)] = (value, (u, a)), filled
         # down the plan (recursing once per group would overflow Python's
         # stack at large k)
@@ -375,9 +384,10 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     dead = []  # the cells found infeasible that can still rule one out
 
     def feasible(b, bp):
-        if any(b <= x and bp <= y for x, y in dead):
-            return False
-        if search(alpha, b, bp)[0] >= feas_floor:
+        for x, y in dead:
+            if b <= x and bp <= y:
+                return False
+        if search(alpha, b, bp, feas_floor)[0] >= feas_floor:
             return True
         dead.append((b, bp))
         return False

@@ -5,12 +5,12 @@ enumeration of collector partitions and adversary placements, with the
 cut sum evaluated termwise; a prefix DP over group sizes for free
 partitions with no budget, reaching sizes the enumeration cannot, and
 the earlier free-partition scan, whose floats the current one must
-match bit for bit; exhaustive-subset Reed-Solomon decoding and object
-collection, built only on the public field and matrix API; the earlier
-interpolation by one synthetic division per point, and a block's
-payload as the object times its column; and contact
-selection as two branches over a behavior map that may omit honest
-nodes.
+match bit for bit; the float cut of one witness, added in the order
+of each search strategy; exhaustive-subset Reed-Solomon decoding and
+object collection, built only on the public field and matrix API; the
+earlier interpolation by one synthetic division per point, and a
+block's payload as the object times its column; and contact selection
+as two branches over a behavior map that may omit honest nodes.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
@@ -153,6 +153,40 @@ def oracle_partition_scan(p, adv, alpha, beta, beta_prime):
     return low, groups, (0,) * len(groups)
 
 
+def oracle_float_cuts(p, adv, fixed_g, alpha, beta, beta_prime, groups, alloc):
+    """The floats the search of this shape can give for the cut of one
+    witness: its terms u * min(c*beta + m*beta', alpha), added as the
+    search adds them.  Single-node groups sum them with ``sum``; the DP
+    adds each group to the cut of the groups after it; the free scan
+    adds single nodes from the first, then one group, then full groups
+    added from the last, and a witness splits that way at every group
+    after single nodes only and before full groups only (at every group
+    when t = 1), so it has a set of floats."""
+    f, among = (adv.factor, adv.among_live) if adv else (1, 0)
+    terms, prefix = [], 0
+    for u, a in zip(groups, alloc):
+        x = max(0, p.d - f * among - prefix) * beta + (p.t - f * a - u) * beta_prime
+        terms.append(u * (x if x < alpha else alpha))
+        prefix += u
+    if fixed_g == p.k:
+        return {sum(terms)}
+    if fixed_g is not None or adv and adv.total:
+        value = 0
+        for x in reversed(terms):
+            value = x + value
+        return {value}
+    cuts = set()
+    for lead in range(len(groups)):
+        if set(groups[:lead]) <= {1} and set(groups[lead + 1:]) <= {p.t}:
+            head = tail = 0
+            for x in terms[:lead]:
+                head += x
+            for x in reversed(terms[lead + 1:]):
+                tail += x
+            cuts.add(head + terms[lead] + tail)
+    return cuts
+
+
 def _interleave(groups, alloc):
     return tuple(x for pair in zip(groups, alloc) for x in pair)
 
@@ -197,7 +231,8 @@ def oracle_rs_decode(code, received):
 
 
 def oracle_interpolate(f, points, rows):
-    """(g0, g1s) as ``gf._interpolate`` gives them, by the earlier
+    """(g0, g1s), the master polynomial as ``gf._expand`` gives it and
+    the interpolants as ``gf._interpolate`` does, by the earlier
     algorithm on the field's public int arithmetic: g0 = prod_i (x - a_i)
     and, per row, g1 = sum_i y_i q_i / q_i(a_i) for q_i = g0 / (x - a_i),
     one synthetic division per point that evaluates q_i(a_i) by Horner's

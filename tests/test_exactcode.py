@@ -581,6 +581,22 @@ def test_string_behaviors_act_like_enums():
             assert new_str == new_enum and report_str == report_enum
 
 
+@pytest.mark.parametrize("behaviors", [None, {1: "selfish"}, {6: "selfish", 2: "honest"}])
+def test_seed_matters_only_when_a_node_pollutes(behaviors):
+    # only polluting nodes draw wrong symbols from the repair's RNG, so
+    # without one the seed changes neither the blocks nor the report
+    code, obj, blocks = demo_setup(seed=89)
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+    runs = [
+        lambda seed: collaborative_repair(code, blocks[:5], [6, 7], behaviors, seed=seed),
+        lambda seed: progressive_repair_with_digests(
+            code, blocks[:5], [6, 7], behaviors, table, seed=seed
+        ),
+    ]
+    for run in runs:
+        assert run(1) == run(2)
+
+
 class TestHonestRepair:
     def test_demo_repair_costs_and_exactness(self):
         code, obj, blocks = demo_setup(seed=9)

@@ -40,7 +40,9 @@ from collabregen.tradeoff import (
 
 from oracles import (
     _oracle_check_among_live,
+    compositions,
     oracle_characteristic_box,
+    oracle_float_cuts,
     oracle_grid_search,
     oracle_msr_selfish_bounds,
     oracle_partition_scan,
@@ -595,6 +597,66 @@ class TestFloatSearchNeverFalls:
         self.assert_never_falls(data, search, d, t)
 
 
+class TestSearchFloor:
+    """A float search given a floor decides against it as the full search
+    does, and an answer below it is a real candidate: an admissible
+    witness with its own float cut (oracles.oracle_float_cuts)."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_floor_keeps_every_decision(self, data):
+        k = data.draw(st.integers(1, 7))
+        t = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(max(k, 2), k + 4))  # room for one polluter among live
+        mode = data.draw(st.sampled_from(["partitions", "single_nodes", "general"]))
+        fixed_g, adv = None, None
+        if mode == "partitions":  # no adversary, or one among the live nodes only
+            mk = data.draw(st.sampled_from([None, selfish, polluting]))
+            if mk is not None:
+                adv = mk(among=data.draw(st.integers(0, d // 2)))
+        elif mode == "single_nodes":
+            fixed_g, t = k, data.draw(st.integers(1, 5))
+            mk = data.draw(st.sampled_from([None, selfish, polluting]))
+            if mk is not None:
+                adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(0, 3)),
+                         total=data.draw(st.integers(0, 2 * k)))
+        else:  # a budget with groups of any size
+            t = data.draw(st.integers(2, 4))
+            fixed_g = data.draw(st.sampled_from([None, *range(-(-k // t), k)]))
+            mk = polluting if t >= 3 and data.draw(st.booleans()) else selfish
+            adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
+                     total=data.draw(st.integers(int(fixed_g is None), 4)))
+        p = params(k=k, d=d, t=t)
+        floats = st.floats(0, 4, allow_nan=False, allow_infinity=False)
+        alpha, beta, bp = data.draw(st.tuples(floats, floats, floats))
+        try:
+            search = _cut_search(p, adv, fixed_g)
+            full = search(alpha, beta, bp)
+        except InfeasibleError:  # a budget that cannot be placed
+            return
+        assert search.__name__ == mode
+        # a floor at the minimum, one ulp either side of it, or anywhere near
+        floor = data.draw(st.one_of(
+            st.just(full[0]),
+            st.just(math.nextafter(full[0], math.inf)),
+            st.just(math.nextafter(full[0], -math.inf)),
+            st.floats(0, 2 * full[0] + 1),
+        ))
+        value, groups, alloc = got = search(alpha, beta, bp, floor=floor)
+        assert (value >= floor) == (full[0] >= floor)
+        if value >= floor:
+            assert got == full
+            return
+        assert value >= full[0]
+        f = adv.factor if adv else 1
+        total = adv.total if adv else 0
+        cap = min(adv.per_group_max, (t - 1) // f) if adv else 0
+        assert groups in set(compositions(k, t, fixed_g))
+        assert len(alloc) == len(groups) and sum(alloc) == total
+        assert all(0 <= a <= cap and u <= t - f * a for u, a in zip(groups, alloc))
+        assert value in oracle_float_cuts(p, adv, fixed_g, alpha, beta, bp, groups, alloc)
+
+
 def search_window(p, adv, open_box, grow=1):
     """The float bounds optimize_gamma hands to _grid_search: the
     characteristic window, or the open box after ``grow`` doublings."""
@@ -673,7 +735,7 @@ class TestGridWalkMatchesSortedScan:
         corners = [(x * sb, y * sp)
                    for x, y in data.draw(st.lists(point, min_size=1, max_size=4))]
 
-        def search(alpha, b, bp):
+        def search(alpha, b, bp, floor=None):
             hit = any(b >= x and bp >= y for x, y in corners)
             return (1.0 if hit else 0.0), (), ()
 
@@ -688,7 +750,7 @@ class TestGridWalkMatchesSortedScan:
     def test_ties_go_to_the_smaller_row_major_index(self):
         # gamma = b + bp; corners (1, 3) and (3, 1) tie at gamma 4, and the
         # smaller beta comes first in row-major order.
-        def search(alpha, b, bp):
+        def search(alpha, b, bp, floor=None):
             return (1.0 if (b >= 1 and bp >= 3) or (b >= 3 and bp >= 1) else 0.0), (), ()
 
         bounds = ((0.0, 20.0), (0.0, 20.0))
@@ -719,8 +781,8 @@ class TestGridWalkMatchesSortedScan:
         search, t, bounds, warm = self.benchmark_walk(case)
         calls = []  # (beta, beta', feasible) of every search, in order
 
-        def recorded(alpha, b, bp):
-            out = search(alpha, b, bp)
+        def recorded(alpha, b, bp, floor=None):
+            out = search(alpha, b, bp, floor)
             calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
             return out
 
