@@ -750,10 +750,8 @@ def _try_verified_assembly(code, failed, equations, digests, report):
     # node failed): a contacted node answers every row or, when selfish,
     # none.  Any kappa of them are distinct in-range positions with a
     # symbol, which rs_decode interpolates and never rejects, so every
-    # subset yields a candidate for the digests.  Contact sets start at
-    # the lowest live ids, so the same subsets recur across attempts and
-    # generations; rs_decode reuses the code's memoized decode matrix of
-    # each one instead of interpolating it again.
+    # subset yields a candidate for the digests.  Each (key, subset) is
+    # one rs_decode: one O(kappa^2) interpolation of its kappa symbols.
     positions = sorted(next(iter(equations.values()), ()))
     for subset in combinations(positions, code.kappa):
         rows = {

@@ -7,8 +7,7 @@ field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
 column application and matrix products; ``_decode_rows`` is the one
 decode kernel of every read, one O(N^2) Newton interpolation per value
 row, then Gao's Euclid steps per row when there are more than kappa
-points (an exactly-kappa ``rs_decode`` applies the Lagrange basis of its
-positions, kept per position tuple, as a matrix);
+points (with exactly kappa, the interpolant is the message);
 ``lagrange_at`` turns values at N points into the interpolant's value
 at a target with one ``dot``, after an O(N^2) setup per point set.
 Includes dense matrices over a field (Gaussian elimination solve) and
@@ -17,13 +16,11 @@ erasure/error decoding, O(n^2) field operations per word, certified
 against the distance bound n_s + 2*n_b <= n - kappa.
 
 Everything here is deterministic; fields and elements are immutable.
-There are two pieces of mutable state.  Each ``RsCode`` keeps a bounded
-memo of decode matrices for exactly-kappa reads, and each field keeps a
-table of its elements, at most 2^m entries, filled as they are first
-built.  Entries of both depend only on their key, so fields, elements
-and codes stay freely shareable across threads: racing threads can at
-worst rebuild an entry, or each add one memo entry past the bound.  A
-race on the element table can cost speed, never correctness.
+There is one piece of mutable state: each field keeps a table of its
+elements, at most 2^m entries, filled as they are first built.  An entry
+depends only on its value, so fields, elements and codes stay freely
+shareable across threads: racing threads can at worst rebuild an entry,
+which can cost speed, never correctness.
 """
 
 from __future__ import annotations
@@ -444,11 +441,6 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 ERASED: Optional[FieldElement] = None  # marker accepted in received sequences
 
-# Bound on the symbols an RsCode's decode-matrix memo holds, kappa^2 per
-# entry; a full memo is cleared before the next entry goes in, so even a
-# (255, 223) code keeps at most one 49,729-symbol matrix.
-DECODE_MEMO_SYMBOLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class RsCode:
@@ -503,31 +495,6 @@ class RsCode:
         """Column of the generator matrix at a 0-based codeword position."""
         return self._columns[position]
 
-    @cached_property
-    def _decode_memo(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        return {}
-
-    def _decode_matrix(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The kappa x kappa matrix M with msg_j = dot(M[j], y) for the
-        symbols y at exactly kappa distinct ``positions``, in that order:
-        column i holds the coefficients of the Lagrange basis polynomial
-        of positions[i], interpolated from the unit rows.  Memoized per
-        position tuple, within DECODE_MEMO_SYMBOLS."""
-        memo = self._decode_memo
-        matrix = memo.get(positions)
-        if matrix is None:
-            kappa = self.kappa
-            units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
-            points = [self.evaluation_points[p].value for p in positions]
-            basis = _interpolate(self.field, points, units)
-            matrix = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
-            room = DECODE_MEMO_SYMBOLS // (kappa * kappa)
-            if len(memo) >= room:
-                memo.clear()
-            if room:
-                memo[positions] = matrix
-        return matrix
-
     def encode(self, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         if len(message) != self.kappa:
             raise ValueError(f"message must have {self.kappa} symbols")
@@ -559,11 +526,8 @@ def rs_decode(
     it the unique codeword in that radius.  When no codeword is that
     close a DecodeAmbiguityError is raised, so a corruption beyond the
     bound is flagged rather than silently decoded.  With exactly kappa
-    symbols the interpolant is the message, certified with no errors: its
-    coefficients are kappa ``dot``s of the symbols against the
-    interpolation matrix of their positions, which the code memoizes per
-    position tuple (``RsCode._decode_matrix``), since repairs decode the
-    same kappa-subsets again and again.
+    symbols Euclid takes no step: the interpolant is the message,
+    certified with no errors.
     """
     f = code.field
     seen: dict[int, int] = {}
@@ -582,9 +546,6 @@ def rs_decode(
         raise InsufficientSymbolsError(
             f"{len(seen)} symbols available, need at least {kappa}"
         )
-    if len(seen) == kappa:
-        ys = list(seen.values())
-        return tuple(FieldElement(dot(f, row, ys), f) for row in code._decode_matrix(tuple(seen)))
     points = [code.evaluation_points[pos].value for pos in seen]
     (msg,) = _decode_rows(f, points, [list(seen.values())], kappa)
     if msg is None:

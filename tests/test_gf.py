@@ -466,6 +466,23 @@ class TestLargeCodes:
         assert got == message
         assert elapsed < budget_s, f"({n},{kappa}) took {elapsed:.3f}s"
 
+    def test_exactly_kappa_decodes_within_budget(self):
+        # a fresh (255,223) code, so no decode can lean on an earlier one
+        f = field(8)
+        rng = random.Random(223)
+        code = RsCode.with_power_points(f, 255, 223, first_power=1)
+        message = tuple(f.element(rng.randrange(f.order)) for _ in range(223))
+        word = rs_encode(code, message)
+        first = rng.sample(range(255), 223)
+        second = rng.sample(range(255), 223)
+        assert set(first) != set(second)
+        for positions in (first, second):
+            start = time.perf_counter()
+            got = rs_decode(code, [(p, word[p]) for p in positions])
+            elapsed = time.perf_counter() - start
+            assert got == message
+            assert elapsed < 0.5, f"exactly-kappa (255,223) took {elapsed:.3f}s"
+
     def test_one_error_past_radius_flagged(self):
         # (24,12) with 7 errors: 2 * 7 > n - kappa = 12, and no other
         # codeword lies within 6 of this word, so it must be flagged
@@ -606,7 +623,7 @@ class TestExactKappaPath:
         assert decode_or_flag(rs_decode, code, received) == "flagged"
 
 
-# --- the per-code memo of exactly-kappa decode matrices ---
+# --- exactly-kappa decodes: one interpolation, no state kept on the code ---
 
 
 @st.composite
@@ -636,8 +653,8 @@ class TestDecodeMatrixMemo:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(exact_kappa_reads())
     def test_matches_oracle_and_kernel(self, case):
-        # the memoized matrix keys the positions in the order given, so a
-        # memo already holding them in another order must not answer
+        # a code that already decoded the same positions in another order
+        # must answer from the symbols given now
         code, received = case
         f = code.field
         kept = [(pos, sym) for pos, sym in received if sym is not None]
@@ -649,29 +666,18 @@ class TestDecodeMatrixMemo:
         warmed = fresh_copy(code)
         assert rs_decode(warmed, kept[::-1]) == want
         assert rs_decode(warmed, received) == want
-        assert len(warmed._decode_memo) == min(code.kappa, 2)
-
-    @pytest.mark.parametrize("bound", [4 * 9 + 5, 8])
-    def test_memo_stays_within_bound(self, monkeypatch, bound):
-        # kappa = 3 matrices hold 9 symbols: room for four, or for none
-        monkeypatch.setattr(gf, "DECODE_MEMO_SYMBOLS", bound)
-        f = field(4)
-        code = RsCode.with_power_points(f, 12, 3, first_power=1)
-        rng = random.Random(bound)
-        for subset in combinations(range(12), 3):
-            positions = rng.sample(subset, 3)
-            message = tuple(f.element(rng.randrange(f.order)) for _ in range(3))
-            word = rs_encode(code, message)
-            assert rs_decode(code, [(p, word[p]) for p in positions]) == message
-            assert 9 * len(code._decode_memo) <= bound
-        assert bool(code._decode_memo) == (bound >= 9)
 
     def test_memo_is_per_code_and_dies_with_it(self):
+        # an exactly-kappa decode leaves no state on the code, and the code
+        # is freed with its last reference
         f = field(8)
-        code, other = (RsCode.with_power_points(f, 16, 6, first_power=1) for _ in range(2))
-        word = rs_encode(code, tuple(f.element(v) for v in range(1, 7)))
-        rs_decode(code, [(p, word[p]) for p in range(6)])
-        assert list(code._decode_memo) == [tuple(range(6))] and not other._decode_memo
+        code = RsCode.with_power_points(f, 16, 6, first_power=1)
+        message = tuple(f.element(v) for v in range(1, 7))
+        word = rs_encode(code, message)
+        before = dict(vars(code))
+        assert "column_values" in before
+        assert rs_decode(code, [(p, word[p]) for p in range(6)]) == message
+        assert vars(code) == before
         ref = weakref.ref(code)
         del code
         gc.collect()
@@ -771,15 +777,16 @@ class TestInterpolationReference:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(wide_point_sets(min_size=2), st.data())
     def test_decode_matrix_matches_reference(self, case, data):
+        # exactly kappa received symbols decode to their interpolant
         f, points = case
         n = len(points)
         kappa = data.draw(st.integers(1, n - 1))
         code = RsCode(f, n, kappa, tuple(f.element(p) for p in points))
-        positions = tuple(data.draw(st.permutations(range(n)))[:kappa])
-        units = [[int(i == j) for j in range(kappa)] for i in range(kappa)]
-        _, basis = oracle_interpolate(f, [points[p] for p in positions], units)
-        want = tuple(zip(*(b + [0] * (kappa - len(b)) for b in basis)))
-        assert code._decode_matrix(positions) == want
+        positions = data.draw(st.permutations(range(n)))[:kappa]
+        values = data.draw(st.lists(symbols(f), min_size=kappa, max_size=kappa))
+        _, (g1,) = oracle_interpolate(f, [points[p] for p in positions], [values])
+        got = rs_decode(code, [(p, f.element(v)) for p, v in zip(positions, values)])
+        assert [v.value for v in got] == g1 + [0] * (kappa - len(g1))
 
 
 # --- the decode kernel against per-row rs_decode ---
