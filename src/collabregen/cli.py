@@ -90,7 +90,7 @@ def _counts(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _add_system_flags(p: argparse.ArgumentParser, need_B: bool = True) -> None:
+def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True, help="repair fan-in")
     p.add_argument("--k", type=int, required=True, help="reconstruction degree")
     p.add_argument("--t", type=int, required=True, help="simultaneous repairs per batch")

@@ -175,9 +175,15 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
     f = code.field
     rows = obj.pieces.int_rows()
     return [
-        NodeBlock(pos + 1, code.column(pos), tuple(_eval_row(f, row, col) for row in rows))
+        _block(code, pos + 1, [dot(f, row, col) for row in rows])
         for pos, col in enumerate(code.column_values)
     ]
+
+
+def _block(code: RsCode, node_id: int, values: Sequence[int]) -> NodeBlock:
+    """The block of ``node_id``: its code column, the int ``values`` as elements."""
+    f = code.field
+    return NodeBlock(node_id, code.column(node_id - 1), tuple(FieldElement(v, f) for v in values))
 
 
 _SHARED_COLUMN = "blocks of different nodes share a column"
@@ -232,21 +238,19 @@ def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
     return points
 
 
-def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> Optional[ObjectMatrix]:
-    """The object from the blocks: at their Reed-Solomon ``points`` each row
-    decoded by ``gf._decode_rows``, None when a row is beyond the radius;
-    else one Gauss-Jordan solve of the kappa blocks (SingularMatrixError
-    when their columns are dependent)."""
+def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> Optional[list[list[int]]]:
+    """The object's rows, as ints, from the blocks: at their Reed-Solomon
+    ``points`` each row decoded by ``gf._decode_rows``, None when a row is
+    beyond the radius; else one Gauss-Jordan solve of the kappa blocks
+    (SingularMatrixError when their columns are dependent)."""
     f, t = blocks[0].payload[0].field, len(blocks[0].payload)
     if points is not None:
         rows = _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
-        if None in rows:
-            return None
-        return ObjectMatrix(FieldMatrix(f, t, kappa, [v for row in rows for v in row]))
+        return None if None in rows else rows
     # columns^T . O^T = payload rows: the block columns are the rows
     cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
     rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
-    return ObjectMatrix(cols.solve(rhs).transpose())
+    return cols.solve(rhs).transpose().int_rows()
 
 
 def collect(blocks: Sequence[NodeBlock]) -> ObjectMatrix:
@@ -300,18 +304,17 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
 
     f = ordered[0].column[0].field
     columns = [[c.value for c in b.column] for b in ordered]
-    qualified: list[ObjectMatrix] = []
+    qualified: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for kept in combinations(range(pool), pool - erased):
         try:
-            candidate = _solve_object(
+            rows = _solve_object(
                 [ordered[i] for i in kept], kappa, points and [points[i] for i in kept]
             )
         except SingularMatrixError:  # distinct but dependent columns
             continue
-        if candidate is None:  # a row beyond the radius
+        if rows is None:  # a row beyond the radius
             continue
-        rows = candidate.pieces.int_rows()
         key = tuple(v for row in rows for v in row)
         if key in seen:
             continue
@@ -320,10 +323,12 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
             any(dot(f, row, col) != p.value for row, p in zip(rows, b.payload))
             for col, b in zip(columns, ordered)
         ) <= e:
-            qualified.append(candidate)
+            qualified.append(key)
         if not e:
             break
-    return qualified[0] if len(qualified) == 1 else AMBIGUOUS
+    if len(qualified) != 1:
+        return AMBIGUOUS
+    return ObjectMatrix(FieldMatrix(f, len(ordered[0].payload), kappa, qualified[0]))
 
 
 # --- collaborative repair ---
@@ -436,14 +441,10 @@ def _as_served(
     return NodeBlock(block.node_id, block.column, payload)
 
 
-def _row_answer(
-    block: NodeBlock, row: int, roles: Mapping[int, Behavior], rng: Optional[random.Random]
-) -> Optional[FieldElement]:
-    b = roles[block.node_id]
-    if b is Behavior.SELFISH:
-        return None
+def _row_answer(block: NodeBlock, row: int, roles, rng) -> FieldElement:
+    """The symbol of ``row`` that a responsive (not selfish) node sends."""
     true = block.payload[row]
-    if b is Behavior.POLLUTING:
+    if roles[block.node_id] is Behavior.POLLUTING:
         return _wrong_symbol(true, rng)
     return true
 
@@ -605,9 +606,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
         report.contacted[f] = tuple(b.node_id for b in contacted)
         equations[f] = {}
         for b in responders[f]:
-            ans = _row_answer(b, j, roles, rng)
-            assert ans is not None
-            equations[f][b.position] = ans
+            equations[f][b.position] = _row_answer(b, j, roles, rng)
             report.downloads[f][b.node_id] += 1
 
     # Relay plan: rows short of kappa equations borrow evaluation points
@@ -635,9 +634,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
                     f"responding nodes cannot span the data of node {f}"
                 )
             _, _, carrier, src = min(options)
-            ans = _row_answer(src, j, roles, rng)
-            assert ans is not None
-            equations[f][src.position] = ans
+            equations[f][src.position] = _row_answer(src, j, roles, rng)
             report.downloads[carrier][src.node_id] += 1
             report.exchanges[(carrier, f)] += 1
 
@@ -653,15 +650,8 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
     cross_ledger = report.completion if report.exchanges else report.exchanges
     cross_ledger.update(permutations(failed, 2))
 
-    return [  # newcomer i stores column i: every row at its own position
-        NodeBlock(p, code.column(p - 1), tuple(FieldElement(v, code.field) for v in pieces))
-        for p, pieces in zip(failed, zip(*rows))
-    ]
-
-
-def _eval_row(f: GF, row: Sequence[int], column: Sequence[int]) -> FieldElement:
-    """The piece an object row contributes to a block at ``column``."""
-    return FieldElement(dot(f, row, column), f)
+    # newcomer i stores column i: every row at its own position
+    return [_block(code, p, pieces) for p, pieces in zip(failed, zip(*rows))]
 
 
 def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
@@ -681,8 +671,7 @@ def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
         for b in responders:
             report.downloads[f][b.node_id] += t
         pieces = _rows_at(code, [b.position for b in responders], rows, [f - 1])
-        payload = tuple(FieldElement(v, code.field) for (v,) in pieces)
-        new_blocks.append(_as_served(NodeBlock(f, code.column(f - 1), payload), roles, rng))
+        new_blocks.append(_as_served(_block(code, f, [v for (v,) in pieces]), roles, rng))
     return new_blocks
 
 
@@ -727,13 +716,11 @@ def progressive_repair_with_digests(
     }
 
     for count, block in enumerate(live, 1):
-        for f in failed:
-            for r in needed[f]:
-                ans = _row_answer(block, r, roles, rng)
-                if ans is None:
-                    continue
-                equations[(f, r)][block.position] = ans
-                report.downloads[f][block.node_id] += 1
+        if roles[block.node_id] is not Behavior.SELFISH:  # a selfish contact sends nothing
+            for f in failed:
+                for r in needed[f]:
+                    equations[(f, r)][block.position] = _row_answer(block, r, roles, rng)
+                    report.downloads[f][block.node_id] += 1
         if count < kappa:
             continue
         for f in failed:
@@ -763,11 +750,8 @@ def _try_verified_assembly(code, failed, equations, digests, report):
         blocks = []
         for f in failed:
             column = code.column_values[f - 1]
-            payload = tuple(
-                _eval_row(code.field, rows[(f, i) if (f, i) in rows else (peer, i)], column)
-                for i, peer in enumerate(failed)
-            )
-            block = NodeBlock(f, code.column(f - 1), payload)
+            held = [rows[(f, i) if (f, i) in rows else (peer, i)] for i, peer in enumerate(failed)]
+            block = _block(code, f, [dot(code.field, row, column) for row in held])
             if not digests.verify(block):
                 break
             blocks.append(block)

@@ -109,7 +109,7 @@ def run_cost_scenario(name: str, seed: int = 0) -> CostRecord:
     """
     if name not in REFERENCE_COSTS:
         raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIO_NAMES}")
-    code, obj, blocks = build_demo_system(seed)
+    code, _, blocks = build_demo_system(seed)
     failed = [b.node_id for b in blocks[-2:]]
     live = blocks[: len(blocks) - 2]
 

@@ -35,16 +35,19 @@ exactly when the minimum is, and is the minimum otherwise.
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
 A 21 x 21 grid over the search window is refined around its best cell
-for a few rounds.  The float search is built from sums, nonnegative
-multiples and minimums, so it never falls as beta or beta' grows, even
-under rounding: the feasible cells form a staircase, which each round
-walks with at most one search per row and column, skipping any cell at
-or below, in both bandwidths, one already found infeasible; a cell's
-search gets B*(1 - 1e-12), the threshold it is compared with, as its
-floor.  Grid searching runs on floats for speed; every returned point
-is certified exactly, with no tolerance, by ``worst_case_capacity``,
-which scales the rational point to integers (the bound is homogeneous
-of degree 1) and divides the result once.
+until the last grid's gamma spacing is within the relative ``tolerance``
+of the best gamma found.  That bounds the spacing, not the error: the
+returned gamma can lie further above the optimum (1.80% at the
+minimum-storage point of d=20, k=8, t=2).  The float search is built
+from sums, nonnegative multiples and minimums, so it never falls as beta
+or beta' grows, even under rounding: the feasible cells form a
+staircase, which each round walks with at most one search per row and
+column, skipping any cell at or below, in both bandwidths, one already
+found infeasible; a cell's search gets B*(1 - 1e-12), the threshold it
+is compared with, as its floor.  Grid searching runs on floats for
+speed; every returned point is certified exactly, with no tolerance, by
+``worst_case_capacity``, which scales the rational point to integers
+(the bound is homogeneous of degree 1) and divides the result once.
 """
 
 from __future__ import annotations
@@ -377,8 +380,9 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     a staircase walk finds that cell in at most len(bs) + len(ps)
     searches.  A cell at or below, in both bandwidths, one already found
     infeasible is infeasible too, and is not searched.  Refining stops
-    once the grid spacing bounds the gamma error below the requested
-    relative tolerance."""
+    once the last grid's spacing in gamma is at most ``tolerance`` times
+    the best gamma found, or after the last refinement; the best gamma
+    can still lie further above the optimum than that."""
     feas_floor = B * (1.0 - 1e-12)
     (b_min, b_max), (p_min, p_max) = bounds
     dead = []  # the cells found infeasible that can still rule one out

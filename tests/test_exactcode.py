@@ -20,7 +20,6 @@ from collabregen.exactcode import (
     RepairPolicy,
     RepairReport,
     _contacts,
-    _eval_row,
     _rows_at,
     collaborative_repair,
     collect,
@@ -558,7 +557,6 @@ def test_kernel_paths_match_naive_products(case):
     col = [c.value for c in column]
     # collect_robust's candidate check: one gf.dot per object row
     assert tuple(dot(f, row, col) for row in obj.pieces.int_rows()) == tuple(w.value for w in want)
-    assert tuple(_eval_row(f, row, col) for row in obj.pieces.int_rows()) == want
     blocks = encode_object(obj, code)
     assert [b.node_id for b in blocks] == list(range(1, code.n + 1))
     for pos, b in enumerate(blocks):
@@ -1016,7 +1014,7 @@ def test_rows_at_matches_decode_then_eval(case, data):
             with pytest.raises(RepairFailureError):
                 _rows_at(code, positions, rows, targets)
             return
-        want.append([_eval_row(f, msg, code.column_values[p]).value for p in targets])
+        want.append([dot(f, msg, code.column_values[p]) for p in targets])
     assert _rows_at(code, positions, rows, targets) == want
 
 

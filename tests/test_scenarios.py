@@ -1,5 +1,6 @@
 """Cost-table scenarios and the multi-generation simulator."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -357,3 +358,55 @@ def test_reconstruction_check_matches_collect(case):
         want = False
     assert _reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng) == want
     assert rng.getstate() == want_rng.getstate()
+
+
+def _sim_code(m, n, kappa, t):
+    return {"m": m, "n": n, "kappa": kappa, "t": t, "first_power": 1}
+
+
+_SIM_BASE = {"code": _sim_code(8, 16, 6, 3), "generations": 32, "seed": 7,
+             "behaviors": {"1": "polluting"}}
+
+# The ten `simulate` configs the CI workflow reruns, with the sha256 of
+# each CSV; digests_wide runs 8 of its 32 generations to stay quick.
+PINNED_SIMULATIONS = {
+    "none": ({**_SIM_BASE, "mitigation": "none"},
+             "a891e7500ae51047e6eeccbb3d77cec5fb6003c2f42a4a02871acfc792138d30"),
+    "digests": ({**_SIM_BASE, "mitigation": "digests"},
+                "6e765d1382ad7768387712a2fa56464bf8047744bd50c9f780cda066b190c05f"),
+    # digests keep every stored block clean, so the polluted collection
+    # alone decides each verdict (32 of 32 false)
+    "polluted_read": ({**_SIM_BASE, "mitigation": "digests", "pollute_collection": True},
+                      "fa61b74459116176b7fe3581980b60093bddf20131180e6410c54a222b78590d"),
+    "vote": ({**_SIM_BASE, "mitigation": "none", "assumed_polluters": 1,
+              "behavior_overrides": {"2": {"2": "polluting"}}},
+             "0b6066dd32037b456f49d731a87f8bdbfdf9ade228f454f1ac6d38fc5ab43b80"),
+    "selfish": ({"code": _sim_code(8, 16, 4, 2), "generations": 32, "seed": 7,
+                 "behaviors": {"9": "selfish"}, "policy": "keep-responders",
+                 "behavior_overrides": {"19": {"15": "selfish"}}},
+                "07b30a755dfafca1e60cf362206c21e67a697f80576319f21abb995573420a1b"),
+    "selfish_newcomer": ({"code": _sim_code(8, 16, 6, 3), "generations": 32, "seed": 7,
+                          "behaviors": {"1": "selfish"},
+                          "behavior_overrides": {"4": {"5": "selfish"}}},
+                         "e85c123a4b2248077acc1d8c6102a77660750415b8ddf08248e966ac3f56e4d3"),
+    "digests_byzantine": ({"code": _sim_code(8, 10, 3, 2), "generations": 32, "seed": 7,
+                           "mitigation": "digests", "behaviors": {"1": "polluting"},
+                           "behavior_overrides": {"5": {"8": "polluting"}, "6": {"3": "selfish"}}},
+                          "e917ffb4a779a05d88d1153842caa928938c43fdd96f9c30ca1f805496791bb2"),
+    "digests_wide": ({"code": _sim_code(8, 32, 16, 4), "generations": 8, "seed": 7,
+                      "mitigation": "digests", "behaviors": {"1": "polluting", "2": "polluting"}},
+                     "322d6366ee475481358b5bf47146495316dca6318d2fbe424a0e80b4fee9b5c3"),
+    "boundary_none": ({"code": _sim_code(4, 10, 4, 6), "generations": 32, "seed": 7,
+                       "mitigation": "none"},
+                      "ad0c43b9c78e26b01134d97a7fb55c88e8e50cf26ad88cdbdc1ab42e4548bab3"),
+    "boundary_digests": ({"code": _sim_code(4, 10, 4, 6), "generations": 32, "seed": 7,
+                          "mitigation": "digests"},
+                         "ad0c43b9c78e26b01134d97a7fb55c88e8e50cf26ad88cdbdc1ab42e4548bab3"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SIMULATIONS)
+def test_pinned_simulation_csv(name):
+    config, digest = PINNED_SIMULATIONS[name]
+    csv = stats_to_csv(simulate_generations(ScenarioConfig.from_json(json.dumps(config))))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
