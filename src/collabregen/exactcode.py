@@ -45,6 +45,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
+    DecodeAmbiguityError,
     FieldElement,
     FieldMatrix,
     FieldMismatchError,
@@ -238,15 +239,14 @@ def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
     return points
 
 
-def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> Optional[list[list[int]]]:
+def _solve_object(blocks: Sequence[NodeBlock], kappa: int, points) -> list[list[int]]:
     """The object's rows, as ints, from the blocks: at their Reed-Solomon
-    ``points`` each row decoded by ``gf._decode_rows``, None when a row is
-    beyond the radius; else one Gauss-Jordan solve of the kappa blocks
-    (SingularMatrixError when their columns are dependent)."""
+    ``points`` the rows decoded by ``gf._decode_rows`` (DecodeAmbiguityError
+    at the first row beyond the radius); else one Gauss-Jordan solve of
+    the kappa blocks (SingularMatrixError when their columns are dependent)."""
     f, t = blocks[0].payload[0].field, len(blocks[0].payload)
     if points is not None:
-        rows = _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
-        return None if None in rows else rows
+        return _decode_rows(f, points, [[b.payload[r].value for b in blocks] for r in range(t)], kappa)
     # columns^T . O^T = payload rows: the block columns are the rows
     cols = FieldMatrix.from_rows(f, [[c.value for c in b.column] for b in blocks])
     rhs = FieldMatrix.from_rows(f, [[p.value for p in b.payload] for b in blocks])
@@ -273,17 +273,19 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     e = 0 read.  ValueError for fewer than kappa blocks, a repeated node
     id, an empty column or payload, blocks of different shapes, or two
     blocks that share a column (for kappa > 1); FieldMismatchError for
-    symbols from different fields.
+    symbols from different fields.  Past that, e > N - kappa for the N
+    blocks is AMBIGUOUS: every object that agrees with some kappa - 1
+    blocks qualifies, and there are none or at least |F| of them.
 
     Candidates come from trial erasure decoding: in a pool of the first P
     of the N blocks by node id, each set of s erased blocks leaves P - s
-    for ``_solve_object``, skipping dependent columns.  On Reed-Solomon
-    columns s = min(max(0, 2e - (P - kappa)), P - kappa): an answer
-    disagrees with at most e pool blocks, and erasing s of them leaves at
-    most (P - s - kappa)/2, within the decoding radius.  P is the
-    smallest in min(kappa + e, N)..N with the fewest C(P, s) erasure
-    sets; inside the radius (2e <= N - kappa) that is one decode of the
-    first kappa + 2e blocks.  Other columns, and kappa = 1, solve every
+    for ``_solve_object``, skipping dependent columns and rows beyond the
+    radius.  On Reed-Solomon columns s = max(0, 2e - (P - kappa)): an
+    answer disagrees with at most e pool blocks, and erasing s of them
+    leaves at most (P - s - kappa)/2, within the decoding radius.  P is
+    the smallest in kappa + e..N with the fewest C(P, s) erasure sets;
+    inside the radius (2e <= N - kappa) that is one decode of the first
+    kappa + 2e blocks.  Other columns, and kappa = 1, solve every
     kappa-subset in order: P = N, s = N - kappa.  Each distinct candidate
     is checked on ints against all blocks, each up to its first wrong
     symbol.  At e = 0 the first one solved ends the search: an object
@@ -295,11 +297,12 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     ordered = sorted(blocks, key=lambda b: b.node_id)
     kappa, points = _read_setup(ordered)
     n = len(ordered)
+    if e > n - kappa:
+        return AMBIGUOUS
     if points is None:
         pool, erased = n, n - kappa
     else:
-        pools = range(min(kappa + e, n), n + 1)
-        shapes = [(p, min(max(0, 2 * e - (p - kappa)), p - kappa)) for p in pools]
+        shapes = [(p, max(0, 2 * e - (p - kappa))) for p in range(kappa + e, n + 1)]
         pool, erased = min(shapes, key=lambda shape: comb(*shape))
 
     f = ordered[0].column[0].field
@@ -311,9 +314,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
             rows = _solve_object(
                 [ordered[i] for i in kept], kappa, points and [points[i] for i in kept]
             )
-        except SingularMatrixError:  # distinct but dependent columns
-            continue
-        if rows is None:  # a row beyond the radius
+        except (SingularMatrixError, DecodeAmbiguityError):
             continue
         key = tuple(v for row in rows for v in row)
         if key in seen:
@@ -454,9 +455,9 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     distinct ``positions``, evaluated at the ``targets`` positions, as
     ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
     the row is their interpolant, so one ``lagrange_at`` setup and one
-    ``dot`` per row and target give its values; with more, all rows are
+    ``dot`` per row and target give its values; with more, the rows are
     decoded by ``gf._decode_rows`` (Gao) in one call and evaluated.
-    RepairFailureError when a row does not decode."""
+    RepairFailureError at the first row that does not decode."""
     f, kappa = code.field, code.kappa
     at = code.evaluation_points
     points = [at[p].value for p in positions]
@@ -464,15 +465,14 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     if len(positions) == kappa:
         coeffs = lagrange_at(f, points, [at[p].value for p in targets])
         return [[dot(f, c, ys) for c in coeffs] for ys in values]
-    out = []
-    for msg in _decode_rows(f, points, values, kappa):
-        if msg is None:
-            raise RepairFailureError(
-                f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
-                f" (n_s={code.n - len(points)})"
-            )
-        out.append([dot(f, msg, code.column_values[p]) for p in targets])
-    return out
+    try:
+        msgs = _decode_rows(f, points, values, kappa)
+    except DecodeAmbiguityError:
+        raise RepairFailureError(
+            f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
+            f" (n_s={code.n - len(points)})"
+        ) from None
+    return [[dot(f, msg, code.column_values[p]) for p in targets] for msg in msgs]
 
 
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):

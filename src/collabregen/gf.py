@@ -5,9 +5,10 @@ polynomial per field size, so bit patterns are reproducible across runs.
 Below the element API, values are ints and a product is one lookup in the
 field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
 column application and matrix products; ``_decode_rows`` is the one
-decode kernel of every read, one O(N^2) Newton interpolation per value
-row, then Gao's Euclid steps per row when there are more than kappa
-points (with exactly kappa, the interpolant is the message);
+decode kernel of every read, row by row: one O(N^2) Newton
+interpolation, then Gao's Euclid steps when there are more than kappa
+points (with exactly kappa, the interpolant is the message); the first
+row beyond the radius raises DecodeAmbiguityError, the one such signal.
 ``lagrange_at`` turns values at N points into the interpolant's value
 at a target with one ``dot``, after an O(N^2) setup per point set.
 Includes dense matrices over a field (Gaussian elimination solve) and
@@ -16,11 +17,12 @@ erasure/error decoding, O(n^2) field operations per word, certified
 against the distance bound n_s + 2*n_b <= n - kappa.
 
 Everything here is deterministic; fields and elements are immutable.
-There is one piece of mutable state: each field keeps a table of its
-elements, at most 2^m entries, filled as they are first built.  An entry
-depends only on its value, so fields, elements and codes stay freely
-shareable across threads: racing threads can at worst rebuild an entry,
-which can cost speed, never correctness.
+There are two pieces of mutable state: ``field`` keeps one field per m,
+and each field a table of its elements, at most 2^m entries, both filled
+on first use.  Racing first calls of ``field(m)`` all get the field stored
+first, and an element entry depends only on its value, so fields,
+elements and codes stay freely shareable across threads: racing threads
+can at worst rebuild an entry, which can cost speed, never correctness.
 """
 
 from __future__ import annotations
@@ -164,8 +166,7 @@ def field(m: int) -> GF:
     """Shared GF(2^m) instance for the given exponent."""
     f = _FIELD_CACHE.get(m)
     if f is None:
-        f = GF(m)
-        _FIELD_CACHE[m] = f
+        f = _FIELD_CACHE.setdefault(m, GF(m))
     return f
 
 
@@ -524,8 +525,8 @@ def rs_decode(
     cofactor.  Every result it returns is certified: its erasure/error
     counts satisfy n_s + 2*n_b <= n - kappa (see ``_gao``), which makes
     it the unique codeword in that radius.  When no codeword is that
-    close a DecodeAmbiguityError is raised, so a corruption beyond the
-    bound is flagged rather than silently decoded.  With exactly kappa
+    close ``_gao`` raises DecodeAmbiguityError, so a corruption beyond
+    the bound is flagged rather than silently decoded.  With exactly kappa
     symbols Euclid takes no step: the interpolant is the message,
     certified with no errors.
     """
@@ -548,28 +549,25 @@ def rs_decode(
         )
     points = [code.evaluation_points[pos].value for pos in seen]
     (msg,) = _decode_rows(f, points, [list(seen.values())], kappa)
-    if msg is None:
-        raise DecodeAmbiguityError(
-            f"no codeword within n_s + 2*n_b <= {code.n - kappa} (n_s={code.n - len(points)})"
-        )
     return tuple(FieldElement(v, f) for v in msg)
 
 
 def _decode_rows(
     f: GF, points: list[int], rows: Sequence[Sequence[int]], kappa: int
-) -> list[Optional[list[int]]]:
+) -> list[list[int]]:
     """Each row of values at the N >= kappa distinct ``points`` decoded to
-    its kappa message coefficients, as ints, or None when no message of
-    degree < kappa is within (N - kappa)/2 errors of the row.  One
-    ``_interpolate`` call serves every row.  With exactly kappa points
-    Euclid would take no step and the interpolant agrees with every
-    value: it is the message, with no errors to count; with more, each
-    row goes through Gao's Euclid steps, on the one master polynomial."""
-    msgs = _interpolate(f, points, rows)
+    its kappa message coefficients, as ints, one row at a time, each by
+    one ``_interpolate`` call.  The first row with no message of degree
+    < kappa within (N - kappa)/2 errors raises DecodeAmbiguityError, and
+    the rows after it are not decoded.  With exactly kappa points Euclid
+    would take no step and the interpolant agrees with every value: it is
+    the message, with no errors to count; with more, each row goes
+    through Gao's Euclid steps, on the one master polynomial."""
+    msgs = (_interpolate(f, points, row) for row in rows)
     if len(points) > kappa:
         g0 = _expand(f, points, [0] * len(points) + [1])
-        msgs = [_gao(f, g0, g1, kappa) for g1 in msgs]
-    return [None if m is None else m + [0] * (kappa - len(m)) for m in msgs]
+        msgs = (_gao(f, g0, g1, kappa) for g1 in msgs)
+    return [m + [0] * (kappa - len(m)) for m in msgs]
 
 
 # Polynomials below are int coefficient lists over one field, lowest
@@ -578,21 +576,19 @@ def _decode_rows(
 # whose log entry is a placeholder.
 
 
-def _interpolate(f: GF, points: list[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """For each row of values at the N distinct ``points``, its
-    interpolant g1 of degree < N, in O(N^2) table lookups, by Newton
-    form.  The divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}),
-    for j = 1..N-1 and i = N-1 down to j, turn a row into the Newton
+def _interpolate(f: GF, points: list[int], row: Sequence[int]) -> list[int]:
+    """The interpolant g1, of degree < N, of one row of values at the N
+    distinct ``points``, in O(N^2) table lookups, by Newton form.  The
+    divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}), for
+    j = 1..N-1 and i = N-1 down to j, turn the row into the Newton
     coefficients of g1, which ``_expand`` expands."""
-    exp, log, n, out = f._exp, f._log, len(points), []
-    for row in rows:
-        d = list(row)
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                x = d[i] ^ d[i - 1]  # a log difference < 0 wraps in the doubled exp
-                d[i] = exp[log[x] - log[points[i] ^ points[i - j]]] if x else 0
-        out.append(_expand(f, points, d))
-    return out
+    exp, log, n = f._exp, f._log, len(points)
+    d = list(row)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            x = d[i] ^ d[i - 1]  # a log difference < 0 wraps in the doubled exp
+            d[i] = exp[log[x] - log[points[i] ^ points[i - j]]] if x else 0
+    return _expand(f, points, d)
 
 
 def _expand(f: GF, points: list[int], p: list[int]) -> list[int]:
@@ -612,10 +608,10 @@ def _expand(f: GF, points: list[int], p: list[int]) -> list[int]:
     return p
 
 
-def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]:
+def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> list[int]:
     """Gao's decoder on the master polynomial g0 of N points and the
     interpolant g1 of a received word: the message polynomial within
-    (N - kappa)/2 errors of the word, or None when there is none."""
+    (N - kappa)/2 errors of the word; DecodeAmbiguityError when there is none."""
     # partial extended Euclid: r = u*g0 + v*g1, until deg r < (N + kappa)/2.
     # The message needs no error recount: deg v1 = N - deg r0 <= (N - kappa)/2
     # when Euclid stops, and r1 = v1*g1 at every point, so msg = r1/v1 can
@@ -632,7 +628,7 @@ def _gao(f: GF, g0: list[int], g1: list[int], kappa: int) -> Optional[list[int]]
         r0, r1, v0, v1 = r1, rem, v1, v
     msg, rem = _poly_divmod(f, r1, v1)
     if rem or len(msg) > kappa:
-        return None
+        raise DecodeAmbiguityError(f"no codeword within distance {(len(g0) - 1 - kappa) // 2}")
     return msg
 
 

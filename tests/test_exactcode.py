@@ -306,6 +306,26 @@ def test_within_radius_read_decodes_the_first_kappa_plus_2e_blocks(monkeypatch):
     assert [b.node_id for b in solves[0][0]] == list(range(1, 9))
 
 
+def test_read_past_n_minus_kappa_is_ambiguous(monkeypatch):
+    # (10,3), t = 2, over GF(256): with e > N - kappa = 7 every object that
+    # agrees with some 2 blocks qualifies, so no unique object exists and
+    # the read makes no decode
+    code = RsCode.with_power_points(field(8), 10, 3, first_power=1)
+    obj = ObjectMatrix.random(code.field, 2, 3, random.Random(10))
+    honest = encode_object(obj, code)
+    solves = _count_calls(monkeypatch, "_solve_object")
+    assert collect_robust(honest, max_polluters=8) is AMBIGUOUS
+    # all 10 blocks consistent with a wrong object, read with e = 10: the
+    # true object, which disagrees with every block, qualifies too
+    wrong = encode_object(ObjectMatrix.random(code.field, 2, 3, random.Random(3)), code)
+    assert all(apply_column(obj, b.column) != b.payload for b in wrong)
+    assert collect_robust(wrong, max_polluters=10) is AMBIGUOUS
+    assert solves == []
+    # at e = N - kappa the object is still the one answer
+    got = collect_robust(honest, max_polluters=7)
+    assert got is not AMBIGUOUS and got.pieces == obj.pieces
+
+
 @pytest.mark.parametrize("read", [7, 4], ids=["radius-2", "radius-0"])
 @pytest.mark.parametrize("max_polluters", [1.5, 2.5, True, "1", -1])
 def test_max_polluters_must_be_a_nonnegative_int(max_polluters, read):
@@ -391,6 +411,11 @@ def polluted_reads(draw, inside: bool):
 def test_collect_robust_matches_subset_consensus_oracle(inside, data):
     obj, read, polluted, max_polluters = data.draw(polluted_reads(inside))
     got = collect_robust(read, max_polluters)
+    if max_polluters > len(read) - obj.kappa:
+        # every object that agrees with some kappa - 1 blocks qualifies;
+        # the oracle, which solves kappa-subsets only, misses most of them
+        assert got is AMBIGUOUS
+        return
     want = oracle_collect_robust(read, max_polluters)
     if want is AMBIGUOUS:
         assert got is AMBIGUOUS
@@ -1011,8 +1036,14 @@ def test_rows_at_matches_decode_then_eval(case, data):
         try:
             msg = [v.value for v in rs_decode(code, zip(positions, row))]
         except DecodeError:
-            with pytest.raises(RepairFailureError):
+            # the message that simulate prints on stderr
+            text = (
+                f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
+                f" (n_s={code.n - len(positions)})"
+            )
+            with pytest.raises(RepairFailureError) as failure:
                 _rows_at(code, positions, rows, targets)
+            assert str(failure.value) == text
             return
         want.append([dot(f, msg, code.column_values[p]) for p in targets])
     assert _rows_at(code, positions, rows, targets) == want

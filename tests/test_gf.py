@@ -235,6 +235,28 @@ class TestInternedElements:
         assert len(f._elements) == f.order
         assert [e.value for e in f._elements] == list(range(f.order))
 
+    def test_racing_first_calls_share_one_field(self, monkeypatch):
+        # two threads that build GF(2^5) at once, each slowed after its
+        # tables, both get the field stored first: elements of the two mix
+        init = gf.GF.__init__
+
+        def slow_init(self, m):
+            init(self, m)
+            time.sleep(0.05)
+
+        field(5)  # so the cache entry is restored after the test
+        monkeypatch.delitem(gf._FIELD_CACHE, 5)
+        monkeypatch.setattr(gf.GF, "__init__", slow_init)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(field(5))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert got[0] is got[1] is gf._FIELD_CACHE[5]
+        assert got[0].element(3) + got[1].element(6) is got[0].element(5)
+
 
 def _pickled(obj):
     return pickle.loads(pickle.dumps(obj))
@@ -684,7 +706,7 @@ class TestDecodeMatrixMemo:
         assert ref() is None
 
 
-# --- barycentric evaluation and multi-row interpolation ---
+# --- barycentric evaluation ---
 
 
 @st.composite
@@ -727,24 +749,6 @@ class TestLagrangeAt:
         assert gf.lagrange_at(f, [5], [0, 5, 6]) == [[1], [1], [1]]
         assert gf.lagrange_at(f, [0, 3, 6], [3, 0]) == [[0, 1, 0], [1, 0, 0]]
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(points_with_zero(), st.data())
-    def test_multi_row_interpolate_matches_one_row(self, case, data):
-        f, points = case
-        n = len(points)
-        rows = data.draw(
-            st.lists(
-                st.one_of(st.just([0] * n), st.lists(symbols(f), min_size=n, max_size=n)),
-                max_size=4,
-            )
-        )
-        g1s = gf._interpolate(f, points, rows)
-        assert len(g1s) == len(rows)
-        for row, g1 in zip(rows, g1s):
-            assert gf._interpolate(f, points, [row]) == [g1]
-            for a, y in zip(points, row):  # the interpolant takes every value
-                assert dot(f, g1, [f.pow(a, j) for j in range(len(g1))]) == y
-
 
 # --- the interpolation kernels against the synthetic-division reference ---
 
@@ -766,13 +770,21 @@ class TestInterpolationReference:
     @given(wide_point_sets(), st.data())
     def test_interpolate_matches_reference(self, case, data):
         # Newton form gives the same g0 and, as the interpolant is unique,
-        # the same trimmed g1 of every row
+        # the same trimmed g1 of each row, one row per call; g1 takes
+        # every value of its row
         f, points = case
         n = len(points)
         row = st.one_of(st.just([0] * n), st.lists(symbols(f), min_size=n, max_size=n))
         rows = data.draw(st.lists(row, min_size=1, max_size=4))
-        g0 = gf._expand(f, points, [0] * n + [1])
-        assert (g0, gf._interpolate(f, points, rows)) == oracle_interpolate(f, points, rows)
+        g0, g1s = oracle_interpolate(f, points, rows)
+        assert gf._expand(f, points, [0] * n + [1]) == g0
+        for row, g1 in zip(rows, g1s):
+            assert gf._interpolate(f, points, row) == g1
+            for a, y in zip(points, row):
+                acc = 0
+                for c in reversed(g1):  # Horner's rule
+                    acc = f.mul(acc, a) ^ c
+                assert acc == y
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(wide_point_sets(min_size=2), st.data())
@@ -789,7 +801,7 @@ class TestInterpolationReference:
         assert [v.value for v in got] == g1 + [0] * (kappa - len(g1))
 
 
-# --- the decode kernel against per-row rs_decode ---
+# --- the decode kernel against per-row rs_decode: a word whole or raise ---
 
 
 @st.composite
@@ -826,17 +838,43 @@ class TestDecodeRows:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(decode_rows_cases())
     def test_matches_rs_decode_per_row(self, case):
-        # one interpolation setup serves every row; a row beyond the
-        # radius is None where rs_decode, and the exhaustive oracle, flag it
+        # the word raises exactly when rs_decode, and the exhaustive oracle,
+        # flag some row of it, after interpolating the rows up to the first
+        # flagged one; otherwise it decodes to their messages
         code, positions, rows = case
         f = code.field
         points = [code.evaluation_points[p].value for p in positions]
         with mock.patch.object(gf, "_interpolate", wraps=gf._interpolate) as interpolate:
-            got = gf._decode_rows(f, points, rows, code.kappa)
-        assert interpolate.call_count == 1
+            try:
+                got = gf._decode_rows(f, points, rows, code.kappa)
+            except DecodeAmbiguityError:
+                got = "flagged"
         for decode in (rs_decode, oracle_rs_decode):
-            want = []
-            for row in rows:
-                msg = decode_or_flag(decode, code, [(p, f.element(y)) for p, y in zip(positions, row)])
-                want.append(None if msg == "flagged" else [v.value for v in msg])
-            assert got == want
+            want = [
+                decode_or_flag(decode, code, [(p, f.element(y)) for p, y in zip(positions, row)])
+                for row in rows
+            ]
+            if "flagged" in want:
+                assert got == "flagged"
+                assert interpolate.call_count == want.index("flagged") + 1
+            else:
+                assert got == [[v.value for v in msg] for msg in want]
+                assert interpolate.call_count == len(rows)
+
+    def test_first_row_beyond_radius_ends_the_word(self):
+        # (8,2) over GF(16) at points 0..7, 5 symbols per row: row 0 has 2
+        # wrong symbols, past the radius (5 - 2)/2, and rows 1 and 2 none;
+        # the word raises after one interpolation and one Gao call
+        f = field(4)
+        code = RsCode(f, 8, 2, tuple(f.element(p) for p in range(8)))
+        points = list(range(5))
+        rows = [[s.value for s in rs_encode(code, (f.element(5), f.element(r)))[:5]] for r in range(3)]
+        rows[0][0] ^= 1
+        rows[0][1] ^= 1
+        with mock.patch.object(gf, "_interpolate", wraps=gf._interpolate) as interpolate, \
+                mock.patch.object(gf, "_gao", wraps=gf._gao) as gao:
+            with pytest.raises(DecodeAmbiguityError):
+                gf._decode_rows(f, points, rows, code.kappa)
+        assert interpolate.call_count == 1
+        assert gao.call_count == 1
+        assert gf._decode_rows(f, points, rows[1:], code.kappa) == [[5, 1], [5, 2]]
