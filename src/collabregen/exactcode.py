@@ -53,8 +53,9 @@ from .gf import (
     RsCode,
     SingularMatrixError,
     _decode_rows,
+    _newton,
+    _newton_at,
     dot,
-    lagrange_at,
     rs_decode,
 )
 
@@ -454,17 +455,18 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     """Each object row, from its received symbols at the kappa or more
     distinct ``positions``, evaluated at the ``targets`` positions, as
     ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
-    the row is their interpolant, so one ``lagrange_at`` setup and one
-    ``dot`` per row and target give its values; with more, the rows are
-    decoded by ``gf._decode_rows`` (Gao) in one call and evaluated.
-    RepairFailureError at the first row that does not decode."""
+    the row is their interpolant: ``_newton`` builds it in Newton form
+    and ``_newton_at`` evaluates that at the targets, never expanded into
+    coefficients; with more, the rows are decoded by ``gf._decode_rows``
+    (Gao) in one call and evaluated.  RepairFailureError at the first
+    row that does not decode."""
     f, kappa = code.field, code.kappa
     at = code.evaluation_points
     points = [at[p].value for p in positions]
     values = [[y.value for y in row] for row in rows]
     if len(positions) == kappa:
-        coeffs = lagrange_at(f, points, [at[p].value for p in targets])
-        return [[dot(f, c, ys) for c in coeffs] for ys in values]
+        xs = [at[p].value for p in targets]
+        return [_newton_at(f, points, _newton(f, points, ys), xs) for ys in values]
     try:
         msgs = _decode_rows(f, points, values, kappa)
     except DecodeAmbiguityError:

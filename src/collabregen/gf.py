@@ -9,8 +9,11 @@ decode kernel of every read, row by row: one O(N^2) Newton
 interpolation, then Gao's Euclid steps when there are more than kappa
 points (with exactly kappa, the interpolant is the message); the first
 row beyond the radius raises DecodeAmbiguityError, the one such signal.
-``lagrange_at`` turns values at N points into the interpolant's value
-at a target with one ``dot``, after an O(N^2) setup per point set.
+``_newton`` (divided differences) is the one interpolation kernel of
+reads and repairs: a decode expands its Newton form into coefficients,
+and a repair from exactly kappa symbols, which needs only the row's
+values at the newcomers' points, evaluates it there by ``_newton_at``
+(Horner's rule, O(N) lookups per target) with no expansion.
 Includes dense matrices over a field (Gaussian elimination solve) and
 Reed-Solomon codes whose ``rs_decode`` wraps the kernel: joint
 erasure/error decoding, O(n^2) field operations per word, certified
@@ -181,28 +184,6 @@ def dot(f: GF, a: Iterable[int], b: Iterable[int]) -> int:
     return acc
 
 
-def lagrange_at(f: GF, points: Sequence[int], targets: Iterable[int]) -> list[list[int]]:
-    """Barycentric Lagrange coefficients (Berrut & Trefethen 2004, SIAM
-    Review): for each target x, the list c with dot(f, c, y) = g(x) for
-    the interpolant g, of degree < N, of any values y at the N distinct
-    ``points``.  c_i = g0(x) * w_i / (x - a_i), where g0 = prod_i (x - a_i)
-    and the weights w_i = 1 / prod_{j != i} (a_i - a_j) are computed once,
-    in O(N^2) lookups; each target then costs O(N).  A target that is one
-    of the points gets the unit vector of that point."""
-    exp, log, size = f._exp, f._log, f.order - 1
-    # logs of the weights; minus is xor in characteristic 2
-    lw = [-sum([log[a ^ b] for b in points if b != a]) % size for a in points]
-    out = []
-    for x in targets:
-        if x in points:
-            out.append([int(a == x) for a in points])
-            continue
-        ld = [log[x ^ a] for a in points]
-        lg = sum(ld)  # log g0(x)
-        out.append([exp[(lg + w - d) % size] for w, d in zip(lw, ld)])
-    return out
-
-
 class FieldElement:
     """A value of GF(2^m), tagged with its field.
 
@@ -303,6 +284,8 @@ class FieldMatrix:
         if len(data) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         for v in data:
+            if type(v) is not int:
+                raise TypeError(f"entry {v!r} must be an int, got {type(v).__name__}")
             if not 0 <= v < field_.order:
                 raise ValueError(f"entry {v} outside GF(2^{field_.m})")
         self.field = field_
@@ -323,9 +306,8 @@ class FieldMatrix:
                 if isinstance(x, FieldElement):
                     if x.field is not field_:
                         raise FieldMismatchError("entry from a different field")
-                    flat.append(x.value)
-                else:
-                    flat.append(int(x))
+                    x = x.value
+                flat.append(x)
         return cls(field_, len(rows), width, flat)
 
     @classmethod
@@ -556,14 +538,14 @@ def _decode_rows(
     f: GF, points: list[int], rows: Sequence[Sequence[int]], kappa: int
 ) -> list[list[int]]:
     """Each row of values at the N >= kappa distinct ``points`` decoded to
-    its kappa message coefficients, as ints, one row at a time, each by
-    one ``_interpolate`` call.  The first row with no message of degree
-    < kappa within (N - kappa)/2 errors raises DecodeAmbiguityError, and
-    the rows after it are not decoded.  With exactly kappa points Euclid
+    its kappa message coefficients, as ints, one row at a time, each
+    interpolated by ``_newton`` and ``_expand``.  The first row with no
+    message of degree < kappa within (N - kappa)/2 errors raises
+    DecodeAmbiguityError, and the rows after it are not decoded.  With exactly kappa points Euclid
     would take no step and the interpolant agrees with every value: it is
     the message, with no errors to count; with more, each row goes
     through Gao's Euclid steps, on the one master polynomial."""
-    msgs = (_interpolate(f, points, row) for row in rows)
+    msgs = (_expand(f, points, _newton(f, points, row)) for row in rows)
     if len(points) > kappa:
         g0 = _expand(f, points, [0] * len(points) + [1])
         msgs = (_gao(f, g0, g1, kappa) for g1 in msgs)
@@ -576,19 +558,35 @@ def _decode_rows(
 # whose log entry is a placeholder.
 
 
-def _interpolate(f: GF, points: list[int], row: Sequence[int]) -> list[int]:
-    """The interpolant g1, of degree < N, of one row of values at the N
-    distinct ``points``, in O(N^2) table lookups, by Newton form.  The
-    divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}), for
-    j = 1..N-1 and i = N-1 down to j, turn the row into the Newton
-    coefficients of g1, which ``_expand`` expands."""
+def _newton(f: GF, points: list[int], row: Sequence[int]) -> list[int]:
+    """The Newton coefficients d of the interpolant, of degree < N, of one
+    row of values at the N distinct ``points``, in O(N^2) table lookups:
+    the divided differences d_i <- (d_i - d_{i-1}) / (a_i - a_{i-j}), for
+    j = 1..N-1 and i = N-1 down to j, so that the interpolant is
+    d_0 + (x - a_0)(d_1 + (x - a_1)(d_2 + ...)).  ``_expand`` expands d
+    into coefficients and ``_newton_at`` evaluates it."""
     exp, log, n = f._exp, f._log, len(points)
     d = list(row)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             x = d[i] ^ d[i - 1]  # a log difference < 0 wraps in the doubled exp
             d[i] = exp[log[x] - log[points[i] ^ points[i - j]]] if x else 0
-    return _expand(f, points, d)
+    return d
+
+
+def _newton_at(f: GF, points: list[int], d: list[int], targets: Iterable[int]) -> list[int]:
+    """The Newton form d on ``points`` (see ``_newton``) at each target x,
+    by Horner's rule p <- p * (x - a_k) + d_k for k = N-2..0: N - 1
+    lookups per target, exact at any x, one of the points included."""
+    exp, log = f._exp, f._log
+    steps = list(zip(reversed(points[:-1]), reversed(d[:-1])))
+    out = []
+    for x in targets:
+        p = d[-1]
+        for a, c in steps:
+            p = exp[log[p] + log[x ^ a]] ^ c if p and x != a else c
+        out.append(p)
+    return out
 
 
 def _expand(f: GF, points: list[int], p: list[int]) -> list[int]:

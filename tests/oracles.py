@@ -232,11 +232,12 @@ def oracle_rs_decode(code, received):
 
 def oracle_interpolate(f, points, rows):
     """(g0, g1s), the master polynomial as ``gf._expand`` gives it and
-    the interpolants as ``gf._interpolate`` does, by the earlier
-    algorithm on the field's public int arithmetic: g0 = prod_i (x - a_i)
-    and, per row, g1 = sum_i y_i q_i / q_i(a_i) for q_i = g0 / (x - a_i),
-    one synthetic division per point that evaluates q_i(a_i) by Horner's
-    rule in the same pass; trailing zeros trimmed from every g1."""
+    the interpolants as ``gf._expand`` gives them from ``gf._newton``,
+    by the earlier algorithm on the field's public int arithmetic:
+    g0 = prod_i (x - a_i) and, per row, g1 = sum_i y_i q_i / q_i(a_i)
+    for q_i = g0 / (x - a_i), one synthetic division per point that
+    evaluates q_i(a_i) by Horner's rule in the same pass; trailing zeros
+    trimmed from every g1."""
     g0 = [1]
     for a in points:  # g0 *= x + a
         g0 = [lo ^ f.mul(a, hi) for lo, hi in zip([0] + g0, g0 + [0])]
@@ -267,8 +268,14 @@ def apply_column(obj, column):
 def oracle_collect_robust(blocks, max_polluters):
     """Subset consensus: the unique object solved from some kappa blocks
     that disagrees with at most ``max_polluters`` blocks, else AMBIGUOUS.
-    A subset of dependent columns solves for nothing and is skipped."""
+    A subset of dependent columns solves for nothing and is skipped.
+    Past ``len(blocks) - kappa`` polluters the answer is AMBIGUOUS with no
+    solve: every object that agrees with some kappa - 1 blocks qualifies,
+    and there are none or at least |F| of them, most of which no
+    kappa-subset solves for."""
     kappa = len(blocks[0].column)
+    if max_polluters > len(blocks) - kappa:
+        return AMBIGUOUS
     qualified = set()
     for subset in combinations(blocks, kappa):
         try:

@@ -332,6 +332,18 @@ class TestFieldMatrix:
         with pytest.raises(ValueError):
             a @ b
 
+    def test_entries_must_be_ints(self):
+        # a float or a bool was truncated to an int, or kept until a
+        # product indexed the log table with it
+        f = field(3)
+        with pytest.raises(TypeError, match="entry 2.7 must be an int, got float"):
+            FieldMatrix.from_rows(f, [[2.7, 1], [1, 3]])
+        with pytest.raises(TypeError, match="entry True must be an int, got bool"):
+            FieldMatrix.from_rows(f, [[2, 1], [True, 3]])
+        with pytest.raises(TypeError, match="entry 1.5 must be an int, got float"):
+            FieldMatrix(f, 1, 2, [1.5, 2])
+        assert FieldMatrix.from_rows(f, [[f.element(2), 1]]) == FieldMatrix(f, 1, 2, [2, 1])
+
 
 def reference_generator_rows() -> list[list[int]]:
     # The (7,3) generator over GF(8): columns (1, x, x^2) at points
@@ -706,7 +718,7 @@ class TestDecodeMatrixMemo:
         assert ref() is None
 
 
-# --- barycentric evaluation ---
+# --- Newton-form evaluation ---
 
 
 @st.composite
@@ -731,7 +743,11 @@ def naive_interpolant_at(f, points, values, x):
     return acc.value
 
 
-class TestLagrangeAt:
+def newton_at(f, points, values, targets):
+    return gf._newton_at(f, points, gf._newton(f, points, values), targets)
+
+
+class TestNewtonAt:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(points_with_zero(), st.data())
     def test_matches_naive_interpolant(self, case, data):
@@ -739,15 +755,15 @@ class TestLagrangeAt:
         values = data.draw(st.lists(symbols(f), min_size=len(points), max_size=len(points)))
         targets = data.draw(st.lists(st.integers(0, f.order - 1), max_size=4))
         targets += [0, data.draw(st.sampled_from(points))]
-        coeffs = gf.lagrange_at(f, points, targets)
-        assert len(coeffs) == len(targets)
-        for x, c in zip(targets, coeffs):
-            assert dot(f, c, values) == naive_interpolant_at(f, points, values, x)
+        assert newton_at(f, points, values, targets) == [
+            naive_interpolant_at(f, points, values, x) for x in targets
+        ]
 
     def test_one_point_and_targets_on_the_points(self):
         f = field(3)
-        assert gf.lagrange_at(f, [5], [0, 5, 6]) == [[1], [1], [1]]
-        assert gf.lagrange_at(f, [0, 3, 6], [3, 0]) == [[0, 1, 0], [1, 0, 0]]
+        assert newton_at(f, [5], [4], [0, 5, 6]) == [4, 4, 4]
+        assert newton_at(f, [0, 3, 6], [7, 2, 5], [3, 0, 6]) == [2, 7, 5]
+        assert newton_at(f, [0, 3, 6], [7, 2, 5], []) == []
 
 
 # --- the interpolation kernels against the synthetic-division reference ---
@@ -779,7 +795,7 @@ class TestInterpolationReference:
         g0, g1s = oracle_interpolate(f, points, rows)
         assert gf._expand(f, points, [0] * n + [1]) == g0
         for row, g1 in zip(rows, g1s):
-            assert gf._interpolate(f, points, row) == g1
+            assert gf._expand(f, points, gf._newton(f, points, row)) == g1
             for a, y in zip(points, row):
                 acc = 0
                 for c in reversed(g1):  # Horner's rule
@@ -844,7 +860,7 @@ class TestDecodeRows:
         code, positions, rows = case
         f = code.field
         points = [code.evaluation_points[p].value for p in positions]
-        with mock.patch.object(gf, "_interpolate", wraps=gf._interpolate) as interpolate:
+        with mock.patch.object(gf, "_newton", wraps=gf._newton) as newton:
             try:
                 got = gf._decode_rows(f, points, rows, code.kappa)
             except DecodeAmbiguityError:
@@ -856,10 +872,10 @@ class TestDecodeRows:
             ]
             if "flagged" in want:
                 assert got == "flagged"
-                assert interpolate.call_count == want.index("flagged") + 1
+                assert newton.call_count == want.index("flagged") + 1
             else:
                 assert got == [[v.value for v in msg] for msg in want]
-                assert interpolate.call_count == len(rows)
+                assert newton.call_count == len(rows)
 
     def test_first_row_beyond_radius_ends_the_word(self):
         # (8,2) over GF(16) at points 0..7, 5 symbols per row: row 0 has 2
@@ -871,10 +887,10 @@ class TestDecodeRows:
         rows = [[s.value for s in rs_encode(code, (f.element(5), f.element(r)))[:5]] for r in range(3)]
         rows[0][0] ^= 1
         rows[0][1] ^= 1
-        with mock.patch.object(gf, "_interpolate", wraps=gf._interpolate) as interpolate, \
+        with mock.patch.object(gf, "_newton", wraps=gf._newton) as newton, \
                 mock.patch.object(gf, "_gao", wraps=gf._gao) as gao:
             with pytest.raises(DecodeAmbiguityError):
                 gf._decode_rows(f, points, rows, code.kappa)
-        assert interpolate.call_count == 1
+        assert newton.call_count == 1
         assert gao.call_count == 1
         assert gf._decode_rows(f, points, rows[1:], code.kappa) == [[5, 1], [5, 2]]
