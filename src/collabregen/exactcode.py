@@ -42,6 +42,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from .gf import (
@@ -183,9 +184,12 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
 
 
 def _block(code: RsCode, node_id: int, values: Sequence[int]) -> NodeBlock:
-    """The block of ``node_id``: its code column, the int ``values`` as elements."""
+    """The block of ``node_id``: its code column, the int ``values`` as
+    elements, taken from the field's table of interned ones once built."""
     f = code.field
-    return NodeBlock(node_id, code.column(node_id - 1), tuple(FieldElement(v, f) for v in values))
+    table = f._elements
+    payload = tuple(e if (e := table[v]) is not None else FieldElement(v, f) for v in values)
+    return NodeBlock(node_id, code.column(node_id - 1), payload)
 
 
 _SHARED_COLUMN = "blocks of different nodes share a column"
@@ -343,7 +347,9 @@ class RepairReport:
     The ledgers are Counters of pieces, keyed in order of first transfer.
     ``downloads`` holds one per newcomer, keyed by source node.
     ``exchanges`` holds the collaboration pieces the reference cost model
-    counts (one per ordered newcomer pair), keyed (sender, receiver);
+    counts (one per ordered newcomer pair, and in a digest repair one per
+    ordered pair of measured newcomers for each kappa-subset it tries),
+    keyed (sender, receiver);
     ``completion`` holds cross pieces moved beyond that accounting (only
     the selfish-live policy needs them, because its counted exchange
     slots carry relayed row evaluations instead).  ``measured`` lists the
@@ -358,12 +364,6 @@ class RepairReport:
     contacted: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
     measured: tuple[int, ...] = ()
 
-    def _download_links(self) -> list[int]:
-        loads = []
-        for nc in self.measured:
-            loads.extend(v for v in self.downloads.get(nc, {}).values() if v > 0)
-        return loads
-
     @property
     def effective_d(self) -> int:
         if not self.measured:
@@ -376,16 +376,20 @@ class RepairReport:
         newcomer, over unit_pieces.  Each is a (numerator, denominator)
         pair of ints, 0/1 when there is nothing to average over, so
         ``num / den`` is the correctly rounded float, as
-        ``float(Fraction(num, den))`` is."""
-        loads = self._download_links()
+        ``float(Fraction(num, den))`` is.  Ledger counts are never
+        negative, so the measured newcomers download the sum of the link
+        loads."""
         m, inside, t = len(self.measured), set(self.measured), self.unit_pieces
-        exchanged = sum(
-            v for (src, dst), v in self.exchanges.items() if src in inside and dst in inside
-        )
-        downloaded = sum(sum(self.downloads.get(nc, {}).values()) for nc in self.measured)
-        received = sum(v for (_, dst), v in self.exchanges.items() if dst in inside)
+        loads = [v for nc in self.measured for v in self.downloads.get(nc, {}).values() if v > 0]
+        exchanged = received = 0
+        for (src, dst), v in self.exchanges.items():
+            if dst in inside:
+                received += v
+                if src in inside:
+                    exchanged += v
+        downloaded = sum(loads)
         return (
-            (sum(loads), len(loads) * t) if loads else (0, 1),
+            (downloaded, len(loads) * t) if loads else (0, 1),
             (exchanged, m * (m - 1) * t) if m >= 2 else (0, 1),
             (downloaded + received, m * t) if m else (0, 1),
         )
@@ -444,9 +448,10 @@ def _as_served(
 
 
 def _row_answer(block: NodeBlock, row: int, roles, rng) -> FieldElement:
-    """The symbol of ``row`` that a responsive (not selfish) node sends."""
+    """The symbol of ``row`` that a responsive (not selfish) node sends;
+    ``rng`` is None when no node pollutes."""
     true = block.payload[row]
-    if roles[block.node_id] is Behavior.POLLUTING:
+    if rng is not None and roles.get(block.node_id) is Behavior.POLLUTING:
         return _wrong_symbol(true, rng)
     return true
 
@@ -478,29 +483,32 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
 
 
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
-    """The checked inputs both repair entry points start from: the role
-    of every live and failed node (a Behavior, honest when ``behaviors``
-    omits it), the seeded RNG of wrong symbols (None when no node
+    """The checked inputs both repair entry points start from: the roles
+    of the misbehaving live and failed nodes (a Behavior; an id it omits
+    is honest), the seeded RNG of wrong symbols (None when no node
     pollutes), live blocks by id, failed ids sorted, and a report with a
     download ledger per newcomer that measures the honest ones.  Every
     node id, and every key of ``behaviors``, must be an int in 1..n:
     id - 1 is its codeword position.  Every live payload holds t symbols
     over the code's field (repairs never read a block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
-    live = sorted(live_blocks, key=lambda b: b.node_id)
+    live, failed = list(live_blocks), list(failed_ids)
+    odd = [i for i in [b.node_id for b in live] + failed if type(i) is not int]
+    if odd:
+        raise ValueError(f"node ids {odd} are not ints")
+    live.sort(key=attrgetter("node_id"))
     live_ids = {b.node_id for b in live}
     if len(live_ids) != len(live):
         raise ValueError("duplicate live node ids")
     if not live:  # no block gives t, so the failed ids cannot be checked
         raise ValueError("no live blocks")
-    t = len(live[0].payload)
+    t, field_ = len(live[0].payload), code.field
     for b in live:
         if len(b.payload) != t:
             raise ValueError(f"live blocks hold {t} and {len(b.payload)} pieces")
         for s in b.payload:
-            if s.field is not code.field:
+            if s.field is not field_:
                 raise FieldMismatchError(f"block of node {b.node_id} is not over the code's field")
-    failed = sorted(int(i) for i in failed_ids)
     if len(failed) != t:
         raise ValueError(f"expected {t} failed ids, got {len(failed)}")
     if len(set(failed)) != t:
@@ -508,19 +516,20 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     if live_ids.intersection(failed):
         raise ValueError("failed ids overlap live nodes")
     ids = live_ids.union(failed)
-    strays = sorted(i for i in ids if not 1 <= i <= code.n)
-    if strays:
+    if min(ids) < 1 or max(ids) > code.n:
+        strays = sorted(i for i in ids if not 1 <= i <= code.n)
         raise ValueError(f"node ids {strays} outside 1..{code.n}")
+    failed.sort()
     keys = [i for i in behaviors if type(i) is not int or not 1 <= i <= code.n]
     if keys:
         raise ValueError(f"behavior keys {keys} are not node ids in 1..{code.n}")
     if len(live) < code.kappa:
         raise RepairFailureError(f"{len(live)} live nodes, need at least {code.kappa}")
-    roles = {i: behaviors.get(i, Behavior.HONEST) for i in ids}
+    roles = {i: b for i, b in behaviors.items() if b is not Behavior.HONEST and i in ids}
     report = RepairReport(
         unit_pieces=t,
         downloads={f: Counter() for f in failed},
-        measured=tuple(f for f in failed if roles[f] is Behavior.HONEST),
+        measured=tuple(f for f in failed if f not in roles),
     )
     rng = random.Random(seed) if Behavior.POLLUTING in roles.values() else None
     return roles, rng, live, failed, report
@@ -539,8 +548,9 @@ def collaborative_repair(
     """Two-phase repair of ``failed_ids`` from the live blocks.
 
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
-    id they replace) to a Behavior or its string; missing ids are honest,
-    and a key that is not an int in 1..n raises ValueError.
+    id they replace) to a Behavior or its string; missing ids are honest.
+    A node id or a key of ``behaviors`` that is not an int in 1..n raises
+    ValueError.
     ``policy`` is a RepairPolicy or its string: whether a collaborative
     repair relays the row evaluations its newcomers' contacts withheld,
     or raises.  ``assumed_polluters``, a nonnegative int, is the number of
@@ -560,10 +570,10 @@ def collaborative_repair(
     )
     policy = RepairPolicy(policy)
     if assumed is None:
-        assumed = sum(1 for b in live if roles[b.node_id] is Behavior.POLLUTING)
+        assumed = sum(1 for b in live if roles.get(b.node_id) is Behavior.POLLUTING)
     need = code.kappa
     if assumed:
-        responsive = sum(1 for b in live if roles[b.node_id] is not Behavior.SELFISH)
+        responsive = sum(1 for b in live if roles.get(b.node_id) is not Behavior.SELFISH)
         need = min(code.kappa + 2 * assumed, responsive)
 
     if len(report.measured) < len(failed):  # a Byzantine newcomer
@@ -582,16 +592,18 @@ def _contacts(
     starts after the kappa nodes claimed by newcomers 0..j-1 and wraps,
     until it has contacted kappa nodes and ``need`` of them responded, or
     the live nodes run out.  The contacted list includes the selfish
-    nodes met along the way.  Draws no randomness.
+    nodes met along the way.  ``roles`` may omit honest nodes.  Draws no
+    randomness.
     """
     contacted: list[NodeBlock] = []
     responders: list[NodeBlock] = []
+    selfish = Behavior.SELFISH
     for i in range(len(live)):
         if len(contacted) >= kappa and len(responders) >= need:
             break
         b = live[(j * kappa + i) % len(live)]
         contacted.append(b)
-        if roles[b.node_id] is not Behavior.SELFISH:
+        if roles.get(b.node_id) is not selfish:
             responders.append(b)
     return contacted, responders
 
@@ -606,10 +618,8 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
     for j, f in enumerate(failed):
         contacted, responders[f] = _contacts(live, j, kappa, roles, need)
         report.contacted[f] = tuple(b.node_id for b in contacted)
-        equations[f] = {}
-        for b in responders[f]:
-            equations[f][b.position] = _row_answer(b, j, roles, rng)
-            report.downloads[f][b.node_id] += 1
+        equations[f] = {b.position: _row_answer(b, j, roles, rng) for b in responders[f]}
+        report.downloads[f].update(b.node_id for b in responders[f])
 
     # Relay plan: rows short of kappa equations borrow evaluation points
     # through peers, spreading the extra demand evenly over links (the
@@ -718,11 +728,11 @@ def progressive_repair_with_digests(
     }
 
     for count, block in enumerate(live, 1):
-        if roles[block.node_id] is not Behavior.SELFISH:  # a selfish contact sends nothing
+        if roles.get(block.node_id) is not Behavior.SELFISH:  # a selfish contact sends nothing
             for f in failed:
                 for r in needed[f]:
                     equations[(f, r)][block.position] = _row_answer(block, r, roles, rng)
-                    report.downloads[f][block.node_id] += 1
+                report.downloads[f][block.node_id] += len(needed[f])
         if count < kappa:
             continue
         for f in failed:
@@ -747,7 +757,8 @@ def _try_verified_assembly(code, failed, equations, digests, report):
             key: [v.value for v in rs_decode(code, [(p, eqs[p]) for p in subset])]
             for key, eqs in equations.items()
         }
-        # candidate cross pieces travel once per attempt between honest pairs
+        # the candidate cross pieces between honest pairs are counted once
+        # for each kappa-subset tried
         report.exchanges.update(permutations(report.measured, 2))
         blocks = []
         for f in failed:

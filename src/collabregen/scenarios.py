@@ -318,8 +318,9 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
         raise ValueError("failure schedule shorter than the generation count")
 
     stats: list[GenerationStats] = []
+    polluted: set[int] = set()  # the ids whose stored payload is not the true one
     for gen in range(cfg.generations):
-        failed = sorted(int(i) for i in schedule[gen])  # the repair checks the set
+        failed = sorted(schedule[gen])  # the repair checks the set
         live = [stored[i] for i in sorted(stored.keys() - failed)]
         behaviors = dict(cfg.behaviors)
         behaviors.update(cfg.behavior_overrides.get(gen, {}))
@@ -343,15 +344,16 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
             raise type(exc)(f"generation {gen}: {exc}") from exc
         for nb in new_blocks:
             stored[nb.node_id] = nb
-        polluted = sum(
-            1 for i, b in stored.items() if b.payload != truth_payloads[i]
-        )
+            if nb.payload != truth_payloads[nb.node_id]:
+                polluted.add(nb.node_id)
+            else:
+                polluted.discard(nb.node_id)
         beta_av, beta_prime, gamma = (num / den for num, den in report.cost_ratios())
         stats.append(
             GenerationStats(
                 generation=gen,
                 repaired=tuple(failed),
-                polluted_block_count=polluted,
+                polluted_block_count=len(polluted),
                 beta_av=beta_av,
                 beta_prime=beta_prime,
                 gamma=gamma,

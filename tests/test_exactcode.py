@@ -599,20 +599,25 @@ def test_string_behaviors_act_like_enums():
             assert new_str == new_enum and report_str == report_enum
 
 
-@pytest.mark.parametrize("behaviors", [None, {1: "selfish"}, {6: "selfish", 2: "honest"}])
+@pytest.mark.parametrize(
+    "behaviors",
+    [None, {1: "selfish"}, {6: "selfish", 2: "honest"}, {i: "honest" for i in range(1, 8)}],
+)
 def test_seed_matters_only_when_a_node_pollutes(behaviors):
     # only polluting nodes draw wrong symbols from the repair's RNG, so
-    # without one the seed changes neither the blocks nor the report
+    # without one the seed changes neither the blocks nor the report; and
+    # an id mapped to "honest" repairs as an id left out of the map
     code, obj, blocks = demo_setup(seed=89)
     table = FragmentDigestTable.from_blocks("obj", blocks)
     runs = [
-        lambda seed: collaborative_repair(code, blocks[:5], [6, 7], behaviors, seed=seed),
-        lambda seed: progressive_repair_with_digests(
-            code, blocks[:5], [6, 7], behaviors, table, seed=seed
+        lambda bs, seed: collaborative_repair(code, blocks[:5], [6, 7], bs, seed=seed),
+        lambda bs, seed: progressive_repair_with_digests(
+            code, blocks[:5], [6, 7], bs, table, seed=seed
         ),
     ]
+    misbehaving = {i: b for i, b in (behaviors or {}).items() if b != "honest"}
     for run in runs:
-        assert run(1) == run(2)
+        assert run(behaviors, 1) == run(behaviors, 2) == run(misbehaving, 1)
 
 
 class TestHonestRepair:
@@ -1212,6 +1217,32 @@ def test_string_policies_act_like_enums():
     assert run("keep-responders")[1].completion_pieces == 6
     with pytest.raises(ValueError):
         collaborative_repair(code, blocks[:7], [8, 9, 10], selfish, policy="keep-everyone")
+
+
+@pytest.mark.parametrize("entry", ["collaborative", "digests"])
+def test_node_ids_must_be_ints(entry):
+    # int() once made node ids of the failed ids ([6.9, 7.2] repaired
+    # nodes 6 and 7, [True, 7] node 1, ["6", 7] nodes 6 and 7), and a live
+    # node "5" among int ids ended in the TypeError of the id sort
+    code, obj, blocks = demo_setup()
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+
+    def run(live, failed):
+        if entry == "collaborative":
+            return collaborative_repair(code, live, failed, {1: "polluting"})
+        return progressive_repair_with_digests(code, live, failed, {1: "polluting"}, table)
+
+    b = blocks[4]
+    for live, failed, named in [
+        (blocks[:5], [6.9, 7.2], r"\[6\.9, 7\.2\]"),
+        (blocks[1:6], [True, 7], r"\[True\]"),
+        (blocks[:5], ["6", 7], r"\['6'\]"),
+        ([*blocks[:4], NodeBlock(5.0, b.column, b.payload)], [6, 7], r"\[5\.0\]"),
+        ([*blocks[:4], NodeBlock("5", b.column, b.payload)], [6, 7], r"\['5'\]"),
+    ]:
+        with pytest.raises(ValueError, match=named + " are not ints"):
+            run(live, failed)
+    run(blocks[:5], (7, 6))
 
 
 @pytest.mark.parametrize("entry", ["collaborative", "digests"])
