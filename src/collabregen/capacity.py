@@ -232,11 +232,9 @@ def _live_coefficients(k: int, d: int, factor: int, among_live: int) -> list[int
 
 
 def mincut_single(p: SystemParams) -> Fraction:
-    """Cut bound for independent single-node repairs (t treated as 1)."""
-    return sum(
-        (min(p.alpha, c * p.beta) for c in _live_coefficients(p.k, p.d, 1, 0)),
-        start=Fraction(0),
-    )
+    """Cut bound for independent single-node repairs: the collaborative
+    bound at t = 1, whatever p.t is."""
+    return _capacity(replace(p, t=1), GroupPartition.all_ones(p.k))
 
 
 def mincut_collab(p: SystemParams, part: GroupPartition) -> Fraction:

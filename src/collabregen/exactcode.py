@@ -407,22 +407,6 @@ class RepairReport:
         return Fraction(*self.cost_ratios()[2])
 
     @property
-    def beta_av_pieces(self) -> Fraction:
-        return self.beta_av * self.unit_pieces
-
-    @property
-    def beta_prime_pieces(self) -> Fraction:
-        return self.beta_prime * self.unit_pieces
-
-    @property
-    def gamma_pieces(self) -> Fraction:
-        return self.gamma * self.unit_pieces
-
-    @property
-    def completion_pieces(self) -> int:
-        return sum(self.completion.values())
-
-    @property
     def total_pieces(self) -> int:
         return (
             sum(sum(d.values()) for d in self.downloads.values())
@@ -489,8 +473,9 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     pollutes), live blocks by id, failed ids sorted, and a report with a
     download ledger per newcomer that measures the honest ones.  Every
     node id, and every key of ``behaviors``, must be an int in 1..n:
-    id - 1 is its codeword position.  Every live payload holds t symbols
-    over the code's field (repairs never read a block's column)."""
+    id - 1 is its codeword position.  Every live payload holds the same
+    number t >= 1 of symbols over the code's field (repairs never read a
+    block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live, failed = list(live_blocks), list(failed_ids)
     odd = [i for i in [b.node_id for b in live] + failed if type(i) is not int]
@@ -503,6 +488,8 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     if not live:  # no block gives t, so the failed ids cannot be checked
         raise ValueError("no live blocks")
     t, field_ = len(live[0].payload), code.field
+    if not t:
+        raise ValueError("live blocks hold no payload symbol")
     for b in live:
         if len(b.payload) != t:
             raise ValueError(f"live blocks hold {t} and {len(b.payload)} pieces")
@@ -735,23 +722,22 @@ def progressive_repair_with_digests(
                 report.downloads[f][block.node_id] += len(needed[f])
         if count < kappa:
             continue
-        for f in failed:
-            report.contacted[f] = tuple(b.node_id for b in live[:count])
         result = _try_verified_assembly(code, failed, equations, digests, report)
         if result is not None:
+            report.contacted = dict.fromkeys(failed, tuple(b.node_id for b in live[:count]))
             # a polluting newcomer stores garbage even after a verified repair
             return [_as_served(block, roles, rng) for block in result], report
     raise RepairFailureError(f"no verified repair with all {len(live)} live nodes contacted")
 
 
 def _try_verified_assembly(code, failed, equations, digests, report):
-    # Every row map holds the same positions (there is no map when no
-    # node failed): a contacted node answers every row or, when selfish,
-    # none.  Any kappa of them are distinct in-range positions with a
-    # symbol, which rs_decode interpolates and never rejects, so every
-    # subset yields a candidate for the digests.  Each (key, subset) is
-    # one rs_decode: one O(kappa^2) interpolation of its kappa symbols.
-    positions = sorted(next(iter(equations.values()), ()))
+    # Every row map holds the same positions: a contacted node answers
+    # every row or, when selfish, none.  Any kappa of them are distinct
+    # in-range positions with a symbol, which rs_decode interpolates and
+    # never rejects, so every subset yields a candidate for the digests.
+    # Each (key, subset) is one rs_decode: one O(kappa^2) interpolation
+    # of its kappa symbols.
+    positions = sorted(next(iter(equations.values())))
     for subset in combinations(positions, code.kappa):
         rows = {
             key: [v.value for v in rs_decode(code, [(p, eqs[p]) for p in subset])]

@@ -1,5 +1,6 @@
 """Exact-rational capacity bounds and characteristic points."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -299,6 +300,9 @@ def test_reduction_chain_exhaustive_small_k():
                 assert capacity_polluting(p, part, polluting(0, zeros)) == base
                 if t == 1:
                     assert base == mincut_single(p)
+            # the single-repair bound treats every t as 1
+            single = mincut_collab(replace(p, t=1), GroupPartition.all_ones(k))
+            assert mincut_single(p) == single
 
 
 @settings(max_examples=150, derandomize=True)

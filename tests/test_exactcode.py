@@ -643,7 +643,7 @@ class TestHonestRepair:
             new, report = collaborative_repair(code, live, list(failed))
             for nb in new:
                 assert nb.payload == by_id[nb.node_id].payload
-            assert report.gamma_pieces == 4  # kappa + (t-1) pieces per node
+            assert report.gamma * report.unit_pieces == 4  # kappa + (t-1) pieces per node
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.data())
@@ -659,7 +659,7 @@ class TestHonestRepair:
         new, report = collaborative_repair(code, live, failed)
         for nb in new:
             assert nb.payload == by_id[nb.node_id].payload
-        assert report.gamma_pieces == 4 + 2  # kappa + (t-1)
+        assert report.gamma * report.unit_pieces == 4 + 2  # kappa + (t-1)
 
     def test_too_few_live_nodes(self):
         code, obj, blocks = demo_setup()
@@ -723,7 +723,7 @@ class TestSelfishScenarios:
         assert loads == [1, 2]
         # completing both stored pieces takes one extra cross piece per pair,
         # outside the reference accounting
-        assert report.completion_pieces == 2
+        assert sum(report.completion.values()) == 2
         assert report.total_pieces == 10
 
     def test_contact_new_nodes_policy(self):
@@ -739,7 +739,7 @@ class TestSelfishScenarios:
         for nb in new:
             assert nb.payload == by_id[nb.node_id].payload
         assert report.beta_av == F(1, 2)  # one piece per responsive link
-        assert report.completion_pieces == 0
+        assert sum(report.completion.values()) == 0
 
     def test_contact_new_nodes_fails_short_of_kappa_responders(self):
         code, obj, blocks = demo_setup()
@@ -1184,8 +1184,6 @@ def test_cost_ratios_match_fraction_formulas(report):
     assert tuple(F(num, den) for num, den in ratios) == want
     assert [num / den for num, den in ratios] == [float(w) for w in want]
     assert (report.beta_av, report.beta_prime, report.gamma) == want
-    pieces = (report.beta_av_pieces, report.beta_prime_pieces, report.gamma_pieces)
-    assert pieces == tuple(w * t for w in want)
 
 
 @pytest.mark.parametrize("relabel, failed", [(0, [8, 9, 10]), (11, [8, 9, 10]), (None, [0, 9, 10])])
@@ -1214,7 +1212,7 @@ def test_string_policies_act_like_enums():
 
     for policy in RepairPolicy:
         assert run(policy.value) == run(policy)
-    assert run("keep-responders")[1].completion_pieces == 6
+    assert sum(run("keep-responders")[1].completion.values()) == 6
     with pytest.raises(ValueError):
         collaborative_repair(code, blocks[:7], [8, 9, 10], selfish, policy="keep-everyone")
 
@@ -1243,6 +1241,21 @@ def test_node_ids_must_be_ints(entry):
         with pytest.raises(ValueError, match=named + " are not ints"):
             run(live, failed)
     run(blocks[:5], (7, 6))
+
+
+@pytest.mark.parametrize("entry", ["collaborative", "digests"])
+def test_repairs_reject_blocks_without_payload(entry):
+    # blocks with no payload symbol make t = 0, which only an empty
+    # failed list matched: like a read, a repair rejects such blocks
+    code, obj, blocks = demo_setup()
+    table = FragmentDigestTable.from_blocks("obj", blocks)
+    empty = [NodeBlock(b.node_id, b.column, ()) for b in blocks[:5]]
+    for failed in ([], [6, 7]):
+        with pytest.raises(ValueError, match="live blocks hold no payload symbol"):
+            if entry == "collaborative":
+                collaborative_repair(code, empty, failed, {1: "polluting"})
+            else:
+                progressive_repair_with_digests(code, empty, failed, {1: "polluting"}, table)
 
 
 @pytest.mark.parametrize("entry", ["collaborative", "digests"])

@@ -367,8 +367,8 @@ def _sim_code(m, n, kappa, t):
 _SIM_BASE = {"code": _sim_code(8, 16, 6, 3), "generations": 32, "seed": 7,
              "behaviors": {"1": "polluting"}}
 
-# The ten `simulate` configs the CI workflow reruns, with the sha256 of
-# each CSV; digests_wide runs 8 of its 32 generations to stay quick.
+# The ten `simulate` configs the CI workflow reruns at 32 generations,
+# with the sha256 of each CSV; digests_wide runs 8 here to stay quick.
 PINNED_SIMULATIONS = {
     "none": ({**_SIM_BASE, "mitigation": "none"},
              "a891e7500ae51047e6eeccbb3d77cec5fb6003c2f42a4a02871acfc792138d30"),
@@ -378,24 +378,39 @@ PINNED_SIMULATIONS = {
     # alone decides each verdict (32 of 32 false)
     "polluted_read": ({**_SIM_BASE, "mitigation": "digests", "pollute_collection": True},
                       "fa61b74459116176b7fe3581980b60093bddf20131180e6410c54a222b78590d"),
+    # one assumed polluter makes every repair a vote, decoded by Gao's
+    # algorithm; in generation 2 newcomer 2 pollutes, so each newcomer
+    # decodes all t rows of the object alone
     "vote": ({**_SIM_BASE, "mitigation": "none", "assumed_polluters": 1,
               "behavior_overrides": {"2": {"2": "polluting"}}},
              "0b6066dd32037b456f49d731a87f8bdbfdf9ade228f454f1ac6d38fc5ab43b80"),
+    # selfish live node 9 is in a contact stripe, so relays and completion
+    # pieces move, unless both failed ids are above it; in generation 19
+    # (nodes 12 and 15 fail) newcomer 15 is selfish and nobody collaborates
     "selfish": ({"code": _sim_code(8, 16, 4, 2), "generations": 32, "seed": 7,
                  "behaviors": {"9": "selfish"}, "policy": "keep-responders",
                  "behavior_overrides": {"19": {"15": "selfish"}}},
                 "07b30a755dfafca1e60cf362206c21e67a697f80576319f21abb995573420a1b"),
+    # in generation 4 (nodes 2, 5 and 10 fail) newcomer 5 is selfish and
+    # newcomer 2's stripe starts at selfish live node 1, so nobody relays
+    # and each newcomer walks past selfish contacts to kappa responders
     "selfish_newcomer": ({"code": _sim_code(8, 16, 6, 3), "generations": 32, "seed": 7,
                           "behaviors": {"1": "selfish"},
                           "behavior_overrides": {"4": {"5": "selfish"}}},
                          "e85c123a4b2248077acc1d8c6102a77660750415b8ddf08248e966ac3f56e4d3"),
+    # digests on the (10,3) code: in generation 5 (nodes 3 and 8 fail)
+    # newcomer 8 pollutes and in generation 6 (nodes 2 and 3) newcomer 3
+    # is selfish, so the other newcomer solves every row itself
     "digests_byzantine": ({"code": _sim_code(8, 10, 3, 2), "generations": 32, "seed": 7,
                            "mitigation": "digests", "behaviors": {"1": "polluting"},
                            "behavior_overrides": {"5": {"8": "polluting"}, "6": {"3": "selfish"}}},
                           "e917ffb4a779a05d88d1153842caa928938c43fdd96f9c30ca1f805496791bb2"),
+    # digests on a (32,16) code with two polluting live nodes: each polluter
+    # met multiplies the kappa-subsets tried, each an exactly-kappa decode
     "digests_wide": ({"code": _sim_code(8, 32, 16, 4), "generations": 8, "seed": 7,
                       "mitigation": "digests", "behaviors": {"1": "polluting", "2": "polluting"}},
                      "322d6366ee475481358b5bf47146495316dca6318d2fbe424a0e80b4fee9b5c3"),
+    # the widest t a simulation takes: 6 of 10 nodes fail, 4 = kappa repair them
     "boundary_none": ({"code": _sim_code(4, 10, 4, 6), "generations": 32, "seed": 7,
                        "mitigation": "none"},
                       "ad0c43b9c78e26b01134d97a7fb55c88e8e50cf26ad88cdbdc1ab42e4548bab3"),
