@@ -40,11 +40,7 @@ from .gf import (
     GF,
     RsCode,
     field,
-    gf_inv,
-    gf_mul,
-    mat_solve,
     rs_decode,
-    rs_encode,
 )
 from .scenarios import (
     CodeSetup,

@@ -54,6 +54,7 @@ from .gf import (
     RsCode,
     SingularMatrixError,
     _decode_rows,
+    _elements,
     _newton,
     _newton_at,
     dot,
@@ -185,11 +186,8 @@ def encode_object(obj: ObjectMatrix, code: RsCode) -> list[NodeBlock]:
 
 def _block(code: RsCode, node_id: int, values: Sequence[int]) -> NodeBlock:
     """The block of ``node_id``: its code column, the int ``values`` as
-    elements, taken from the field's table of interned ones once built."""
-    f = code.field
-    table = f._elements
-    payload = tuple(e if (e := table[v]) is not None else FieldElement(v, f) for v in values)
-    return NodeBlock(node_id, code.column(node_id - 1), payload)
+    elements (``gf._elements``)."""
+    return NodeBlock(node_id, code.column(node_id - 1), _elements(code.field, values))
 
 
 _SHARED_COLUMN = "blocks of different nodes share a column"
@@ -431,17 +429,18 @@ def _as_served(
     return NodeBlock(block.node_id, block.column, payload)
 
 
-def _row_answer(block: NodeBlock, row: int, roles, rng) -> FieldElement:
-    """The symbol of ``row`` that a responsive (not selfish) node sends;
+def _row_answer(block: NodeBlock, row: int, roles, rng) -> int:
+    """The symbol of ``row`` that a responsive (not selfish) node sends, as
+    an int; a polluter's is wrong by the draw ``_wrong_symbol`` makes.
     ``rng`` is None when no node pollutes."""
     true = block.payload[row]
     if rng is not None and roles.get(block.node_id) is Behavior.POLLUTING:
-        return _wrong_symbol(true, rng)
-    return true
+        return true.value ^ rng.randrange(1, true.field.order)
+    return true.value
 
 
 def _rows_at(code, positions, rows, targets) -> list[list[int]]:
-    """Each object row, from its received symbols at the kappa or more
+    """Each object row, from its received int symbols at the kappa or more
     distinct ``positions``, evaluated at the ``targets`` positions, as
     ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
     the row is their interpolant: ``_newton`` builds it in Newton form
@@ -452,12 +451,11 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     f, kappa = code.field, code.kappa
     at = code.evaluation_points
     points = [at[p].value for p in positions]
-    values = [[y.value for y in row] for row in rows]
     if len(positions) == kappa:
         xs = [at[p].value for p in targets]
-        return [_newton_at(f, points, _newton(f, points, ys), xs) for ys in values]
+        return [_newton_at(f, points, _newton(f, points, ys), xs) for ys in rows]
     try:
-        msgs = _decode_rows(f, points, values, kappa)
+        msgs = _decode_rows(f, points, rows, kappa)
     except DecodeAmbiguityError:
         raise RepairFailureError(
             f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
@@ -601,11 +599,11 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
     # Phase 1: each newcomer picks its contacts and downloads its own row
     # from those that respond.
     responders: dict[int, list[NodeBlock]] = {}
-    equations: dict[int, dict[int, FieldElement]] = {}
+    equations: dict[int, dict[int, int]] = {}  # by codeword position
     for j, f in enumerate(failed):
         contacted, responders[f] = _contacts(live, j, kappa, roles, need)
         report.contacted[f] = tuple(b.node_id for b in contacted)
-        equations[f] = {b.position: _row_answer(b, j, roles, rng) for b in responders[f]}
+        equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in responders[f]}
         report.downloads[f].update(b.node_id for b in responders[f])
 
     # Relay plan: rows short of kappa equations borrow evaluation points
@@ -625,7 +623,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
                 if peer == f:
                     continue
                 for b in responders[peer]:
-                    if b.position in equations[f]:
+                    if b.node_id - 1 in equations[f]:
                         continue
                     options.append((report.downloads[peer][b.node_id], b.node_id, peer, b))
             if not options:
@@ -633,7 +631,7 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
                     f"responding nodes cannot span the data of node {f}"
                 )
             _, _, carrier, src = min(options)
-            equations[f][src.position] = _row_answer(src, j, roles, rng)
+            equations[f][src.node_id - 1] = _row_answer(src, j, roles, rng)
             report.downloads[carrier][src.node_id] += 1
             report.exchanges[(carrier, f)] += 1
 
@@ -669,7 +667,7 @@ def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
         rows = [[_row_answer(b, r, roles, rng) for b in responders] for r in range(t)]
         for b in responders:
             report.downloads[f][b.node_id] += t
-        pieces = _rows_at(code, [b.position for b in responders], rows, [f - 1])
+        pieces = _rows_at(code, [b.node_id - 1 for b in responders], rows, [f - 1])
         new_blocks.append(_as_served(_block(code, f, [v for (v,) in pieces]), roles, rng))
     return new_blocks
 
@@ -710,7 +708,7 @@ def progressive_repair_with_digests(
         else:
             needed[f] = sorted({j} | {i for i, p in enumerate(failed) if p in byz})
 
-    equations: dict[tuple[int, int], dict[int, FieldElement]] = {
+    equations: dict[tuple[int, int], dict[int, int]] = {  # by codeword position
         (f, r): {} for f in failed for r in needed[f]
     }
 
@@ -718,7 +716,7 @@ def progressive_repair_with_digests(
         if roles.get(block.node_id) is not Behavior.SELFISH:  # a selfish contact sends nothing
             for f in failed:
                 for r in needed[f]:
-                    equations[(f, r)][block.position] = _row_answer(block, r, roles, rng)
+                    equations[(f, r)][block.node_id - 1] = _row_answer(block, r, roles, rng)
                 report.downloads[f][block.node_id] += len(needed[f])
         if count < kappa:
             continue
@@ -736,12 +734,13 @@ def _try_verified_assembly(code, failed, equations, digests, report):
     # in-range positions with a symbol, which rs_decode interpolates and
     # never rejects, so every subset yields a candidate for the digests.
     # Each (key, subset) is one rs_decode: one O(kappa^2) interpolation
-    # of its kappa symbols.
-    positions = sorted(next(iter(equations.values())))
-    for subset in combinations(positions, code.kappa):
+    # of its kappa symbols, given as elements.  The subsets of every row
+    # map are taken in lockstep, in the same order of positions.
+    received = [sorted(zip(eqs, _elements(code.field, eqs.values()))) for eqs in equations.values()]
+    for subsets in zip(*[combinations(pairs, code.kappa) for pairs in received]):
         rows = {
-            key: [v.value for v in rs_decode(code, [(p, eqs[p]) for p in subset])]
-            for key, eqs in equations.items()
+            key: [v.value for v in rs_decode(code, subset)]
+            for key, subset in zip(equations, subsets)
         }
         # the candidate cross pieces between honest pairs are counted once
         # for each kappa-subset tried

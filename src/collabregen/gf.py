@@ -6,8 +6,10 @@ Below the element API, values are ints and a product is one lookup in the
 field's log/exp tables: ``dot`` is the one dot-product kernel of encoding,
 column application and matrix products; ``_decode_rows`` is the one
 decode kernel of every read, row by row: one O(N^2) Newton
-interpolation, then Gao's Euclid steps when there are more than kappa
-points (with exactly kappa, the interpolant is the message); the first
+interpolation, then Gao's Euclid steps only when the interpolant has
+degree kappa or more (with exactly kappa points it never has, and a row
+already below kappa is the message, returned with no Euclid step; the
+master polynomial g0 is built only for a row that needs one); the first
 row beyond the radius raises DecodeAmbiguityError, the one such signal.
 ``_newton`` (divided differences) is the one interpolation kernel of
 reads and repairs: a decode expands its Newton form into coefficients,
@@ -263,14 +265,11 @@ class FieldElement:
         return f"GF(2^{self.field.m}):{self.value}"
 
 
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product of two elements of the same field."""
-    return a * b
-
-
-def gf_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on the zero element."""
-    return a.inverse()
+def _elements(f: GF, values: Iterable[int]) -> tuple[FieldElement, ...]:
+    """The int ``values``, each in 0..2^m-1, as elements of f: the entries
+    of its table of interned elements, each built on first use."""
+    table = f._elements
+    return tuple([e if (e := table[v]) is not None else FieldElement(v, f) for v in values])
 
 
 class FieldMatrix:
@@ -311,13 +310,6 @@ class FieldMatrix:
         return cls(field_, len(rows), width, flat)
 
     @classmethod
-    def identity(cls, field_: GF, n: int) -> "FieldMatrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(field_, n, n, data)
-
-    @classmethod
     def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "FieldMatrix":
         """Rows are successive powers: entry (j, i) = points[i]**j."""
         if not points:
@@ -345,10 +337,6 @@ class FieldMatrix:
         return tuple(
             FieldElement(self._data[i * self.cols + j], self.field) for i in range(self.rows)
         )
-
-    def take_columns(self, idx: Sequence[int]) -> "FieldMatrix":
-        data = [self._data[i * self.cols + j] for i in range(self.rows) for j in idx]
-        return FieldMatrix(self.field, self.rows, len(idx), data)
 
     def transpose(self) -> "FieldMatrix":
         data = [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -410,14 +398,6 @@ class FieldMatrix:
                     aug[r] = [v ^ exp[lf + log[pv]] if pv else v for v, pv in zip(aug[r], prow)]
         data = [aug[i][n + j] for i in range(n) for j in range(w)]
         return FieldMatrix(f, n, w, data)
-
-    def inverse(self) -> "FieldMatrix":
-        return self.solve(FieldMatrix.identity(self.field, self.rows))
-
-
-def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Solve A @ X = B over the matrices' common field."""
-    return a.solve(b)
 
 
 # --- Reed-Solomon codes ---
@@ -486,10 +466,6 @@ class RsCode:
         return tuple(FieldElement(dot(f, msg, col), f) for col in self.column_values)
 
 
-def rs_encode(code: RsCode, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    return code.encode(message)
-
-
 def rs_decode(
     code: RsCode,
     received: Iterable[tuple[int, Optional[FieldElement]]],
@@ -497,28 +473,35 @@ def rs_decode(
     """Decode erasures and errors with Gao's algorithm.
 
     ``received`` lists (position, symbol) pairs; a symbol of ``ERASED``
-    (None) or an absent position counts as an erasure.  The N available
-    symbols form an (N, kappa) Reed-Solomon code on their points, which
-    Gao's algorithm (Gao 2003, "A new algorithm for decoding Reed-Solomon
-    codes") decodes up to (N - kappa)/2 errors in O(N^2) field operations:
-    interpolate the received word, run the extended Euclidean algorithm
-    on it and the vanishing polynomial of the points until the remainder
-    has degree below (N + kappa)/2, and divide the remainder by its
-    cofactor.  Every result it returns is certified: its erasure/error
+    (None) or an absent position counts as an erasure.  Before any
+    decode, a position that is not an int (a bool included) in 0..n-1,
+    or repeats, raises ValueError; a symbol that is neither a
+    FieldElement nor ERASED raises TypeError, and one of another field
+    FieldMismatchError.  The N available symbols form an (N, kappa)
+    Reed-Solomon code on their points, which Gao's algorithm (Gao 2003,
+    "A new algorithm for decoding Reed-Solomon codes") decodes up to
+    (N - kappa)/2 errors in O(N^2) field operations: interpolate the
+    received word, run the extended Euclidean algorithm on it and the
+    vanishing polynomial of the points until the remainder has degree
+    below (N + kappa)/2, and divide the remainder by its cofactor.
+    Every result it returns is certified: its erasure/error
     counts satisfy n_s + 2*n_b <= n - kappa (see ``_gao``), which makes
     it the unique codeword in that radius.  When no codeword is that
     close ``_gao`` raises DecodeAmbiguityError, so a corruption beyond
-    the bound is flagged rather than silently decoded.  With exactly kappa
-    symbols Euclid takes no step: the interpolant is the message,
-    certified with no errors.
+    the bound is flagged rather than silently decoded.  When the
+    interpolant already has degree below kappa, as it does from exactly
+    kappa symbols, Euclid takes no step: the interpolant is the message,
+    certified with no errors, and is returned without Gao.
     """
-    f = code.field
+    f, n = code.field, code.n
     seen: dict[int, int] = {}
     for pos, sym in received:
-        if not 0 <= pos < code.n:
-            raise ValueError(f"position {pos} outside code length {code.n}")
+        if type(pos) is not int or not 0 <= pos < n:
+            raise ValueError(f"position {pos!r} is not an int in 0..{n - 1}")
         if sym is None:
             continue
+        if not isinstance(sym, FieldElement):
+            raise TypeError(f"symbol {sym!r} is neither a FieldElement nor ERASED")
         if sym.field is not f:
             raise FieldMismatchError("received symbol from a different field")
         if pos in seen:
@@ -529,9 +512,9 @@ def rs_decode(
         raise InsufficientSymbolsError(
             f"{len(seen)} symbols available, need at least {kappa}"
         )
-    points = [code.evaluation_points[pos].value for pos in seen]
-    (msg,) = _decode_rows(f, points, [list(seen.values())], kappa)
-    return tuple(FieldElement(v, f) for v in msg)
+    at = code.evaluation_points
+    (msg,) = _decode_rows(f, [at[pos].value for pos in seen], [list(seen.values())], kappa)
+    return _elements(f, msg)
 
 
 def _decode_rows(
@@ -539,17 +522,30 @@ def _decode_rows(
 ) -> list[list[int]]:
     """Each row of values at the N >= kappa distinct ``points`` decoded to
     its kappa message coefficients, as ints, one row at a time, each
-    interpolated by ``_newton`` and ``_expand``.  The first row with no
-    message of degree < kappa within (N - kappa)/2 errors raises
-    DecodeAmbiguityError, and the rows after it are not decoded.  With exactly kappa points Euclid
-    would take no step and the interpolant agrees with every value: it is
-    the message, with no errors to count; with more, each row goes
-    through Gao's Euclid steps, on the one master polynomial."""
-    msgs = (_expand(f, points, _newton(f, points, row)) for row in rows)
-    if len(points) > kappa:
-        g0 = _expand(f, points, [0] * len(points) + [1])
-        msgs = (_gao(f, g0, g1, kappa) for g1 in msgs)
-    return [m + [0] * (kappa - len(m)) for m in msgs]
+    interpolated by ``_newton``.  A row whose Newton coefficients
+    d_kappa..d_{N-1} are all zero (always, with exactly kappa points) has
+    an interpolant of degree below kappa that agrees with every value: it
+    is the message, on which Euclid would take no step, and is expanded
+    by ``_expand`` with no Gao.  Any other row goes through Gao's Euclid
+    steps on the master polynomial g0, built for the first such row.  The
+    first row with no message of degree < kappa within (N - kappa)/2
+    errors raises DecodeAmbiguityError, and the rows after it are not
+    decoded."""
+    g0 = None
+    msgs = []
+    for row in rows:
+        d = _newton(f, points, row)
+        if any(d[kappa:]):
+            if g0 is None:
+                g0 = _expand(f, points, [0] * len(points) + [1])
+            msg = _gao(f, g0, _expand(f, points, d), kappa)
+        else:
+            del d[kappa:]
+            msg = _expand(f, points, d)
+        if len(msg) < kappa:
+            msg += [0] * (kappa - len(msg))
+        msgs.append(msg)
+    return msgs
 
 
 # Polynomials below are int coefficient lists over one field, lowest

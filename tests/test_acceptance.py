@@ -41,7 +41,7 @@ from collabregen.exactcode import (
     collect_robust,
     progressive_repair_with_digests,
 )
-from collabregen.gf import DecodeAmbiguityError, RsCode, field, rs_decode, rs_encode
+from collabregen.gf import DecodeAmbiguityError, RsCode, field, rs_decode
 from collabregen.scenarios import (
     REFERENCE_COSTS,
     SCENARIO_NAMES,
@@ -309,7 +309,7 @@ def test_criterion_8_decoding_radius():
         for n_s, n_b in pairs:
             for _ in range(200):
                 msg = tuple(f.element(rng.randrange(8)) for _ in range(3))
-                word = list(rs_encode(code, msg))
+                word = list(code.encode(msg))
                 positions = rng.sample(range(7), n_s + n_b)
                 for pos in positions[:n_s]:
                     word[pos] = None
@@ -319,7 +319,7 @@ def test_criterion_8_decoding_radius():
 
         # one erasure plus two errors exceeds the radius: flagged, never wrong
         msg = (f.element(1), f.element(2), f.element(3))
-        word = list(rs_encode(code, msg))
+        word = list(code.encode(msg))
         word[0] = None
         word[1] = f.element(word[1].value ^ 5)
         word[2] = f.element(word[2].value ^ 6)

@@ -1027,14 +1027,14 @@ def test_rows_at_matches_decode_then_eval(case, data):
         row = []
         for p in positions:
             mask = data.draw(st.one_of(st.just(0), st.integers(1, f.order - 1)))
-            row.append(FieldElement(blocks[p].payload[r].value ^ mask, f))
+            row.append(blocks[p].payload[r].value ^ mask)
         rows.append(row)
     zero = code.evaluation_points.index(f.zero)
     targets = data.draw(st.lists(st.integers(0, code.n - 1), min_size=1, max_size=4)) + [zero]
     want = []
     for row in rows:
         try:
-            msg = [v.value for v in rs_decode(code, zip(positions, row))]
+            msg = [v.value for v in rs_decode(code, zip(positions, map(f.element, row)))]
         except DecodeError:
             # the message that simulate prints on stderr
             text = (

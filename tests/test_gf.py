@@ -34,11 +34,7 @@ from collabregen.gf import (
     SingularMatrixError,
     dot,
     field,
-    gf_inv,
-    gf_mul,
-    mat_solve,
     rs_decode,
-    rs_encode,
 )
 from collabregen.exactcode import NodeBlock
 from oracles import oracle_interpolate, oracle_rs_decode
@@ -82,7 +78,7 @@ class TestFieldOps:
 
     def test_multiplicative_identity(self):
         for a in GF8.elements():
-            assert gf_mul(a, GF8.one) == a
+            assert a * GF8.one == a
 
     def test_power_cycle_via_log_table(self):
         # w^7 = 1, so w^3 * w^5 = w^8 = w; cross-check with the slow oracle.
@@ -91,7 +87,7 @@ class TestFieldOps:
         for i in range(7):
             table[i] = acc
             acc = slow_mul(acc, 2, 3)
-        assert gf_mul(W**3, W**5) == W
+        assert W**3 * W**5 == W
         assert slow_mul(table[3], table[5], 3) == table[1]
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -133,10 +129,10 @@ class TestFieldOps:
             assert acc == 1 and len(seen) == f.order - 1
 
     def test_inverse_of_one(self):
-        assert gf_inv(GF8.one) == GF8.one
+        assert GF8.one.inverse() == GF8.one
 
     def test_inverse_of_w_is_w_to_the_sixth(self):
-        assert gf_inv(W) == W**6
+        assert W.inverse() == W**6
         assert slow_inv(2, 3) == (W**6).value
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
@@ -148,11 +144,11 @@ class TestFieldOps:
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
-            gf_inv(GF8.zero)
+            GF8.zero.inverse()
 
     def test_mixed_field_operands_rejected(self):
         with pytest.raises(FieldMismatchError):
-            gf_mul(W, field(4).one)
+            W * field(4).one
 
     def test_element_range_checked(self):
         with pytest.raises(ValueError):
@@ -278,7 +274,7 @@ class TestCopiesShareTheField:
         f = field(8)
         code = RsCode.with_power_points(f, 10, 4, first_power=1)
         msg = tuple(f.element(v) for v in (3, 141, 59, 26))
-        word = rs_encode(code, msg)
+        word = code.encode(msg)
         copied = clone(code)
         assert copied.field is f
         assert all(a is b for a, b in zip(copied.evaluation_points, code.evaluation_points))
@@ -294,11 +290,20 @@ class TestCopiesShareTheField:
         assert all(a is b for a, b in zip(copied.column + copied.payload, block.column + block.payload))
 
 
+def identity(f, n: int) -> FieldMatrix:
+    return FieldMatrix(f, n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def generator_columns(code: RsCode, positions) -> FieldMatrix:
+    """The generator matrix's columns at ``positions``."""
+    return FieldMatrix.vandermonde([code.evaluation_points[p] for p in positions], code.kappa)
+
+
 class TestFieldMatrix:
     def test_solve_identity_returns_rhs(self):
-        eye = FieldMatrix.identity(GF8, 3)
+        eye = identity(GF8, 3)
         b = FieldMatrix.from_rows(GF8, [[1, 2], [3, 4], [5, 6]])
-        assert mat_solve(eye, b) == b
+        assert eye.solve(b) == b
 
     def test_solve_round_trip_random_gf16(self):
         f = field(4)
@@ -307,28 +312,27 @@ class TestFieldMatrix:
             while True:
                 a = FieldMatrix(f, 5, 5, [rng.randrange(f.order) for _ in range(25)])
                 try:
-                    a.inverse()
+                    a.solve(identity(f, 5))
                     break
                 except SingularMatrixError:
                     continue
             x = FieldMatrix(f, 5, 3, [rng.randrange(f.order) for _ in range(15)])
-            assert mat_solve(a, a @ x) == x
+            assert a.solve(a @ x) == x
 
     def test_singular_matrix_reported(self):
         a = FieldMatrix.from_rows(GF8, [[1, 2], [1, 2]])
         with pytest.raises(SingularMatrixError):
-            a.solve(FieldMatrix.identity(GF8, 2))
+            a.solve(identity(GF8, 2))
 
     def test_vandermonde_square_subsets_invertible(self):
         code = RsCode.with_power_points(GF8, 7, 3, first_power=1)
-        g = code.generator_matrix()
         for cols in combinations(range(7), 3):
-            sub = g.take_columns(cols)
-            assert sub.inverse() @ sub == FieldMatrix.identity(GF8, 3)
+            sub = generator_columns(code, cols)
+            assert sub.solve(identity(GF8, 3)) @ sub == identity(GF8, 3)
 
     def test_matmul_shape_mismatch(self):
-        a = FieldMatrix.identity(GF8, 2)
-        b = FieldMatrix.identity(GF8, 3)
+        a = identity(GF8, 2)
+        b = identity(GF8, 3)
         with pytest.raises(ValueError):
             a @ b
 
@@ -369,28 +373,28 @@ class TestRsCode:
     def test_recover_message_from_known_columns(self):
         # Solving against columns {0,1,2} of the generator recovers the message.
         msg = (e8(3), e8(5), e8(6))
-        word = rs_encode(self.code, msg)
-        g = self.code.generator_matrix().take_columns([0, 1, 2])
+        word = self.code.encode(msg)
+        g = generator_columns(self.code, [0, 1, 2])
         rhs = FieldMatrix.from_rows(GF8, [[word[0].value, word[1].value, word[2].value]])
-        x = mat_solve(g.transpose(), rhs.transpose())
+        x = g.transpose().solve(rhs.transpose())
         assert tuple(x.column(0)) == msg
 
     def test_encode_decode_identity_512_messages(self):
         for _ in range(512):
             msg = self.random_message()
-            word = rs_encode(self.code, msg)
+            word = self.code.encode(msg)
             assert rs_decode(self.code, list(enumerate(word))) == msg
 
     def test_four_erasures_decoded(self):
         msg = self.random_message()
-        word = rs_encode(self.code, msg)
+        word = self.code.encode(msg)
         received = [(i, word[i] if i > 3 else ERASED) for i in range(7)]
         assert rs_decode(self.code, received) == msg
 
     def test_two_errors_decoded(self):
         for _ in range(50):
             msg = self.random_message()
-            word = list(rs_encode(self.code, msg))
+            word = list(self.code.encode(msg))
             for pos in self.rng.sample(range(7), 2):
                 word[pos] = e8((word[pos].value + 1 + self.rng.randrange(7)) % 8)
             assert rs_decode(self.code, list(enumerate(word))) == msg
@@ -399,7 +403,7 @@ class TestRsCode:
         # n_s + 2 n_b = 5 > 4: a constructed instance must be flagged, never
         # silently decoded; validated against an exhaustive subset check.
         msg = (e8(1), e8(2), e8(3))
-        word = list(rs_encode(self.code, msg))
+        word = list(self.code.encode(msg))
         word[0] = ERASED
         word[1] = e8(word[1].value ^ 5)
         word[2] = e8(word[2].value ^ 6)
@@ -408,10 +412,10 @@ class TestRsCode:
         # Oracle: no candidate message agrees with enough symbols to certify.
         avail = [(p, s) for p, s in received if s is not None]
         for subset in combinations(avail, 3):
-            g = self.code.generator_matrix().take_columns([p for p, _ in subset])
+            g = generator_columns(self.code, [p for p, _ in subset])
             rhs = FieldMatrix.from_rows(GF8, [[s.value for _, s in subset]])
-            cand = mat_solve(g.transpose(), rhs.transpose()).column(0)
-            cand_word = rs_encode(self.code, tuple(cand))
+            cand = g.transpose().solve(rhs.transpose()).column(0)
+            cand_word = self.code.encode(tuple(cand))
             errs = sum(1 for p, s in avail if cand_word[p] != s)
             assert 1 + 2 * errs > 4
 
@@ -420,9 +424,27 @@ class TestRsCode:
 
     def test_insufficient_symbols(self):
         msg = self.random_message()
-        word = rs_encode(self.code, msg)
+        word = self.code.encode(msg)
         with pytest.raises(InsufficientSymbolsError):
             rs_decode(self.code, [(0, word[0]), (1, word[1])])
+
+    def test_positions_and_symbols_are_type_checked(self):
+        # a float position raised TypeError from indexing the points, a
+        # bool was decoded as its int, and an int symbol raised
+        # AttributeError; each is now rejected before any decode
+        f = field(8)
+        code = RsCode.with_power_points(f, 6, 3, 1)
+        msg = (f.element(7), f.element(0), f.element(200))
+        w = code.encode(msg)
+        with pytest.raises(ValueError, match=r"position 2\.0 is not an int"):
+            rs_decode(code, [(2.0, w[2]), (0, w[0]), (1, w[1])])
+        with pytest.raises(ValueError, match="position True is not an int"):
+            rs_decode(code, [(True, w[1]), (0, w[0]), (2, w[2])])
+        with pytest.raises(ValueError, match=r"position 4\.0 is not an int"):
+            rs_decode(code, [(0, w[0]), (1, w[1]), (2, w[2]), (4.0, ERASED)])
+        with pytest.raises(TypeError, match=f"symbol {w[0].value} is neither a FieldElement nor ERASED"):
+            rs_decode(code, [(0, w[0].value), (1, w[1]), (2, w[2])])
+        assert rs_decode(code, [(2, w[2]), (0, w[0]), (1, w[1]), (4, ERASED)]) == msg
 
 
 def decode_or_flag(decode, code, received):
@@ -448,7 +470,7 @@ def noisy_words(draw):
         st.one_of(st.just([0] * kappa), st.lists(symbol, min_size=kappa, max_size=kappa))
     )
     message = tuple(f.element(v) for v in values)
-    word = list(rs_encode(code, message))
+    word = list(code.encode(message))
     n_s = draw(st.integers(0, n - kappa))
     n_b = draw(st.integers(0, min(n - n_s, (n - kappa - n_s) // 2 + 1)))
     order = draw(st.permutations(range(n)))
@@ -491,7 +513,7 @@ class TestLargeCodes:
         rng = random.Random(n)
         code = RsCode.with_power_points(f, n, kappa, first_power=1)
         message = tuple(f.element(rng.randrange(f.order)) for _ in range(kappa))
-        word = list(rs_encode(code, message))
+        word = list(code.encode(message))
         for pos in rng.sample(range(n), errors):
             word[pos] = f.element(word[pos].value ^ rng.randrange(1, f.order))
         start = time.perf_counter()
@@ -506,7 +528,7 @@ class TestLargeCodes:
         rng = random.Random(223)
         code = RsCode.with_power_points(f, 255, 223, first_power=1)
         message = tuple(f.element(rng.randrange(f.order)) for _ in range(223))
-        word = rs_encode(code, message)
+        word = code.encode(message)
         first = rng.sample(range(255), 223)
         second = rng.sample(range(255), 223)
         assert set(first) != set(second)
@@ -523,7 +545,7 @@ class TestLargeCodes:
         f = field(8)
         rng = random.Random(7)
         code = RsCode.with_power_points(f, 24, 12, first_power=1)
-        word = list(rs_encode(code, tuple(f.element(rng.randrange(256)) for _ in range(12))))
+        word = list(code.encode(tuple(f.element(rng.randrange(256)) for _ in range(12))))
         for pos in range(7):
             word[pos] = f.element(word[pos].value ^ 1)
         with pytest.raises(DecodeAmbiguityError):
@@ -628,7 +650,7 @@ class TestExactKappaPath:
             got = decode_or_flag(rs_decode, code, received)
         assert got == oracle_rs_decode(code, received)
         assert gao.call_count == 0
-        word = rs_encode(code, got)
+        word = code.encode(got)
         assert all(word[pos] == sym for pos, sym in received if sym is not None)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -642,7 +664,7 @@ class TestExactKappaPath:
         got = decode_or_flag(rs_decode, code, received)
         assert got == decode_or_flag(oracle_rs_decode, code, received)
         if got != "flagged":
-            word = rs_encode(code, got)
+            word = code.encode(got)
             wrong = sum(word[pos] != sym for pos, sym in available)
             assert 2 * wrong <= len(available) - code.kappa
 
@@ -651,7 +673,7 @@ class TestExactKappaPath:
         # n_s + 2*n_b = 3 + 4 > 6, and no codeword is within the radius
         f = field(4)
         code = RsCode(f, 8, 2, tuple(f.element(p) for p in range(8)))
-        word = rs_encode(code, (f.element(5), f.element(3)))
+        word = code.encode((f.element(5), f.element(3)))
         received = [(pos, f.element(word[pos].value ^ (pos < 2))) for pos in range(5)]
         assert decode_or_flag(oracle_rs_decode, code, received) == "flagged"
         assert decode_or_flag(rs_decode, code, received) == "flagged"
@@ -707,7 +729,7 @@ class TestDecodeMatrixMemo:
         f = field(8)
         code = RsCode.with_power_points(f, 16, 6, first_power=1)
         message = tuple(f.element(v) for v in range(1, 7))
-        word = rs_encode(code, message)
+        word = code.encode(message)
         before = dict(vars(code))
         assert "column_values" in before
         assert rs_decode(code, [(p, word[p]) for p in range(6)]) == message
@@ -842,7 +864,7 @@ def decode_rows_cases(draw):
             rows.append(draw(st.lists(symbols(f), min_size=size, max_size=size)))
             continue
         message = draw(st.lists(symbols(f), min_size=kappa, max_size=kappa))
-        word = rs_encode(code, [f.element(v) for v in message])
+        word = code.encode([f.element(v) for v in message])
         row = [word[p].value for p in positions]
         for i in draw(st.sets(st.integers(0, size - 1), max_size=(size - kappa) // 2 + 1)):
             row[i] ^= draw(st.integers(1, f.order - 1))
@@ -860,7 +882,9 @@ class TestDecodeRows:
         code, positions, rows = case
         f = code.field
         points = [code.evaluation_points[p].value for p in positions]
-        with mock.patch.object(gf, "_newton", wraps=gf._newton) as newton:
+        with mock.patch.object(gf, "_newton", wraps=gf._newton) as newton, \
+                mock.patch.object(gf, "_gao", wraps=gf._gao) as gao, \
+                mock.patch.object(gf, "_expand", wraps=gf._expand) as expand:
             try:
                 got = gf._decode_rows(f, points, rows, code.kappa)
             except DecodeAmbiguityError:
@@ -872,10 +896,19 @@ class TestDecodeRows:
             ]
             if "flagged" in want:
                 assert got == "flagged"
-                assert newton.call_count == want.index("flagged") + 1
+                decoded = rows[: want.index("flagged") + 1]
             else:
                 assert got == [[v.value for v in msg] for msg in want]
-                assert newton.call_count == len(rows)
+                decoded = rows
+            assert newton.call_count == len(decoded)
+        # Gao runs for exactly the decoded rows whose Newton tail
+        # d_kappa..d_{N-1} is nonzero (a clean row is the message), and
+        # the master polynomial g0, the one expansion of N + 1
+        # coefficients, is built once if Gao runs and never otherwise
+        dirty = sum(any(gf._newton(f, points, row)[code.kappa:]) for row in decoded)
+        assert gao.call_count == dirty
+        masters = sum(len(call.args[2]) == len(points) + 1 for call in expand.call_args_list)
+        assert masters == min(dirty, 1)
 
     def test_first_row_beyond_radius_ends_the_word(self):
         # (8,2) over GF(16) at points 0..7, 5 symbols per row: row 0 has 2
@@ -884,7 +917,7 @@ class TestDecodeRows:
         f = field(4)
         code = RsCode(f, 8, 2, tuple(f.element(p) for p in range(8)))
         points = list(range(5))
-        rows = [[s.value for s in rs_encode(code, (f.element(5), f.element(r)))[:5]] for r in range(3)]
+        rows = [[s.value for s in code.encode((f.element(5), f.element(r)))[:5]] for r in range(3)]
         rows[0][0] ^= 1
         rows[0][1] ^= 1
         with mock.patch.object(gf, "_newton", wraps=gf._newton) as newton, \
