@@ -29,7 +29,12 @@ agree with the reference cost model while blocks stay exact.
 Repair is logically two-phase (download barrier, then exchange barrier);
 this implementation runs newcomers sequentially between the barriers and
 draws all adversarial randomness from an explicit seed, so runs are
-reproducible.
+reproducible.  Newcomer j contacts its stripe: the id-sorted live list
+rotated to start j * kappa nodes in, so the newcomers' first kappa
+contacts are disjoint while the live nodes last.  Points come from the
+code's int table, ``RsCode.point_values``, built with the code; a row of
+exactly kappa symbols is interpolated in Newton form and evaluated at
+the newcomers' points, which are looked up once per repair.
 """
 
 from __future__ import annotations
@@ -413,6 +418,9 @@ class RepairReport:
         )
 
 
+_node_id = attrgetter("node_id")
+
+
 def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
     f = true.field
     return FieldElement(true.value ^ rng.randrange(1, f.order), f)
@@ -442,17 +450,18 @@ def _row_answer(block: NodeBlock, row: int, roles, rng) -> int:
 def _rows_at(code, positions, rows, targets) -> list[list[int]]:
     """Each object row, from its received int symbols at the kappa or more
     distinct ``positions``, evaluated at the ``targets`` positions, as
-    ints (out[r][i] is row r at targets[i]).  With exactly kappa symbols
-    the row is their interpolant: ``_newton`` builds it in Newton form
-    and ``_newton_at`` evaluates that at the targets, never expanded into
-    coefficients; with more, the rows are decoded by ``gf._decode_rows``
-    (Gao) in one call and evaluated.  RepairFailureError at the first
-    row that does not decode."""
+    ints (out[r][i] is row r at targets[i]).  Points are read from the
+    code's int table, ``RsCode.point_values``.  With exactly kappa
+    symbols the row is their interpolant: ``_newton`` builds it in
+    Newton form and ``_newton_at`` evaluates that at the targets, never
+    expanded into coefficients; with more, the rows are decoded by
+    ``gf._decode_rows`` (Gao) in one call and evaluated.
+    RepairFailureError at the first row that does not decode."""
     f, kappa = code.field, code.kappa
-    at = code.evaluation_points
-    points = [at[p].value for p in positions]
+    at = code.point_values
+    points = [at[p] for p in positions]
     if len(positions) == kappa:
-        xs = [at[p].value for p in targets]
+        xs = [at[p] for p in targets]
         return [_newton_at(f, points, _newton(f, points, ys), xs) for ys in rows]
     try:
         msgs = _decode_rows(f, points, rows, kappa)
@@ -476,11 +485,12 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live, failed = list(live_blocks), list(failed_ids)
-    odd = [i for i in [b.node_id for b in live] + failed if type(i) is not int]
-    if odd:
+    ids = [b.node_id for b in live]
+    odd = [i for i in ids + failed if type(i) is not int]
+    if odd:  # checked before the sort, which would compare them
         raise ValueError(f"node ids {odd} are not ints")
-    live.sort(key=attrgetter("node_id"))
-    live_ids = {b.node_id for b in live}
+    live.sort(key=_node_id)
+    live_ids = set(ids)
     if len(live_ids) != len(live):
         raise ValueError("duplicate live node ids")
     if not live:  # no block gives t, so the failed ids cannot be checked
@@ -554,11 +564,12 @@ def collaborative_repair(
         code, live_blocks, failed_ids, behaviors, seed
     )
     policy = RepairPolicy(policy)
+    live_roles = [b for i, b in roles.items() if i not in failed]
     if assumed is None:
-        assumed = sum(1 for b in live if roles.get(b.node_id) is Behavior.POLLUTING)
+        assumed = live_roles.count(Behavior.POLLUTING)
     need = code.kappa
     if assumed:
-        responsive = sum(1 for b in live if roles.get(b.node_id) is not Behavior.SELFISH)
+        responsive = len(live) - live_roles.count(Behavior.SELFISH)
         need = min(code.kappa + 2 * assumed, responsive)
 
     if len(report.measured) < len(failed):  # a Byzantine newcomer
@@ -573,20 +584,26 @@ def _contacts(
 ) -> tuple[list[NodeBlock], list[NodeBlock]]:
     """(contacted, responders) of the newcomer that repairs row ``j``.
 
-    The newcomer walks its stripe of the id-sorted live nodes, which
-    starts after the kappa nodes claimed by newcomers 0..j-1 and wraps,
-    until it has contacted kappa nodes and ``need`` of them responded, or
-    the live nodes run out.  The contacted list includes the selfish
-    nodes met along the way.  ``roles`` may omit honest nodes.  Draws no
+    The newcomer's stripe is the id-sorted live list rotated to start
+    j * kappa nodes in (modulo its length): after the kappa nodes claimed
+    by newcomers 0..j-1, wrapping.  The newcomer walks it until it has
+    contacted kappa nodes and ``need`` of them responded, or the stripe
+    runs out.  The contacted list includes the selfish nodes met along
+    the way; when none of the first max(kappa, need) nodes is selfish,
+    both are that one list.  ``roles`` may omit honest nodes.  Draws no
     randomness.
     """
-    contacted: list[NodeBlock] = []
-    responders: list[NodeBlock] = []
+    start = j * kappa % len(live)
+    stripe = live[start:] + live[:start]
     selfish = Behavior.SELFISH
-    for i in range(len(live)):
-        if len(contacted) >= kappa and len(responders) >= need:
+    head = stripe[: max(kappa, need)]
+    if not roles or all(roles.get(b.node_id) is not selfish for b in head):
+        return head, head
+    contacted = stripe[:kappa]
+    responders = [b for b in contacted if roles.get(b.node_id) is not selfish]
+    for b in stripe[kappa:]:
+        if len(responders) >= need:
             break
-        b = live[(j * kappa + i) % len(live)]
         contacted.append(b)
         if roles.get(b.node_id) is not selfish:
             responders.append(b)
@@ -601,10 +618,15 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
     responders: dict[int, list[NodeBlock]] = {}
     equations: dict[int, dict[int, int]] = {}  # by codeword position
     for j, f in enumerate(failed):
-        contacted, responders[f] = _contacts(live, j, kappa, roles, need)
-        report.contacted[f] = tuple(b.node_id for b in contacted)
-        equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in responders[f]}
-        report.downloads[f].update(b.node_id for b in responders[f])
+        contacted, answering = _contacts(live, j, kappa, roles, need)
+        responders[f] = answering
+        ids = tuple(map(_node_id, answering))
+        report.contacted[f] = ids if contacted is answering else tuple(map(_node_id, contacted))
+        if rng is None:  # every answer is the stored symbol
+            equations[f] = {b.node_id - 1: b.payload[j].value for b in answering}
+        else:
+            equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in answering}
+        report.downloads[f].update(ids)
 
     # Relay plan: rows short of kappa equations borrow evaluation points
     # through peers, spreading the extra demand evenly over links (the
@@ -636,11 +658,17 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
             report.exchanges[(carrier, f)] += 1
 
     # each newcomer's row (kappa equations, more when polluters are assumed)
-    # at every newcomer's position: its own piece and the cross pieces it sends
+    # at every newcomer's point: its own piece and the cross pieces it sends
+    field_, at = code.field, code.point_values
     targets = [f - 1 for f in failed]
+    xs = [at[p] for p in targets]
     rows: list[list[int]] = []
     for eqs in equations.values():
-        rows += _rows_at(code, list(eqs), [list(eqs.values())], targets)
+        if len(eqs) == kappa:  # the interpolant, evaluated in Newton form
+            points = [at[p] for p in eqs]
+            rows.append(_newton_at(field_, points, _newton(field_, points, eqs.values()), xs))
+        else:
+            rows += _rows_at(code, list(eqs), [list(eqs.values())], targets)
 
     # Phase 2: cross pieces.  With relays in flight the counted exchange
     # slots are spent, so completion pieces ride in their own ledger.
@@ -665,8 +693,7 @@ def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
                 "a full reconstruction needs more responsive contacts than available"
             )
         rows = [[_row_answer(b, r, roles, rng) for b in responders] for r in range(t)]
-        for b in responders:
-            report.downloads[f][b.node_id] += t
+        report.downloads[f].update(dict.fromkeys(map(_node_id, responders), t))
         pieces = _rows_at(code, [b.node_id - 1 for b in responders], rows, [f - 1])
         new_blocks.append(_as_served(_block(code, f, [v for (v,) in pieces]), roles, rng))
     return new_blocks

@@ -411,7 +411,8 @@ class RsCode:
 
     Codeword symbol i is the message polynomial evaluated at point i; the
     generator matrix is the kappa x n Vandermonde matrix of the points, so
-    any kappa columns are invertible.
+    any kappa columns are invertible.  ``point_values``, built with the
+    code, holds the points as ints, one per position.
     """
 
     field: GF
@@ -426,12 +427,13 @@ class RsCode:
             raise ValueError("code length exceeds field size")
         if len(self.evaluation_points) != self.n:
             raise ValueError("need exactly n evaluation points")
-        values = [p.value for p in self.evaluation_points]
+        values = tuple(p.value for p in self.evaluation_points)
         if len(set(values)) != self.n:
             raise ValueError("evaluation points must be distinct")
         for p in self.evaluation_points:
             if p.field is not self.field:
                 raise FieldMismatchError("evaluation point from a different field")
+        object.__setattr__(self, "point_values", values)
 
     @classmethod
     def with_power_points(cls, field_: GF, n: int, kappa: int, first_power: int = 0) -> "RsCode":
@@ -452,7 +454,7 @@ class RsCode:
 
     @cached_property
     def _columns(self) -> tuple[tuple[FieldElement, ...], ...]:
-        return tuple(tuple(FieldElement(v, self.field) for v in c) for c in self.column_values)
+        return tuple(_elements(self.field, c) for c in self.column_values)
 
     def column(self, position: int) -> tuple[FieldElement, ...]:
         """Column of the generator matrix at a 0-based codeword position."""
@@ -512,8 +514,8 @@ def rs_decode(
         raise InsufficientSymbolsError(
             f"{len(seen)} symbols available, need at least {kappa}"
         )
-    at = code.evaluation_points
-    (msg,) = _decode_rows(f, [at[pos].value for pos in seen], [list(seen.values())], kappa)
+    at = code.point_values
+    (msg,) = _decode_rows(f, [at[pos] for pos in seen], [list(seen.values())], kappa)
     return _elements(f, msg)
 
 

@@ -9,8 +9,11 @@ match bit for bit; the float cut of one witness, added in the order
 of each search strategy; exhaustive-subset Reed-Solomon decoding and
 object collection, built only on the public field and matrix API; the
 earlier interpolation by one synthetic division per point, and a
-block's payload as the object times its column; and contact selection
-as two branches over a behavior map that may omit honest nodes.
+block's payload as the object times its column; contact selection
+as two branches over a behavior map that may omit honest nodes; and
+both repairs, one piece and one ledger entry at a time, every row
+solved by the public ``rs_decode`` and every piece read off its
+codeword.
 The decoders cost C(N, kappa) solves, so keep them to small codes.  The
 grid optimizer's oracle scans every cell of each refinement round in
 gamma order; it shares only the grid-size constants with the package.
@@ -19,6 +22,8 @@ once for the selfish bounds and once, with the factor 2 inlined, for
 the polluting window; they use only public names of ``capacity``.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -29,7 +34,15 @@ from collabregen.capacity import (
     mbr_point,
     msr_point,
 )
-from collabregen.exactcode import AMBIGUOUS, Behavior, ObjectMatrix, RepairPolicy
+from collabregen.exactcode import (
+    AMBIGUOUS,
+    Behavior,
+    NodeBlock,
+    ObjectMatrix,
+    RepairFailureError,
+    RepairPolicy,
+    RepairReport,
+)
 from collabregen.tradeoff import _GRID_POINTS, _MAX_REFINEMENTS, _MIN_REFINEMENTS
 from collabregen.gf import (
     DecodeAmbiguityError,
@@ -37,6 +50,7 @@ from collabregen.gf import (
     FieldMatrix,
     InsufficientSymbolsError,
     SingularMatrixError,
+    rs_decode,
 )
 
 
@@ -323,6 +337,193 @@ def oracle_contacts(live, j, kappa, behaviors, policy, assumed):
         if responds(b):
             responders.append(b)
     return contacted, responders
+
+
+class _OracleRepair:
+    """The state both reference repairs share: every node's behavior
+    (honest ones included), the seeded RNG of wrong symbols (None when no
+    live or failed node pollutes), the sorted inputs and the ledgers."""
+
+    def __init__(self, code, live_blocks, failed_ids, behaviors, seed):
+        self.code = code
+        self.live = sorted(live_blocks, key=lambda b: b.node_id)
+        self.failed = sorted(failed_ids)
+        self.behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
+        nodes = [b.node_id for b in self.live] + self.failed
+        polluting = any(self.role(i) is Behavior.POLLUTING for i in nodes)
+        self.rng = random.Random(seed) if polluting else None
+        self.report = RepairReport(
+            unit_pieces=len(self.failed),
+            downloads={f: Counter() for f in self.failed},
+            measured=tuple(f for f in self.failed if self.role(f) is Behavior.HONEST),
+        )
+        if len(self.live) < code.kappa:
+            raise RepairFailureError("fewer live nodes than kappa")
+
+    def role(self, node_id):
+        return self.behaviors.get(node_id, Behavior.HONEST)
+
+    def answer(self, block, row):
+        """The int symbol of ``row`` that ``block``'s node sends."""
+        value = block.payload[row].value
+        if self.role(block.node_id) is Behavior.POLLUTING:
+            return value ^ self.rng.randrange(1, self.code.field.order)
+        return value
+
+    def served(self, block):
+        """``block`` as its node stores and serves it."""
+        if self.role(block.node_id) is not Behavior.POLLUTING:
+            return block
+        f = self.code.field
+        wrong = [FieldElement(p.value ^ self.rng.randrange(1, f.order), f) for p in block.payload]
+        return NodeBlock(block.node_id, block.column, tuple(wrong))
+
+    def message(self, equations):
+        """The message of one row from its {position: int symbol} map,
+        decoded by ``rs_decode``; RepairFailureError beyond the radius."""
+        f = self.code.field
+        try:
+            return rs_decode(self.code, [(p, FieldElement(v, f)) for p, v in equations.items()])
+        except DecodeAmbiguityError:
+            raise RepairFailureError("a row does not decode") from None
+
+    def block(self, node_id, messages):
+        """The block of ``node_id``: each row's message encoded at its position."""
+        pieces = [self.code.encode(msg)[node_id - 1] for msg in messages]
+        return NodeBlock(node_id, self.code.column(node_id - 1), tuple(pieces))
+
+
+def oracle_collaborative_repair(
+    code,
+    live_blocks,
+    failed_ids,
+    behaviors=None,
+    *,
+    policy=RepairPolicy.KEEP_RESPONDERS,
+    assumed_polluters=None,
+    seed=0,
+):
+    """``collaborative_repair`` written out plainly for valid inputs: the
+    same contacts (``oracle_contacts``), RNG draws and ledger updates, one
+    piece at a time, every row solved by ``rs_decode`` and every piece
+    read off the row's codeword.  Raises RepairFailureError where the
+    repair does."""
+    state = _OracleRepair(code, live_blocks, failed_ids, behaviors, seed)
+    live, failed, report, kappa = state.live, state.failed, state.report, code.kappa
+    policy = RepairPolicy(policy)
+    assumed = assumed_polluters
+    if assumed is None:
+        assumed = sum(state.role(b.node_id) is Behavior.POLLUTING for b in live)
+    byzantine = len(report.measured) < len(failed)
+
+    if byzantine:
+        # every newcomer fetches every row from kappa responders, or
+        # kappa + 2 per assumed polluter, and repairs alone
+        new_blocks = []
+        for j, f in enumerate(failed):
+            contacted, responders = oracle_contacts(
+                live, j, kappa, state.behaviors, RepairPolicy.CONTACT_NEW_NODES, assumed
+            )
+            report.contacted[f] = tuple(b.node_id for b in contacted)
+            if len(responders) < kappa:
+                raise RepairFailureError("too few responders for a full reconstruction")
+            rows = [
+                {b.node_id - 1: state.answer(b, r) for b in responders} for r in range(len(failed))
+            ]
+            for b in responders:
+                for _ in rows:
+                    report.downloads[f][b.node_id] += 1
+            block = state.block(f, [state.message(eqs) for eqs in rows])
+            new_blocks.append(state.served(block))
+        return new_blocks, report
+
+    responders, equations = {}, {}
+    for j, f in enumerate(failed):
+        contacted, responders[f] = oracle_contacts(
+            live, j, kappa, state.behaviors, policy, assumed
+        )
+        report.contacted[f] = tuple(b.node_id for b in contacted)
+        equations[f] = {}
+        for b in responders[f]:
+            equations[f][b.node_id - 1] = state.answer(b, j)
+            report.downloads[f][b.node_id] += 1
+
+    # a row short of kappa symbols borrows them one at a time from the
+    # least loaded link of a peer, ties to the lowest source id, then peer
+    for j, f in enumerate(failed):
+        while len(equations[f]) < kappa:
+            if policy is RepairPolicy.CONTACT_NEW_NODES:
+                raise RepairFailureError("not enough responsive live nodes to gather a row")
+            options = sorted(
+                (report.downloads[peer][b.node_id], b.node_id, peer)
+                for peer in failed
+                if peer != f
+                for b in responders[peer]
+                if b.node_id - 1 not in equations[f]
+            )
+            if not options:
+                raise RepairFailureError("responding nodes cannot span the row")
+            _, src, carrier = options[0]
+            (block,) = [b for b in live if b.node_id == src]
+            equations[f][src - 1] = state.answer(block, j)
+            report.downloads[carrier][src] += 1
+            report.exchanges[(carrier, f)] += 1
+
+    messages = [state.message(equations[f]) for f in failed]
+    # the cross pieces: counted exchanges, or completion pieces once relays
+    # have spent the counted slots
+    cross = report.completion if report.exchanges else report.exchanges
+    for sender in failed:
+        for receiver in failed:
+            if sender != receiver:
+                cross[(sender, receiver)] += 1
+    return [state.block(f, messages) for f in failed], report
+
+
+def oracle_progressive_repair_with_digests(code, live_blocks, failed_ids, behaviors, digests, *, seed=0):
+    """``progressive_repair_with_digests`` written out plainly for valid
+    inputs: contact the live nodes in id order; from the kappa-th on,
+    after each contact, try the kappa-subsets of the answering positions
+    in order, solving every needed row of a subset by ``rs_decode``,
+    counting one exchange per ordered pair of measured newcomers, and
+    keeping the first subset whose assembled blocks all verify."""
+    state = _OracleRepair(code, live_blocks, failed_ids, behaviors, seed)
+    live, failed, report, kappa = state.live, state.failed, state.report, code.kappa
+    t = len(failed)
+    # a measured newcomer solves its own row and every Byzantine peer's
+    needed = {
+        f: [r for r, peer in enumerate(failed) if peer == f or peer not in report.measured]
+        if f in report.measured
+        else list(range(t))
+        for f in failed
+    }
+    equations = {(f, r): {} for f in failed for r in needed[f]}
+    for count, block in enumerate(live, 1):
+        if state.role(block.node_id) is not Behavior.SELFISH:
+            for f in failed:
+                for r in needed[f]:
+                    equations[(f, r)][block.node_id - 1] = state.answer(block, r)
+                for _ in needed[f]:
+                    report.downloads[f][block.node_id] += 1
+        if count < kappa:
+            continue
+        positions = sorted({p for eqs in equations.values() for p in eqs})
+        for subset in combinations(positions, kappa):
+            messages = {
+                key: state.message({p: eqs[p] for p in subset}) for key, eqs in equations.items()
+            }
+            for sender in report.measured:
+                for receiver in report.measured:
+                    if sender != receiver:
+                        report.exchanges[(sender, receiver)] += 1
+            blocks = []
+            for f in failed:
+                own = [messages[(f, r) if (f, r) in messages else (peer, r)] for r, peer in enumerate(failed)]
+                blocks.append(state.block(f, own))
+            if all(digests.verify(b) for b in blocks):
+                report.contacted = {f: tuple(b.node_id for b in live[:count]) for f in failed}
+                return [state.served(b) for b in blocks], report
+    raise RepairFailureError("no verified repair with every live node contacted")
 
 
 def _dot(f, row, column):

@@ -38,7 +38,14 @@ from collabregen.gf import (
     field,
     rs_decode,
 )
-from oracles import _solve_subset, apply_column, oracle_collect_robust, oracle_contacts
+from oracles import (
+    _solve_subset,
+    apply_column,
+    oracle_collaborative_repair,
+    oracle_collect_robust,
+    oracle_contacts,
+    oracle_progressive_repair_with_digests,
+)
 
 GF8 = field(3)
 
@@ -1310,3 +1317,67 @@ def test_contacts_match_two_branch_oracle(case):
         assert [[b.node_id for b in side] for side in got] == [
             [b.node_id for b in side] for side in want
         ]
+
+
+@st.composite
+def repair_cases(draw):
+    """A small code over GF(2^m), m = 3..8, n <= 20, an object of t rows,
+    its blocks but t failed ones in a drawn order, the behaviors of one to
+    three live nodes and maybe of a newcomer, the repair's options and seed."""
+    f = field(draw(st.integers(3, 8)))
+    n = draw(st.integers(2, min(20, f.order - 1)))
+    kappa = draw(st.integers(1, min(n - 1, 6)))
+    t = draw(st.sampled_from(range(1, min(n - kappa, 4) + 1)))
+    code = RsCode.with_power_points(f, n, kappa, first_power=draw(st.integers(0, 1)))
+    blocks = encode_object(ObjectMatrix.random(f, t, kappa, random.Random(draw(st.integers()))), code)
+    failed = draw(st.lists(st.integers(1, n), min_size=t, max_size=t, unique=True))
+    live = draw(st.permutations([b for b in blocks if b.node_id not in failed]))
+    kinds = st.sampled_from([Behavior.SELFISH, Behavior.POLLUTING, Behavior.HONEST])
+    # live nodes, mostly among those that open the first two contact stripes
+    ids = sorted(b.node_id for b in live)
+    suspects = st.sampled_from(ids[: 2 * kappa]) | st.sampled_from(ids)
+    behaviors = dict(draw(st.lists(st.tuples(suspects, kinds), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        behaviors[draw(st.sampled_from(failed))] = draw(kinds)
+    options = {"seed": draw(st.integers(0, 2**32 - 1))}
+    digests = None
+    if draw(st.booleans()):
+        digests = FragmentDigestTable.from_blocks("obj", blocks)
+    else:
+        options["policy"] = draw(st.sampled_from(list(RepairPolicy)))
+        options["assumed_polluters"] = draw(st.none() | st.integers(0, 2))
+    return code, live, failed, behaviors, digests, options
+
+
+def repair_outcome(repair, *args, **options):
+    """(blocks, every ledger as its item list in key order, contacts), or
+    the RepairFailureError class."""
+    try:
+        blocks, report = repair(*args, **options)
+    except RepairFailureError:
+        return RepairFailureError
+    return (
+        blocks,
+        report.unit_pieces,
+        report.measured,
+        [(f, list(ledger.items())) for f, ledger in report.downloads.items()],
+        list(report.exchanges.items()),
+        list(report.completion.items()),
+        list(report.contacted.items()),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=repair_cases())
+def test_repairs_match_plain_reference(case):
+    # the blocks, each ledger in key order and the contacts of both repairs
+    # equal those of a reference that solves every row with rs_decode
+    code, live, failed, behaviors, digests, options = case
+    if digests is None:
+        got = repair_outcome(collaborative_repair, code, live, failed, behaviors, **options)
+        want = repair_outcome(oracle_collaborative_repair, code, live, failed, behaviors, **options)
+    else:
+        args = (code, live, failed, behaviors, digests)
+        got = repair_outcome(progressive_repair_with_digests, *args, **options)
+        want = repair_outcome(oracle_progressive_repair_with_digests, *args, **options)
+    assert got == want

@@ -36,7 +36,15 @@ from collabregen.gf import (
     field,
     rs_decode,
 )
-from collabregen.exactcode import NodeBlock
+from collabregen.exactcode import (
+    Behavior,
+    FragmentDigestTable,
+    NodeBlock,
+    ObjectMatrix,
+    collaborative_repair,
+    encode_object,
+    progressive_repair_with_digests,
+)
 from oracles import oracle_interpolate, oracle_rs_decode
 
 
@@ -724,15 +732,26 @@ class TestDecodeMatrixMemo:
         assert rs_decode(warmed, received) == want
 
     def test_memo_is_per_code_and_dies_with_it(self):
-        # an exactly-kappa decode leaves no state on the code, and the code
-        # is freed with its last reference
+        # an exactly-kappa decode, a collaborative repair and a digest repair
+        # leave no state on the code (its int point table is built with
+        # it), and the code is freed with its last reference
         f = field(8)
         code = RsCode.with_power_points(f, 16, 6, first_power=1)
+        assert "point_values" in vars(code)
         message = tuple(f.element(v) for v in range(1, 7))
         word = code.encode(message)
+        blocks = encode_object(ObjectMatrix.random(f, 3, 6, random.Random(5)), code)
         before = dict(vars(code))
         assert "column_values" in before
         assert rs_decode(code, [(p, word[p]) for p in range(6)]) == message
+        assert vars(code) == before
+        live, failed = blocks[3:], [1, 2, 3]
+        repaired, _ = collaborative_repair(code, live, failed)
+        assert repaired == blocks[:3]
+        assert vars(code) == before
+        table = FragmentDigestTable.from_blocks("obj", blocks)
+        repaired, _ = progressive_repair_with_digests(code, live, failed, {4: Behavior.POLLUTING}, table)
+        assert repaired == blocks[:3]
         assert vars(code) == before
         ref = weakref.ref(code)
         del code
