@@ -343,6 +343,13 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
 # --- collaborative repair ---
 
 
+def _ledger() -> Counter:
+    """An empty Counter.  ``Counter()`` runs ``Counter.__init__``, whose
+    only work with no argument is a no-op ``update``; every repair makes
+    t + 2 ledgers, so they are made by ``__new__`` alone."""
+    return Counter.__new__(Counter)
+
+
 @dataclass
 class RepairReport:
     """Per-repair transfer ledgers and the derived normalized costs.
@@ -362,8 +369,8 @@ class RepairReport:
 
     unit_pieces: int
     downloads: dict[int, Counter] = dc_field(default_factory=dict)
-    exchanges: Counter = dc_field(default_factory=Counter)
-    completion: Counter = dc_field(default_factory=Counter)
+    exchanges: Counter = dc_field(default_factory=_ledger)
+    completion: Counter = dc_field(default_factory=_ledger)
     contacted: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
     measured: tuple[int, ...] = ()
 
@@ -447,21 +454,23 @@ def _row_answer(block: NodeBlock, row: int, roles, rng) -> int:
     return true.value
 
 
-def _rows_at(code, positions, rows, targets) -> list[list[int]]:
+def _rows_at(code, positions, rows, xs) -> list[list[int]]:
     """Each object row, from its received int symbols at the kappa or more
-    distinct ``positions``, evaluated at the ``targets`` positions, as
-    ints (out[r][i] is row r at targets[i]).  Points are read from the
-    code's int table, ``RsCode.point_values``.  With exactly kappa
-    symbols the row is their interpolant: ``_newton`` builds it in
-    Newton form and ``_newton_at`` evaluates that at the targets, never
-    expanded into coefficients; with more, the rows are decoded by
-    ``gf._decode_rows`` (Gao) in one call and evaluated.
-    RepairFailureError at the first row that does not decode."""
+    distinct ``positions`` (any iterable of them, a mapping's keys
+    included), evaluated at the int points ``xs``, as ints (out[r][i] is
+    row r at xs[i]).  Points are read from the code's int table,
+    ``RsCode.point_values``; callers look the targets up there once.
+    With exactly kappa symbols the row is their interpolant: ``_newton``
+    builds it in Newton form and ``_newton_at`` evaluates that at xs,
+    never expanded into coefficients; with more, the rows are decoded by
+    ``gf._decode_rows`` (Gao) in one call, and each message, which is its
+    own Newton form on points that are all zero, is evaluated at xs by
+    ``_newton_at`` too.  RepairFailureError at the first row that does
+    not decode."""
     f, kappa = code.field, code.kappa
     at = code.point_values
     points = [at[p] for p in positions]
-    if len(positions) == kappa:
-        xs = [at[p] for p in targets]
+    if len(points) == kappa:
         return [_newton_at(f, points, _newton(f, points, ys), xs) for ys in rows]
     try:
         msgs = _decode_rows(f, points, rows, kappa)
@@ -470,7 +479,8 @@ def _rows_at(code, positions, rows, targets) -> list[list[int]]:
             f"row decoding failed: no codeword within n_s + 2*n_b <= {code.n - kappa}"
             f" (n_s={code.n - len(points)})"
         ) from None
-    return [[dot(f, msg, code.column_values[p]) for p in targets] for msg in msgs]
+    zeros = [0] * kappa
+    return [_newton_at(f, zeros, msg, xs) for msg in msgs]
 
 
 def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
@@ -485,12 +495,12 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     live, failed = list(live_blocks), list(failed_ids)
-    ids = [b.node_id for b in live]
-    odd = [i for i in ids + failed if type(i) is not int]
+    live_id_list = [b.node_id for b in live]
+    odd = [i for i in live_id_list + failed if type(i) is not int]
     if odd:  # checked before the sort, which would compare them
         raise ValueError(f"node ids {odd} are not ints")
     live.sort(key=_node_id)
-    live_ids = set(ids)
+    live_ids = set(live_id_list)
     if len(live_ids) != len(live):
         raise ValueError("duplicate live node ids")
     if not live:  # no block gives t, so the failed ids cannot be checked
@@ -523,7 +533,7 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     roles = {i: b for i, b in behaviors.items() if b is not Behavior.HONEST and i in ids}
     report = RepairReport(
         unit_pieces=t,
-        downloads={f: Counter() for f in failed},
+        downloads={f: _ledger() for f in failed},
         measured=tuple(f for f in failed if f not in roles),
     )
     rng = random.Random(seed) if Behavior.POLLUTING in roles.values() else None
@@ -586,19 +596,16 @@ def _contacts(
 
     The newcomer's stripe is the id-sorted live list rotated to start
     j * kappa nodes in (modulo its length): after the kappa nodes claimed
-    by newcomers 0..j-1, wrapping.  The newcomer walks it until it has
-    contacted kappa nodes and ``need`` of them responded, or the stripe
-    runs out.  The contacted list includes the selfish nodes met along
-    the way; when none of the first max(kappa, need) nodes is selfish,
-    both are that one list.  ``roles`` may omit honest nodes.  Draws no
+    by newcomers 0..j-1, wrapping.  The newcomer contacts the first kappa
+    nodes of its stripe, then walks on until ``need`` of its contacts
+    responded, or the stripe runs out.  The contacted list includes the
+    selfish nodes met along the way, and the responders are the others
+    in the same order.  ``roles`` may omit honest nodes.  Draws no
     randomness.
     """
     start = j * kappa % len(live)
     stripe = live[start:] + live[:start]
     selfish = Behavior.SELFISH
-    head = stripe[: max(kappa, need)]
-    if not roles or all(roles.get(b.node_id) is not selfish for b in head):
-        return head, head
     contacted = stripe[:kappa]
     responders = [b for b in contacted if roles.get(b.node_id) is not selfish]
     for b in stripe[kappa:]:
@@ -621,11 +628,10 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
         contacted, answering = _contacts(live, j, kappa, roles, need)
         responders[f] = answering
         ids = tuple(map(_node_id, answering))
-        report.contacted[f] = ids if contacted is answering else tuple(map(_node_id, contacted))
-        if rng is None:  # every answer is the stored symbol
-            equations[f] = {b.node_id - 1: b.payload[j].value for b in answering}
-        else:
-            equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in answering}
+        # the responders are an in-order subset of the contacts
+        same = len(contacted) == len(answering)
+        report.contacted[f] = ids if same else tuple(map(_node_id, contacted))
+        equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in answering}
         report.downloads[f].update(ids)
 
     # Relay plan: rows short of kappa equations borrow evaluation points
@@ -659,16 +665,11 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
 
     # each newcomer's row (kappa equations, more when polluters are assumed)
     # at every newcomer's point: its own piece and the cross pieces it sends
-    field_, at = code.field, code.point_values
-    targets = [f - 1 for f in failed]
-    xs = [at[p] for p in targets]
+    at = code.point_values
+    xs = [at[f - 1] for f in failed]
     rows: list[list[int]] = []
     for eqs in equations.values():
-        if len(eqs) == kappa:  # the interpolant, evaluated in Newton form
-            points = [at[p] for p in eqs]
-            rows.append(_newton_at(field_, points, _newton(field_, points, eqs.values()), xs))
-        else:
-            rows += _rows_at(code, list(eqs), [list(eqs.values())], targets)
+        rows += _rows_at(code, eqs, [eqs.values()], xs)
 
     # Phase 2: cross pieces.  With relays in flight the counted exchange
     # slots are spent, so completion pieces ride in their own ledger.
@@ -694,7 +695,8 @@ def _repair_without_collaboration(code, live, failed, roles, need, rng, report):
             )
         rows = [[_row_answer(b, r, roles, rng) for b in responders] for r in range(t)]
         report.downloads[f].update(dict.fromkeys(map(_node_id, responders), t))
-        pieces = _rows_at(code, [b.node_id - 1 for b in responders], rows, [f - 1])
+        positions = [b.node_id - 1 for b in responders]
+        pieces = _rows_at(code, positions, rows, [code.point_values[f - 1]])
         new_blocks.append(_as_served(_block(code, f, [v for (v,) in pieces]), roles, rng))
     return new_blocks
 

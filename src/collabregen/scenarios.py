@@ -368,9 +368,7 @@ def _reconstruction_ok(cfg, truth_payloads, stored, behaviors, rng) -> bool:
     back.  Their columns are Reed-Solomon columns at kappa distinct points,
     so an object and its kappa blocks determine each other: ``collect``
     returns the object exactly when every served payload is the true one."""
-    read = sorted(stored)[: cfg.code.kappa]
-    if not cfg.pollute_collection:  # every node serves what it stores, with no draw
-        return all(stored[i].payload == truth_payloads[i] for i in read)
+    served = behaviors if cfg.pollute_collection else {}
     # every block is served first, so the RNG draws do not depend on the verdict
-    answers = [_as_served(stored[i], behaviors, rng) for i in read]
+    answers = [_as_served(stored[i], served, rng) for i in sorted(stored)[: cfg.code.kappa]]
     return all(b.payload == truth_payloads[b.node_id] for b in answers)

@@ -1038,6 +1038,7 @@ def test_rows_at_matches_decode_then_eval(case, data):
         rows.append(row)
     zero = code.evaluation_points.index(f.zero)
     targets = data.draw(st.lists(st.integers(0, code.n - 1), min_size=1, max_size=4)) + [zero]
+    xs = [code.point_values[p] for p in targets]
     want = []
     for row in rows:
         try:
@@ -1049,11 +1050,11 @@ def test_rows_at_matches_decode_then_eval(case, data):
                 f" (n_s={code.n - len(positions)})"
             )
             with pytest.raises(RepairFailureError) as failure:
-                _rows_at(code, positions, rows, targets)
+                _rows_at(code, positions, rows, xs)
             assert str(failure.value) == text
             return
         want.append([dot(f, msg, code.column_values[p]) for p in targets])
-    assert _rows_at(code, positions, rows, targets) == want
+    assert _rows_at(code, positions, rows, xs) == want
 
 
 def pinned_system():
