@@ -56,6 +56,12 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+def _check_int(name: str, value, error: type[ValueError]) -> None:
+    """``error`` naming ``name`` unless ``value`` is an int (a bool is not)."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, got {value!r}")
+
+
 def fraction_str(x: Fraction) -> str:
     """Render as 'p' or 'p/q' for stable text output."""
     if x.denominator == 1:
@@ -77,6 +83,8 @@ class SystemParams:
     beta_prime: Fraction = Fraction(0)
 
     def __post_init__(self):
+        for name in ("n", "k", "d", "t"):
+            _check_int(name, getattr(self, name), ParameterError)
         for name in ("B", "alpha", "beta", "beta_prime"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.t < 1:
@@ -136,7 +144,9 @@ class GroupPartition:
     groups: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(int(u) for u in self.groups))
+        object.__setattr__(self, "groups", tuple(self.groups))
+        for u in self.groups:
+            _check_int("group size", u, PartitionError)
         if not self.groups:
             raise PartitionError("partition must have at least one group")
         if any(u < 1 for u in self.groups):
@@ -182,10 +192,16 @@ class AdversaryProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AdversaryKind(self.kind))
+        _check_int("among_live", self.among_live, ParameterError)
+        for name in ("per_group_max", "total"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name), ParameterError)
         if self.among_live < 0:
             raise ParameterError("among_live count must be nonnegative")
         if self.per_group is not None:
-            per = tuple(int(x) for x in self.per_group)
+            per = tuple(self.per_group)
+            for x in per:
+                _check_int("per_group count", x, ParameterError)
             object.__setattr__(self, "per_group", per)
             if any(x < 0 for x in per):
                 raise AllocationError("per-group counts must be nonnegative")

@@ -124,11 +124,6 @@ class NodeBlock:
     column: tuple[FieldElement, ...]
     payload: tuple[FieldElement, ...]
 
-    @property
-    def position(self) -> int:
-        """0-based codeword position for 1-based node ids."""
-        return self.node_id - 1
-
     def to_bytes(self) -> bytes:
         """Canonical serialization: m, node id, kappa, t, then the payload
         symbols in row order, each little-endian in ceil(m/8) bytes, except
@@ -428,26 +423,20 @@ class RepairReport:
 _node_id = attrgetter("node_id")
 
 
-def _wrong_symbol(true: FieldElement, rng: random.Random) -> FieldElement:
-    f = true.field
-    return FieldElement(true.value ^ rng.randrange(1, f.order), f)
-
-
-def _as_served(
-    block: NodeBlock, behaviors: Mapping[int, Behavior], rng: Optional[random.Random]
-) -> NodeBlock:
-    """The block as its node serves it: a polluting node gets every symbol
-    wrong.  ``behaviors`` may omit honest nodes."""
-    if behaviors.get(block.node_id) is not Behavior.POLLUTING:
+def _as_served(block: NodeBlock, roles, rng) -> NodeBlock:
+    """The block as its node serves it: a polluter's symbols are each wrong
+    by ``_row_answer``'s one draw, row 0 first; an empty payload is served
+    as is.  ``roles`` may omit honest nodes."""
+    if roles.get(block.node_id) is not Behavior.POLLUTING or not block.payload:
         return block
-    payload = tuple(_wrong_symbol(p, rng) for p in block.payload)
-    return NodeBlock(block.node_id, block.column, payload)
+    values = [_row_answer(block, r, roles, rng) for r in range(len(block.payload))]
+    return NodeBlock(block.node_id, block.column, _elements(block.payload[0].field, values))
 
 
 def _row_answer(block: NodeBlock, row: int, roles, rng) -> int:
     """The symbol of ``row`` that a responsive (not selfish) node sends, as
-    an int; a polluter's is wrong by the draw ``_wrong_symbol`` makes.
-    ``rng`` is None when no node pollutes."""
+    an int; a polluter's is XORed with one ``rng.randrange(1, 2^m)``, the
+    one draw of every wrong symbol.  ``rng`` is None when no node pollutes."""
     true = block.payload[row]
     if rng is not None and roles.get(block.node_id) is Behavior.POLLUTING:
         return true.value ^ rng.randrange(1, true.field.order)
@@ -764,8 +753,9 @@ def _try_verified_assembly(code, failed, equations, digests, report):
     # never rejects, so every subset yields a candidate for the digests.
     # Each (key, subset) is one rs_decode: one O(kappa^2) interpolation
     # of its kappa symbols, given as elements.  The subsets of every row
-    # map are taken in lockstep, in the same order of positions.
-    received = [sorted(zip(eqs, _elements(code.field, eqs.values()))) for eqs in equations.values()]
+    # map are taken in lockstep, positions ascending as the id-sorted live
+    # list filled them.
+    received = [list(zip(eqs, _elements(code.field, eqs.values()))) for eqs in equations.values()]
     for subsets in zip(*[combinations(pairs, code.kappa) for pairs in received]):
         rows = {
             key: [v.value for v in rs_decode(code, subset)]

@@ -115,10 +115,6 @@ class GF:
 
     # --- int-level arithmetic (values in 0..2^m-1) ---
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -297,7 +293,7 @@ class FieldMatrix:
     @classmethod
     def from_rows(cls, field_: GF, rows: Sequence[Sequence[FieldElement | int]]) -> "FieldMatrix":
         flat: list[int] = []
-        width = len(rows[0])
+        width = len(rows[0]) if rows else 0  # no rows: the constructor's shape error
         for row in rows:
             if len(row) != width:
                 raise ValueError("ragged rows")
@@ -309,20 +305,6 @@ class FieldMatrix:
                 flat.append(x)
         return cls(field_, len(rows), width, flat)
 
-    @classmethod
-    def vandermonde(cls, points: Sequence[FieldElement], nrows: int) -> "FieldMatrix":
-        """Rows are successive powers: entry (j, i) = points[i]**j."""
-        if not points:
-            raise ValueError("need at least one evaluation point")
-        f = points[0].field
-        data: list[int] = []
-        for j in range(nrows):
-            for p in points:
-                if p.field is not f:
-                    raise FieldMismatchError("points from different fields")
-                data.append(f.pow(p.value, j))
-        return cls(f, nrows, len(points), data)
-
     # --- access ---
 
     def int_rows(self) -> list[list[int]]:
@@ -331,12 +313,10 @@ class FieldMatrix:
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
         c = self.cols
-        return tuple(FieldElement(v, self.field) for v in self._data[i * c:(i + 1) * c])
+        return _elements(self.field, self._data[i * c:(i + 1) * c])
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(
-            FieldElement(self._data[i * self.cols + j], self.field) for i in range(self.rows)
-        )
+        return _elements(self.field, [self._data[i * self.cols + j] for i in range(self.rows)])
 
     def transpose(self) -> "FieldMatrix":
         data = [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -421,6 +401,8 @@ class RsCode:
     evaluation_points: tuple[FieldElement, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.kappa) is not int:
+            raise ValueError(f"n={self.n!r} and kappa={self.kappa!r} must be ints")
         if not 0 < self.kappa < self.n:
             raise ValueError("need 0 < kappa < n")
         if self.n > self.field.order:
@@ -445,12 +427,17 @@ class RsCode:
         return cls(field_, n, kappa, points)
 
     def generator_matrix(self) -> FieldMatrix:
-        return FieldMatrix.vandermonde(self.evaluation_points, self.kappa)
+        """Entry (j, i) is x_i^j, by the rule of ``column_values``."""
+        return FieldMatrix.from_rows(self.field, list(zip(*self.column_values)))
 
     @cached_property
     def column_values(self) -> tuple[tuple[int, ...], ...]:
-        """The generator columns as ints, one per position, built once per code."""
-        return tuple(zip(*self.generator_matrix().int_rows()))
+        """The generator columns (1, x, ..., x^(kappa-1)) as ints, one per
+        point of ``point_values``, built once per code: x^j is
+        exp[log[x] * j % (2^m - 1)], and x = 0 gives (1, 0, ..., 0)."""
+        exp, log, size = self.field._exp, self.field._log, self.field.order - 1
+        powers = range(1, self.kappa)
+        return tuple((1, *(exp[log[x] * j % size] if x else 0 for j in powers)) for x in self.point_values)
 
     @cached_property
     def _columns(self) -> tuple[tuple[FieldElement, ...], ...]:
@@ -465,7 +452,7 @@ class RsCode:
             raise ValueError(f"message must have {self.kappa} symbols")
         f = self.field
         msg = [m.value for m in message]
-        return tuple(FieldElement(dot(f, msg, col), f) for col in self.column_values)
+        return _elements(f, [dot(f, msg, col) for col in self.column_values])
 
 
 def rs_decode(

@@ -15,6 +15,7 @@ from collabregen.capacity import (
     InfeasibleError,
     MsrSelfishBounds,
     ParameterError,
+    PartitionError,
     SystemParams,
     capacity_polluting,
     capacity_selfish,
@@ -62,6 +63,52 @@ class TestMincutSingle:
     def test_d_below_k_rejected(self):
         with pytest.raises(ParameterError):
             params(k=4, d=3, t=1)
+
+
+class TestCountsAreInts:
+    # counts were once coerced by int() (1.7 -> 1), or kept as floats that
+    # turned exact bounds into floats further on
+    @pytest.mark.parametrize("groups", [(1.7, 2.2), ("2", "1"), (True, True), (2, 1.0)])
+    def test_group_sizes(self, groups):
+        with pytest.raises(PartitionError, match="^group size must be an int"):
+            GroupPartition(groups)
+
+    @pytest.mark.parametrize(
+        "counts, name",
+        [
+            (dict(per_group=(0.9, 1.5)), "per_group count"),
+            (dict(per_group=(True, 0)), "per_group count"),
+            (dict(among_live=0.5, per_group=(0, 0)), "among_live"),
+            (dict(among_live=True), "among_live"),
+            (dict(among_live=None), "among_live"),
+            (dict(per_group_max=1.0), "per_group_max"),
+            (dict(total=F(2)), "total"),
+            (dict(per_group=(1, 1), total=2.0), "total"),
+        ],
+    )
+    def test_adversary_counts(self, counts, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an int"):
+            AdversaryProfile(AdversaryKind.SELFISH, **counts)
+
+    def test_bounds_stay_exact(self):
+        p = params(k=3, d=4, t=2, alpha=10, beta=F(1, 3), beta_prime=F(1, 3))
+        adv = AdversaryProfile(AdversaryKind.SELFISH, among_live=1, per_group=(0, 0))
+        value = capacity_selfish(p, GroupPartition((2, 1)), adv)
+        assert type(value) is F and value == F(8, 3)
+        # at among_live=0.5 the same bound was the float 3.1666...
+        with pytest.raises(ParameterError, match="^among_live must be an int"):
+            AdversaryProfile(AdversaryKind.SELFISH, among_live=0.5, per_group=(0, 0))
+
+    @pytest.mark.parametrize("field", ["n", "k", "d", "t"])
+    @pytest.mark.parametrize("bad", [True, 4.0, "4", F(4)])
+    def test_system_params(self, field, bad):
+        good = dict(n=8, k=4, d=4, t=2, B=4)
+        good[field] = bad
+        with pytest.raises(ParameterError, match=f"^{field} must be an int"):
+            SystemParams(**good)
+
+    def test_kind_still_converts(self):
+        assert AdversaryProfile("polluting").kind is AdversaryKind.POLLUTING
 
 
 class TestMincutCollab:

@@ -789,6 +789,20 @@ class TestPollutingScenarios:
         assert report.beta_prime == F(1, 2)
         assert report.gamma == 3
 
+    def test_a_polluter_serves_one_draw_per_symbol(self):
+        # each symbol of a polluting node's block is the true one XOR one
+        # randrange(1, 2^m) draw, row 0 first; an honest block and an
+        # empty payload are served as they are, with no draw
+        code, obj, blocks = demo_setup(seed=41, t=3)
+        roles = {2: Behavior.POLLUTING}
+        rng, want_rng = random.Random(5), random.Random(5)
+        assert exactcode._as_served(blocks[0], roles, rng) is blocks[0]
+        empty = NodeBlock(2, blocks[1].column, ())
+        assert exactcode._as_served(empty, roles, rng) is empty
+        served = exactcode._as_served(blocks[1], roles, rng)
+        assert served == corrupt(blocks[1], want_rng)
+        assert rng.random() == want_rng.random()
+
     def test_trusting_repair_absorbs_pollution(self):
         # with escalation disabled the wrong equation is accepted silently
         code, obj, blocks = demo_setup(seed=37)

@@ -304,7 +304,8 @@ def identity(f, n: int) -> FieldMatrix:
 
 def generator_columns(code: RsCode, positions) -> FieldMatrix:
     """The generator matrix's columns at ``positions``."""
-    return FieldMatrix.vandermonde([code.evaluation_points[p] for p in positions], code.kappa)
+    columns = [code.column_values[p] for p in positions]
+    return FieldMatrix.from_rows(code.field, list(zip(*columns)))
 
 
 class TestFieldMatrix:
@@ -337,6 +338,11 @@ class TestFieldMatrix:
         for cols in combinations(range(7), 3):
             sub = generator_columns(code, cols)
             assert sub.solve(identity(GF8, 3)) @ sub == identity(GF8, 3)
+
+    def test_no_rows_is_a_shape_error(self):
+        # raised IndexError from reading the first row's width
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            FieldMatrix.from_rows(GF8, [])
 
     def test_matmul_shape_mismatch(self):
         a = identity(GF8, 2)
@@ -374,6 +380,18 @@ class TestRsCode:
 
     def random_message(self):
         return tuple(e8(self.rng.randrange(8)) for _ in range(3))
+
+    @pytest.mark.parametrize("n, kappa", [(5, True), (5, 2.0), (True, 1)])
+    def test_length_and_dimension_must_be_ints(self, n, kappa):
+        # kappa=True made a code whose kappa was True, and 2.0 one whose
+        # encode raised TypeError
+        f = field(4)
+        points = tuple(f.element(v) for v in range(1, 6))[: int(n)]
+        with pytest.raises(ValueError, match="must be ints$"):
+            RsCode(f, n, kappa, points)
+        if n == 5:
+            with pytest.raises(ValueError, match="must be ints$"):
+                RsCode.with_power_points(f, n, kappa, 1)
 
     def test_generator_matrix_matches_reference(self):
         assert self.code.generator_matrix().int_rows() == reference_generator_rows()
@@ -805,6 +823,26 @@ class TestNewtonAt:
         assert newton_at(f, [5], [4], [0, 5, 6]) == [4, 4, 4]
         assert newton_at(f, [0, 3, 6], [7, 2, 5], [3, 0, 6]) == [2, 7, 5]
         assert newton_at(f, [0, 3, 6], [7, 2, 5], []) == []
+
+
+class TestColumnsFromPoints:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(points_with_zero(min_size=2), st.data())
+    def test_columns_are_point_powers(self, case, data):
+        # column i is (1, x, ..., x^(kappa-1)) by carry-less products, at
+        # every point, 0 included; the generator matrix holds the same
+        f, points = case
+        kappa = data.draw(st.integers(1, len(points) - 1))
+        code = RsCode(f, len(points), kappa, tuple(f.element(x) for x in points))
+        want = []
+        for x in points:
+            column = [1]
+            for _ in range(1, kappa):
+                column.append(slow_mul(column[-1], x, f.m))
+            want.append(tuple(column))
+        assert list(code.column_values) == want
+        assert code.generator_matrix() == FieldMatrix.from_rows(f, list(zip(*want)))
+        assert [tuple(v.value for v in code.column(i)) for i in range(len(points))] == want
 
 
 # --- the interpolation kernels against the synthetic-division reference ---
