@@ -69,6 +69,21 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _csv(header: str, rows) -> str:
+    """The package's one CSV dialect: ``header``, then a line per row, a
+    float cell to 9 significant digits, a bool as true/false, a tuple of
+    ints as u0|u1|..., any other cell by str."""
+
+    def cell(x) -> str:
+        if isinstance(x, float):
+            return format(x, ".9g")
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return "|".join(map(str, x)) if isinstance(x, tuple) else str(x)
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """The storage-network tuple (n, k, d, t, B, alpha, beta, beta')."""

@@ -228,16 +228,13 @@ def _cmd_tradeoff(args) -> int:
     grid = default_alpha_grid(
         p, points=args.alpha_points, alpha_min=args.alpha_min, alpha_max=args.alpha_max
     )
-    characteristic = None
-    if args.free_range:
-        characteristic = False
     cfg = SweepConfig(
         params=p,
         adversary=adv,
         alpha_grid=grid,
         fixed_g=args.fixed_g,
         tolerance=args.tol,
-        characteristic_range=characteristic,
+        characteristic_range=False if args.free_range else None,  # None: sweep_curve decides
     )
     print(f"# params: {_params_doc(p)} adversary={args.adversary} "
           f"fixed_g={args.fixed_g} points={args.alpha_points} tol={args.tol}",

@@ -312,10 +312,14 @@ class FieldMatrix:
         return [self._data[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside 0..{self.rows - 1}")
         c = self.cols
         return _elements(self.field, self._data[i * c:(i + 1) * c])
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
         return _elements(self.field, [self._data[i * self.cols + j] for i in range(self.rows)])
 
     def transpose(self) -> "FieldMatrix":
@@ -464,12 +468,12 @@ def rs_decode(
     ``received`` lists (position, symbol) pairs; a symbol of ``ERASED``
     (None) or an absent position counts as an erasure.  Before any
     decode, a position that is not an int (a bool included) in 0..n-1,
-    or repeats, raises ValueError; a symbol that is neither a
-    FieldElement nor ERASED raises TypeError, and one of another field
-    FieldMismatchError.  The N available symbols form an (N, kappa)
-    Reed-Solomon code on their points, which Gao's algorithm (Gao 2003,
-    "A new algorithm for decoding Reed-Solomon codes") decodes up to
-    (N - kappa)/2 errors in O(N^2) field operations: interpolate the
+    or repeats (an ERASED entry included), raises ValueError; a symbol
+    that is neither a FieldElement nor ERASED raises TypeError, and one
+    of another field FieldMismatchError.  The N available symbols form an
+    (N, kappa) Reed-Solomon code on their points, which Gao's algorithm
+    (Gao 2003, "A new algorithm for decoding Reed-Solomon codes") decodes
+    up to (N - kappa)/2 errors in O(N^2) field operations: interpolate the
     received word, run the extended Euclidean algorithm on it and the
     vanishing polynomial of the points until the remainder has degree
     below (N + kappa)/2, and divide the remainder by its cofactor.
@@ -483,19 +487,21 @@ def rs_decode(
     certified with no errors, and is returned without Gao.
     """
     f, n = code.field, code.n
-    seen: dict[int, int] = {}
+    seen: dict[int, Optional[int]] = {}  # an ERASED position holds None
     for pos, sym in received:
         if type(pos) is not int or not 0 <= pos < n:
             raise ValueError(f"position {pos!r} is not an int in 0..{n - 1}")
-        if sym is None:
-            continue
-        if not isinstance(sym, FieldElement):
-            raise TypeError(f"symbol {sym!r} is neither a FieldElement nor ERASED")
-        if sym.field is not f:
-            raise FieldMismatchError("received symbol from a different field")
+        if sym is not None:
+            if not isinstance(sym, FieldElement):
+                raise TypeError(f"symbol {sym!r} is neither a FieldElement nor ERASED")
+            if sym.field is not f:
+                raise FieldMismatchError("received symbol from a different field")
+            sym = sym.value
         if pos in seen:
             raise ValueError(f"duplicate position {pos}")
-        seen[pos] = sym.value
+        seen[pos] = sym
+    if None in seen.values():
+        seen = {pos: v for pos, v in seen.items() if v is not None}
     kappa = code.kappa
     if len(seen) < kappa:
         raise InsufficientSymbolsError(

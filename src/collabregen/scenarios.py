@@ -20,7 +20,7 @@ from itertools import chain
 from reprlib import repr as brief_repr  # echoes a rejected value at a bounded length
 from typing import Optional, Sequence
 
-from .capacity import fraction_str
+from .capacity import _csv, fraction_str
 from .exactcode import (
     Behavior,
     FragmentDigestTable,
@@ -37,10 +37,6 @@ from .exactcode import (
 from .gf import RsCode, field
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CodeSetup:
     """Code parameters for a scenario run; a simulation needs 1 <= t <= n - kappa."""
@@ -54,7 +50,7 @@ class CodeSetup:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _is_int(value):
+            if type(value) is not int:
                 raise ValueError(f"code.{f.name} must be an integer, got {brief_repr(value)}")
 
     def build(self) -> RsCode:
@@ -166,11 +162,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         g, assumed = self.generations, self.assumed_polluters
-        if not (_is_int(g) and g >= 0):
+        if not (type(g) is int and g >= 0):
             raise ValueError(f"generations must be a nonnegative integer, got {brief_repr(g)}")
-        if assumed is not None and not (_is_int(assumed) and assumed >= 0):
+        if assumed is not None and not (type(assumed) is int and assumed >= 0):
             raise ValueError(f"assumed_polluters must be a nonnegative integer, got {brief_repr(assumed)}")
-        if not _is_int(self.seed):
+        if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {brief_repr(self.seed)}")
         if not isinstance(self.object_id, str):
             raise ValueError(f"object_id must be a string, got {brief_repr(self.object_id)}")
@@ -271,22 +267,9 @@ STATS_CSV_HEADER = (
 
 
 def stats_to_csv(stats: Sequence[GenerationStats]) -> str:
-    lines = [STATS_CSV_HEADER]
-    for s in stats:
-        lines.append(
-            ",".join(
-                (
-                    str(s.generation),
-                    "|".join(str(i) for i in s.repaired),
-                    str(s.polluted_block_count),
-                    format(s.beta_av, ".9g"),
-                    format(s.beta_prime, ".9g"),
-                    format(s.gamma, ".9g"),
-                    "true" if s.reconstruction_ok else "false",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The stats as CSV under STATS_CSV_HEADER, in ``capacity._csv``'s dialect."""
+    return _csv(STATS_CSV_HEADER, ((s.generation, s.repaired, s.polluted_block_count, s.beta_av,
+                                    s.beta_prime, s.gamma, s.reconstruction_ok) for s in stats))
 
 
 def _draw_schedule(cfg: ScenarioConfig, rng: random.Random) -> list[list[int]]:

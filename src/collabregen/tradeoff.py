@@ -66,6 +66,8 @@ from .capacity import (
     ParameterError,
     SystemParams,
     _budget,
+    _check_int,
+    _csv,
     _live_coefficients,
     _msr_window,
     as_fraction,
@@ -101,13 +103,9 @@ CSV_HEADER = "alpha_norm,beta_norm,beta_prime_norm,gamma_norm,partition"
 
 
 def curve_to_csv(points: Sequence[CurvePoint]) -> str:
-    """The curve as CSV under CSV_HEADER, numbers to 9 significant digits."""
-    lines = [CSV_HEADER]
-    for cp in points:
-        numbers = (cp.alpha_norm, cp.beta_norm, cp.beta_prime_norm, cp.gamma_norm)
-        partition = "|".join(str(u) for u in cp.witness_partition.groups)
-        lines.append(",".join([*(format(x, ".9g") for x in numbers), partition]))
-    return "\n".join(lines) + "\n"
+    """The curve as CSV under CSV_HEADER, in ``capacity._csv``'s dialect."""
+    return _csv(CSV_HEADER, ((cp.alpha_norm, cp.beta_norm, cp.beta_prime_norm, cp.gamma_norm,
+                              cp.witness_partition.groups) for cp in points))
 
 
 @dataclass
@@ -127,14 +125,6 @@ class SweepConfig:
     fixed_g: Optional[int] = None
     tolerance: float = 1e-4
     characteristic_range: Optional[bool] = None
-
-    def resolved_box(self) -> Optional[BandwidthBox]:
-        use = self.characteristic_range
-        if use is None:
-            use = self.fixed_g is not None
-        if not use:
-            return None
-        return characteristic_bandwidth_box(self.params, self.adversary)
 
 
 def characteristic_bandwidth_box(
@@ -164,7 +154,10 @@ def _cut_search(
     allocation)``; raises InfeasibleError if nothing is admissible.  Given
     a floor, the value is the minimum when that is at or above the floor,
     else some candidate below it, with its witness.  The search reads
-    only k, d and t of ``p``, so every point of a structure shares one."""
+    only k, d and t of ``p``, so every point of a structure shares one.
+    ``fixed_g`` is checked first: the cache would take 2.0 for the key 2."""
+    if fixed_g is not None:
+        _check_int("fixed_g", fixed_g, ParameterError)
     return _build_search(p.k, p.d, p.t, adversary, fixed_g)
 
 
@@ -356,6 +349,7 @@ def default_alpha_grid(
 ) -> list[Fraction]:
     """Evenly spaced exact storage levels from minimum storage to the
     minimum-bandwidth storage level."""
+    _check_int("points", points, ParameterError)
     if points < 1:
         raise ParameterError("grid needs at least one point")
     lo = as_fraction(alpha_min) if alpha_min is not None else p.unit
@@ -408,8 +402,6 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
         bs = [b_lo + (b_hi - b_lo) * i / (pts - 1) for i in range(pts)]
         if t > 1 and p_hi > p_lo:
             ps = [p_lo + (p_hi - p_lo) * i / (pts - 1) for i in range(pts)]
-        elif t > 1 and p_hi > 0:
-            ps = [p_hi]
         else:
             ps = [p_lo]
         dead[:] = [(x, y) for x, y in dead if x >= b_lo and y >= p_lo]
@@ -468,11 +460,12 @@ def optimize_gamma(
     """Minimize gamma at fixed storage, subject to worst-case capacity >= B.
 
     Searches beta, beta' >= 0 by default; ``bandwidth_box`` restricts the
-    search window instead.  The point returned reaches B exactly.  Raises
-    InfeasibleError (an exit path, not a crash) when alpha is below B/k,
-    the window holds no feasible point or the best one cannot be certified
-    at B; ParameterError when B or alpha has no positive finite float.
-    """
+    search window instead.  The point returned reaches B exactly (B = 0
+    gives the zero CurvePoint).  Raises InfeasibleError (an exit path, not
+    a crash) when alpha is below B/k, the window holds no feasible point
+    or the best one cannot be certified at B; ParameterError when alpha is
+    negative, alpha or a positive B has no positive finite float, or a box
+    end is below its start."""
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise ParameterError("alpha must be nonnegative")
@@ -495,6 +488,8 @@ def optimize_gamma(
         window = ((0, 2.0 * float(mbr_beta)), (0, 2.0 * float(msr_bp) if p.t > 1 else 0))
         rounds = _MAX_BOX_EXPANSIONS
     else:
+        if any(hi < lo for lo, hi in bandwidth_box):
+            raise ParameterError("bandwidth_box has an end below its start")
         window, rounds = bandwidth_box, 1
     (lo_b, hi_b), (lo_p, hi_p) = ((float(lo), float(hi)) for lo, hi in window)
     for _ in range(rounds):
@@ -559,7 +554,10 @@ def sweep_curve(cfg: SweepConfig) -> list[CurvePoint]:
         else default_alpha_grid(cfg.params)
     )
     grid = sorted(as_fraction(a) for a in grid)
-    box = cfg.resolved_box()
+    use_box = cfg.characteristic_range
+    if use_box is None:  # on for fixed-partition sweeps (see SweepConfig)
+        use_box = cfg.fixed_g is not None
+    box = characteristic_bandwidth_box(cfg.params, cfg.adversary) if use_box else None
     unit = cfg.params.unit
     out: list[CurvePoint] = []
     warm: Optional[tuple[float, float]] = None

@@ -111,6 +111,32 @@ class TestCountsAreInts:
         assert AdversaryProfile("polluting").kind is AdversaryKind.POLLUTING
 
 
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: params(k=2, d=5, t=2, n=6), ParameterError, "need d <= n - t, got d=5, n-t=4"),
+        (lambda: params(k=2, d=3, t=1, B=-1), ParameterError, "B must be nonnegative"),
+        (lambda: params(k=2, d=3, t=1, alpha=-1), ParameterError, "alpha must be nonnegative"),
+        (lambda: params(k=2, d=3, t=1, beta=F(-1, 2)), ParameterError, "beta must be nonnegative"),
+        (lambda: params(k=2, d=3, t=1, beta_prime=-1), ParameterError, "beta_prime must be nonnegative"),
+        (lambda: GroupPartition(()), PartitionError, "at least one group"),
+        (lambda: GroupPartition((2, 0)), PartitionError, "group sizes must be positive"),
+        (lambda: GroupPartition.uniform(5, 2), PartitionError, "t=2 does not divide k=5"),
+        (lambda: AdversaryProfile("selfish", among_live=-1), ParameterError,
+         "among_live count must be nonnegative"),
+        (lambda: AdversaryProfile("selfish", per_group=(0, -1)), AllocationError,
+         "per-group counts must be nonnegative"),
+        (lambda: AdversaryProfile("selfish", per_group_max=-1), ParameterError,
+         "per_group_max and total must be nonnegative"),
+        (lambda: AdversaryProfile("selfish", total=-1), ParameterError,
+         "per_group_max and total must be nonnegative"),
+    ],
+)
+def test_documented_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 class TestMincutCollab:
     def test_t_equal_one_reduces_to_single(self):
         p = params(k=5, d=7, t=1, alpha=F(3, 2), beta=F(1, 4))

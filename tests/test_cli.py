@@ -35,6 +35,11 @@ def script_env():
 
 
 class TestBounds:
+    def test_group_of_zero_exits_1(self, capsys):
+        code, out, err = run(capsys, "bounds", "--d", "8", "--k", "3", "--t", "3", "--partition", "0,3")
+        assert code == 1 and out == ""
+        assert "argument --partition: bad partition '0,3'" in err
+
     def test_msr_point_json(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--d", "48", "--k", "32", "--t", "4", "--B", "32",
@@ -133,6 +138,14 @@ class TestBounds:
 
 
 class TestTradeoff:
+    def test_out_writes_the_file(self, capsys, tmp_path):
+        argv = ("tradeoff", "--d", "8", "--k", "6", "--t", "3", "--alpha-points", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, empty, _ = run(capsys, *argv, "--out", str(tmp_path / "curve.csv"))
+        assert code == 0 and empty == ""
+        assert (tmp_path / "curve.csv").read_text() == out
+
     def test_csv_schema_and_determinism(self, capsys):
         argv = (
             "tradeoff", "--d", "48", "--k", "32", "--t", "4",

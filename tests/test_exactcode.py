@@ -1,6 +1,7 @@
 """Encoding, collection, and collaborative repair of the exact code."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -1396,3 +1397,68 @@ def test_repairs_match_plain_reference(case):
         got = repair_outcome(progressive_repair_with_digests, *args, **options)
         want = repair_outcome(oracle_progressive_repair_with_digests, *args, **options)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: encode_object(ObjectMatrix.random(GF8, 2, 4, random.Random(0)), demo_code()),
+         ValueError, "object width 4 != code dimension 3"),
+        (lambda: encode_object(ObjectMatrix.random(field(4), 2, 3, random.Random(0)), demo_code()),
+         ValueError, "object and code use different fields"),
+        (lambda: collect_robust([], 0), ValueError, "no blocks given"),
+    ],
+)
+def test_documented_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_effective_d_is_zero_with_no_measured_newcomer():
+    report = RepairReport(unit_pieces=2, contacted={8: (1, 2, 3)})
+    assert report.effective_d == 0
+
+
+def _within(budget_s, what, call):
+    start = time.perf_counter()
+    out = call()
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_s, f"{what} took {elapsed:.3f}s"
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, n, kappa, budgets, against_reference",
+    [(8, 255, 223, (0.3, 0.2, 0.35, 0.55), True), (16, 512, 256, (2.5, 0.8, 1.5, 3.2), False)],
+    ids=["255_223", "512_256"],
+)
+def test_realistic_sizes_within_budget(m, n, kappa, budgets, against_reference):
+    # t = 4: a seeded object, newcomers 5, 9, 13 and 17, a polluter at node
+    # 1.  The budgets, in s, of the build and encode, the honest repair, the
+    # vote and the read are about ten times one run of each (2-core host,
+    # Python 3.11); the plain reference repair at (255,223) takes 0.1 s.
+    f = field(m)
+
+    def build():
+        code = RsCode.with_power_points(f, n, kappa, first_power=1)
+        obj = ObjectMatrix.random(f, 4, kappa, random.Random(n))
+        return code, obj, encode_object(obj, code)
+
+    code, obj, blocks = _within(budgets[0], "build and encode", build)
+    truth = {b.node_id: b for b in blocks}
+    failed = [5, 9, 13, 17]
+    live = [b for b in blocks if b.node_id not in failed]
+    repairs = [
+        ("honest repair", budgets[1], {}, {}),
+        ("vote", budgets[2], {1: Behavior.POLLUTING}, {"assumed_polluters": 1}),
+    ]
+    for what, budget_s, behaviors, options in repairs:
+        args = (code, live, failed, behaviors)
+        new_blocks, report = _within(budget_s, what, lambda: collaborative_repair(*args, seed=1, **options))
+        assert [b.node_id for b in new_blocks] == failed
+        assert all(b == truth[b.node_id] for b in new_blocks)
+        if against_reference:
+            assert (new_blocks, report) == oracle_collaborative_repair(*args, seed=1, **options)
+    rng = random.Random(kappa)
+    read = [corrupt(b, rng) if b.node_id <= 3 else b for b in blocks]
+    assert _within(budgets[3], "read", lambda: collect_robust(read, 3)) == obj

@@ -10,6 +10,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import threading
 import time
 import weakref
@@ -362,6 +363,19 @@ class TestFieldMatrix:
             FieldMatrix(f, 1, 2, [1.5, 2])
         assert FieldMatrix.from_rows(f, [[f.element(2), 1]]) == FieldMatrix(f, 1, 2, [2, 1])
 
+    def test_row_and_column_indices_are_checked(self):
+        # column(-1) read (4, 2), and row(5), row(-1) and an object's row
+        # past its last were ()
+        f = field(4)
+        a = FieldMatrix.from_rows(f, [[1, 2], [3, 4]])
+        assert [e.value for e in a.row(1)] == [3, 4]
+        assert [e.value for e in a.column(1)] == [2, 4]
+        for read, index, name in [(a.row, 2, "row"), (a.row, 5, "row"), (a.row, -1, "row"),
+                                  (a.column, 2, "column"), (a.column, -1, "column"),
+                                  (ObjectMatrix(a).row, 7, "row")]:
+            with pytest.raises(IndexError, match=rf"^{name} {index} outside 0\.\.1$"):
+                read(index)
+
 
 def reference_generator_rows() -> list[list[int]]:
     # The (7,3) generator over GF(8): columns (1, x, x^2) at points
@@ -471,6 +485,18 @@ class TestRsCode:
         with pytest.raises(TypeError, match=f"symbol {w[0].value} is neither a FieldElement nor ERASED"):
             rs_decode(code, [(0, w[0].value), (1, w[1]), (2, w[2])])
         assert rs_decode(code, [(2, w[2]), (0, w[0]), (1, w[1]), (4, ERASED)]) == msg
+
+    def test_repeated_position_with_an_erasure_rejected(self):
+        # each of these decoded: only two symbols at one position raised
+        f = field(4)
+        code = RsCode.with_power_points(f, 7, 3, first_power=1)
+        msg = tuple(f.element(v) for v in (1, 2, 3))
+        word = list(enumerate(code.encode(msg)))
+        for received in [word + [(0, ERASED)], [(0, ERASED)] + word,
+                         [(0, ERASED), (0, ERASED)] + word[1:]]:
+            with pytest.raises(ValueError, match="^duplicate position 0$"):
+                rs_decode(code, received)
+        assert rs_decode(code, [(0, ERASED), (1, ERASED)] + word[2:]) == msg
 
 
 def decode_or_flag(decode, code, received):
@@ -984,3 +1010,48 @@ class TestDecodeRows:
         assert newton.call_count == 1
         assert gao.call_count == 1
         assert gf._decode_rows(f, points, rows[1:], code.kappa) == [[5, 1], [5, 2]]
+
+
+# --- documented errors no other test reaches ---
+
+GF16 = field(4)
+CODE16 = RsCode.with_power_points(GF16, 7, 3, first_power=1)
+WORD16 = CODE16.encode(tuple(GF16.element(v) for v in (1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: gf.GF(1), ValueError, "m=1 outside supported range"),
+        (lambda: GF8.div(3, 0), ZeroDivisionError, "division by field zero"),
+        (lambda: GF8.pow(0, -1), ZeroDivisionError, "0 cannot be raised to a negative power"),
+        (lambda: e8(1) + 1, TypeError, "expected FieldElement, got int"),
+        (lambda: FieldMatrix(GF8, 2, 2, [1, 2, 3]), ValueError, "entry count does not match"),
+        (lambda: FieldMatrix(GF8, 1, 2, [1, 8]), ValueError, "entry 8 outside GF(2^3)"),
+        (lambda: FieldMatrix.from_rows(GF8, [[1, 2], [3]]), ValueError, "ragged rows"),
+        (lambda: FieldMatrix.from_rows(GF8, [[GF16.element(1)]]), FieldMismatchError,
+         "entry from a different field"),
+        (lambda: identity(GF8, 2) @ identity(GF16, 2), FieldMismatchError, "matrix product across fields"),
+        (lambda: FieldMatrix.from_rows(GF8, [[1, 2]]).solve(identity(GF8, 1)), ValueError,
+         "requires a square matrix"),
+        (lambda: identity(GF8, 2).solve(identity(GF16, 2)), FieldMismatchError,
+         "right-hand side from a different field"),
+        (lambda: identity(GF8, 2).solve(identity(GF8, 3)), ValueError, "right-hand side row count"),
+        (lambda: RsCode(GF8, 3, 3, tuple(map(e8, (1, 2, 3)))), ValueError, "need 0 < kappa < n"),
+        (lambda: RsCode(GF8, 3, 0, tuple(map(e8, (1, 2, 3)))), ValueError, "need 0 < kappa < n"),
+        (lambda: RsCode(GF8, 9, 3, tuple(map(e8, range(8)))), ValueError, "code length exceeds field size"),
+        (lambda: RsCode(GF8, 3, 1, tuple(map(e8, (1, 2)))), ValueError, "need exactly n evaluation points"),
+        (lambda: RsCode(GF8, 3, 1, tuple(map(e8, (1, 2, 1)))), ValueError, "points must be distinct"),
+        (lambda: RsCode(GF8, 2, 1, (e8(1), GF16.element(2))), FieldMismatchError,
+         "evaluation point from a different field"),
+        (lambda: RsCode.with_power_points(GF8, 8, 3), ValueError, "require n <= 2^m - 1"),
+        (lambda: CODE16.encode(WORD16[:2]), ValueError, "message must have 3 symbols"),
+        (lambda: rs_decode(CODE16, [(0, e8(1))] + list(enumerate(WORD16))[1:]), FieldMismatchError,
+         "received symbol from a different field"),
+        (lambda: rs_decode(CODE16, list(enumerate(WORD16)) + [(3, WORD16[3])]), ValueError,
+         "duplicate position 3"),
+    ],
+)
+def test_documented_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 """Cost-table scenarios and the multi-generation simulator."""
 
+import enum
 import hashlib
 import json
 import random
@@ -32,6 +33,10 @@ from collabregen.scenarios import (
     simulate_generations,
     stats_to_csv,
 )
+
+
+class Count(enum.IntEnum):
+    THREE = 3
 
 
 class TestCostScenarios:
@@ -223,6 +228,25 @@ class TestSimulation:
         cfg = ScenarioConfig(generations=2, mitigation=mitigation, failure_schedule=[[6, 7], failed])
         with pytest.raises(ValueError, match=f"^generation 1: {message}$"):
             simulate_generations(cfg)
+
+    @pytest.mark.parametrize(
+        "make, fragment",
+        [
+            (lambda: CodeSetup(m=Count.THREE), "code.m must be an integer"),
+            (lambda: CodeSetup(kappa=Count.THREE), "code.kappa must be an integer"),
+            (lambda: ScenarioConfig(generations=Count.THREE), "generations must be a nonnegative integer"),
+            (lambda: ScenarioConfig(assumed_polluters=Count.THREE),
+             "assumed_polluters must be a nonnegative integer"),
+            (lambda: ScenarioConfig(seed=Count.THREE), "seed must be an integer"),
+            (lambda: simulate_generations(ScenarioConfig(behaviors=dict.fromkeys(range(1, 7), "selfish"))),
+             "not enough nodes outside the persistent adversaries"),
+        ],
+    )
+    def test_documented_errors(self, make, fragment):
+        # an int subclass such as an IntEnum member was let through, where
+        # the codes and repairs reject it
+        with pytest.raises(ValueError, match=fragment):
+            make()
 
     def test_digest_table_built_only_under_digests(self, monkeypatch):
         original, built = FragmentDigestTable.from_blocks, []

@@ -1132,3 +1132,54 @@ def test_large_k_search_does_not_recurse():
     assert value == worst_case_capacity(p)[0]  # the prefix-sum strategy
     assert part == GroupPartition.all_ones(1200)
     assert alloc == (0,) * 1199 + (1,)  # ties to the smallest a, placed last
+
+
+class TestCountsAreInts:
+    # the one-entry cache took 2.0 for the key 2: right after a fixed_g=2
+    # search the float got its answer, and on a cold cache it raised TypeError
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("fixed_g", [2.0, True, "2"])
+    def test_fixed_g(self, fixed_g, warm):
+        p = params(k=4, d=6, t=2, B=4, alpha=1, beta=1, beta_prime=1)
+        tradeoff._build_search.cache_clear()
+        if warm:
+            assert worst_case_capacity(p, None, 2)[0] == 4
+        with pytest.raises(ParameterError, match="^fixed_g must be an int"):
+            worst_case_capacity(p, None, fixed_g)
+        with pytest.raises(ParameterError, match="^fixed_g must be an int"):
+            optimize_gamma(p, None, F(3, 2), fixed_g=fixed_g)
+
+    @pytest.mark.parametrize("points", [True, 2.0, "4"])
+    def test_grid_points(self, points):
+        # True gave one level, and 2.0 raised TypeError
+        with pytest.raises(ParameterError, match="^points must be an int"):
+            default_alpha_grid(params(k=4, d=6, t=2, B=4), points=points)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [((F(1), F(2)), (F(1, 2), F(1, 4))), ((F(2), F(1)), (F(1, 4), F(1, 2)))],
+    ids=["beta_prime", "beta"],
+)
+def test_box_with_an_end_below_its_start_rejected(box):
+    # an inverted beta' window was searched at its end alone, and an
+    # inverted beta window walked from its start down to its end
+    with pytest.raises(ParameterError, match="^bandwidth_box has an end below its start$"):
+        optimize_gamma(params(k=4, d=6, t=2, B=4), None, F(3, 2), bandwidth_box=box)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: default_alpha_grid(params(k=4, d=6, t=2, B=4), points=0), "grid needs at least one point"),
+        (lambda: optimize_gamma(params(k=4, d=6, t=2, B=4), None, F(-1)), "alpha must be nonnegative"),
+    ],
+)
+def test_documented_errors(call, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        call()
+
+
+def test_zero_object_size_gives_the_zero_point():
+    point = optimize_gamma(params(k=4, d=6, t=2, B=0), None, F(1))
+    assert point == tradeoff.CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(4), None)
