@@ -208,11 +208,13 @@ class AdversaryProfile:
     def __post_init__(self):
         object.__setattr__(self, "kind", AdversaryKind(self.kind))
         _check_int("among_live", self.among_live, ParameterError)
-        for name in ("per_group_max", "total"):
-            if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name), ParameterError)
         if self.among_live < 0:
             raise ParameterError("among_live count must be nonnegative")
+        for name in ("per_group_max", "total"):  # each given count, in both modes
+            if (value := getattr(self, name)) is not None:
+                _check_int(name, value, ParameterError)
+                if value < 0:
+                    raise ParameterError("per_group_max and total must be nonnegative")
         if self.per_group is not None:
             per = tuple(self.per_group)
             for x in per:
@@ -233,8 +235,6 @@ class AdversaryProfile:
                 object.__setattr__(self, "per_group_max", 0)
             if self.total is None:
                 object.__setattr__(self, "total", 0)
-            if self.per_group_max < 0 or self.total < 0:
-                raise ParameterError("per_group_max and total must be nonnegative")
 
     @property
     def factor(self) -> int:
@@ -408,6 +408,7 @@ def msr_selfish_bounds(p: SystemParams, adv: AdversaryProfile) -> MsrSelfishBoun
 def polluted_collection_min_storage(p: SystemParams, polluters: int) -> Fraction:
     """Minimum per-node storage B/(k - 2*b0) when polluters may also answer
     data collectors with wrong data.  Exposed as a computed quantity only."""
+    _check_int("polluters", polluters, ParameterError)
     if polluters < 0 or 2 * polluters >= p.k:
         raise ParameterError("need 0 <= 2*polluters < k")
     return p.B / (p.k - 2 * polluters)

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -254,8 +255,6 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _cmd_exact_demo(args) -> int:
-    from itertools import combinations
-
     code, obj, blocks = build_demo_system(seed=args.seed)
     print(f"exact collaborative repair demo: ({code.n},{code.kappa}) code over "
           f"GF(2^{code.field.m}), t={obj.t}, object seed {args.seed}")

@@ -151,7 +151,6 @@ class NodeBlock:
 class FragmentDigestTable:
     """Trusted digests of every node's exact block for one object."""
 
-    object_id: str
     digests: Mapping[int, bytes]
 
     @staticmethod
@@ -159,8 +158,8 @@ class FragmentDigestTable:
         return hashlib.sha256(block.to_bytes()).digest()
 
     @classmethod
-    def from_blocks(cls, object_id: str, blocks: Sequence[NodeBlock]) -> "FragmentDigestTable":
-        return cls(object_id, {b.node_id: cls.digest_of(b) for b in blocks})
+    def from_blocks(cls, blocks: Sequence[NodeBlock]) -> "FragmentDigestTable":
+        return cls({b.node_id: cls.digest_of(b) for b in blocks})
 
     def covers(self, node_ids: Sequence[int]) -> bool:
         return all(i in self.digests for i in node_ids)

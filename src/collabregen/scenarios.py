@@ -292,7 +292,7 @@ def simulate_generations(cfg: ScenarioConfig) -> list[GenerationStats]:
     truth_payloads = {b.node_id: b.payload for b in truth}
     stored: dict[int, NodeBlock] = {b.node_id: b for b in truth}
     if cfg.mitigation is Mitigation.DIGESTS:
-        digests = FragmentDigestTable.from_blocks(cfg.object_id, truth)
+        digests = FragmentDigestTable.from_blocks(truth)
 
     schedule = cfg.failure_schedule
     if schedule is None:  # an explicit empty schedule is checked, not replaced

@@ -27,7 +27,8 @@ state, so the memory kept is that structure's plan (O(k*g*t) states for
 the DP).  A search keeps no state between calls and the cache is
 thread-safe: threads on different structures rebuild in turn, each
 with a correct search, and threads on one can at worst build it twice.
-Errors are not cached; an invalid structure raises on every call.
+Errors are not cached: an invalid structure, or a budget no partition
+can hold (InfeasibleError), raises on every build; a search never raises.
 Given a ``floor``, the free-partition scan stops at its first split
 below it and returns that split: a search's value is below the floor
 exactly when the minimum is, and is the minimum otherwise.
@@ -151,10 +152,11 @@ def _cut_search(
 ):
     """The worst-case search for one structure (see the module docstring):
     ``search(alpha, beta, beta_prime, floor=None) -> (value, groups,
-    allocation)``; raises InfeasibleError if nothing is admissible.  Given
-    a floor, the value is the minimum when that is at or above the floor,
-    else some candidate below it, with its witness.  The search reads
-    only k, d and t of ``p``, so every point of a structure shares one.
+    allocation)``, which never raises; building it raises InfeasibleError
+    when no partition can hold the budget.  Given a floor, the value is
+    the minimum when that is at or above the floor, else some candidate
+    below it, with its witness.  The search reads only k, d and t of
+    ``p``, so every point of a structure shares one.
     ``fixed_g`` is checked first: the cache would take 2.0 for the key 2."""
     if fixed_g is not None:
         _check_int("fixed_g", fixed_g, ParameterError)
@@ -175,10 +177,22 @@ def _build_search(
         )
     f, among, cap, total = _budget(d, t, adversary)  # cap: the most one group holds
     coeffs = _live_coefficients(k, d, f, among)  # beta's factor at prefix s
+    g = fixed_g or 0  # groups in all; 0 when g is free, as is every groups used
+
+    def most(groups, nodes):
+        # The most budget `groups` groups of `nodes` nodes in all can hold:
+        # a group of u holds at most min(cap, (t - u)//f), so cap*groups and
+        # (groups*t - nodes)//f in all; with g free, single nodes hold cap.
+        if fixed_g is None:
+            return cap * nodes
+        return min(cap * groups, (groups * t - nodes) // f)
+
+    # The one admissibility rule, for every strategy: some partition holds
+    # the budget exactly when g groups of k nodes can, so no search raises.
+    if total > most(g, k):
+        raise InfeasibleError("adversary budget exceeds what the groups can hold")
 
     if fixed_g == k:
-        if total > k * cap:
-            raise InfeasibleError("adversary budget exceeds what single-node groups can hold")
         ones = (1,) * k
         # Fill the last positions first: cap in each of the last total // cap,
         # the remainder just before them.  With T_i(a) = min(c_i*beta +
@@ -226,22 +240,14 @@ def _build_search(
 
         return partitions
 
-    g = fixed_g or 0  # groups in all; 0 when g is free, as is every groups used
     step = 0 if fixed_g is None else 1
-
-    def most(groups, nodes):
-        # The most budget `groups` groups of `nodes` nodes in all can hold:
-        # a group of u holds at most min(cap, (t - u)//f), so cap*groups and
-        # (groups*t - nodes)//f in all; with g free, single nodes hold cap.
-        if fixed_g is None:
-            return cap * nodes
-        return min(cap * groups, (groups * t - nodes) // f)
 
     # (prefix, groups used, budgets left, [(u, the most the groups after it
     # hold, the most it holds)]) of every state the DP fills, longest prefix
     # first.  A budget left is kept only when the groups before can leave
     # it and the groups to come can hold it: every state the start reaches
-    # and can complete is kept, and each lookup of a kept state lands on one.
+    # and can complete is kept, and each lookup of a kept state lands on one;
+    # the start (0, 0, total) is kept, as total <= most(g, k).
     plan = []
     for s in range(k - 1, -1, -1):
         if fixed_g is None:
@@ -271,17 +277,13 @@ def _build_search(
                 for u, room, top in sizes:
                     for a in range(max(0, r - room), min(top, r) + 1):
                         sub = memo[(s + u, parts + step, r - a)][0]
-                        if sub is None:
-                            continue
                         x = live + collab[t - f * a - u]
                         cand = u * (x if x < alpha else alpha) + sub
                         if low is None or cand < low:
                             low, arg = cand, (u, a)
                 memo[(s, parts, r)] = (low, arg)
 
-        value = memo.get((0, 0, total), (None,))[0]
-        if value is None:
-            raise InfeasibleError("no admissible partition/allocation for this search")
+        value = memo[(0, 0, total)][0]
         groups, alloc = [], []
         s, parts, r = 0, 0, total
         while s < k:
@@ -303,8 +305,8 @@ def worst_case_capacity(
 
     Returns (value, witness partition, witness allocation); the
     allocation is None when no adversary is given.  Raises
-    InfeasibleError when no admissible partition/allocation exists
-    (e.g. the budget cannot be placed under the per-group cap).
+    InfeasibleError, from building the structure's search, when no
+    partition can hold the budget under the per-group cap.
 
     The search runs exactly, on Python ints.  Every term of the bound is
     u * min(c*beta + m*beta', alpha) with nonnegative integers u, c, m,
@@ -461,14 +463,18 @@ def optimize_gamma(
 
     Searches beta, beta' >= 0 by default; ``bandwidth_box`` restricts the
     search window instead.  The point returned reaches B exactly (B = 0
-    gives the zero CurvePoint).  Raises InfeasibleError (an exit path, not
-    a crash) when alpha is below B/k, the window holds no feasible point
-    or the best one cannot be certified at B; ParameterError when alpha is
-    negative, alpha or a positive B has no positive finite float, or a box
-    end is below its start."""
+    gives the zero CurvePoint, after every check of the structure and box).
+    Raises InfeasibleError (an exit path, not a crash) when building the
+    search does, alpha is below B/k, the window holds no feasible point or
+    the best one cannot be certified at B; ParameterError when alpha is
+    negative, a box end is below its start, or alpha or a positive B has
+    no positive finite float."""
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise ParameterError("alpha must be nonnegative")
+    search = _cut_search(p, adversary, fixed_g)
+    if bandwidth_box is not None and any(hi < lo for lo, hi in bandwidth_box):
+        raise ParameterError("bandwidth_box has an end below its start")
     unit = p.unit
     if p.B == 0:
         return CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(p.k), None)
@@ -476,21 +482,17 @@ def optimize_gamma(
     if alpha < unit:
         raise InfeasibleError(f"alpha={float(alpha):.6g} below minimum storage B/k")
     alpha_f = _search_float("storage level alpha", alpha)
-    search = _cut_search(p, adversary, fixed_g)
 
     # A given box is searched once.  The open window is searched until its
     # best point lies off both upper edges, which double otherwise, or until
     # both edges reach alpha with nothing feasible: every term that can grow
     # is saturated at the top corner, the walk's last cell, from then on.
+    window, rounds = bandwidth_box, 1
     if bandwidth_box is None:
         _, mbr_beta, _ = mbr_point(p)
         _, _, msr_bp = msr_point(p)
         window = ((0, 2.0 * float(mbr_beta)), (0, 2.0 * float(msr_bp) if p.t > 1 else 0))
         rounds = _MAX_BOX_EXPANSIONS
-    else:
-        if any(hi < lo for lo, hi in bandwidth_box):
-            raise ParameterError("bandwidth_box has an end below its start")
-        window, rounds = bandwidth_box, 1
     (lo_b, hi_b), (lo_p, hi_p) = ((float(lo), float(hi)) for lo, hi in window)
     for _ in range(rounds):
         bounds = ((lo_b, hi_b), (lo_p, hi_p))
@@ -548,11 +550,7 @@ def sweep_curve(cfg: SweepConfig) -> list[CurvePoint]:
     stays feasible as storage grows, which pins down monotonicity.
     Infeasible grid points are skipped with a logged reason.
     """
-    grid = (
-        list(cfg.alpha_grid)
-        if cfg.alpha_grid is not None
-        else default_alpha_grid(cfg.params)
-    )
+    grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(cfg.params)
     grid = sorted(as_fraction(a) for a in grid)
     use_box = cfg.characteristic_range
     if use_box is None:  # on for fixed-partition sweeps (see SweepConfig)

@@ -338,7 +338,7 @@ def _corrupt(block: NodeBlock, rng: random.Random) -> NodeBlock:
 def test_criterion_9_digest_mitigation():
     with criterion(9, "digest-verified progressive repair", 5.0):
         code, obj, blocks = build_demo_system(seed=4)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         truth = {b.node_id: b.payload for b in blocks}
 
         # one polluter among five live nodes: verified within 4 contacts

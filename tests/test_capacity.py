@@ -130,6 +130,15 @@ class TestCountsAreInts:
          "per_group_max and total must be nonnegative"),
         (lambda: AdversaryProfile("selfish", total=-1), ParameterError,
          "per_group_max and total must be nonnegative"),
+        # with per_group given the cap was not checked, and msr_selfish_bounds
+        # then returned inverted ranges
+        (lambda: AdversaryProfile("selfish", per_group=(), per_group_max=-1), ParameterError,
+         "^per_group_max and total must be nonnegative$"),
+        # 1.5 gave the float 1.6 on k=8, B=8, and True was taken as 1
+        (lambda: polluted_collection_min_storage(params(k=8, d=10, t=2, B=8), 1.5),
+         ParameterError, "^polluters must be an int"),
+        (lambda: polluted_collection_min_storage(params(k=8, d=10, t=2, B=8), True),
+         ParameterError, "^polluters must be an int"),
     ],
 )
 def test_documented_errors(call, error, fragment):

@@ -7,14 +7,18 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabregen import cli, scenarios
 from collabregen.capacity import AdversaryKind, AdversaryProfile, SystemParams
 from collabregen.cli import CSV_HEADER, main
+from collabregen.gf import FieldElement
 from collabregen.scenarios import STATS_CSV_HEADER
 from collabregen.tradeoff import SweepConfig, curve_to_csv, default_alpha_grid, sweep_curve
 
@@ -334,6 +338,12 @@ class TestExactDemo:
         _, out2, _ = run(capsys, "exact-demo", "--seed", "5")
         assert out1 == out2
 
+    def test_a_failed_collection_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "collect", lambda blocks: SimpleNamespace(pieces=None))
+        code, out, _ = run(capsys, "exact-demo")
+        assert code == 3
+        assert "recover the object: FAILED" in out and "repair of nodes" not in out
+
 
 class TestTables:
     def test_all_rows_match(self, capsys):
@@ -341,6 +351,20 @@ class TestTables:
         assert code == 0
         assert out.count(" ok") == 6
         assert "MISMATCH" not in out
+
+    def test_a_repaired_block_that_differs_exits_3(self, capsys, monkeypatch):
+        repair = scenarios.collaborative_repair
+
+        def flip_first_symbols(*args, **kwargs):
+            new_blocks, report = repair(*args, **kwargs)
+            flipped = [replace(b, payload=(FieldElement(b.payload[0].value ^ 1, b.payload[0].field),
+                                           *b.payload[1:])) for b in new_blocks]
+            return flipped, report
+
+        monkeypatch.setattr(scenarios, "collaborative_repair", flip_first_symbols)
+        code, _, err = run(capsys, "tables")
+        assert code == 3
+        assert err == "repair failure: scenario selfish-baseline: repaired block differs\n"
 
 
 class TestSimulate:

@@ -594,7 +594,7 @@ def test_kernel_paths_match_naive_products(case):
 
 def test_string_behaviors_act_like_enums():
     code, obj, blocks = demo_setup(seed=23)
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
     for as_enum in ({1: Behavior.POLLUTING}, {6: Behavior.SELFISH}, {7: Behavior.POLLUTING}):
         as_str = {i: b.value for i, b in as_enum.items()}
         runs = [
@@ -616,7 +616,7 @@ def test_seed_matters_only_when_a_node_pollutes(behaviors):
     # without one the seed changes neither the blocks nor the report; and
     # an id mapped to "honest" repairs as an id left out of the map
     code, obj, blocks = demo_setup(seed=89)
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
     runs = [
         lambda bs, seed: collaborative_repair(code, blocks[:5], [6, 7], bs, seed=seed),
         lambda bs, seed: progressive_repair_with_digests(
@@ -857,7 +857,7 @@ class TestDigests:
         code = RsCode(f, 256, 3, tuple(f.elements()))
         obj = ObjectMatrix.random(f, 2, 3, random.Random(4))
         blocks = encode_object(obj, code)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         assert len(set(table.digests.values())) == 256
         assert all(table.verify(b) for b in blocks)
         raw = blocks[-1].to_bytes()
@@ -881,14 +881,14 @@ class TestDigests:
 
     def test_digest_verifies_only_exact_payload(self):
         _, _, blocks = demo_setup(seed=47)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         rng = random.Random(5)
         assert all(table.verify(b) for b in blocks)
         assert not table.verify(corrupt(blocks[0], rng))
 
     def test_honest_fast_path_uses_kappa_contacts(self):
         code, obj, blocks = demo_setup(seed=53)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         by_id = {b.node_id: b for b in blocks}
         new, report = progressive_repair_with_digests(
             code, blocks[:5], [6, 7], {}, table
@@ -900,7 +900,7 @@ class TestDigests:
 
     def test_one_polluter_verified_within_four_contacts(self):
         code, obj, blocks = demo_setup(seed=59)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         by_id = {b.node_id: b for b in blocks}
         new, report = progressive_repair_with_digests(
             code, blocks[:5], [6, 7], {1: Behavior.POLLUTING}, table
@@ -911,7 +911,7 @@ class TestDigests:
 
     def test_two_polluters_verified_with_all_five(self):
         code, obj, blocks = demo_setup(seed=61)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         by_id = {b.node_id: b for b in blocks}
         bad = {1: Behavior.POLLUTING, 2: Behavior.POLLUTING}
         new, report = progressive_repair_with_digests(
@@ -923,27 +923,27 @@ class TestDigests:
 
     def test_three_polluters_exhaust_the_live_set(self):
         code, obj, blocks = demo_setup(seed=67)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         bad = {i: Behavior.POLLUTING for i in (1, 2, 3)}
         with pytest.raises(RepairFailureError):
             progressive_repair_with_digests(code, blocks[:5], [6, 7], bad, table)
 
     def test_digest_table_must_cover_failed_nodes(self):
         code, obj, blocks = demo_setup(seed=71)
-        table = FragmentDigestTable.from_blocks("obj", blocks[:5])
+        table = FragmentDigestTable.from_blocks(blocks[:5])
         with pytest.raises(ValueError):
             progressive_repair_with_digests(code, blocks[:5], [6, 7], {}, table)
 
     def test_duplicate_live_ids_rejected(self):
         code, obj, blocks = demo_setup(seed=73)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         live = [blocks[0], *blocks[:5]]
         with pytest.raises(ValueError, match="duplicate"):
             progressive_repair_with_digests(code, live, [6, 7], {}, table)
 
     def test_duplicate_failed_ids_rejected(self):
         code, obj, blocks = demo_setup(seed=83)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         with pytest.raises(ValueError, match="duplicate"):
             progressive_repair_with_digests(code, blocks[:5], [6, 6], {}, table)
         with pytest.raises(ValueError, match="duplicate"):
@@ -951,7 +951,7 @@ class TestDigests:
 
     def test_failed_ids_overlapping_live_nodes_rejected(self):
         code, obj, blocks = demo_setup(seed=79)
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         with pytest.raises(ValueError, match="overlap"):
             progressive_repair_with_digests(code, blocks[:5], [5, 6], {}, table)
 
@@ -959,7 +959,7 @@ class TestDigests:
 @pytest.mark.parametrize("digests", [False, True], ids=["collaborative", "digests"])
 def test_repair_checks_live_payloads(digests):
     code, _, blocks = demo_setup()
-    table = FragmentDigestTable.from_blocks("demo", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
 
     def repair(code, live):
         if digests:
@@ -1093,7 +1093,7 @@ def pinned_repair(name):
         policy = RepairPolicy.CONTACT_NEW_NODES
         return collaborative_repair(code, live, failed, bad, policy=policy, seed=5)
     # four contacts give three equations, five a polluted subset, six a verified one
-    digests = FragmentDigestTable.from_blocks("pinned", blocks)
+    digests = FragmentDigestTable.from_blocks(blocks)
     bad = {2: "polluting", 3: "selfish", 9: "selfish"}
     return progressive_repair_with_digests(code, live, failed, bad, digests, seed=5)
 
@@ -1218,7 +1218,7 @@ def test_node_ids_outside_the_code_rejected(relabel, failed):
     live = blocks[:7]
     if relabel is not None:
         live[0] = NodeBlock(relabel, live[0].column, live[0].payload)
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
     with pytest.raises(ValueError, match=r"outside 1\.\.10"):
         collaborative_repair(code, live, failed)
     with pytest.raises(ValueError, match=r"outside 1\.\.10"):
@@ -1246,7 +1246,7 @@ def test_node_ids_must_be_ints(entry):
     # nodes 6 and 7, [True, 7] node 1, ["6", 7] nodes 6 and 7), and a live
     # node "5" among int ids ended in the TypeError of the id sort
     code, obj, blocks = demo_setup()
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
 
     def run(live, failed):
         if entry == "collaborative":
@@ -1271,7 +1271,7 @@ def test_repairs_reject_blocks_without_payload(entry):
     # blocks with no payload symbol make t = 0, which only an empty
     # failed list matched: like a read, a repair rejects such blocks
     code, obj, blocks = demo_setup()
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
     empty = [NodeBlock(b.node_id, b.column, ()) for b in blocks[:5]]
     for failed in ([], [6, 7]):
         with pytest.raises(ValueError, match="live blocks hold no payload symbol"):
@@ -1286,7 +1286,7 @@ def test_stray_behavior_keys_rejected(entry):
     # a key that is no node id of the code names no node, and a repair
     # that ignored it would run as if the node it meant were honest
     code, obj, blocks = demo_setup()
-    table = FragmentDigestTable.from_blocks("obj", blocks)
+    table = FragmentDigestTable.from_blocks(blocks)
 
     def run(behaviors):
         if entry == "collaborative":
@@ -1358,7 +1358,7 @@ def repair_cases(draw):
     options = {"seed": draw(st.integers(0, 2**32 - 1))}
     digests = None
     if draw(st.booleans()):
-        digests = FragmentDigestTable.from_blocks("obj", blocks)
+        digests = FragmentDigestTable.from_blocks(blocks)
     else:
         options["policy"] = draw(st.sampled_from(list(RepairPolicy)))
         options["assumed_polluters"] = draw(st.none() | st.integers(0, 2))

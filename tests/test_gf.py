@@ -793,7 +793,7 @@ class TestDecodeMatrixMemo:
         repaired, _ = collaborative_repair(code, live, failed)
         assert repaired == blocks[:3]
         assert vars(code) == before
-        table = FragmentDigestTable.from_blocks("obj", blocks)
+        table = FragmentDigestTable.from_blocks(blocks)
         repaired, _ = progressive_repair_with_digests(code, live, failed, {4: Behavior.POLLUTING}, table)
         assert repaired == blocks[:3]
         assert vars(code) == before

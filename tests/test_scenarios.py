@@ -251,18 +251,19 @@ class TestSimulation:
     def test_digest_table_built_only_under_digests(self, monkeypatch):
         original, built = FragmentDigestTable.from_blocks, []
 
-        def refuse(object_id, blocks):
+        def refuse(blocks):
             raise AssertionError("nothing reads a digest table without digests")
 
-        def count(object_id, blocks):
-            built.append(object_id)
-            return original(object_id, blocks)
+        def count(blocks):
+            built.append(len(blocks))
+            return original(blocks)
 
         monkeypatch.setattr(FragmentDigestTable, "from_blocks", refuse)
         simulate_generations(pollution_config(Mitigation.NONE))
         monkeypatch.setattr(FragmentDigestTable, "from_blocks", count)
-        simulate_generations(pollution_config(Mitigation.DIGESTS))
-        assert built == ["obj-0"]
+        config = pollution_config(Mitigation.DIGESTS)
+        simulate_generations(config)
+        assert built == [config.code.n]  # once per simulation, over every node's block
 
     @pytest.mark.parametrize(
         "config",

@@ -189,12 +189,14 @@ class TestSearchAgreesWithOracle:
             beta_prime=data.draw(st.fractions(min_value=0, max_value=2, max_denominator=8)),
         )
         expected = oracle_search(p, adv, fixed_g)
-        try:
-            search = _cut_search(p, adv, fixed_g)
-            value, groups, alloc = search(p.alpha, p.beta, p.beta_prime)
-        except InfeasibleError:
-            assert expected is None
+        # building the search raises exactly when no witness exists, and a
+        # search once built raises nothing on nonnegative operands
+        if expected is None:
+            with pytest.raises(InfeasibleError, match="^adversary budget exceeds"):
+                _cut_search(p, adv, fixed_g)
             return
+        search = _cut_search(p, adv, fixed_g)
+        value, groups, alloc = search(p.alpha, p.beta, p.beta_prime)
         assert (value, groups, alloc) == expected  # the value is oracle_value's
         approx, _, _ = search(float(p.alpha), float(p.beta), float(p.beta_prime))
         assert abs(approx - float(value)) <= 1e-9 * max(1.0, float(value))
@@ -277,9 +279,9 @@ class TestOneSearchPerStructure:
             _cut_search(params(k=6, d=8, t=3), adv, 3),
             _cut_search(params(k=5, d=8, t=3), adv, 3),
             _cut_search(params(k=6, d=9, t=3), adv, 3),
-            _cut_search(params(k=6, d=8, t=2), adv, 3),
+            _cut_search(params(k=6, d=8, t=4), adv, 3),
             _cut_search(params(k=6, d=8, t=3), selfish(1, maxa=1, total=1), 3),
-            _cut_search(params(k=6, d=8, t=3), polluting(1, maxa=1, total=2), 3),
+            _cut_search(params(k=6, d=8, t=3), polluting(1, maxa=1, total=1), 3),
             _cut_search(params(k=6, d=8, t=3), None, 3),
             _cut_search(params(k=6, d=8, t=3), adv, 4),
             _cut_search(params(k=6, d=8, t=3), adv, None),
@@ -297,12 +299,16 @@ class TestOneSearchPerStructure:
              "polluting live count 5 needs 2"),
             (params(k=6, d=8, t=3), selfish(9), 6, ParameterError, "selfish live count 9 exceeds"),
             (params(k=6, d=8, t=3), selfish(0, maxa=1, total=7), 6, InfeasibleError,
-             "budget exceeds what single-node groups can hold"),
+             "^adversary budget exceeds what the groups can hold$"),
+            (params(k=6, d=8, t=3), selfish(0, maxa=1, total=7), None, InfeasibleError,
+             "^adversary budget exceeds what the groups can hold$"),
         ],
-        ids=["fixed_g", "per_group", "polluting_live", "selfish_live", "budget"],
+        ids=["fixed_g", "per_group", "polluting_live", "selfish_live", "budget", "budget_dp"],
     )
     def test_errors_are_raised_on_every_call(self, p, adv, fixed_g, error, message):
-        # the cache keeps searches, not errors: a second call raises again
+        # the cache keeps searches, not errors: a second call raises again.
+        # A budget no partition can hold is refused as the search is built,
+        # for the DP as for single nodes, not by a search.
         for _ in range(2):
             with pytest.raises(error, match=message):
                 _cut_search(p, adv, fixed_g)
@@ -365,13 +371,13 @@ def test_dp_on_budgets_the_groups_can_barely_hold(data):
     operand = st.one_of(st.integers(0, 6), st.fractions(0, 3, max_denominator=6))
     p = params(k=k, d=d, t=t, alpha=data.draw(operand), beta=data.draw(operand),
                beta_prime=data.draw(operand))
+    expected = oracle_search(p, adv, fixed_g)
+    if expected is None:  # refused as the search is built, never by a search
+        with pytest.raises(InfeasibleError, match="^adversary budget exceeds"):
+            _cut_search(p, adv, fixed_g)
+        return
     search = _cut_search(p, adv, fixed_g)
     assert search.__name__ == "general"
-    expected = oracle_search(p, adv, fixed_g)
-    if expected is None:
-        with pytest.raises(InfeasibleError):
-            search(p.alpha, p.beta, p.beta_prime)
-        return
     assert search(p.alpha, p.beta, p.beta_prime) == expected
 
 
@@ -588,12 +594,11 @@ class TestFloatSearchNeverFalls:
         mk = polluting if t >= 3 and data.draw(st.booleans()) else selfish
         adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
                  total=data.draw(st.integers(int(fixed_g is None), 4)))  # a budget when g is free
-        search = _cut_search(params(k=k, d=d, t=t), adv, fixed_g)
-        assert search.__name__ == "general"
         try:
-            search(1.0, 0.0, 0.0)
+            search = _cut_search(params(k=k, d=d, t=t), adv, fixed_g)
         except InfeasibleError:  # a budget that cannot be placed
             return
+        assert search.__name__ == "general"
         self.assert_never_falls(data, search, d, t)
 
 
@@ -1183,3 +1188,31 @@ def test_documented_errors(call, fragment):
 def test_zero_object_size_gives_the_zero_point():
     point = optimize_gamma(params(k=4, d=6, t=2, B=0), None, F(1))
     assert point == tradeoff.CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(4), None)
+
+
+@pytest.mark.parametrize(
+    "adversary, fixed_g, box, error, fragment",
+    [
+        (None, 2.0, None, ParameterError, "^fixed_g must be an int"),
+        (None, None, ((F(2), F(1)), (F(0), F(0))), ParameterError,
+         "^bandwidth_box has an end below its start$"),
+        (AdversaryProfile("selfish", per_group_max=1, total=9), 2, None, InfeasibleError,
+         "^adversary budget exceeds what the groups can hold$"),
+    ],
+    ids=["fixed_g", "box", "budget"],
+)
+def test_zero_object_size_still_checks_the_structure(adversary, fixed_g, box, error, fragment):
+    # B = 0 returned the zero point before any of these checks, where a
+    # positive B raised
+    for B in (4, 0):
+        with pytest.raises(error, match=fragment):
+            optimize_gamma(params(k=4, d=6, t=2, B=B), adversary, F(1), fixed_g=fixed_g,
+                           bandwidth_box=box)
+
+
+def test_sweep_without_a_grid_runs_the_default_grid():
+    p = params(k=4, d=6, t=3, B=4)
+    adversary = selfish(1, maxa=1, total=2)
+    got = sweep_curve(SweepConfig(p, adversary, fixed_g=2))
+    want = sweep_curve(SweepConfig(p, adversary, default_alpha_grid(p), fixed_g=2))
+    assert len(got) == 64 and got == want
