@@ -235,7 +235,7 @@ def _cmd_tradeoff(args) -> int:
         alpha_grid=grid,
         fixed_g=args.fixed_g,
         tolerance=args.tol,
-        characteristic_range=False if args.free_range else None,  # None: sweep_curve decides
+        characteristic_range=not args.free_range,
     )
     print(f"# params: {_params_doc(p)} adversary={args.adversary} "
           f"fixed_g={args.fixed_g} points={args.alpha_points} tol={args.tol}",

@@ -190,12 +190,29 @@ def _block(code: RsCode, node_id: int, values: Sequence[int]) -> NodeBlock:
 
 
 _SHARED_COLUMN = "blocks of different nodes share a column"
+_node_id = attrgetter("node_id")
 
 
-def _read_setup(blocks: Sequence[NodeBlock]) -> tuple[int, Optional[list[int]]]:
-    """(kappa, points): kappa of the blocks' code, and their Reed-Solomon
-    points, or None for other columns, after the entry checks that
-    ``collect_robust`` lists."""
+def _by_id(blocks: Sequence[NodeBlock], others: Sequence = ()) -> tuple[list[NodeBlock], set[int]]:
+    """The blocks sorted by node id, and their id set.  ValueError when a
+    node id, or an id in ``others``, is not an int (bools are not), or two blocks share one."""
+    blocks = list(blocks)
+    ids = [b.node_id for b in blocks]
+    odd = [i for i in [*ids, *others] if type(i) is not int]
+    if odd:  # checked before the sort, which would compare them
+        raise ValueError(f"node ids {odd} are not ints")
+    id_set = set(ids)
+    if len(id_set) != len(ids):
+        raise ValueError("duplicate node ids")
+    blocks.sort(key=_node_id)
+    return blocks, id_set
+
+
+def _read_setup(blocks: Sequence[NodeBlock]):
+    """(blocks, field, kappa, points, columns) after the entry checks that
+    ``collect_robust`` lists: the blocks by id (``_by_id``), their field and kappa, their
+    Reed-Solomon points, or None for other columns, and each block's column, as ints."""
+    blocks = _by_id(blocks)[0]
     if not blocks:
         raise ValueError("no blocks given")
     if not blocks[0].column or not blocks[0].payload:
@@ -206,34 +223,29 @@ def _read_setup(blocks: Sequence[NodeBlock]) -> tuple[int, Optional[list[int]]]:
     kappa, t = len(blocks[0].column), len(blocks[0].payload)
     if any(len(b.column) != kappa or len(b.payload) != t for b in blocks):
         raise ValueError("blocks differ in column or payload length")
-    ids = [b.node_id for b in blocks]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate node ids")
     if len(blocks) < kappa:
         raise ValueError(f"{len(blocks)} blocks given, need at least {kappa}")
-    points = _rs_points(blocks, kappa)
-    if points is None and kappa > 1 and len({b.column for b in blocks}) < len(blocks):
+    columns = [[c.value for c in b.column] for b in blocks]
+    points = _rs_points(f, columns, kappa)
+    if points is None and kappa > 1 and len(set(map(tuple, columns))) < len(blocks):
         raise ValueError(_SHARED_COLUMN)
-    return kappa, points
+    return blocks, f, kappa, points, columns
 
 
-def _rs_points(blocks: Sequence[NodeBlock], kappa: int) -> Optional[list[int]]:
-    """The points x of the blocks if every column is (1, x, ..., x^(kappa-1)),
-    as ints, else None (always for kappa < 2, where x is not determined).
-    ValueError when two of them share a point, and so a column."""
+def _rs_points(f: GF, columns: Sequence[Sequence[int]], kappa: int) -> Optional[list[int]]:
+    """The points x of the int ``columns`` if each is (1, x, ..., x^(kappa-1)), else None
+    (always for kappa < 2, where x is not determined); ValueError when two share a point."""
     if kappa < 2:
         return None
-    f = blocks[0].column[0].field
     exp, log, size = f._exp, f._log, f.order - 1
     points = []
-    for b in blocks:
-        column = b.column
-        if column[0].value != 1:
+    for column in columns:
+        if column[0] != 1:
             return None
-        x = column[1].value
+        x = column[1]
         lx = log[x]
         for j in range(2, kappa):
-            if column[j].value != (exp[lx * j % size] if x else 0):
+            if column[j] != (exp[lx * j % size] if x else 0):
                 return None
         points.append(x)
     if len(set(points)) < len(points):
@@ -272,12 +284,12 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     blocks; when there is none, or more than one, AMBIGUOUS is returned
     rather than a possibly wrong object.  With at least kappa + e honest
     blocks the true object is that unique answer; ``collect`` is the
-    e = 0 read.  ValueError for fewer than kappa blocks, a repeated node
-    id, an empty column or payload, blocks of different shapes, or two
-    blocks that share a column (for kappa > 1); FieldMismatchError for
-    symbols from different fields.  Past that, e > N - kappa for the N
-    blocks is AMBIGUOUS: every object that agrees with some kappa - 1
-    blocks qualifies, and there are none or at least |F| of them.
+    e = 0 read.  ValueError for a node id that is not an int (bools are not)
+    or repeats, fewer than kappa blocks, an empty column or payload, blocks of
+    different shapes, or two blocks that share a column (for kappa > 1);
+    FieldMismatchError for symbols from different fields.  Past that,
+    e > N - kappa for the N blocks is AMBIGUOUS: every object that agrees
+    with some kappa - 1 blocks qualifies, and there are none or at least |F| of them.
 
     Candidates come from trial erasure decoding: in a pool of the first P
     of the N blocks by node id, each set of s erased blocks leaves P - s
@@ -296,8 +308,7 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
     e = max_polluters
     if not (type(e) is int and e >= 0):
         raise ValueError(f"max_polluters must be a nonnegative integer, got {e!r}")
-    ordered = sorted(blocks, key=lambda b: b.node_id)
-    kappa, points = _read_setup(ordered)
+    ordered, f, kappa, points, columns = _read_setup(blocks)
     n = len(ordered)
     if e > n - kappa:
         return AMBIGUOUS
@@ -307,8 +318,6 @@ def collect_robust(blocks: Sequence[NodeBlock], max_polluters: int):
         shapes = [(p, max(0, 2 * e - (p - kappa))) for p in range(kappa + e, n + 1)]
         pool, erased = min(shapes, key=lambda shape: comb(*shape))
 
-    f = ordered[0].column[0].field
-    columns = [[c.value for c in b.column] for b in ordered]
     qualified: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for kept in combinations(range(pool), pool - erased):
@@ -419,9 +428,6 @@ class RepairReport:
         )
 
 
-_node_id = attrgetter("node_id")
-
-
 def _as_served(block: NodeBlock, roles, rng) -> NodeBlock:
     """The block as its node serves it: a polluter's symbols are each wrong
     by ``_row_answer``'s one draw, row 0 first; an empty payload is served
@@ -482,15 +488,8 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     number t >= 1 of symbols over the code's field (repairs never read a
     block's column)."""
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
-    live, failed = list(live_blocks), list(failed_ids)
-    live_id_list = [b.node_id for b in live]
-    odd = [i for i in live_id_list + failed if type(i) is not int]
-    if odd:  # checked before the sort, which would compare them
-        raise ValueError(f"node ids {odd} are not ints")
-    live.sort(key=_node_id)
-    live_ids = set(live_id_list)
-    if len(live_ids) != len(live):
-        raise ValueError("duplicate live node ids")
+    failed = list(failed_ids)
+    live, live_ids = _by_id(live_blocks, failed)
     if not live:  # no block gives t, so the failed ids cannot be checked
         raise ValueError("no live blocks")
     t, field_ = len(live[0].payload), code.field

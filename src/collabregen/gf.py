@@ -85,8 +85,8 @@ class GF:
     __slots__ = ("m", "order", "poly", "_exp", "_log", "_elements")
 
     def __init__(self, m: int):
-        if not 2 <= m <= 16:
-            raise ValueError(f"field exponent m={m} outside supported range 2..16")
+        if type(m) is not int or not 2 <= m <= 16:  # a bool or 8.0 is no exponent
+            raise ValueError(f"field exponent m={m!r} outside supported range, the ints 2..16")
         self.m = m
         self.order = 1 << m
         self.poly = PRIMITIVE_POLYNOMIALS[m]
@@ -164,8 +164,8 @@ class GF:
 
 
 def field(m: int) -> GF:
-    """Shared GF(2^m) instance for the given exponent."""
-    f = _FIELD_CACHE.get(m)
+    """Shared GF(2^m) instance for the given int exponent (``GF`` rejects others)."""
+    f = _FIELD_CACHE.get(m) if type(m) is int else None
     if f is None:
         f = _FIELD_CACHE.setdefault(m, GF(m))
     return f

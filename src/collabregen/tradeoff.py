@@ -113,19 +113,19 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 class SweepConfig:
     """A curve sweep: optimize gamma for each storage level in the grid.
 
-    ``characteristic_range`` restricts the bandwidth search to the window
-    between the minimum-bandwidth and minimum-storage operating points
-    (the adversary-adjusted ones when an adversary is active).  It
-    defaults to on for fixed-partition sweeps, where a single cut
-    expression would otherwise admit a degenerate all-collaboration
-    optimum that every other collector partition forbids."""
+    ``characteristic_range``, unless False, restricts the bandwidth search
+    of a fixed-partition sweep to the window between the minimum-bandwidth
+    and minimum-storage operating points (the adversary-adjusted ones when
+    an adversary is active): its single cut expression would otherwise
+    admit a degenerate all-collaboration optimum that every other collector
+    partition forbids.  A free-partition sweep searches without the window."""
 
     params: SystemParams
     adversary: Optional[AdversaryProfile] = None
     alpha_grid: Optional[Sequence[Fraction]] = None
     fixed_g: Optional[int] = None
     tolerance: float = 1e-4
-    characteristic_range: Optional[bool] = None
+    characteristic_range: bool = True
 
 
 def characteristic_bandwidth_box(
@@ -552,9 +552,7 @@ def sweep_curve(cfg: SweepConfig) -> list[CurvePoint]:
     """
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(cfg.params)
     grid = sorted(as_fraction(a) for a in grid)
-    use_box = cfg.characteristic_range
-    if use_box is None:  # on for fixed-partition sweeps (see SweepConfig)
-        use_box = cfg.fixed_g is not None
+    use_box = cfg.characteristic_range and cfg.fixed_g is not None
     box = characteristic_bandwidth_box(cfg.params, cfg.adversary) if use_box else None
     unit = cfg.params.unit
     out: list[CurvePoint] = []

@@ -1399,6 +1399,12 @@ def test_repairs_match_plain_reference(case):
     assert got == want
 
 
+def relabeled(*ids):
+    """The first blocks of an object encoded on the demo code, with node ids ``ids``."""
+    _, _, blocks = demo_setup()
+    return [NodeBlock(i, b.column, b.payload) for i, b in zip(ids, blocks)]
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -1407,11 +1413,27 @@ def test_repairs_match_plain_reference(case):
         (lambda: encode_object(ObjectMatrix.random(field(4), 2, 3, random.Random(0)), demo_code()),
          ValueError, "object and code use different fields"),
         (lambda: collect_robust([], 0), ValueError, "no blocks given"),
+        # ids that the read's sort would compare, or that sort like ints
+        (lambda: collect(relabeled("a", 2, 3)), ValueError, r"\['a'\] are not ints"),
+        (lambda: collect(relabeled(None, 2, 3)), ValueError, r"\[None\] are not ints"),
+        (lambda: collect(relabeled(1.5, 2, 3)), ValueError, r"\[1\.5\] are not ints"),
+        (lambda: collect(relabeled(True, 2, 3)), ValueError, r"\[True\] are not ints"),
     ],
 )
 def test_documented_errors(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+@pytest.mark.parametrize("entry", ["read", "repair"])
+def test_reads_and_repairs_share_the_id_rule(entry):
+    code, _, blocks = demo_setup()
+    live = [*relabeled(1.5), *blocks[1:5]]
+    with pytest.raises(ValueError, match=r"^node ids \[1\.5\] are not ints$"):
+        if entry == "read":
+            collect(live)
+        else:
+            collaborative_repair(code, live, [6, 7])
 
 
 def test_effective_d_is_zero_with_no_measured_newcomer():

@@ -1019,10 +1019,20 @@ CODE16 = RsCode.with_power_points(GF16, 7, 3, first_power=1)
 WORD16 = CODE16.encode(tuple(GF16.element(v) for v in (1, 2, 3)))
 
 
+def cold_field(m):
+    """``field(m)`` with an empty field cache, which is restored after."""
+    with mock.patch.dict(gf._FIELD_CACHE, clear=True):
+        return field(m)
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
         (lambda: gf.GF(1), ValueError, "m=1 outside supported range"),
+        (lambda: gf.GF(8.0), ValueError, "m=8.0 outside supported range"),
+        (lambda: cold_field(8.0), ValueError, "m=8.0 outside supported range"),
+        # 8.0 == 8 and hashes alike: a lookup in a warm cache would find GF(2^8)
+        (lambda: field(8) and field(8.0), ValueError, "m=8.0 outside supported range"),
         (lambda: GF8.div(3, 0), ZeroDivisionError, "division by field zero"),
         (lambda: GF8.pow(0, -1), ZeroDivisionError, "0 cannot be raised to a negative power"),
         (lambda: e8(1) + 1, TypeError, "expected FieldElement, got int"),
