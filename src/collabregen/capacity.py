@@ -26,6 +26,7 @@ concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -50,9 +51,12 @@ class InfeasibleError(ValueError):
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Exact conversion; floats convert by their binary value."""
+    """Exact conversion; floats convert by their binary value.
+    ParameterError naming the value for an infinite or NaN float."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ParameterError(f"{x!r} is not a finite number")
     return Fraction(x)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +20,7 @@ from .capacity import (
     AdversaryProfile,
     GroupPartition,
     InfeasibleError,
+    ParameterError,
     SystemParams,
     _capacity,
     fraction_str,
@@ -43,7 +43,14 @@ from .scenarios import (
     simulate_generations,
     stats_to_csv,
 )
-from .tradeoff import CSV_HEADER, SweepConfig, curve_to_csv, default_alpha_grid, sweep_curve
+from .tradeoff import (
+    CSV_HEADER,
+    SweepConfig,
+    _check_tolerance,
+    curve_to_csv,
+    default_alpha_grid,
+    sweep_curve,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +82,10 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    try:
+        _check_tolerance(value)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -45,7 +45,17 @@ or beta' grows, even under rounding: the feasible cells form a
 staircase, which each round walks with at most one search per row and
 column, skipping any cell at or below, in both bandwidths, one already
 found infeasible; a cell's search gets B*(1 - 1e-12), the threshold it
-is compared with, as its floor.  Grid searching runs on floats for
+is compared with, as its floor.  An infeasible search also leaves a cut
+(Kelley's cutting plane): every built search carries ``piece``, which
+turns its witness into (A, P, S), each group's term counted as alpha
+where it reaches alpha at that cell and as c*beta + m*beta' elsewhere,
+so the witness's value, and so the minimum, is at most A*beta +
+P*beta' + S*alpha at every point.  A cell where one of the last two
+pieces falls below the floor times (1 - 1e-9), less the least normal
+float (``_piece_floor``), is infeasible without a search: the margin
+covers the float search's rounding at every scale, and no cut is made
+below a subnormal floor, so every decision and every returned point is
+bit-identical to the walk without cuts.  Grid searching runs on floats for
 speed; every returned point is certified exactly, with no tolerance, by
 ``worst_case_capacity``, which scales the rational point to integers
 (the bound is homogeneous of degree 1) and divides the result once.
@@ -54,10 +64,12 @@ speed; every returned point is certified exactly, with no tolerance, by
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isfinite, lcm
+from numbers import Real
 from typing import Optional, Sequence
 
 from .capacity import (
@@ -192,6 +204,23 @@ def _build_search(
     if total > most(g, k):
         raise InfeasibleError("adversary budget exceeds what the groups can hold")
 
+    def piece(alpha, beta, beta_prime, groups, alloc):
+        # (A, P, S) of the witness (groups, alloc) found at this point: a
+        # group of u at prefix s holding a misbehavers adds u*alpha when
+        # c*beta + m*beta' reaches alpha here, else u*(c*beta + m*beta').
+        # Each term of the witness is at most what its group adds, so its
+        # value, and so the minimum, is at most A*beta + P*beta' + S*alpha
+        # at every nonnegative point.
+        A = P = S = s = 0
+        for u, a in zip(groups, alloc):
+            c, m = coeffs[s], t - f * a - u
+            if c * beta + m * beta_prime >= alpha:
+                S += u
+            else:
+                A, P = A + u * c, P + u * m
+            s += u
+        return A, P, S
+
     if fixed_g == k:
         ones = (1,) * k
         # Fill the last positions first: cap in each of the last total // cap,
@@ -210,6 +239,7 @@ def _build_search(
             values = [x if (x := c * beta + m * beta_prime) < alpha else alpha for c, m in terms]
             return sum(values), ones, alloc
 
+        single_nodes.piece = piece
         return single_nodes
 
     if not total and fixed_g is None:
@@ -238,6 +268,7 @@ def _build_search(
             groups = (1,) * lead + (size,) + (t,) * ((k - lead - size) // t)
             return low, groups, (0,) * len(groups)
 
+        partitions.piece = piece
         return partitions
 
     step = 0 if fixed_g is None else 1
@@ -293,6 +324,7 @@ def _build_search(
             s, parts, r = s + u, parts + step, r - a
         return value, tuple(groups), tuple(alloc)
 
+    general.piece = piece
     return general
 
 
@@ -364,6 +396,14 @@ def default_alpha_grid(
     return [lo + step * i for i in range(points)]
 
 
+def _piece_floor(floor: float) -> float:
+    """The float a witness's piece, evaluated at a cell, must fall below to
+    rule the cell out against ``floor``: low enough by 1e-9 of the floor
+    for the rounding of the search's sums, and by the least normal float
+    for their underflow, so that no cut is made below a subnormal floor."""
+    return floor * (1.0 - 1e-9) - sys.float_info.min
+
+
 def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     """Refined grid minimization of gamma over the feasible region.
 
@@ -375,21 +415,35 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     bandwidths even in floats; the feasible cells are upward closed and
     a staircase walk finds that cell in at most len(bs) + len(ps)
     searches.  A cell at or below, in both bandwidths, one already found
-    infeasible is infeasible too, and is not searched.  Refining stops
+    infeasible is infeasible too, and is not searched; nor is a cell
+    where the piece of one of the last two infeasible witnesses, when
+    ``search`` carries ``piece``, is below ``_piece_floor`` of the floor,
+    a margin that keeps every decision the search would make, so the
+    result is bit-identical to the walk without cuts.  Refining stops
     once the last grid's spacing in gamma is at most ``tolerance`` times
     the best gamma found, or after the last refinement; the best gamma
     can still lie further above the optimum than that."""
     feas_floor = B * (1.0 - 1e-12)
+    cut = _piece_floor(feas_floor)
     (b_min, b_max), (p_min, p_max) = bounds
     dead = []  # the cells found infeasible that can still rule one out
+    piece = getattr(search, "piece", None)
+    cuts = []  # (A, P, S) of the last two witnesses found infeasible
 
     def feasible(b, bp):
         for x, y in dead:
             if b <= x and bp <= y:
                 return False
-        if search(alpha, b, bp, feas_floor)[0] >= feas_floor:
+        for A, P, S in cuts:
+            if A * b + P * bp + S * alpha < cut:
+                dead.append((b, bp))
+                return False
+        value, groups, alloc = search(alpha, b, bp, feas_floor)
+        if value >= feas_floor:
             return True
         dead.append((b, bp))
+        if piece is not None:
+            cuts[:] = [piece(alpha, b, bp, groups, alloc), *cuts[:1]]
         return False
 
     best = None  # (gamma, beta, beta_prime)
@@ -438,6 +492,15 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     return best
 
 
+def _check_tolerance(tolerance) -> None:
+    """ParameterError unless ``tolerance`` is a finite nonnegative number
+    (a bool is not)."""
+    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not (
+        isfinite(tolerance) and tolerance >= 0
+    ):
+        raise ParameterError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+
+
 def _search_float(name: str, value: Fraction) -> float:
     """A positive ``value`` as the float the grid search runs on;
     ParameterError when that overflows or underflows to 0."""
@@ -468,7 +531,9 @@ def optimize_gamma(
     search does, alpha is below B/k, the window holds no feasible point or
     the best one cannot be certified at B; ParameterError when alpha is
     negative, a box end is below its start, or alpha or a positive B has
-    no positive finite float."""
+    no positive finite float, or ``tolerance`` is not a finite nonnegative
+    number."""
+    _check_tolerance(tolerance)
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise ParameterError("alpha must be nonnegative")

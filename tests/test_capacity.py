@@ -1,5 +1,6 @@
 """Exact-rational capacity bounds and characteristic points."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from collabregen.capacity import (
     ParameterError,
     PartitionError,
     SystemParams,
+    as_fraction,
     capacity_polluting,
     capacity_selfish,
     mbr_point,
@@ -139,6 +141,12 @@ class TestCountsAreInts:
          ParameterError, "^polluters must be an int"),
         (lambda: polluted_collection_min_storage(params(k=8, d=10, t=2, B=8), True),
          ParameterError, "^polluters must be an int"),
+        # an infinity raised OverflowError and a NaN a bare ValueError
+        (lambda: as_fraction(math.inf), ParameterError, r"^inf is not a finite number$"),
+        (lambda: as_fraction(-math.inf), ParameterError, r"^-inf is not a finite number$"),
+        (lambda: as_fraction(math.nan), ParameterError, r"^nan is not a finite number$"),
+        (lambda: params(k=2, d=3, t=1, B=math.inf), ParameterError, r"^inf is not a finite number$"),
+        (lambda: params(k=2, d=3, t=1, beta=math.nan), ParameterError, r"^nan is not a finite number$"),
     ],
 )
 def test_documented_errors(call, error, fragment):

@@ -1,5 +1,6 @@
 """Worst-case capacity DP against brute force, and the gamma optimizer."""
 
+import functools
 import gc
 import math
 import tracemalloc
@@ -607,9 +608,10 @@ class TestSearchFloor:
     does, and an answer below it is a real candidate: an admissible
     witness with its own float cut (oracles.oracle_float_cuts)."""
 
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_floor_keeps_every_decision(self, data):
+    @staticmethod
+    def draw_structure(data):
+        """(params, adversary, fixed_g, strategy) of one search: every
+        strategy, both adversary kinds, fixed and free g."""
         k = data.draw(st.integers(1, 7))
         t = data.draw(st.integers(1, 4))
         d = data.draw(st.integers(max(k, 2), k + 4))  # room for one polluter among live
@@ -631,7 +633,13 @@ class TestSearchFloor:
             mk = polluting if t >= 3 and data.draw(st.booleans()) else selfish
             adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
                      total=data.draw(st.integers(int(fixed_g is None), 4)))
-        p = params(k=k, d=d, t=t)
+        return params(k=k, d=d, t=t), adv, fixed_g, mode
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_floor_keeps_every_decision(self, data):
+        p, adv, fixed_g, mode = self.draw_structure(data)
+        k, t = p.k, p.t
         floats = st.floats(0, 4, allow_nan=False, allow_infinity=False)
         alpha, beta, bp = data.draw(st.tuples(floats, floats, floats))
         try:
@@ -660,6 +668,40 @@ class TestSearchFloor:
         assert len(alloc) == len(groups) and sum(alloc) == total
         assert all(0 <= a <= cap and u <= t - f * a for u, a in zip(groups, alloc))
         assert value in oracle_float_cuts(p, adv, fixed_g, alpha, beta, bp, groups, alloc)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_witness_piece_is_a_sound_cut(self, data):
+        # The piece of a witness found at one cell bounds the exact minimum
+        # at every other point, and the grid's rule never rules out a cell
+        # whose float search reaches the floor, at any scale: 2**-1063 puts
+        # every cell near 1e-320, 2**996 near 1e300.
+        p, adv, fixed_g, mode = self.draw_structure(data)
+        try:
+            search = _cut_search(p, adv, fixed_g)
+        except InfeasibleError:  # a budget that cannot be placed
+            return
+        assert search.__name__ == mode
+        scale = data.draw(st.sampled_from([-1063, -20, 0, 20, 996]))
+        floats = st.floats(0, 4).map(lambda x: math.ldexp(x, scale))
+        cells = st.tuples(floats, floats, floats)
+        a1, b1, bp1 = cell = data.draw(cells)
+        a2, b2, bp2 = data.draw(st.one_of(st.just(cell), cells))  # often where it was found
+        floor1 = data.draw(st.one_of(st.none(), floats))
+        _, groups, alloc = search(a1, b1, bp1, floor1)
+        A, P, S = search.piece(a1, b1, bp1, groups, alloc)
+        exact = A * F(b2) + P * F(bp2) + S * F(a2)
+        assert exact >= worst_case_capacity(p.with_point(F(a2), F(b2), F(bp2)), adv, fixed_g)[0]
+
+        full = search(a2, b2, bp2)[0]
+        bound = A * b2 + P * bp2 + S * a2
+        floor = data.draw(st.one_of(
+            st.sampled_from([full, math.nextafter(full, math.inf), bound, bound / (1 - 1e-9)]),
+            st.floats(0, 2 * bound + 1),
+        ))
+        floor = data.draw(st.sampled_from([floor, math.nextafter(floor, math.inf)]))
+        if bound < tradeoff._piece_floor(floor):
+            assert search(a2, b2, bp2, floor)[0] < floor
 
 
 def search_window(p, adv, open_box, grow=1):
@@ -782,10 +824,41 @@ class TestGridWalkMatchesSortedScan:
         return search, t, bounds, warm
 
     @pytest.mark.parametrize("case", BENCHMARK_WALKS)
+    def test_witness_cuts_save_searches(self, case):
+        # The walk with the pieces of its infeasible witnesses and the walk
+        # without them (a search that carries no piece) give the sorted
+        # scan's answer; the first searches some of the cells the second
+        # does, in the same order, and every cell it leaves out is infeasible.
+        search, t, bounds, warm = self.benchmark_walk(case)
+        args = (1.25, 32.0, 48, t, bounds, warm)
+        want = oracle_grid_search(search, *args)
+        walks = {}
+        for cuts in (True, False):
+            calls = walks[cuts] = []
+
+            def counted(alpha, b, bp, floor=None):
+                out = search(alpha, b, bp, floor)
+                calls.append((b, bp, out[0] >= floor))
+                return out
+
+            if cuts:
+                counted = functools.wraps(search)(counted)
+            assert _grid_search(counted, *args) == want
+        kept, left_out = 0, []
+        for call in walks[False]:
+            if kept < len(walks[True]) and call == walks[True][kept]:
+                kept += 1
+            else:
+                left_out.append(call)
+        assert kept == len(walks[True])
+        assert left_out and not any(ok for _, _, ok in left_out)
+
+    @pytest.mark.parametrize("case", BENCHMARK_WALKS)
     def test_no_search_below_an_infeasible_one(self, case):
         search, t, bounds, warm = self.benchmark_walk(case)
         calls = []  # (beta, beta', feasible) of every search, in order
 
+        @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
         def recorded(alpha, b, bp, floor=None):
             out = search(alpha, b, bp, floor)
             calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
@@ -809,6 +882,7 @@ class TestGridWalkMatchesSortedScan:
             monkeypatch.setattr(tradeoff, "_MAX_REFINEMENTS", rounds)
             calls = []
 
+            @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
             def counted(*args):
                 calls.append(args)
                 return search(*args)
@@ -1178,6 +1252,19 @@ def test_box_with_an_end_below_its_start_rejected(box):
     [
         (lambda: default_alpha_grid(params(k=4, d=6, t=2, B=4), points=0), "grid needs at least one point"),
         (lambda: optimize_gamma(params(k=4, d=6, t=2, B=4), None, F(-1)), "alpha must be nonnegative"),
+        # an infinite alpha or grid end raised OverflowError, a NaN a bare ValueError
+        (lambda: optimize_gamma(params(k=4, d=6, t=2, B=4), None, math.inf), "^inf is not a finite number$"),
+        (lambda: optimize_gamma(params(k=4, d=6, t=2, B=4), None, math.nan), "^nan is not a finite number$"),
+        (lambda: default_alpha_grid(params(k=4, d=6, t=2, B=4), alpha_max=math.inf),
+         "^inf is not a finite number$"),
+        (lambda: default_alpha_grid(params(k=4, d=6, t=2, B=4), alpha_min=-math.inf),
+         "^-inf is not a finite number$"),
+        # NaN and negative tolerances ran every refinement, as the CLI's --tol forbids
+        *((lambda tol=tol: optimize_gamma(params(k=4, d=6, t=2, B=4), None, F(3, 2), tolerance=tol),
+           f"^tolerance must be finite and nonnegative, got {tol!r}$")
+          for tol in (math.nan, math.inf, -1e-4, True, "1e-4")),
+        (lambda: sweep_curve(SweepConfig(params(k=4, d=6, t=2, B=4), tolerance=-1.0)),
+         "^tolerance must be finite and nonnegative, got -1.0$"),
     ],
 )
 def test_documented_errors(call, fragment):
