@@ -29,9 +29,6 @@ thread-safe: threads on different structures rebuild in turn, each
 with a correct search, and threads on one can at worst build it twice.
 Errors are not cached: an invalid structure, or a budget no partition
 can hold (InfeasibleError), raises on every build; a search never raises.
-Given a ``floor``, the free-partition scan stops at its first split
-below it and returns that split: a search's value is below the floor
-exactly when the minimum is, and is the minimum otherwise.
 
 ``optimize_gamma`` minimizes the repair bandwidth gamma = d*beta +
 (t-1)*beta' subject to the worst-case capacity reaching the object size.
@@ -44,18 +41,19 @@ from sums, nonnegative multiples and minimums, so it never falls as beta
 or beta' grows, even under rounding: the feasible cells form a
 staircase, which each round walks with at most one search per row and
 column, skipping any cell at or below, in both bandwidths, one already
-found infeasible; a cell's search gets B*(1 - 1e-12), the threshold it
-is compared with, as its floor.  An infeasible search also leaves a cut
-(Kelley's cutting plane): every built search carries ``piece``, which
-turns its witness into (A, P, S), each group's term counted as alpha
-where it reaches alpha at that cell and as c*beta + m*beta' elsewhere,
-so the witness's value, and so the minimum, is at most A*beta +
-P*beta' + S*alpha at every point.  A cell where one of the last two
-pieces falls below the floor times (1 - 1e-9), less the least normal
-float (``_piece_floor``), is infeasible without a search: the margin
-covers the float search's rounding at every scale, and no cut is made
-below a subnormal floor, so every decision and every returned point is
-bit-identical to the walk without cuts.  Grid searching runs on floats for
+found infeasible; a cell is feasible when its search reaches the floor
+B*(1 - 1e-12).  An infeasible search also leaves a cut (Kelley's
+cutting plane): every built search carries ``piece``, which turns its
+witness into (A, P, S), each group's term counted as alpha where it
+reaches alpha at that cell and as c*beta + m*beta' elsewhere, so the
+witness's value, and so the minimum, is at most A*beta + P*beta' +
+S*alpha at every point of every storage level, and a sweep carries the
+last two pieces from level to level.  A cell where one falls below the
+floor times (1 - 1e-9), less the least normal float (``_piece_floor``),
+is infeasible without a search: the margin covers the float search's
+rounding at every scale, and no cut is made below a subnormal floor, so
+every decision and every returned point is bit-identical to the walk
+without cuts.  Grid searching runs on floats for
 speed; every returned point is certified exactly, with no tolerance, by
 ``worst_case_capacity``, which scales the rational point to integers
 (the bound is homogeneous of degree 1) and divides the result once.
@@ -163,11 +161,9 @@ def _cut_search(
     p: SystemParams, adversary: Optional[AdversaryProfile], fixed_g: Optional[int]
 ):
     """The worst-case search for one structure (see the module docstring):
-    ``search(alpha, beta, beta_prime, floor=None) -> (value, groups,
-    allocation)``, which never raises; building it raises InfeasibleError
-    when no partition can hold the budget.  Given a floor, the value is
-    the minimum when that is at or above the floor, else some candidate
-    below it, with its witness.  The search reads only k, d and t of
+    ``search(alpha, beta, beta_prime) -> (value, groups, allocation)``,
+    which never raises; building it raises InfeasibleError when no
+    partition can hold the budget.  The search reads only k, d and t of
     ``p``, so every point of a structure shares one.
     ``fixed_g`` is checked first: the cache would take 2.0 for the key 2."""
     if fixed_g is not None:
@@ -235,7 +231,7 @@ def _build_search(
         terms = [(c, t - f * a - 1) for c, a in zip(coeffs, alloc)]
 
         # no early exit: sum() compensates (3.12+), and a running sum can differ in the last bit
-        def single_nodes(alpha, beta, beta_prime, floor=None):
+        def single_nodes(alpha, beta, beta_prime):
             values = [x if (x := c * beta + m * beta_prime) < alpha else alpha for c, m in terms]
             return sum(values), ones, alloc
 
@@ -247,7 +243,7 @@ def _build_search(
         # r = (k-a-1) % t + 1, for the largest a of least value (TestFreePartitions).
         plan = [(a, (k - a - 1) % t + 1, coeffs[a]) for a in range(k - 1, -1, -1)]
 
-        def partitions(alpha, beta, beta_prime, floor=None):
+        def partitions(alpha, beta, beta_prime):
             collab = [c * beta_prime for c in range(t)]
             full = collab[t - 1]
             head, acc = [0], 0  # head[a]: single nodes at prefixes 0..a-1
@@ -261,8 +257,6 @@ def _build_search(
                 cand = head[a] + r * (m := x if x < alpha else alpha) + tail
                 if low is None or cand < low:
                     low, lead, size = cand, a, r
-                    if floor is not None and low < floor:
-                        break
                 if r == t:  # from a - 1 on, a full group starts at a
                     tail += t * m
             groups = (1,) * lead + (size,) + (t,) * ((k - lead - size) // t)
@@ -295,7 +289,7 @@ def _build_search(
                      for u in range(u_lo, u_hi + 1)]
             plan.append((s, parts, budgets, sizes))
 
-    def general(alpha, beta, beta_prime, floor=None):
+    def general(alpha, beta, beta_prime):
         # memo[(prefix, groups used, budget left)] = (value, (u, a)), filled
         # down the plan (recursing once per group would overflow Python's
         # stack at large k)
@@ -404,7 +398,7 @@ def _piece_floor(floor: float) -> float:
     return floor * (1.0 - 1e-9) - sys.float_info.min
 
 
-def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
+def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4, cuts=None):
     """Refined grid minimization of gamma over the feasible region.
 
     ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
@@ -416,19 +410,21 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
     a staircase walk finds that cell in at most len(bs) + len(ps)
     searches.  A cell at or below, in both bandwidths, one already found
     infeasible is infeasible too, and is not searched; nor is a cell
-    where the piece of one of the last two infeasible witnesses, when
-    ``search`` carries ``piece``, is below ``_piece_floor`` of the floor,
-    a margin that keeps every decision the search would make, so the
-    result is bit-identical to the walk without cuts.  Refining stops
-    once the last grid's spacing in gamma is at most ``tolerance`` times
-    the best gamma found, or after the last refinement; the best gamma
-    can still lie further above the optimum than that."""
+    where one of ``cuts`` is below ``_piece_floor`` of the floor, a
+    margin that keeps every decision the search would make, so the
+    result is bit-identical to the walk without cuts.  ``cuts`` (empty
+    when not given) holds the (A, P, S) pieces of the last two infeasible
+    witnesses of ``search``, from any storage level, and is updated in
+    place when ``search`` carries ``piece``.  Refining stops once the
+    last grid's spacing in gamma is at most ``tolerance`` times the best
+    gamma found, or after the last refinement; the best gamma can still
+    lie further above the optimum than that."""
     feas_floor = B * (1.0 - 1e-12)
     cut = _piece_floor(feas_floor)
     (b_min, b_max), (p_min, p_max) = bounds
     dead = []  # the cells found infeasible that can still rule one out
     piece = getattr(search, "piece", None)
-    cuts = []  # (A, P, S) of the last two witnesses found infeasible
+    cuts = [] if cuts is None else cuts
 
     def feasible(b, bp):
         for x, y in dead:
@@ -438,7 +434,7 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4):
             if A * b + P * bp + S * alpha < cut:
                 dead.append((b, bp))
                 return False
-        value, groups, alloc = search(alpha, b, bp, feas_floor)
+        value, groups, alloc = search(alpha, b, bp)
         if value >= feas_floor:
             return True
         dead.append((b, bp))
@@ -521,6 +517,7 @@ def optimize_gamma(
     tolerance: float = 1e-4,
     bandwidth_box: Optional[BandwidthBox] = None,
     _warm: Optional[tuple[float, float]] = None,
+    _cuts: Optional[list] = None,
 ) -> CurvePoint:
     """Minimize gamma at fixed storage, subject to worst-case capacity >= B.
 
@@ -532,7 +529,8 @@ def optimize_gamma(
     the best one cannot be certified at B; ParameterError when alpha is
     negative, a box end is below its start, or alpha or a positive B has
     no positive finite float, or ``tolerance`` is not a finite nonnegative
-    number."""
+    number.  Every window searched shares ``_cuts`` (``_grid_search``'s
+    ``cuts``), a new list when not given."""
     _check_tolerance(tolerance)
     alpha = as_fraction(alpha)
     if alpha < 0:
@@ -559,11 +557,11 @@ def optimize_gamma(
         window = ((0, 2.0 * float(mbr_beta)), (0, 2.0 * float(msr_bp) if p.t > 1 else 0))
         rounds = _MAX_BOX_EXPANSIONS
     (lo_b, hi_b), (lo_p, hi_p) = ((float(lo), float(hi)) for lo, hi in window)
+    cuts = [] if _cuts is None else _cuts
     for _ in range(rounds):
         bounds = ((lo_b, hi_b), (lo_p, hi_p))
-        best = _grid_search(
-            search, alpha_f, B_f, p.d, p.t, bounds, warm=_warm, tolerance=tolerance
-        )
+        best = _grid_search(search, alpha_f, B_f, p.d, p.t, bounds,
+                            warm=_warm, tolerance=tolerance, cuts=cuts)
         if best is not None and best[1] <= hi_b * 0.98 and best[2] <= hi_p * 0.98:
             break
         if best is None and hi_b >= alpha_f and (hi_p >= alpha_f or p.t == 1):
@@ -611,28 +609,27 @@ def optimize_gamma(
 def sweep_curve(cfg: SweepConfig) -> list[CurvePoint]:
     """One CurvePoint per feasible grid storage level, gamma non-increasing.
 
-    The previous point's bandwidth pair seeds the next optimization: it
-    stays feasible as storage grows, which pins down monotonicity.
-    Infeasible grid points are skipped with a logged reason.
+    The tolerance and the structure are checked once, before any level,
+    so a budget no partition can hold raises InfeasibleError.  The
+    previous point's bandwidth pair seeds the next optimization: it
+    stays feasible as storage grows, which pins down monotonicity.  The
+    witness pieces found so far (``_grid_search``'s ``cuts``) carry over
+    too.  Infeasible grid points are skipped with a logged reason.
     """
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(cfg.params)
     grid = sorted(as_fraction(a) for a in grid)
     use_box = cfg.characteristic_range and cfg.fixed_g is not None
     box = characteristic_bandwidth_box(cfg.params, cfg.adversary) if use_box else None
+    _check_tolerance(cfg.tolerance)
+    _cut_search(cfg.params, cfg.adversary, cfg.fixed_g)
     unit = cfg.params.unit
     out: list[CurvePoint] = []
     warm: Optional[tuple[float, float]] = None
+    cuts: list = []
     for alpha in grid:
         try:
-            point = optimize_gamma(
-                cfg.params,
-                cfg.adversary,
-                alpha,
-                fixed_g=cfg.fixed_g,
-                tolerance=cfg.tolerance,
-                bandwidth_box=box,
-                _warm=warm,
-            )
+            point = optimize_gamma(cfg.params, cfg.adversary, alpha, cfg.fixed_g, cfg.tolerance,
+                                   box, _warm=warm, _cuts=cuts)
         except InfeasibleError as exc:
             log.info("skipping alpha=%s: %s", float(alpha), exc)
             continue

@@ -167,40 +167,6 @@ def oracle_partition_scan(p, adv, alpha, beta, beta_prime):
     return low, groups, (0,) * len(groups)
 
 
-def oracle_float_cuts(p, adv, fixed_g, alpha, beta, beta_prime, groups, alloc):
-    """The floats the search of this shape can give for the cut of one
-    witness: its terms u * min(c*beta + m*beta', alpha), added as the
-    search adds them.  Single-node groups sum them with ``sum``; the DP
-    adds each group to the cut of the groups after it; the free scan
-    adds single nodes from the first, then one group, then full groups
-    added from the last, and a witness splits that way at every group
-    after single nodes only and before full groups only (at every group
-    when t = 1), so it has a set of floats."""
-    f, among = (adv.factor, adv.among_live) if adv else (1, 0)
-    terms, prefix = [], 0
-    for u, a in zip(groups, alloc):
-        x = max(0, p.d - f * among - prefix) * beta + (p.t - f * a - u) * beta_prime
-        terms.append(u * (x if x < alpha else alpha))
-        prefix += u
-    if fixed_g == p.k:
-        return {sum(terms)}
-    if fixed_g is not None or adv and adv.total:
-        value = 0
-        for x in reversed(terms):
-            value = x + value
-        return {value}
-    cuts = set()
-    for lead in range(len(groups)):
-        if set(groups[:lead]) <= {1} and set(groups[lead + 1:]) <= {p.t}:
-            head = tail = 0
-            for x in terms[:lead]:
-                head += x
-            for x in reversed(terms[lead + 1:]):
-                tail += x
-            cuts.add(head + terms[lead] + tail)
-    return cuts
-
-
 def _interleave(groups, alloc):
     return tuple(x for pair in zip(groups, alloc) for x in pair)
 

@@ -323,6 +323,16 @@ class TestTradeoff:
         )
         assert code == 2 and "infeasible" in err
 
+    def test_budget_no_partition_holds_is_named(self, capsys):
+        # four full groups of 3 hold no selfish newcomer: each level was
+        # skipped in turn, and the exit named only the empty grid
+        code, out, err = run(
+            capsys, "tradeoff", "--d", "20", "--k", "12", "--t", "3", "--fixed-g", "4",
+            "--adversary", "selfish", "--L0", "1", "--lmax", "1", "--Ltotal", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "infeasible: adversary budget exceeds what the groups can hold"
+
 
 class TestExactDemo:
     def test_walkthrough(self, capsys):

@@ -41,9 +41,7 @@ from collabregen.tradeoff import (
 
 from oracles import (
     _oracle_check_among_live,
-    compositions,
     oracle_characteristic_box,
-    oracle_float_cuts,
     oracle_grid_search,
     oracle_msr_selfish_bounds,
     oracle_partition_scan,
@@ -604,9 +602,10 @@ class TestFloatSearchNeverFalls:
 
 
 class TestSearchFloor:
-    """A float search given a floor decides against it as the full search
-    does, and an answer below it is a real candidate: an admissible
-    witness with its own float cut (oracles.oracle_float_cuts)."""
+    """The piece of a float search's witness bounds the exact minimum at
+    every point, and the grid walk's margin below the floor
+    (tradeoff._piece_floor) never rules out a cell whose float search
+    reaches the floor."""
 
     @staticmethod
     def draw_structure(data):
@@ -637,40 +636,6 @@ class TestSearchFloor:
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(st.data())
-    def test_floor_keeps_every_decision(self, data):
-        p, adv, fixed_g, mode = self.draw_structure(data)
-        k, t = p.k, p.t
-        floats = st.floats(0, 4, allow_nan=False, allow_infinity=False)
-        alpha, beta, bp = data.draw(st.tuples(floats, floats, floats))
-        try:
-            search = _cut_search(p, adv, fixed_g)
-            full = search(alpha, beta, bp)
-        except InfeasibleError:  # a budget that cannot be placed
-            return
-        assert search.__name__ == mode
-        # a floor at the minimum, one ulp either side of it, or anywhere near
-        floor = data.draw(st.one_of(
-            st.just(full[0]),
-            st.just(math.nextafter(full[0], math.inf)),
-            st.just(math.nextafter(full[0], -math.inf)),
-            st.floats(0, 2 * full[0] + 1),
-        ))
-        value, groups, alloc = got = search(alpha, beta, bp, floor=floor)
-        assert (value >= floor) == (full[0] >= floor)
-        if value >= floor:
-            assert got == full
-            return
-        assert value >= full[0]
-        f = adv.factor if adv else 1
-        total = adv.total if adv else 0
-        cap = min(adv.per_group_max, (t - 1) // f) if adv else 0
-        assert groups in set(compositions(k, t, fixed_g))
-        assert len(alloc) == len(groups) and sum(alloc) == total
-        assert all(0 <= a <= cap and u <= t - f * a for u, a in zip(groups, alloc))
-        assert value in oracle_float_cuts(p, adv, fixed_g, alpha, beta, bp, groups, alloc)
-
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    @given(st.data())
     def test_witness_piece_is_a_sound_cut(self, data):
         # The piece of a witness found at one cell bounds the exact minimum
         # at every other point, and the grid's rule never rules out a cell
@@ -687,8 +652,7 @@ class TestSearchFloor:
         cells = st.tuples(floats, floats, floats)
         a1, b1, bp1 = cell = data.draw(cells)
         a2, b2, bp2 = data.draw(st.one_of(st.just(cell), cells))  # often where it was found
-        floor1 = data.draw(st.one_of(st.none(), floats))
-        _, groups, alloc = search(a1, b1, bp1, floor1)
+        _, groups, alloc = search(a1, b1, bp1)
         A, P, S = search.piece(a1, b1, bp1, groups, alloc)
         exact = A * F(b2) + P * F(bp2) + S * F(a2)
         assert exact >= worst_case_capacity(p.with_point(F(a2), F(b2), F(bp2)), adv, fixed_g)[0]
@@ -701,7 +665,7 @@ class TestSearchFloor:
         ))
         floor = data.draw(st.sampled_from([floor, math.nextafter(floor, math.inf)]))
         if bound < tradeoff._piece_floor(floor):
-            assert search(a2, b2, bp2, floor)[0] < floor
+            assert search(a2, b2, bp2)[0] < floor
 
 
 def search_window(p, adv, open_box, grow=1):
@@ -722,9 +686,10 @@ class TestGridWalkMatchesSortedScan:
     """The staircase walk of _grid_search returns what scanning every grid
     cell in gamma order returns (oracles.oracle_grid_search)."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_real_searches(self, data):
+    @staticmethod
+    def draw_structure(data):
+        """(params, adversary, search) of one search, every strategy, or
+        None when the budget cannot be placed."""
         k = data.draw(st.integers(2, 7))
         t = data.draw(st.integers(1, 4))
         d = data.draw(st.integers(k, k + 4))
@@ -747,13 +712,18 @@ class TestGridWalkMatchesSortedScan:
             adv = mk(data.draw(st.integers(0, 1)), maxa=data.draw(st.integers(1, 2)),
                      total=data.draw(st.integers(1, 3)))
         p = params(k=k, d=d, t=t, B=k)
+        try:
+            return p, adv, _cut_search(p, adv, fixed_g)
+        except InfeasibleError:  # a budget that cannot be placed
+            return None
+
+    @staticmethod
+    def draw_args(data, p, adv, search):
+        """The arguments of one _grid_search call on ``search``: a storage
+        level, a window (grown as optimize_gamma grows it), maybe a warm
+        start, and a tolerance."""
         level = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
         alpha = 1 + level * (mbr_point(p)[0] - 1)
-        try:
-            search = _cut_search(p.with_point(alpha, 0, 0), adv, fixed_g)
-            search(1.0, 0.0, 0.0)
-        except InfeasibleError:  # a budget that cannot be placed
-            return
         grow = 2 ** data.draw(st.integers(0, 2))
         try:
             bounds = search_window(p, adv, data.draw(st.booleans()), grow)
@@ -765,8 +735,34 @@ class TestGridWalkMatchesSortedScan:
             x, y = data.draw(st.tuples(*[st.floats(0, 1.1)] * 2))
             warm = (b_lo + x * (b_hi - b_lo), p_lo + y * (p_hi - p_lo))
         tolerance = data.draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
-        args = (search, float(alpha), float(p.B), d, t, bounds, warm, tolerance)
-        assert _grid_search(*args) == oracle_grid_search(*args)
+        return search, float(alpha), float(p.B), p.d, p.t, bounds, warm, tolerance
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_real_searches(self, data):
+        structure = self.draw_structure(data)
+        if structure is not None:
+            p, adv, search = structure
+            args = self.draw_args(data, p, adv, search)
+            assert _grid_search(*args) == oracle_grid_search(*args)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cuts_shared_across_levels(self, data):
+        # One cut list passed from call to call, as a sweep passes it from
+        # level to level, at levels in any order, descending included:
+        # every call still gives the sorted scan's answer.
+        structure = self.draw_structure(data)
+        if structure is None:
+            return
+        p, adv, search = structure
+        calls = [self.draw_args(data, p, adv, search) for _ in range(data.draw(st.integers(2, 5)))]
+        order = data.draw(st.sampled_from(["drawn", "ascending", "descending"]))
+        if order != "drawn":
+            calls.sort(key=lambda args: args[1], reverse=order == "descending")
+        cuts = []
+        for args in calls:
+            assert _grid_search(*args, cuts=cuts) == oracle_grid_search(*args)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -782,7 +778,7 @@ class TestGridWalkMatchesSortedScan:
         corners = [(x * sb, y * sp)
                    for x, y in data.draw(st.lists(point, min_size=1, max_size=4))]
 
-        def search(alpha, b, bp, floor=None):
+        def search(alpha, b, bp):
             hit = any(b >= x and bp >= y for x, y in corners)
             return (1.0 if hit else 0.0), (), ()
 
@@ -797,7 +793,7 @@ class TestGridWalkMatchesSortedScan:
     def test_ties_go_to_the_smaller_row_major_index(self):
         # gamma = b + bp; corners (1, 3) and (3, 1) tie at gamma 4, and the
         # smaller beta comes first in row-major order.
-        def search(alpha, b, bp, floor=None):
+        def search(alpha, b, bp):
             return (1.0 if (b >= 1 and bp >= 3) or (b >= 3 and bp >= 1) else 0.0), (), ()
 
         bounds = ((0.0, 20.0), (0.0, 20.0))
@@ -836,9 +832,9 @@ class TestGridWalkMatchesSortedScan:
         for cuts in (True, False):
             calls = walks[cuts] = []
 
-            def counted(alpha, b, bp, floor=None):
-                out = search(alpha, b, bp, floor)
-                calls.append((b, bp, out[0] >= floor))
+            def counted(alpha, b, bp):
+                out = search(alpha, b, bp)
+                calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
                 return out
 
             if cuts:
@@ -859,8 +855,8 @@ class TestGridWalkMatchesSortedScan:
         calls = []  # (beta, beta', feasible) of every search, in order
 
         @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
-        def recorded(alpha, b, bp, floor=None):
-            out = search(alpha, b, bp, floor)
+        def recorded(alpha, b, bp):
+            out = search(alpha, b, bp)
             calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
             return out
 
@@ -1201,6 +1197,88 @@ class TestSweep:
         assert supremum_capacity(p) == 3
 
 
+def figure_sweep(slot):
+    """The SweepConfig of one curve of the figure sweep at d=48, k=32, on
+    its first 16-level grid, as perfbench's curves workload builds it."""
+    p = {t: params(k=32, d=48, t=t, B=32) for t in (1, 4, 8)}
+    if slot.startswith("collab_t"):
+        grid = default_alpha_grid(p[1], points=32)[::2]
+        return SweepConfig(p[int(slot[8:])], alpha_grid=grid)
+    adversary = None
+    if slot != "attack_baseline_g32":
+        _, kind, total = slot.split("_")
+        adversary = (selfish if kind == "selfish" else polluting)(1, maxa=1, total=int(total))
+    return SweepConfig(p[4], adversary, default_alpha_grid(p[4], points=32)[::2], fixed_g=32)
+
+
+FIGURE_SLOTS = ("collab_t1", "collab_t4", "collab_t8", "attack_baseline_g32",
+                "attack_selfish_16", "attack_selfish_32", "attack_polluting_16",
+                "attack_polluting_32")
+
+
+def per_level_chain(cfg):
+    """sweep_curve's points as one optimize_gamma call per level, each
+    warm-started from the point before it, none given the cuts of another."""
+    box = None
+    if cfg.fixed_g is not None:
+        box = characteristic_bandwidth_box(cfg.params, cfg.adversary)
+    unit, out, warm = float(cfg.params.unit), [], None
+    for alpha in cfg.alpha_grid:
+        try:
+            point = optimize_gamma(cfg.params, cfg.adversary, alpha, cfg.fixed_g, cfg.tolerance,
+                                   box, _warm=warm)
+        except InfeasibleError:
+            continue
+        out.append(point)
+        warm = (point.beta_norm * unit, point.beta_prime_norm * unit)
+    return out
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """A list whose one entry counts every call of every built worst-case
+    search, float and exact: _build_search wrapped as CI's report of
+    float searches per curve point wraps it."""
+    calls, build = [0], tradeoff._build_search
+
+    @functools.lru_cache(maxsize=1)
+    def counting(*key):
+        search = build(*key)
+
+        @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
+        def counted(*args):
+            calls[0] += 1
+            return search(*args)
+
+        return counted
+
+    monkeypatch.setattr(tradeoff, "_build_search", counting)
+    return calls
+
+
+class TestCarriedCuts:
+    """sweep_curve carries one cut list from level to level; the points
+    are those of the levels run one by one, with fewer searches."""
+
+    @pytest.mark.parametrize("slot", FIGURE_SLOTS)
+    def test_sweep_matches_the_per_level_chain(self, slot):
+        cfg = figure_sweep(slot)
+        got, want = sweep_curve(cfg), per_level_chain(cfg)
+        assert len(got) == 16
+        assert got == want and list(map(repr, got)) == list(map(repr, want))
+
+    def test_carried_cuts_save_searches(self, search_calls):
+        calls, chained, carried = search_calls, [], []
+        for slot in FIGURE_SLOTS:
+            cfg = figure_sweep(slot)
+            for run, counts in ((per_level_chain, chained), (sweep_curve, carried)):
+                calls[0] = 0
+                run(cfg)
+                counts.append(calls[0])
+        assert all(c <= w for c, w in zip(carried, chained)), (carried, chained)
+        assert sum(carried) < sum(chained)
+
+
 def test_large_k_search_does_not_recurse():
     # The DP once recursed one level per group: RecursionError at k=1200.
     # With beta' = 0 the budget costs nothing and single-node groups are
@@ -1265,6 +1343,13 @@ def test_box_with_an_end_below_its_start_rejected(box):
           for tol in (math.nan, math.inf, -1e-4, True, "1e-4")),
         (lambda: sweep_curve(SweepConfig(params(k=4, d=6, t=2, B=4), tolerance=-1.0)),
          "^tolerance must be finite and nonnegative, got -1.0$"),
+        # a sweep checks its tolerance and structure before any level, so an
+        # empty grid no longer returns [] for either
+        (lambda: sweep_curve(SweepConfig(params(k=4, d=6, t=2, B=4), alpha_grid=[],
+                                         tolerance=math.nan)),
+         "^tolerance must be finite and nonnegative, got nan$"),
+        (lambda: sweep_curve(SweepConfig(params(k=4, d=6, t=2, B=4), alpha_grid=[], fixed_g=7)),
+         "^fixed group count g=7 incompatible with k=4, t=2$"),
     ],
 )
 def test_documented_errors(call, fragment):
@@ -1295,6 +1380,23 @@ def test_zero_object_size_still_checks_the_structure(adversary, fixed_g, box, er
         with pytest.raises(error, match=fragment):
             optimize_gamma(params(k=4, d=6, t=2, B=B), adversary, F(1), fixed_g=fixed_g,
                            bandwidth_box=box)
+
+
+@pytest.mark.parametrize("grid", [[], [F(1), F(3, 2), F(2), F(5, 2)]], ids=["empty", "four"])
+def test_sweep_builds_a_search_no_partition_holds_once(grid, monkeypatch):
+    # Each level rebuilt the failing search, logged a skipped level, and
+    # the sweep returned []; now it raises once, naming the budget.
+    builds, build = [], tradeoff._build_search
+
+    def counted(*key):
+        builds.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(tradeoff, "_build_search", counted)
+    cfg = SweepConfig(params(k=12, d=20, t=3, B=12), selfish(1, maxa=1, total=1), grid, fixed_g=4)
+    with pytest.raises(InfeasibleError, match="^adversary budget exceeds what the groups can hold$"):
+        sweep_curve(cfg)
+    assert len(builds) == 1
 
 
 def test_sweep_without_a_grid_runs_the_default_grid():
