@@ -22,8 +22,10 @@ shuffles the items (seeded) and times each on both trees back to back,
 the side that goes first alternating from item to item.  Per workload
 the script prints the ratio (head / base) of the summed per-item
 medians, the median per-round ratio of summed times with its quartiles,
-and the rounds the head won.  ``--out`` writes both trees' commits, the
-Python version, the core count and every sample as JSON.
+the rounds the head won, and then, one line per slot, the ratio of that
+slot's summed per-item medians, which shows the slots a change moves.
+``--out`` writes both trees' commits, the Python version, the core
+count and every sample as JSON.
 
 The host's speed changes from second to second, so pairs of fresh
 processes spread widely; back-to-back calls in one process see the same
@@ -112,13 +114,19 @@ def quartiles(values):
 
 
 def summarize(keys, samples, rounds):
-    """Summed per-item medians ratio, per-round ratios, rounds won."""
-    med = {side: sum(statistics.median(samples[side][k]) for k in keys) for side in samples}
+    """Summed per-item medians ratio, overall and per slot, per-round
+    ratios, rounds won."""
+    def median_sum_ratio(mine):
+        med = {side: sum(statistics.median(samples[side][k]) for k in mine) for side in samples}
+        return med["head"] / med["base"]
+
     per_round = [sum(samples["head"][k][r] for k in keys)
                  / sum(samples["base"][k][r] for k in keys) for r in range(rounds)]
     q1, q2, q3 = quartiles(per_round)
     return {
-        "median_sum_ratio": med["head"] / med["base"],
+        "median_sum_ratio": median_sum_ratio(keys),
+        "slot_median_sum_ratios": {slot: median_sum_ratio([k for k in keys if k[1] == slot])
+                                   for slot in dict.fromkeys(k[1] for k in keys)},
         "round_ratios": per_round,
         "round_ratio_median": q2,
         "round_ratio_iqr": [q1, q3],
@@ -197,6 +205,9 @@ def main(argv=None) -> int:
         print(f"  summed per-item medians  {s['median_sum_ratio']:.3f}")
         print(f"  per-round ratio          {s['round_ratio_median']:.3f} (IQR {q1:.3f}-{q3:.3f})")
         print(f"  rounds the head won      {s['head_won']} of {args.rounds}")
+        print("  summed per-item medians, per slot:")
+        for slot, ratio in s["slot_median_sum_ratios"].items():
+            print(f"    {slot:30} {ratio:.3f}")
         s["samples"] = [
             {"slot": k[1], "variant": k[2], "base": samples["base"][k],
              "head": samples["head"][k], "head_first": head_first[k]}

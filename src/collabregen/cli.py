@@ -22,6 +22,7 @@ from .capacity import (
     InfeasibleError,
     ParameterError,
     SystemParams,
+    _budget,
     _capacity,
     fraction_str,
     mbr_point,
@@ -180,6 +181,7 @@ def _emit(value: Fraction, unit: Fraction, raw: bool) -> str:
 def _cmd_bounds(args) -> int:
     p = _build_params(args)
     adv = _build_adversary(args)
+    _budget(p.d, p.t, adv)  # the live count, checked whichever sections are asked for
     unit = p.unit
     raw = args.raw
     doc: dict = {"params": _params_doc(p), "output_units": "raw" if raw else "B/k"}

@@ -38,22 +38,27 @@ of the best gamma found.  That bounds the spacing, not the error: the
 returned gamma can lie further above the optimum (1.80% at the
 minimum-storage point of d=20, k=8, t=2).  The float search is built
 from sums, nonnegative multiples and minimums, so it never falls as beta
-or beta' grows, even under rounding: the feasible cells form a
-staircase, which each round walks with at most one search per row and
-column, skipping any cell at or below, in both bandwidths, one already
-found infeasible; a cell is feasible when its search reaches the floor
-B*(1 - 1e-12).  An infeasible search also leaves a cut (Kelley's
-cutting plane): every built search carries ``piece``, which turns its
-witness into (A, P, S), each group's term counted as alpha where it
-reaches alpha at that cell and as c*beta + m*beta' elsewhere, so the
-witness's value, and so the minimum, is at most A*beta + P*beta' +
-S*alpha at every point of every storage level, and a sweep carries the
-last two pieces from level to level.  A cell where one falls below the
-floor times (1 - 1e-9), less the least normal float (``_piece_floor``),
-is infeasible without a search: the margin covers the float search's
-rounding at every scale, and no cut is made below a subnormal floor, so
-every decision and every returned point is bit-identical to the walk
-without cuts.  Grid searching runs on floats for
+or beta' grows, even under rounding: a cell is feasible when its search
+reaches the floor B*(1 - 1e-12), and every cell at or below, in both
+bandwidths, one found infeasible is infeasible too.  An infeasible
+search also leaves a cut (Kelley's cutting plane): every built search
+carries ``piece``, which turns its witness into (A, P, S), each group's
+term counted as alpha where it reaches alpha at that cell and as
+c*beta + m*beta' elsewhere, so the witness's value, and so the minimum,
+is at most A*beta + P*beta' + S*alpha at every point of every storage
+level, and a sweep carries the last two pieces from level to level.  A
+cell where one falls below the floor times (1 - 1e-9), less the least
+normal float (``_piece_floor``), is infeasible without a search: the
+margin covers the float search's rounding at every scale, and no cut is
+made below a subnormal floor.  The cells so ruled out are closed
+downward, so the rest are closed upward and hold every feasible cell.
+Each round walks the rest as a staircase, with no search, to the first
+in (gamma, row-major index) order and searches only that cell: a
+feasible one is the round's answer, the cell a scan of every cell in
+gamma order would meet first, and an infeasible one is ruled out before
+the walk runs again.  So a round makes at most one feasible search, and
+every decision and every returned point is bit-identical to searching
+the cells in gamma order.  Grid searching runs on floats for
 speed; every returned point is certified exactly, with no tolerance, by
 ``worst_case_capacity``, which scales the rational point to integers
 (the bound is homogeneous of degree 1) and divides the result once.
@@ -404,19 +409,21 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4, cuts
     ``bounds`` is ((b_min, b_max), (p_min, p_max)); refinement windows
     are clipped back into it.  Each round returns the feasible cell of
     smallest (gamma, row-major index), the cell a scan in gamma order
-    would meet first.  Every strategy of ``search`` is built from sums,
-    nonnegative multiples and minimums, so it is non-decreasing in both
-    bandwidths even in floats; the feasible cells are upward closed and
-    a staircase walk finds that cell in at most len(bs) + len(ps)
-    searches.  A cell at or below, in both bandwidths, one already found
-    infeasible is infeasible too, and is not searched; nor is a cell
-    where one of ``cuts`` is below ``_piece_floor`` of the floor, a
-    margin that keeps every decision the search would make, so the
-    result is bit-identical to the walk without cuts.  ``cuts`` (empty
-    when not given) holds the (A, P, S) pieces of the last two infeasible
-    witnesses of ``search``, from any storage level, and is updated in
-    place when ``search`` carries ``piece``.  Refining stops once the
-    last grid's spacing in gamma is at most ``tolerance`` times the best
+    would meet first.  A cell is ruled out, infeasible without a search,
+    when it lies at or below, in both bandwidths, one found infeasible
+    (``search`` never falls as either bandwidth grows, even in floats),
+    or where one of ``cuts`` is below ``_piece_floor`` of the floor.
+    The ruled-out cells are closed downward, so the rest hold every
+    feasible cell and a staircase walk that makes no search finds the
+    first of them in that order.  Only that cell is searched: a feasible
+    one is the round's answer, an infeasible one is ruled out and the
+    walk runs again.  ``cuts`` (empty when not given) holds the
+    (A, P, S) pieces of the last two infeasible witnesses of ``search``,
+    from any storage level, and is updated in place when ``search``
+    carries ``piece``.  A search without it (every built one has it)
+    rules out only the cells below one found infeasible, so its walk
+    searches the others in gamma order.  Refining stops once the last
+    grid's spacing in gamma is at most ``tolerance`` times the best
     gamma found, or after the last refinement; the best gamma can still
     lie further above the optimum than that."""
     feas_floor = B * (1.0 - 1e-12)
@@ -426,14 +433,16 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4, cuts
     piece = getattr(search, "piece", None)
     cuts = [] if cuts is None else cuts
 
-    def feasible(b, bp):
+    def ruled_out(b, bp):
         for x, y in dead:
             if b <= x and bp <= y:
-                return False
+                return True
         for A, P, S in cuts:
             if A * b + P * bp + S * alpha < cut:
-                dead.append((b, bp))
-                return False
+                return True
+        return False
+
+    def feasible(b, bp):  # searched; an infeasible cell is recorded
         value, groups, alloc = search(alpha, b, bp)
         if value >= feas_floor:
             return True
@@ -444,7 +453,7 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4, cuts
 
     best = None  # (gamma, beta, beta_prime)
     if warm is not None and b_min <= warm[0] <= b_max and p_min <= warm[1] <= p_max:
-        if feasible(*warm):
+        if not ruled_out(*warm) and feasible(*warm):
             best = (d * warm[0] + (t - 1) * warm[1], warm[0], warm[1])
 
     b_lo, b_hi = b_min, b_max
@@ -457,23 +466,28 @@ def _grid_search(search, alpha, B, d, t, bounds, warm=None, tolerance=1e-4, cuts
         else:
             ps = [p_lo]
         dead[:] = [(x, y) for x, y in dead if x >= b_lo and y >= p_lo]
-        # Staircase walk from (smallest b, largest bp): a feasible cell
-        # steps down in bp, an infeasible one right in b.  A cell that
-        # cannot beat the best so far in (gamma, row-major index), the
-        # order of a stable sort by gamma, is passed as if feasible and
-        # not searched; a best from before this round wins all its ties.
-        row = None  # of the last cell found this round
-        i, j = 0, len(ps) - 1
-        while i < len(bs) and j >= 0:
-            b, bp = bs[i], ps[j]
-            gamma = d * b + (t - 1) * bp
-            if best is not None and (gamma > best[0] or gamma == best[0] and i != row):
-                j -= 1
-            elif feasible(b, bp):
-                best, row = (gamma, b, bp), i
-                j -= 1
-            else:
-                i += 1
+        while True:
+            # Staircase walk from (smallest b, largest bp): a cell not ruled
+            # out becomes the candidate and steps down in bp, a ruled-out
+            # one steps right in b.  A cell that cannot beat the candidate
+            # in (gamma, row-major index), the order of a stable sort by
+            # gamma, steps down unchecked; a best from before this round
+            # wins all its ties.
+            top, row = best, None  # row: of the candidate found this walk
+            i, j = 0, len(ps) - 1
+            while i < len(bs) and j >= 0:
+                b, bp = bs[i], ps[j]
+                gamma = d * b + (t - 1) * bp
+                if top is not None and (gamma > top[0] or gamma == top[0] and i != row):
+                    j -= 1
+                elif ruled_out(b, bp):
+                    i += 1
+                else:
+                    top, row = (gamma, b, bp), i
+                    j -= 1
+            if row is None or feasible(top[1], top[2]):
+                best = top
+                break
         if best is None:
             return None  # window holds nothing feasible
         sb = (b_hi - b_lo) / (pts - 1)

@@ -25,6 +25,11 @@ def test_one_round_of_curves_against_itself(tmp_path):
     assert set(doc) >= {"base", "head", "workloads"}
     curves = doc["workloads"]["curves"]
     assert len(curves["samples"]) == 32 and len(curves["round_ratios"]) == 1
+    slots = dict.fromkeys(sample["slot"] for sample in curves["samples"])
+    assert len(slots) == 8 and list(curves["slot_median_sum_ratios"]) == list(slots)
+    lines = done.stdout.splitlines()
+    for slot in slots:  # one ratio line per slot
+        assert sum(line.split()[:1] == [slot] and len(line.split()) == 2 for line in lines) == 1
     for sample in curves["samples"]:
         assert len(sample["base"]) == len(sample["head"]) == len(sample["head_first"]) == 1
         assert min(sample["base"] + sample["head"]) > 0

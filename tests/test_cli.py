@@ -129,6 +129,19 @@ class TestBounds:
         )
         assert code == 1 and out == "" and "--per-group requires --adversary" in err
 
+    @pytest.mark.parametrize("point", [(), ("--point", "msr"), ("--point", "mbr")],
+                             ids=["every-section", "msr", "mbr"])
+    @pytest.mark.parametrize("flags, message", [
+        (("selfish", "--L0", "9"), "selfish live count 9 exceeds d=8"),
+        (("polluting", "--B0", "5"), "polluting live count 5 needs 2*count <= d=8"),
+    ], ids=["selfish", "polluting"])
+    def test_live_count_above_d_exits_one(self, capsys, point, flags, message):
+        # --point msr and --point mbr once printed the plain point, exit 0
+        code, out, err = run(
+            capsys, "bounds", "--d", "8", "--k", "6", "--t", "3", *point, "--adversary", *flags,
+        )
+        assert code == 1 and out == "" and message in err
+
     def test_bad_parameters_exit_one(self, capsys):
         code, _, _ = run(capsys, "bounds", "--d", "3", "--k", "5", "--t", "1")
         assert code == 1

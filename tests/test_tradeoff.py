@@ -683,8 +683,9 @@ BENCHMARK_WALKS = ("collab_t4", "collab_t1", "selfish16_g32", "dp_warm")
 
 
 class TestGridWalkMatchesSortedScan:
-    """The staircase walk of _grid_search returns what scanning every grid
-    cell in gamma order returns (oracles.oracle_grid_search)."""
+    """_grid_search, which walks the cells nothing rules out and searches
+    only the first of them in gamma order, returns what scanning every
+    grid cell in gamma order returns (oracles.oracle_grid_search)."""
 
     @staticmethod
     def draw_structure(data):
@@ -745,6 +746,34 @@ class TestGridWalkMatchesSortedScan:
             p, adv, search = structure
             args = self.draw_args(data, p, adv, search)
             assert _grid_search(*args) == oracle_grid_search(*args)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_feasible_search_per_round(self, data):
+        # A round searches only the first cell nothing rules out until one
+        # is feasible, so it makes at most one feasible search, as the
+        # sorted scan does, and the scan makes one only when it improves.
+        structure = self.draw_structure(data)
+        if structure is None:
+            return
+        p, adv, search = structure
+        args = self.draw_args(data, p, adv, search)
+        floor = args[2] * (1.0 - 1e-12)
+        feasible, answer = {}, {}  # the feasible cells each side searched, in order
+        for side, walk in (("walk", _grid_search), ("scan", oracle_grid_search)):
+            cells = feasible[side] = []
+
+            @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
+            def counted(alpha, b, bp):
+                out = search(alpha, b, bp)
+                if out[0] >= floor:
+                    cells.append((b, bp))
+                return out
+
+            answer[side] = walk(counted, *args[1:])
+        assert answer["walk"] == answer["scan"]
+        assert feasible["walk"] == feasible["scan"]
+        assert len(feasible["walk"]) <= _MAX_REFINEMENTS + 1 + (args[6] is not None)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.data())
@@ -867,6 +896,36 @@ class TestGridWalkMatchesSortedScan:
             assert not any(b <= x and bp <= y for x, y in infeasible), (b, bp)
             if not ok:
                 infeasible.append((b, bp))
+
+    @pytest.mark.parametrize("case", BENCHMARK_WALKS)
+    def test_a_feasible_search_ends_its_round(self, case, monkeypatch):
+        # With the round limit at n, the first n rounds run exactly as with
+        # any higher limit, so each limit adds one round's searches.  Past
+        # the warm probe only a round's last search can be feasible, and
+        # its cell is the best that round returns.
+        search, t, bounds, warm = self.benchmark_walk(case)
+        before, last = [], None
+        for rounds in range(_MAX_REFINEMENTS + 1):
+            monkeypatch.setattr(tradeoff, "_MAX_REFINEMENTS", rounds)
+            calls = []  # (beta, beta', feasible) of every search, in order
+
+            @functools.wraps(search)  # keeps the search's piece, and so the walk's cuts
+            def recorded(alpha, b, bp):
+                out = search(alpha, b, bp)
+                calls.append((b, bp, out[0] >= 32.0 * (1.0 - 1e-12)))
+                return out
+
+            best = _grid_search(recorded, 1.25, 32.0, 48, t, bounds, warm=warm)
+            if warm is not None:
+                assert calls.pop(0)[:2] == warm
+            assert calls[:len(before)] == before
+            this_round = calls[len(before):]
+            assert not any(ok for _, _, ok in this_round[:-1])
+            if this_round and this_round[-1][2]:
+                assert best[1:] == this_round[-1][:2]
+            else:
+                assert best == last or rounds == 0 and best[1:] == warm
+            before, last = calls, best
 
     @pytest.mark.parametrize("case", BENCHMARK_WALKS)
     def test_float_searches_per_round(self, case, monkeypatch):
