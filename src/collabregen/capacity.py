@@ -18,6 +18,8 @@ of u >= 1 newcomers out of t holds at most (t - u)//f misbehavers, so a
 per-group cap above (t - 1)//f counts as (t - 1)//f.  beta's
 coefficients are clamped at zero, and a group that leaves beta' a
 negative one is rejected, so cut contributions are never negative.
+``_piece`` is the one spelling of a cut's terms: it gives a partition's
+bound here and the trade-off search's cutting planes.
 
 All functions are pure over immutable inputs and safe to evaluate
 concurrently.
@@ -266,6 +268,23 @@ def _live_coefficients(k: int, d: int, factor: int, among_live: int) -> list[int
     return [max(0, d - factor * among_live - s) for s in range(k)]
 
 
+def _piece(coeffs, t, f, alpha, beta, beta_prime, groups, alloc) -> tuple[int, int, int]:
+    """(A, P, S) of the partition ``groups`` holding ``alloc`` at a point:
+    a group of u at prefix s holding a misbehavers, with c = coeffs[s] and
+    m = t - f*a - u, adds u to S when c*beta + m*beta' reaches alpha there,
+    else u*c to A and u*m to P.  A*beta + P*beta' + S*alpha equals its cut
+    sum at that point and bounds it above at every nonnegative point."""
+    A = P = S = s = 0
+    for u, a in zip(groups, alloc):
+        c, m = coeffs[s], t - f * a - u
+        if c * beta + m * beta_prime >= alpha:
+            S += u
+        else:
+            A, P = A + u * c, P + u * m
+        s += u
+    return A, P, S
+
+
 def mincut_single(p: SystemParams) -> Fraction:
     """Cut bound for independent single-node repairs: the collaborative
     bound at t = 1, whatever p.t is."""
@@ -306,17 +325,14 @@ def _capacity(
             raise AllocationError(f"need one {adv.kind.value} count per group")
         per_group = adv.per_group
     f, among, _, _ = _budget(p.d, p.t, adv)
-    live = _live_coefficients(p.k, p.d, f, among)
-    total = Fraction(0)
-    prefix = 0
     for u, a in zip(part.groups, per_group):
         if u > p.t - f * a:
             raise AllocationError(
                 f"group of size {u} infeasible with {a} {adv.kind.value} newcomers (t={p.t})"
             )
-        total += u * min(p.alpha, live[prefix] * p.beta + (p.t - f * a - u) * p.beta_prime)
-        prefix += u
-    return total
+    live = _live_coefficients(p.k, p.d, f, among)
+    A, P, S = _piece(live, p.t, f, p.alpha, p.beta, p.beta_prime, part.groups, per_group)
+    return A * p.beta + P * p.beta_prime + S * p.alpha
 
 
 def repair_gamma(p: SystemParams) -> Fraction:

@@ -486,7 +486,10 @@ def _start_repair(code, live_blocks, failed_ids, behaviors, seed):
     node id, and every key of ``behaviors``, must be an int in 1..n:
     id - 1 is its codeword position.  Every live payload holds the same
     number t >= 1 of symbols over the code's field (repairs never read a
-    block's column)."""
+    block's column).  ``seed`` must be an int (a bool is not), whether or
+    not a node pollutes: ``random.Random(None)`` would read OS entropy."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     behaviors = {i: Behavior(b) for i, b in (behaviors or {}).items()}
     failed = list(failed_ids)
     live, live_ids = _by_id(live_blocks, failed)
@@ -542,7 +545,7 @@ def collaborative_repair(
     ``behaviors`` maps node ids (live nodes and newcomers, keyed by the
     id they replace) to a Behavior or its string; missing ids are honest.
     A node id or a key of ``behaviors`` that is not an int in 1..n raises
-    ValueError.
+    ValueError, and so does a ``seed`` that is not an int.
     ``policy`` is a RepairPolicy or its string: whether a collaborative
     repair relays the row evaluations its newcomers' contacts withheld,
     or raises.  ``assumed_polluters``, a nonnegative int, is the number of

@@ -274,6 +274,8 @@ class FieldMatrix:
     __slots__ = ("field", "rows", "cols", "_data")
 
     def __init__(self, field_: GF, rows: int, cols: int, data: Sequence[int]):
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError(f"rows={rows!r} and cols={cols!r} must be ints")
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if len(data) != rows * cols:
@@ -424,6 +426,8 @@ class RsCode:
     @classmethod
     def with_power_points(cls, field_: GF, n: int, kappa: int, first_power: int = 0) -> "RsCode":
         """Evaluation points w^first_power, w^(first_power+1), ... for generator w."""
+        if type(n) is not int or type(first_power) is not int:
+            raise ValueError(f"n={n!r} and first_power={first_power!r} must be ints")
         if n > field_.order - 1:
             raise ValueError("power points require n <= 2^m - 1")
         w = field_.generator

@@ -228,13 +228,24 @@ def _member(kind: type[enum.Enum], value):
 
 
 def _int_keyed(raw, what: str, convert) -> dict:
-    """``raw`` as {int(key): convert(value)}; raises ValueError naming ``what``."""
+    """``raw`` as {int key: convert(value)}; raises ValueError naming
+    ``what``.  A key is an int (a bool is not) or a string exactly as
+    ``str`` writes an int, such as "7" or "-3", the form ``to_json`` writes."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    try:
-        return {int(k): convert(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
+    out = {}
+    for k, v in raw.items():
+        try:
+            i = k if type(k) is int else int(k) if type(k) is str else None
+        except ValueError:
+            i = None
+        if i is None or type(k) is str and str(i) != k:
+            raise ValueError(f"{what}: key {brief_repr(k)} is not an int")
+        try:
+            out[i] = convert(v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}: {exc}") from None
+    return out
 
 
 def _json_object(raw, what: str, target) -> dict:

@@ -36,30 +36,12 @@ A 21 x 21 grid over the search window is refined around its best cell
 until the last grid's gamma spacing is within the relative ``tolerance``
 of the best gamma found.  That bounds the spacing, not the error: the
 returned gamma can lie further above the optimum (1.80% at the
-minimum-storage point of d=20, k=8, t=2).  The float search is built
-from sums, nonnegative multiples and minimums, so it never falls as beta
-or beta' grows, even under rounding: a cell is feasible when its search
-reaches the floor B*(1 - 1e-12), and every cell at or below, in both
-bandwidths, one found infeasible is infeasible too.  An infeasible
-search also leaves a cut (Kelley's cutting plane): every built search
-carries ``piece``, which turns its witness into (A, P, S), each group's
-term counted as alpha where it reaches alpha at that cell and as
-c*beta + m*beta' elsewhere, so the witness's value, and so the minimum,
-is at most A*beta + P*beta' + S*alpha at every point of every storage
-level, and a sweep carries the last two pieces from level to level.  A
-cell where one falls below the floor times (1 - 1e-9), less the least
-normal float (``_piece_floor``), is infeasible without a search: the
-margin covers the float search's rounding at every scale, and no cut is
-made below a subnormal floor.  The cells so ruled out are closed
-downward, so the rest are closed upward and hold every feasible cell.
-Each round walks the rest as a staircase, with no search, to the first
-in (gamma, row-major index) order and searches only that cell: a
-feasible one is the round's answer, the cell a scan of every cell in
-gamma order would meet first, and an infeasible one is ruled out before
-the walk runs again.  So a round makes at most one feasible search, and
-every decision and every returned point is bit-identical to searching
-the cells in gamma order.  Grid searching runs on floats for
-speed; every returned point is certified exactly, with no tolerance, by
+minimum-storage point of d=20, k=8, t=2).  ``_grid_search`` walks
+each grid.  Every built search carries ``piece``, ``capacity._piece`` on
+its structure, which turns an infeasible witness into the walk's cut
+(Kelley's cutting plane), and a sweep carries the last two cuts from
+level to level.  Grid searching runs on floats for speed; every
+returned point is certified exactly, with no tolerance, by
 ``worst_case_capacity``, which scales the rational point to integers
 (the bound is homogeneous of degree 1) and divides the result once.
 """
@@ -70,7 +52,7 @@ import logging
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isfinite, lcm
 from numbers import Real
 from typing import Optional, Sequence
@@ -86,6 +68,7 @@ from .capacity import (
     _csv,
     _live_coefficients,
     _msr_window,
+    _piece,
     as_fraction,
     mbr_point,
     msr_point,
@@ -205,22 +188,7 @@ def _build_search(
     if total > most(g, k):
         raise InfeasibleError("adversary budget exceeds what the groups can hold")
 
-    def piece(alpha, beta, beta_prime, groups, alloc):
-        # (A, P, S) of the witness (groups, alloc) found at this point: a
-        # group of u at prefix s holding a misbehavers adds u*alpha when
-        # c*beta + m*beta' reaches alpha here, else u*(c*beta + m*beta').
-        # Each term of the witness is at most what its group adds, so its
-        # value, and so the minimum, is at most A*beta + P*beta' + S*alpha
-        # at every nonnegative point.
-        A = P = S = s = 0
-        for u, a in zip(groups, alloc):
-            c, m = coeffs[s], t - f * a - u
-            if c * beta + m * beta_prime >= alpha:
-                S += u
-            else:
-                A, P = A + u * c, P + u * m
-            s += u
-        return A, P, S
+    piece = partial(_piece, coeffs, t, f)  # a witness's cut (capacity._piece)
 
     if fixed_g == k:
         ones = (1,) * k

@@ -530,6 +530,10 @@ class TestSimulate:
             '{"behavior_overrides": {"-3": {"1": "selfish"}}}',
             '{"behavior_overrides": {"2": {"0": "selfish"}}}',
             '{"generations": 4, "behavior_overrides": {"9": {"1": "selfish"}}}',
+            # keys that int() reads but str() never writes
+            '{"behaviors": {"0_1": "selfish"}}',
+            '{"behaviors": {" 2": "selfish"}}',
+            '{"behavior_overrides": {"0_1": {"2": "selfish"}}}',
         ],
     )
     def test_mistyped_field_exits_one(self, capsys, tmp_path, text):

@@ -1405,6 +1405,16 @@ def relabeled(*ids):
     return [NodeBlock(i, b.column, b.payload) for i, b in zip(ids, blocks)]
 
 
+def seeded_repair(digests, behaviors, seed):
+    """Nodes 6 and 7 of the demo object repaired from nodes 1..5, with a
+    digest table or by the collaborative repair, under ``seed``."""
+    code, _, blocks = demo_setup()
+    if digests:
+        table = FragmentDigestTable.from_blocks(blocks)
+        return progressive_repair_with_digests(code, blocks[:5], [6, 7], behaviors, table, seed=seed)
+    return collaborative_repair(code, blocks[:5], [6, 7], behaviors, seed=seed)
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -1418,6 +1428,16 @@ def relabeled(*ids):
         (lambda: collect(relabeled(None, 2, 3)), ValueError, r"\[None\] are not ints"),
         (lambda: collect(relabeled(1.5, 2, 3)), ValueError, r"\[1\.5\] are not ints"),
         (lambda: collect(relabeled(True, 2, 3)), ValueError, r"\[True\] are not ints"),
+        # random.Random(None) reads OS entropy; a seed is an int whether or
+        # not a node pollutes
+        (lambda: seeded_repair(False, {1: "polluting"}, None), ValueError, "^seed must be an int, got None$"),
+        (lambda: seeded_repair(False, {}, 1.5), ValueError, r"^seed must be an int, got 1\.5$"),
+        (lambda: seeded_repair(False, {}, "x"), ValueError, "^seed must be an int, got 'x'$"),
+        (lambda: seeded_repair(False, {1: "polluting"}, True), ValueError, "^seed must be an int, got True$"),
+        (lambda: seeded_repair(True, {}, None), ValueError, "^seed must be an int, got None$"),
+        (lambda: seeded_repair(True, {1: "polluting"}, 1.5), ValueError, r"^seed must be an int, got 1\.5$"),
+        (lambda: seeded_repair(True, {1: "polluting"}, "x"), ValueError, "^seed must be an int, got 'x'$"),
+        (lambda: seeded_repair(True, {}, True), ValueError, "^seed must be an int, got True$"),
     ],
 )
 def test_documented_errors(call, error, fragment):

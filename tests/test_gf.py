@@ -1055,6 +1055,15 @@ def cold_field(m):
         (lambda: RsCode(GF8, 2, 1, (e8(1), GF16.element(2))), FieldMismatchError,
          "evaluation point from a different field"),
         (lambda: RsCode.with_power_points(GF8, 8, 3), ValueError, "require n <= 2^m - 1"),
+        # sizes and powers are ints, as RsCode's n and kappa are
+        (lambda: FieldMatrix(GF8, 2.0, 1, [1, 2]), ValueError, "rows=2.0 and cols=1 must be ints"),
+        (lambda: FieldMatrix(GF8, True, 2, [1, 2]), ValueError, "rows=True and cols=2 must be ints"),
+        (lambda: FieldMatrix(GF8, 1, "2", [1, 2]), ValueError, "rows=1 and cols='2' must be ints"),
+        (lambda: RsCode.with_power_points(GF8, 7, 3, 1.5), ValueError,
+         "n=7 and first_power=1.5 must be ints"),
+        (lambda: RsCode.with_power_points(GF8, 7, 3, first_power=True), ValueError,
+         "n=7 and first_power=True must be ints"),
+        (lambda: RsCode.with_power_points(GF8, 7.0, 3), ValueError, "n=7.0 and first_power=0 must be ints"),
         (lambda: CODE16.encode(WORD16[:2]), ValueError, "message must have 3 symbols"),
         (lambda: rs_decode(CODE16, [(0, e8(1))] + list(enumerate(WORD16))[1:]), FieldMismatchError,
          "received symbol from a different field"),

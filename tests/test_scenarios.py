@@ -240,6 +240,25 @@ class TestSimulation:
             (lambda: ScenarioConfig(seed=Count.THREE), "seed must be an integer"),
             (lambda: simulate_generations(ScenarioConfig(behaviors=dict.fromkeys(range(1, 7), "selfish"))),
              "not enough nodes outside the persistent adversaries"),
+            # a node id or generation key is an int or a string as str writes
+            # one; int(key) ran these at node 1, generation 0 and node 2
+            (lambda: ScenarioConfig(behaviors={1.5: "polluting"}), r"^behaviors: key 1\.5 is not an int$"),
+            (lambda: ScenarioConfig(behaviors={True: "polluting"}), r"^behaviors: key True is not an int$"),
+            (lambda: ScenarioConfig(behaviors={Count.THREE: "polluting"}), "behaviors: key .* is not an int"),
+            (lambda: ScenarioConfig(behavior_overrides={0.5: {2: "selfish"}}),
+             r"^behavior_overrides: key 0\.5 is not an int$"),
+            (lambda: ScenarioConfig(behavior_overrides={0: {2.9: "selfish"}}),
+             r"^behavior_overrides: an entry: key 2\.9 is not an int$"),
+            (lambda: ScenarioConfig.from_json('{"behaviors": {"+3": "selfish"}}'),
+             r"^behaviors: key '\+3' is not an int$"),
+            (lambda: ScenarioConfig.from_json('{"behaviors": {"07": "selfish"}}'),
+             r"^behaviors: key '07' is not an int$"),
+            (lambda: ScenarioConfig.from_json('{"behaviors": {"\\u0663": "selfish"}}'),
+             r"^behaviors: key '\u0663' is not an int$"),
+            (lambda: ScenarioConfig(behaviors={"1" * 10_000: "selfish"}), r"^behaviors: key '1+\.\.\.1+' is not"),
+            # "-3" is the int -3, which no node id is
+            (lambda: ScenarioConfig.from_json('{"behaviors": {"-3": "selfish"}}'),
+             r"^behaviors: node ids \[-3\] outside 1\.\.7$"),
         ],
     )
     def test_documented_errors(self, make, fragment):

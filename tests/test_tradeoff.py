@@ -1,5 +1,6 @@
 """Worst-case capacity DP against brute force, and the gamma optimizer."""
 
+import dataclasses
 import functools
 import gc
 import math
@@ -23,7 +24,7 @@ from collabregen.capacity import (
     msr_point,
     msr_selfish_bounds,
 )
-from collabregen import tradeoff
+from collabregen import capacity, tradeoff
 from collabregen.tradeoff import (
     _GRID_POINTS,
     _MAX_REFINEMENTS,
@@ -666,6 +667,31 @@ class TestSearchFloor:
         floor = data.draw(st.sampled_from([floor, math.nextafter(floor, math.inf)]))
         if bound < tradeoff._piece_floor(floor):
             assert search(a2, b2, bp2)[0] < floor
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_witness_piece_equals_the_cut_where_it_was_taken(self, data):
+        # At the exact point where it was taken, a witness's piece is the
+        # minimum itself: A*beta + P*beta' + S*alpha equals
+        # worst_case_capacity's value, and so does capacity._capacity on the
+        # witness partition under a profile holding the witness allocation.
+        p, adv, fixed_g, mode = self.draw_structure(data)
+        try:
+            search = _cut_search(p, adv, fixed_g)
+        except InfeasibleError:  # a budget that cannot be placed
+            return
+        rationals = st.fractions(0, 4, max_denominator=12)
+        a, b, bp = point = tuple(data.draw(rationals) for _ in range(3))
+        scale = math.lcm(*(x.denominator for x in point))
+        scaled = [int(x * scale) for x in point]  # as worst_case_capacity runs it
+        value, groups, alloc = search(*scaled)
+        A, P, S = search.piece(*scaled, groups, alloc)
+        at = p.with_point(a, b, bp)
+        want, part, walloc = worst_case_capacity(at, adv, fixed_g)
+        assert A * b + P * bp + S * a == want == F(value, scale)
+        assert part.groups == groups
+        profile = None if adv is None else dataclasses.replace(adv, per_group=walloc)
+        assert capacity._capacity(at, part, profile) == want
 
 
 def search_window(p, adv, open_box, grow=1):
