@@ -25,7 +25,8 @@ medians, the median per-round ratio of summed times with its quartiles,
 the rounds the head won, and then, one line per slot, the ratio of that
 slot's summed per-item medians, which shows the slots a change moves.
 ``--out`` writes both trees' commits, the Python version, the core
-count and every sample as JSON.
+count and, per workload, that summary with what it is computed from:
+each item's median on both trees and each round's summed time on both.
 
 The host's speed changes from second to second, so pairs of fresh
 processes spread widely; back-to-back calls in one process see the same
@@ -113,20 +114,19 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(keys, samples, rounds):
+def summarize(medians, round_sums):
     """Summed per-item medians ratio, overall and per slot, per-round
-    ratios, rounds won."""
+    ratios, rounds won; from each item's {"slot", "base", "head"} medians
+    and each side's list of per-round summed times."""
     def median_sum_ratio(mine):
-        med = {side: sum(statistics.median(samples[side][k]) for k in mine) for side in samples}
-        return med["head"] / med["base"]
+        return sum(m["head"] for m in mine) / sum(m["base"] for m in mine)
 
-    per_round = [sum(samples["head"][k][r] for k in keys)
-                 / sum(samples["base"][k][r] for k in keys) for r in range(rounds)]
+    per_round = [h / b for h, b in zip(round_sums["head"], round_sums["base"])]
     q1, q2, q3 = quartiles(per_round)
     return {
-        "median_sum_ratio": median_sum_ratio(keys),
-        "slot_median_sum_ratios": {slot: median_sum_ratio([k for k in keys if k[1] == slot])
-                                   for slot in dict.fromkeys(k[1] for k in keys)},
+        "median_sum_ratio": median_sum_ratio(medians),
+        "slot_median_sum_ratios": {slot: median_sum_ratio([m for m in medians if m["slot"] == slot])
+                                   for slot in dict.fromkeys(m["slot"] for m in medians)},
         "round_ratios": per_round,
         "round_ratio_median": q2,
         "round_ratio_iqr": [q1, q3],
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--head", type=Path, default=HEAD, help="a source tree")
     parser.add_argument("--workload", choices=(*WORKLOAD_NAMES, "all"), default="curves")
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--out", type=Path, help="JSON file of every sample")
+    parser.add_argument("--out", type=Path, help="JSON file of the summaries and their inputs")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -178,7 +178,6 @@ def main(argv=None) -> int:
 
         keys = list(items["head"])
         samples = {side: {k: [] for k in keys} for side in trees}
-        head_first = {k: [] for k in keys}
         rng = random.Random(SHUFFLE_SEED)
         for r in range(args.rounds):
             order = rng.sample(keys, len(keys))
@@ -186,7 +185,6 @@ def main(argv=None) -> int:
                 first = ("head", "base") if (r + i) % 2 else ("base", "head")
                 for side in first:
                     samples[side][key].append(timed(items[side][key].call))
-                head_first[key].append(first[0] == "head")
 
     doc = {
         "base": {"given": args.base, "commit": base_commit},
@@ -199,7 +197,12 @@ def main(argv=None) -> int:
     }
     for name in names:
         mine = [k for k in keys if k[0] == name]
-        s = summarize(mine, samples, args.rounds)
+        medians = [{"slot": k[1], "variant": k[2],
+                    **{side: statistics.median(samples[side][k]) for side in trees}}
+                   for k in mine]
+        round_sums = {side: [sum(samples[side][k][r] for k in mine) for r in range(args.rounds)]
+                      for side in trees}
+        s = summarize(medians, round_sums)
         q1, q3 = s["round_ratio_iqr"]
         print(f"{name}: {len(mine)} items, {args.rounds} rounds, head / base:")
         print(f"  summed per-item medians  {s['median_sum_ratio']:.3f}")
@@ -208,12 +211,7 @@ def main(argv=None) -> int:
         print("  summed per-item medians, per slot:")
         for slot, ratio in s["slot_median_sum_ratios"].items():
             print(f"    {slot:30} {ratio:.3f}")
-        s["samples"] = [
-            {"slot": k[1], "variant": k[2], "base": samples["base"][k],
-             "head": samples["head"][k], "head_first": head_first[k]}
-            for k in mine
-        ]
-        doc["workloads"][name] = s
+        doc["workloads"][name] = {**s, "item_medians": medians, "round_sums": round_sums}
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -26,7 +26,6 @@ from .capacity import (
     _capacity,
     fraction_str,
     mbr_point,
-    mincut_collab,
     mincut_single,
     msr_point,
     msr_selfish_bounds,
@@ -181,7 +180,11 @@ def _emit(value: Fraction, unit: Fraction, raw: bool) -> str:
 def _cmd_bounds(args) -> int:
     p = _build_params(args)
     adv = _build_adversary(args)
-    _budget(p.d, p.t, adv)  # the live count, checked whichever sections are asked for
+    # the live count and the partition, checked whichever sections are asked for
+    _budget(p.d, p.t, adv)
+    cut = None if args.partition is None else _capacity(p, args.partition, adv)
+    if args.point == "selfish-msr" and (adv is None or adv.kind is not AdversaryKind.SELFISH):
+        raise _UsageError("--point selfish-msr requires --adversary selfish")
     unit = p.unit
     raw = args.raw
     doc: dict = {"params": _params_doc(p), "output_units": "raw" if raw else "B/k"}
@@ -201,12 +204,10 @@ def _cmd_bounds(args) -> int:
         doc["gamma"] = _emit(repair_gamma(p), unit, raw)
     if "mincut" in sections and p.alpha:
         doc["mincut_single"] = _emit(mincut_single(p), unit, raw)
-        if args.partition is not None:
-            part = args.partition
-            if adv is None:
-                doc["mincut_collab"] = _emit(mincut_collab(p, part), unit, raw)
-            else:
-                doc[f"capacity_{adv.kind.value}"] = _emit(_capacity(p, part, adv), unit, raw)
+        if cut is not None:
+            doc["mincut_collab" if adv is None else f"capacity_{adv.kind.value}"] = _emit(
+                cut, unit, raw
+            )
     if ("adversary" in sections or args.point == "selfish-msr") and adv is not None:
         if adv.kind is AdversaryKind.SELFISH:
             bounds = msr_selfish_bounds(p, adv)

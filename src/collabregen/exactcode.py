@@ -624,34 +624,29 @@ def _repair_with_collaboration(code, live, failed, roles, policy, need, rng, rep
         equations[f] = {b.node_id - 1: _row_answer(b, j, roles, rng) for b in answering}
         report.downloads[f].update(ids)
 
-    # Relay plan: rows short of kappa equations borrow evaluation points
-    # through peers, spreading the extra demand evenly over links (the
-    # download ledger is the link load).  Each relayed piece is counted
-    # as an exchange from its carrier, so until phase 2 the exchange
-    # ledger holds relays only.
+    # Relay plan: a row short of kappa equations borrows evaluation points
+    # through peers, least-loaded link (the download ledger) first, ties to
+    # the lower node id, then the lower peer id.  A relay loads only its own
+    # link and its node leaves the row's options, so one sort orders them.
+    # Relays count as their carriers' exchanges, the only ones until phase 2.
     for j, f in enumerate(failed):
-        missing = kappa - len(equations[f])
-        if missing <= 0:
+        row = equations[f]
+        if len(row) >= kappa:
             continue
         if policy is RepairPolicy.CONTACT_NEW_NODES:
             raise RepairFailureError("not enough responsive live nodes to gather a row")
-        for _ in range(missing):
-            options = []
-            for peer in failed:
-                if peer == f:
-                    continue
-                for b in responders[peer]:
-                    if b.node_id - 1 in equations[f]:
-                        continue
-                    options.append((report.downloads[peer][b.node_id], b.node_id, peer, b))
-            if not options:
-                raise RepairFailureError(
-                    f"responding nodes cannot span the data of node {f}"
-                )
-            _, _, carrier, src = min(options)
-            equations[f][src.node_id - 1] = _row_answer(src, j, roles, rng)
-            report.downloads[carrier][src.node_id] += 1
-            report.exchanges[(carrier, f)] += 1
+        for _, node, carrier, src in sorted([
+            (report.downloads[peer][b.node_id], b.node_id, peer, b)
+            for peer in failed if peer != f for b in responders[peer] if b.node_id - 1 not in row
+        ]):
+            if node - 1 not in row:  # not relayed already through another peer
+                row[node - 1] = _row_answer(src, j, roles, rng)
+                report.downloads[carrier][node] += 1
+                report.exchanges[(carrier, f)] += 1
+                if len(row) == kappa:
+                    break
+        else:
+            raise RepairFailureError(f"responding nodes cannot span the data of node {f}")
 
     # each newcomer's row (kappa equations, more when polluters are assumed)
     # at every newcomer's point: its own piece and the cross pieces it sends
@@ -715,17 +710,14 @@ def progressive_repair_with_digests(
     )
     if not digests.covers(failed):
         raise ValueError("digest table does not cover the failed nodes")
-    t, kappa = len(failed), code.kappa
+    kappa = code.kappa
     byz = set(failed) - set(report.measured)
 
-    # rows each newcomer must solve itself: its own, plus rows owned by
-    # Byzantine peers (their pieces will not arrive via collaboration)
-    needed: dict[int, list[int]] = {}
-    for j, f in enumerate(failed):
-        if f in byz:
-            needed[f] = list(range(t))
-        else:
-            needed[f] = sorted({j} | {i for i, p in enumerate(failed) if p in byz})
+    # rows each newcomer must solve itself: every row when it is Byzantine,
+    # else its own and those owned by Byzantine peers (their pieces will
+    # not arrive via collaboration)
+    needed = {f: [i for i, p in enumerate(failed) if f in byz or i == j or p in byz]
+              for j, f in enumerate(failed)}
 
     equations: dict[tuple[int, int], dict[int, int]] = {  # by codeword position
         (f, r): {} for f in failed for r in needed[f]

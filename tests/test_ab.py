@@ -1,5 +1,6 @@
 """scripts/ab.py: two trees timed against each other in one interpreter."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -24,12 +25,19 @@ def test_one_round_of_curves_against_itself(tmp_path):
     assert doc["rounds"] == 1 and doc["cores"] >= 1 and doc["python"]
     assert set(doc) >= {"base", "head", "workloads"}
     curves = doc["workloads"]["curves"]
-    assert len(curves["samples"]) == 32 and len(curves["round_ratios"]) == 1
-    slots = dict.fromkeys(sample["slot"] for sample in curves["samples"])
+    medians = curves["item_medians"]
+    assert len(medians) == 32 and len(curves["round_ratios"]) == 1
+    assert "samples" not in curves  # the record keeps what the summary reads, not every sample
+    slots = dict.fromkeys(m["slot"] for m in medians)
     assert len(slots) == 8 and list(curves["slot_median_sum_ratios"]) == list(slots)
     lines = done.stdout.splitlines()
     for slot in slots:  # one ratio line per slot
         assert sum(line.split()[:1] == [slot] and len(line.split()) == 2 for line in lines) == 1
-    for sample in curves["samples"]:
-        assert len(sample["base"]) == len(sample["head"]) == len(sample["head_first"]) == 1
-        assert min(sample["base"] + sample["head"]) > 0
+    assert min(min(m["base"], m["head"]) for m in medians) > 0
+    assert {side: len(sums) for side, sums in curves["round_sums"].items()} == {"base": 1, "head": 1}
+    # the summary is computed again from the record alone
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    summary = ab.summarize(medians, curves["round_sums"])
+    assert {key: curves[key] for key in summary} == summary

@@ -142,6 +142,31 @@ class TestBounds:
         )
         assert code == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize("flags", [(), ("--adversary", "polluting", "--B0", "1")],
+                             ids=["no-adversary", "polluting"])
+    def test_selfish_point_without_selfish_profile_exits_one(self, capsys, flags):
+        # once exit 0: the params alone, or the polluting section
+        code, out, err = run(
+            capsys, "bounds", "--d", "8", "--k", "6", "--t", "3", "--point", "selfish-msr", *flags,
+        )
+        assert code == 1 and out == ""
+        assert "--point selfish-msr requires --adversary selfish" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--partition", "9,9"), "group sizes sum to 18, expected k=6"),
+        (("--point", "msr", "--partition", "9,9", "--alpha", "1"),
+         "group sizes sum to 18, expected k=6"),
+        (("--point", "mbr", "--partition", "4,2"), "group sizes must be at most t=3"),
+        (("--adversary", "selfish", "--L0", "1", "--partition", "2,1,3"),
+         "need one selfish count per group"),
+        (("--point", "msr", "--adversary", "polluting", "--partition", "3,3",
+          "--per-group", "1,0"), "group of size 3 infeasible with 1 polluting newcomers"),
+    ], ids=["sum", "msr-sum", "mbr-size", "per-group", "infeasible-group"])
+    def test_bad_partition_exits_one_on_every_path(self, capsys, flags, message):
+        # each once exited 0 when no capacity section printed
+        code, out, err = run(capsys, "bounds", "--d", "8", "--k", "6", "--t", "3", *flags)
+        assert code == 1 and out == "" and message in err
+
     def test_bad_parameters_exit_one(self, capsys):
         code, _, _ = run(capsys, "bounds", "--d", "3", "--k", "5", "--t", "1")
         assert code == 1
