@@ -36,6 +36,10 @@ cli "$out/free_sweep.csv" tradeoff --d 48 --k 32 --t 4 --fixed-g 32 --free-range
 # four full groups of 3 hold no selfish newcomer: exit 2, "infeasible"
 cli "$out/inadmissible_sweep.csv" tradeoff --d 20 --k 12 --t 3 --fixed-g 4 \
   --adversary selfish --L0 1 --lmax 1 --Ltotal 1 --alpha-points 4
+# a rational B: B/k has a denominator, so every printed float divides by it
+cli "$out/rational_B_sweep.csv" tradeoff --d 48 --k 32 --t 8 --B 7/3 --alpha-points 16
+cli "$out/rational_B_polluting_sweep.csv" tradeoff --d 48 --k 32 --t 4 --fixed-g 32 \
+  --adversary polluting --B0 1 --bmax 1 --Btotal 16 --B 5/11 --alpha-points 16
 # the repr of every CurvePoint of both curves pools: the stored answers
 # hold gammas to 1e-3 only, this shows any changed bit
 PYTHONPATH=src:perfbench python -c '

@@ -119,7 +119,7 @@ class SystemParams:
         if self.d > self.n - self.t:
             raise ParameterError(f"need d <= n - t, got d={self.d}, n-t={self.n - self.t}")
         for name in ("B", "alpha", "beta", "beta_prime"):
-            if getattr(self, name) < 0:
+            if getattr(self, name).numerator < 0:  # a Fraction by now
                 raise ParameterError(f"{name} must be nonnegative")
 
     @classmethod
@@ -154,7 +154,7 @@ class SystemParams:
     def with_point(
         self, alpha: RationalLike, beta: RationalLike, beta_prime: RationalLike
     ) -> "SystemParams":
-        return replace(self, alpha=alpha, beta=beta, beta_prime=beta_prime)
+        return type(self)(self.n, self.k, self.d, self.t, self.B, alpha, beta, beta_prime)
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,11 @@ class GroupPartition:
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
         for u in self.groups:
-            _check_int("group size", u, PartitionError)
+            if type(u) is not int:
+                _check_int("group size", u, PartitionError)
         if not self.groups:
             raise PartitionError("partition must have at least one group")
-        if any(u < 1 for u in self.groups):
+        if min(self.groups) < 1:
             raise PartitionError("group sizes must be positive")
 
     @property

@@ -71,7 +71,7 @@ from .capacity import (
     _piece,
     as_fraction,
     mbr_point,
-    msr_point,
+    msr_point,  # not called here; perfbench/tracing.py wraps tradeoff.msr_point
     msr_selfish_bounds,  # not called here; perfbench/tracing.py wraps tradeoff.msr_selfish_bounds
 )
 
@@ -505,7 +505,9 @@ def optimize_gamma(
 
     Searches beta, beta' >= 0 by default; ``bandwidth_box`` restricts the
     search window instead.  The point returned reaches B exactly (B = 0
-    gives the zero CurvePoint, after every check of the structure and box).
+    gives the zero CurvePoint, after every check of the structure and box),
+    and its floats are that rational point in units of B/k, correctly
+    rounded.
     Raises InfeasibleError (an exit path, not a crash) when building the
     search does, alpha is below B/k, the window holds no feasible point or
     the best one cannot be certified at B; ParameterError when alpha is
@@ -520,11 +522,15 @@ def optimize_gamma(
     search = _cut_search(p, adversary, fixed_g)
     if bandwidth_box is not None and any(hi < lo for lo, hi in bandwidth_box):
         raise ParameterError("bandwidth_box has an end below its start")
-    unit = p.unit
     if p.B == 0:
         return CurvePoint(0.0, 0.0, 0.0, 0.0, GroupPartition.all_ones(p.k), None)
     B_f = _search_float("object size B", p.B)
-    if alpha < unit:
+    # Each float taken of an exact value below is one int true division,
+    # which rounds correctly, so it equals float() of the Fraction of that
+    # value, unreduced or not; B/k = Bn/kBd.
+    Bn, kBd = p.B.numerator, p.k * p.B.denominator
+    an, ad = alpha.as_integer_ratio()
+    if an * kBd < Bn * ad:
         raise InfeasibleError(f"alpha={float(alpha):.6g} below minimum storage B/k")
     alpha_f = _search_float("storage level alpha", alpha)
 
@@ -533,10 +539,10 @@ def optimize_gamma(
     # both edges reach alpha with nothing feasible: every term that can grow
     # is saturated at the top corner, the walk's last cell, from then on.
     window, rounds = bandwidth_box, 1
-    if bandwidth_box is None:
-        _, mbr_beta, _ = mbr_point(p)
-        _, _, msr_bp = msr_point(p)
-        window = ((0, 2.0 * float(mbr_beta)), (0, 2.0 * float(msr_bp) if p.t > 1 else 0))
+    if bandwidth_box is None:  # twice mbr_point's beta and msr_point's beta'
+        mbr_beta = 2 * Bn / (kBd * (2 * p.d - p.k + p.t))
+        msr_bp = Bn / (kBd * (p.d - p.k + p.t)) if p.t > 1 else 0
+        window = ((0, 2.0 * mbr_beta), (0, 2.0 * msr_bp))
         rounds = _MAX_BOX_EXPANSIONS
     (lo_b, hi_b), (lo_p, hi_p) = ((float(lo), float(hi)) for lo, hi in window)
     cuts = [] if _cuts is None else _cuts
@@ -568,7 +574,8 @@ def optimize_gamma(
     # recertified here, and taken if it reaches B.
     if _warm is not None:
         warm_gamma = p.d * _warm[0] + (p.t - 1) * _warm[1]
-        if float(p.d * b + (p.t - 1) * bp) > warm_gamma:
+        (bn, bd), (pn, pd) = b.as_integer_ratio(), bp.as_integer_ratio()
+        if (p.d * bn * pd + (p.t - 1) * pn * bd) / (bd * pd) > warm_gamma:
             wb, wbp = Fraction(_warm[0]), Fraction(_warm[1])
             value, wpart2, walloc2 = worst_case_capacity(
                 p.with_point(alpha, wb, wbp), adversary, fixed_g
@@ -576,10 +583,11 @@ def optimize_gamma(
             if value >= p.B:
                 b, bp, wpart, walloc = wb, wbp, wpart2, walloc2
 
-    beta_n = float(b / unit)
-    bp_n = float(bp / unit)
+    (bn, bd), (pn, pd) = b.as_integer_ratio(), bp.as_integer_ratio()
+    beta_n = bn * kBd / (bd * Bn)
+    bp_n = pn * kBd / (pd * Bn)
     return CurvePoint(
-        alpha_norm=float(alpha / unit),
+        alpha_norm=an * kBd / (ad * Bn),
         beta_norm=beta_n,
         beta_prime_norm=bp_n,
         gamma_norm=p.d * beta_n + (p.t - 1) * bp_n,

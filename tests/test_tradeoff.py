@@ -1247,6 +1247,39 @@ def test_every_curve_point_certifies_at_exactly_B(t, fixed_g):
         assert value >= p.B
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_point_floats_are_the_certified_point_in_units_of_B_over_k(data):
+    # B/k has a denominator here, unlike at every benchmark and pinned
+    # curve: each CurvePoint's floats are Fraction arithmetic on a point
+    # that optimize_gamma certified at B
+    k = data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(k, k + 3))
+    t = data.draw(st.integers(1, 4))
+    B = data.draw(st.sampled_from([F(7, 3), F(5, 11), F(10**6), F(1, 10**6)]))
+    p = params(k=k, d=d, t=t, B=B)
+    fixed_g = data.draw(st.sampled_from([None, k]))
+    certified = []
+
+    def recording(q, *rest):
+        value, groups, alloc = worst_case_capacity(q, *rest)
+        certified.append((q, value))
+        return value, groups, alloc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tradeoff, "worst_case_capacity", recording)
+        points = sweep_curve(SweepConfig(p, alpha_grid=default_alpha_grid(p, points=4),
+                                         fixed_g=fixed_g))
+    assert points
+    unit = p.unit
+    reached = [q for q, value in certified if value >= B]
+    for cp in points:
+        assert any(cp.alpha_norm == float(q.alpha / unit)
+                   and cp.beta_norm == float(q.beta / unit)
+                   and cp.beta_prime_norm == float(q.beta_prime / unit) for q in reached)
+        assert cp.gamma_norm == d * cp.beta_norm + (t - 1) * cp.beta_prime_norm
+
+
 class TestSweep:
     def test_gamma_non_increasing_and_dominance(self):
         p4 = params(k=32, d=48, t=4, B=32)
